@@ -13,7 +13,7 @@ import numpy as np
 
 from reallogic.datasets import DataError, load_csv
 from reallogic.fuzzy import FuzzyConfig
-from reallogic.logic import EvalError, free_vars, GroundingEnv
+from reallogic.logic import EvalError, GroundingEnv
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.parser import (
     Axiom, ConfigDecl, ConstDecl, DomainDecl, FuncDecl, PredDecl, TheoryDoc,
@@ -112,10 +112,6 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                     _check_widths(s, spec, _feature_dim(sig, s.din), 1)
                     env.add_pred_mlp(s.name, spec)
             elif isinstance(s, Axiom):
-                loose = free_vars(s.formula)
-                if loose:
-                    raise TheoryError(f"{_where(s.span)}axiom is not closed: "
-                                      f"free {', '.join(loose)}")
                 axioms.append(s)
             else:
                 raise TheoryError(f"unknown statement {s!r}")
@@ -124,7 +120,10 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                 raise
             name = getattr(s, "name", getattr(s, "label", "?"))
             raise TheoryError(f"{_where(s.span)}{name}: {e}") from None
-    return Theory(tuple(axioms), env, doc=doc)
+    try:
+        return Theory(tuple(axioms), env, doc=doc)
+    except ValueError as e:
+        raise TheoryError(str(e)) from None
 
 
 def _check_widths(decl, spec: MlpSpec, din: int, dout) -> None:

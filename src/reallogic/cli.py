@@ -123,9 +123,7 @@ def cmd_train(args) -> int:
 def cmd_query(args) -> int:
     th = _load_kb(args)
     if args.params:
-        loaded = ParamStore.load(args.params)
-        for n in loaded.names():
-            th.store.get(n).data[...] = loaded.get(n).data
+        th.store.copy_from(ParamStore.load(args.params))
     res = query(th, "truth", args.formula,
                 forall_p=args.forall_p, exists_p=args.exists_p)
     if res.values.ndim == 0:

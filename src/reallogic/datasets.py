@@ -228,24 +228,6 @@ def smoker_facts() -> dict:
     }
 
 
-def synthesize_data(demo_id: str, seed: int) -> dict:
-    """Per-demo synthetic data keyed by part name."""
-    if demo_id == "binary":
-        return {"points": make_binary(seed)}
-    if demo_id == "clustering":
-        points, centers = make_clustering(seed)
-        return {"points": points,
-                "centers": Dataset("centers", ("x1", "x2"), centers,
-                                   f"synthetic({seed})")}
-    if demo_id == "addition-single":
-        return make_addition(seed, "single", 600, 300)
-    if demo_id == "addition-multi":
-        return make_addition(seed, "multi", 500, 200)
-    if demo_id == "smokers":
-        return smoker_facts()
-    raise DataError(f"no synthetic recipe for demo {demo_id!r}")
-
-
 # -- bundled snapshot recipes (written out by tools/gen_snapshots.py) -------------
 
 

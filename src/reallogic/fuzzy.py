@@ -169,14 +169,6 @@ def apply_connective(op: ConnectiveOp, a, b=None) -> Tensor:
     return T.where(a.data <= b.data, 1.0, 1.0 - a + b)  # luk
 
 
-def _norm_axes(t: Tensor, axes):
-    if axes is None:
-        return tuple(range(t.data.ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(sorted(ax % t.data.ndim for ax in axes))
-
-
 def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tensor:
     """Aggregate truth values over ``axes``.
 
@@ -188,7 +180,7 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
     when every cell is populated.
     """
     t = _checked(t)
-    axes = _norm_axes(t, axes)
+    axes = T._norm_axes(t, axes)
     if not axes and t.data.ndim > 0:
         return t
     f, eps = spec.family, spec.eps
@@ -265,9 +257,6 @@ class FuzzyConfig:
             exists=AggregatorSpec("pmean", p=2, stable=True, eps=eps),
             sat_agg=AggregatorSpec("pmean_error", p=2, stable=True, eps=eps),
         )
-
-    def op_for(self, kind: str):
-        return getattr(self, _KIND_TO_FIELD[kind])
 
     def with_tag(self, kind: str, tag: str) -> "FuzzyConfig":
         """Replace one operator from its text form, e.g. ("and", "luk")."""

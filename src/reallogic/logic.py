@@ -19,14 +19,20 @@ instance i with instance i, instead of spanning their product grid.
 Guards restrict aggregation with a crisp boolean mask computed from
 detached values, so no gradient ever flows through a guard; cells whose
 guard never fires aggregate to 1 under forall and 0 under exists.
+
+Evaluation is pure: :func:`ground_formula` and :func:`ground_term` take
+a frozen :class:`Scope` with everything that varies per call (variable
+rebinds, the shared axis of each diagonal group and its length, the
+dropout flag, quantifier p overrides) and pass it down. Quantifiers and
+guards derive child scopes from it; nothing is written to the
+environment, so a sub-formula can be grounded again under other binds.
 """
 
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -313,8 +319,32 @@ class GroundedValue(NamedTuple):
     vars: tuple
 
 
+@dataclass(frozen=True)
+class Scope:
+    """Context of one evaluation, passed down through grounding.
+
+    ``binds`` maps variables to other instance arrays (build it with
+    :meth:`GroundingEnv.scope`, which checks the names). ``alias`` maps
+    each diagonally quantified variable to the label of its shared axis,
+    and ``trunc`` maps that label to the axis length. ``training`` turns
+    on dropout. ``forall_p``/``exists_p`` override the p of every
+    matching quantifier. Quantifiers and guards derive child scopes with
+    ``dataclasses.replace``, so evaluation never writes to the env.
+    """
+    binds: Mapping = field(default_factory=dict)
+    alias: Mapping = field(default_factory=dict)
+    trunc: Mapping = field(default_factory=dict)
+    training: bool = False
+    forall_p: float = None
+    exists_p: float = None
+
+
 class GroundingEnv:
-    """Maps symbols onto tensors and evaluates terms and formulas."""
+    """Maps symbols onto tensors.
+
+    ``training`` is the dropout flag that root scopes start from;
+    ``training.learn`` sets it around its optimizer steps.
+    """
 
     def __init__(self, sig: Signature, store: ParamStore,
                  cfg: FuzzyConfig = None, strict_diag: bool = False):
@@ -323,14 +353,10 @@ class GroundingEnv:
         self.cfg = cfg or FuzzyConfig.stable_product()
         self.training = False
         self.strict_diag = strict_diag
-        self.eq_fn: Callable = None
         self._consts: dict[str, tuple] = {}
         self._vars: dict[str, tuple] = {}
         self._funcs: dict[str, tuple] = {}
         self._preds: dict[str, tuple] = {}
-        self._binds: dict[str, np.ndarray] = {}
-        self._diag_alias: dict[str, str] = {}
-        self._diag_trunc: dict[str, int] = {}
 
     # -- declaration helpers ------------------------------------------
 
@@ -408,49 +434,46 @@ class GroundingEnv:
         """fn takes aligned argument tensors, returns a truth Tensor."""
         self._preds[name] = ("callable", fn)
 
-    # -- runtime rebinding ----------------------------------------------
+    # -- scopes and instances -----------------------------------------------
 
-    @contextmanager
-    def bind(self, **arrays):
-        """Temporarily rebind variables to new instance arrays.
+    def scope(self, binds=None, training: bool = None, forall_p=None,
+              exists_p=None) -> Scope:
+        """Root scope of one evaluation.
 
-        Data-backed variables take a float array (n, dim) or (n,);
-        constant-backed variables take an integer index array selecting
-        which constants to stack.
+        ``binds`` rebinds variables to other instances: data-backed
+        variables take a float array (n, dim) or (n,); constant-backed
+        variables take an integer index array selecting which constants
+        to stack. ``training`` defaults to the env's flag.
         """
-        saved = dict(self._binds)
-        for name, arr in arrays.items():
+        arrays = {}
+        for name, arr in (binds or {}).items():
             if name not in self._vars:
                 raise EvalError(f"cannot bind unknown variable {name!r}")
-            self._binds[name] = np.asarray(arr)
-        try:
-            yield self
-        finally:
-            self._binds = saved
+            arrays[name] = np.asarray(arr)
+        return Scope(arrays,
+                     training=self.training if training is None else training,
+                     forall_p=forall_p, exists_p=exists_p)
 
-    # -- instance bookkeeping ---------------------------------------------
-
-    def var_length(self, name: str) -> int:
-        label = self._diag_alias.get(name, name)
-        if name in self._binds:
-            n = self._binds[name].shape[0]
+    def var_length(self, name: str, scope: Scope = Scope()) -> int:
+        if name in scope.binds:
+            n = scope.binds[name].shape[0]
         else:
             kind, payload = self._vars[name]
             n = payload.shape[0] if kind == "data" else len(payload)
-        t = self._diag_trunc.get(label)
+        t = scope.trunc.get(scope.alias.get(name, name))
         return n if t is None else min(n, t)
 
-    def _label_length(self, label: str) -> int:
-        if label in self._diag_trunc:
-            return self._diag_trunc[label]
-        return self.var_length(label)
+    def _label_length(self, label: str, scope: Scope) -> int:
+        if label in scope.trunc:
+            return scope.trunc[label]
+        return self.var_length(label, scope)
 
-    def _var_value(self, name: str) -> GroundedValue:
+    def _var_value(self, name: str, scope: Scope) -> GroundedValue:
         if name not in self._vars:
             raise EvalError(f"variable {name!r} has no grounding")
-        label = self._diag_alias.get(name, name)
-        n = self.var_length(name)
-        bound = self._binds.get(name)
+        label = scope.alias.get(name, name)
+        n = self.var_length(name, scope)
+        bound = scope.binds.get(name)
         kind, payload = self._vars[name]
         if kind == "data":
             if bound is not None:
@@ -498,55 +521,46 @@ def _axis_sizes(values) -> dict:
     return sizes
 
 
-def _aligned(gv: GroundedValue, order: tuple, feature: bool) -> Tensor:
-    """Reorder var axes to ``order`` and insert size-1 axes for the rest."""
-    t = gv.tensor
-    present = [v for v in order if v in gv.vars]
-    perm = [gv.vars.index(v) for v in present]
+def _aligned(x, vars_: tuple, order, feature: bool = False):
+    """Reorder the var axes of ``x`` (a Tensor, or a detached numpy
+    array) to ``order`` and insert size-1 axes for the vars it lacks."""
+    ops = T if isinstance(x, Tensor) else np
+    perm = [vars_.index(v) for v in order if v in vars_]
+    shape = [x.shape[vars_.index(v)] if v in vars_ else 1 for v in order]
     if perm != sorted(perm):
-        t = T.moveaxis(t, perm, list(range(len(perm))))
-    shape = [t.shape[present.index(v)] if v in gv.vars else 1 for v in order]
+        x = ops.moveaxis(x, perm, list(range(len(perm))))
     if feature:
-        shape.append(t.shape[-1])
-    return T.reshape(t, tuple(shape))
+        shape.append(x.shape[-1])
+    return ops.reshape(x, tuple(shape))
 
 
 def align(values, feature: bool):
     """Common (order, sizes, aligned tensors) for a list of GroundedValues."""
     order = _union_order([gv.vars for gv in values])
     sizes = _axis_sizes(values)
-    return order, sizes, [_aligned(gv, order, feature) for gv in values]
-
-
-def _align_np(arrays_with_vars):
-    """Same alignment for detached numpy arrays (guard machinery)."""
-    order = _union_order([vs for _, vs in arrays_with_vars])
-    out = []
-    for arr, vs in arrays_with_vars:
-        arr = np.asarray(arr)
-        present = [v for v in order if v in vs]
-        perm = [vs.index(v) for v in present]
-        if perm != sorted(perm):
-            arr = np.moveaxis(arr, perm, range(len(perm)))
-        shape = [arr.shape[present.index(v)] if v in vs else 1 for v in order]
-        out.append(arr.reshape(shape))
-    return order, out
+    return order, sizes, [_aligned(gv.tensor, gv.vars, order, feature)
+                          for gv in values]
 
 
 # -- evaluation -------------------------------------------------------------------
 
 
-def ground_term(env: GroundingEnv, term: Term) -> GroundedValue:
+def ground_term(env: GroundingEnv, term: Term,
+                scope: Scope = None) -> GroundedValue:
+    """Evaluate a term to a tensor shaped (n_v1, ..., n_vk, feat) under
+    ``scope`` (default: ``env.scope()``)."""
+    if scope is None:
+        scope = env.scope()
     if isinstance(term, Const):
         return GroundedValue(env._const_value(term.name), ())
     if isinstance(term, Var):
-        return env._var_value(term.name)
+        return env._var_value(term.name, scope)
     if not isinstance(term, App):
         raise EvalError(f"not a term: {term!r}")
     if term.func not in env._funcs:
         raise EvalError(f"function {term.func!r} has no grounding")
     kind, payload = env._funcs[term.func]
-    args = [ground_term(env, a) for a in term.args]
+    args = [ground_term(env, a, scope) for a in term.args]
     order, sizes, aligned = align(args, feature=True)
     if kind == "builtin":
         out = payload(*[t.data for t in aligned])
@@ -555,20 +569,22 @@ def ground_term(env: GroundingEnv, term: Term) -> GroundedValue:
     parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in aligned]
     x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
     return GroundedValue(
-        dense_forward(payload, env.store, term.func, x, training=env.training),
+        dense_forward(payload, env.store, term.func, x,
+                      training=scope.training),
         order)
 
 
-def _default_eq(env: GroundingEnv, u: Tensor, v: Tensor) -> Tensor:
+def _smooth_eq(cfg: FuzzyConfig, u: Tensor, v: Tensor) -> Tensor:
     # exp(-alpha * ||u - v||); the tiny floor keeps the norm differentiable
     # at exact equality without visibly moving the value.
     d = u - v
     sq = T.reduce_sum(d * d, axes=(-1,))
-    return T.exp(-env.cfg.eq_alpha * T.power(sq + 1e-12, 0.5))
+    return T.exp(-cfg.eq_alpha * T.power(sq + 1e-12, 0.5))
 
 
-def _eval_guard(env: GroundingEnv, guard: Guard):
+def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
     """Crisp mask over the guard's variables, from detached values."""
+    scope = replace(scope, training=False)  # guards never see dropout noise
 
     def side(terms):
         pieces = []
@@ -576,48 +592,45 @@ def _eval_guard(env: GroundingEnv, guard: Guard):
             if term is None:
                 pieces.append((np.float64(coef), ()))
                 continue
-            was = env.training
-            env.training = False  # guards never see dropout noise
-            try:
-                gv = ground_term(env, term)
-            finally:
-                env.training = was
+            gv = ground_term(env, term, scope)
             arr = gv.tensor.data
             if arr.shape[-1] != 1:
                 raise EvalError("guard terms must be scalar-valued")
             pieces.append((coef * arr[..., 0], gv.vars))
-        order, arrays = _align_np(pieces)
-        return sum(arrays), order
+        order = _union_order([vs for _, vs in pieces])
+        return sum([_aligned(a, vs, order) for a, vs in pieces]), order
 
     lv, lvars = side(guard.lhs)
     rv, rvars = side(guard.rhs)
-    order, (lv, rv) = _align_np([(lv, lvars), (rv, rvars)])
+    order = _union_order([lvars, rvars])
     cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater,
            ">=": np.greater_equal, "=": np.equal, "!=": np.not_equal}[guard.op]
-    return cmp(lv, rv), order
+    return cmp(_aligned(lv, lvars, order), _aligned(rv, rvars, order)), order
 
 
 def ground_formula(env: GroundingEnv, formula: Formula,
-                   forall_p=None, exists_p=None) -> GroundedValue:
+                   scope: Scope = None) -> GroundedValue:
     """Evaluate a formula to a truth tensor with one axis per free var.
 
-    forall_p / exists_p override the p of every matching quantifier in
-    this formula (per-axiom annotations and schedules use this).
+    ``scope`` holds the context of the call: variable binds, dropout
+    and the quantifier p overrides. It defaults to ``env.scope()``: the
+    declared instances, the env's training flag and the configured p.
     """
-    rec = lambda f: ground_formula(env, f, forall_p, exists_p)
-
+    if scope is None:
+        scope = env.scope()
     if isinstance(formula, Atom):
-        return _atom(env, formula)
+        return _atom(env, formula, scope)
     if isinstance(formula, Eq):
-        u, v = ground_term(env, formula.lhs), ground_term(env, formula.rhs)
+        u = ground_term(env, formula.lhs, scope)
+        v = ground_term(env, formula.rhs, scope)
         order, _, (tu, tv) = align([u, v], feature=True)
-        fn = env.eq_fn or _default_eq
-        return GroundedValue(fn(env, tu, tv), order)
+        return GroundedValue(_smooth_eq(env.cfg, tu, tv), order)
     if isinstance(formula, Not):
-        gv = rec(formula.body)
+        gv = ground_formula(env, formula.body, scope)
         return GroundedValue(apply_connective(env.cfg.neg, gv.tensor), gv.vars)
     if isinstance(formula, Bin):
-        lhs, rhs = rec(formula.lhs), rec(formula.rhs)
+        lhs = ground_formula(env, formula.lhs, scope)
+        rhs = ground_formula(env, formula.rhs, scope)
         order, _, (a, b) = align([lhs, rhs], feature=False)
         if formula.op == "iff":
             fwd = apply_connective(env.cfg.impl, a, b)
@@ -629,11 +642,11 @@ def ground_formula(env: GroundingEnv, formula: Formula,
             out = apply_connective(op, a, b)
         return GroundedValue(out, order)
     if isinstance(formula, Quant):
-        return _quant(env, formula, forall_p, exists_p)
+        return _quant(env, formula, scope)
     raise EvalError(f"not a formula node: {formula!r}")
 
 
-def _atom(env: GroundingEnv, atom: Atom) -> GroundedValue:
+def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
     if atom.pred not in env._preds:
         raise EvalError(f"predicate {atom.pred!r} has no grounding")
     kind, payload = env._preds[atom.pred]
@@ -641,7 +654,7 @@ def _atom(env: GroundingEnv, atom: Atom) -> GroundedValue:
         if atom.args:
             raise EvalError(f"{atom.pred} takes no arguments")
         return GroundedValue(env.store.get(payload), ())
-    args = [ground_term(env, a) for a in atom.args]
+    args = [ground_term(env, a, scope) for a in atom.args]
     if kind == "callable":
         order, _, aligned = align(args, feature=True)
         return GroundedValue(payload(*aligned), order)
@@ -664,104 +677,62 @@ def _atom(env: GroundingEnv, atom: Atom) -> GroundedValue:
         parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in feats]
         x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         out = dense_forward(payload, env.store, atom.pred, x,
-                            training=env.training)
+                            training=scope.training)
         picked = T.reduce_sum(out * label, axes=(-1,))
         return GroundedValue(picked, order)
     # plain mlp predicate
     parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in aligned]
     x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    out = dense_forward(payload, env.store, atom.pred, x, training=env.training)
+    out = dense_forward(payload, env.store, atom.pred, x,
+                        training=scope.training)
     return GroundedValue(T.reshape(out, out.shape[:-1]), order)
 
 
-def _quant(env: GroundingEnv, node: Quant, forall_p, exists_p) -> GroundedValue:
-    saved_alias = dict(env._diag_alias)
-    saved_trunc = dict(env._diag_trunc)
-    try:
-        labels = []
-        for group in node.groups:
-            if len(group) == 1:
-                labels.append(env._diag_alias.get(group[0], group[0]))
-                continue
-            label = "&".join(group)
-            lens = [env.var_length(v) for v in group]
-            if len(set(lens)) > 1:
-                msg = (f"diagonal over {group} has unequal instance counts "
-                       f"{lens}; truncating to {min(lens)}")
-                if env.strict_diag:
-                    raise EvalError(msg)
-                warnings.warn(msg)
-            for v in group:
-                env._diag_alias[v] = label
-            env._diag_trunc[label] = min(lens)
-            labels.append(label)
+def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
+    labels = []
+    for group in node.groups:
+        if len(group) == 1:
+            labels.append(scope.alias.get(group[0], group[0]))
+            continue
+        label = "&".join(group)
+        lens = [env.var_length(v, scope) for v in group]
+        if len(set(lens)) > 1:
+            msg = (f"diagonal over {group} has unequal instance counts "
+                   f"{lens}; truncating to {min(lens)}")
+            if env.strict_diag:
+                raise EvalError(msg)
+            warnings.warn(msg)
+        scope = replace(scope,
+                        alias={**scope.alias, **dict.fromkeys(group, label)},
+                        trunc={**scope.trunc, label: min(lens)})
+        labels.append(label)
 
-        mask = mask_vars = None
-        if node.guard is not None:
-            mask, mask_vars = _eval_guard(env, node.guard)
+    mask = mask_vars = None
+    if node.guard is not None:
+        mask, mask_vars = _eval_guard(env, node.guard, scope)
 
-        body = ground_formula(env, node.body, forall_p, exists_p)
-        want = list(body.vars)
-        for v in labels + list(mask_vars or ()):
-            if v not in want:
-                want.append(v)
-        t = body.tensor
-        if len(want) > len(body.vars):
-            # broadcast over axes the body never mentioned
-            grid = t.shape + tuple(env._label_length(v)
-                                   for v in want[len(body.vars):])
-            t = T.broadcast_to(T.reshape(t, t.shape + (1,) * (len(want) - len(body.vars))),
-                               grid)
-        if mask is not None:
-            present = [v for v in want if v in mask_vars]
-            perm = [mask_vars.index(v) for v in present]
-            m = np.moveaxis(mask, perm, range(len(perm))) if perm != sorted(perm) else mask
-            m = m.reshape([m.shape[present.index(v)] if v in mask_vars else 1
-                           for v in want])
-            mask = m
+    body = ground_formula(env, node.body, scope)
+    want = list(body.vars)
+    for v in labels + list(mask_vars or ()):
+        if v not in want:
+            want.append(v)
+    t = body.tensor
+    if len(want) > len(body.vars):
+        # broadcast over axes the body never mentioned
+        grid = t.shape + tuple(env._label_length(v, scope)
+                               for v in want[len(body.vars):])
+        t = T.broadcast_to(T.reshape(t, t.shape + (1,) * (len(want) - len(body.vars))),
+                           grid)
+    if mask is not None:
+        mask = _aligned(mask, mask_vars, want)
 
-        axes = tuple(want.index(l) for l in labels)
-        if node.kind == "forall":
-            spec = env.cfg.forall.with_p(forall_p)
-            empty = 1.0
-        else:
-            spec = env.cfg.exists.with_p(exists_p)
-            empty = 0.0
-        out = aggregate(spec, t, axes=axes, mask=mask, empty=empty)
-        keep = tuple(v for v in want if v not in labels)
-        return GroundedValue(out, keep)
-    finally:
-        env._diag_alias = saved_alias
-        env._diag_trunc = saved_trunc
-
-
-# -- convenience wrappers ------------------------------------------------------
-
-
-def quantify(env: GroundingEnv, kind: str, var_names, body: Formula,
-             p=None) -> GroundedValue:
-    """Plain quantification over each named variable separately."""
-    groups = tuple((v,) for v in var_names)
-    node = Quant(kind, groups, None, body)
-    return ground_formula(env, node,
-                          forall_p=p if kind == "forall" else None,
-                          exists_p=p if kind == "exists" else None)
-
-
-def quantify_diag(env: GroundingEnv, kind: str, group, body: Formula,
-                  p=None) -> GroundedValue:
-    """Quantify variables jointly along their shared diagonal."""
-    node = Quant(kind, (tuple(group),), None, body)
-    return ground_formula(env, node,
-                          forall_p=p if kind == "forall" else None,
-                          exists_p=p if kind == "exists" else None)
-
-
-def quantify_guarded(env: GroundingEnv, kind: str, groups, guard: Guard,
-                     body: Formula, p=None) -> GroundedValue:
-    """Quantify only over instances whose guard comparison holds."""
-    groups = tuple(tuple(g) if not isinstance(g, str) else (g,) for g in groups)
-    node = Quant(kind, groups, guard, body)
-    return ground_formula(env, node,
-                          forall_p=p if kind == "forall" else None,
-                          exists_p=p if kind == "exists" else None)
+    axes = tuple(want.index(l) for l in labels)
+    if node.kind == "forall":
+        spec = env.cfg.forall.with_p(scope.forall_p)
+        empty = 1.0
+    else:
+        spec = env.cfg.exists.with_p(scope.exists_p)
+        empty = 0.0
+    out = aggregate(spec, t, axes=axes, mask=mask, empty=empty)
+    keep = tuple(v for v in want if v not in labels)
+    return GroundedValue(out, keep)

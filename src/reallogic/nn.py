@@ -95,18 +95,45 @@ class ParamStore:
 
     @classmethod
     def load(cls, path, seed: int = 0) -> "ParamStore":
+        """Read a file written by :meth:`save`; raise ValueError naming
+        the slot whose data is cut short, or the bytes left over."""
         store = cls(seed)
         with open(path, "rb") as f:
             if f.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError(f"{path}: not a parameter file")
-            (hlen,) = struct.unpack("<I", f.read(4))
+            raw = f.read(4)
+            if len(raw) != 4:
+                raise ValueError(f"{path}: header length cut short")
+            (hlen,) = struct.unpack("<I", raw)
             header = json.loads(f.read(hlen).decode())
             for entry in header:
                 shape = tuple(entry["shape"])
                 n = int(np.prod(shape, dtype=int)) if shape else 1
-                data = np.frombuffer(f.read(8 * n), dtype=np.float64).reshape(shape)
+                raw = f.read(8 * n)
+                if len(raw) != 8 * n:
+                    raise ValueError(
+                        f"{path}: slot {entry['name']!r} of shape {shape} "
+                        f"needs {8 * n} bytes, found {len(raw)}")
+                data = np.frombuffer(raw, dtype=np.float64).reshape(shape)
                 store.add(entry["name"], data.copy(), entry["lo"], entry["hi"])
+            extra = len(f.read())
+            if extra:
+                raise ValueError(f"{path}: {extra} bytes after the last slot")
         return store
+
+    def copy_from(self, other: "ParamStore") -> None:
+        """Copy every slot value from ``other``, which must hold exactly
+        the same slot names and shapes; raise ValueError naming the first
+        slot that differs."""
+        def shape(store, name):
+            return f"shape {store.get(name).shape}" if name in store else "no slot"
+
+        for name in sorted(set(self.slots) | set(other.slots)):
+            want, got = shape(self, name), shape(other, name)
+            if want != got:
+                raise ValueError(f"slot {name!r}: expected {want}, found {got}")
+        for name in self.names():
+            self.get(name).data[...] = other.get(name).data
 
 
 def backward(root: Tensor, store: ParamStore) -> dict[str, Tensor]:

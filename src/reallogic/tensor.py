@@ -506,45 +506,3 @@ def reduce_prod(a, axes=None) -> Tensor:
         a._accum(np.moveaxis(gf.reshape(moved.shape), range(len(lead), nd), axes))
 
     return _result(out, (a,), back, "prod")
-
-
-# -- tag dispatchers ---------------------------------------------------------
-
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "div": div, "pow": power,
-    "exp": exp, "log": log, "neg": neg, "min": minimum, "max": maximum,
-}
-
-
-def elementwise(tag: str, a, b=None) -> Tensor:
-    """Apply an elementwise op by name; unary tags ignore ``b``."""
-    try:
-        fn = _ELEMENTWISE[tag]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {tag!r}") from None
-    if tag in ("exp", "log", "neg"):
-        if b is not None:
-            raise ValueError(f"{tag} is unary")
-        return fn(a)
-    if b is None:
-        raise ValueError(f"{tag} needs two operands")
-    return fn(a, b)
-
-
-def reduce(tag: str, a, axes=None, p=None) -> Tensor:
-    """Apply a reduction by name. ``p`` is only legal for the p-means."""
-    if tag in ("p-mean", "p-mean-error"):
-        if p is None or p < 1:
-            raise ValueError(f"{tag} needs p >= 1")
-        p = float(p)
-        if tag == "p-mean":
-            return power(reduce_mean(power(a, p), axes), 1.0 / p)
-        return 1.0 - power(reduce_mean(power(1.0 - astensor(a), p), axes), 1.0 / p)
-    if p is not None:
-        raise ValueError(f"{tag} takes no p")
-    plain = {"sum": reduce_sum, "mean": reduce_mean,
-             "min": reduce_min, "max": reduce_max}
-    try:
-        return plain[tag](a, axes)
-    except KeyError:
-        raise ValueError(f"unknown reduce op {tag!r}") from None

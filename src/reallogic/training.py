@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from reallogic.fuzzy import aggregate
 from reallogic.logic import (
-    Bin, Not, Quant, free_vars, ground_formula, ground_term,
+    Bin, Not, Quant, Scope, free_vars, ground_formula, ground_term,
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
@@ -33,10 +32,7 @@ class Theory:
         if not self.axioms:
             raise ValueError("theory has no axioms")
         for ax in self.axioms:
-            loose = free_vars(ax.formula)
-            if loose:
-                raise ValueError(f"axiom {ax.label or ''!s} is not closed: "
-                                 f"free {', '.join(loose)}")
+            _check_closed(ax)
 
     @property
     def cfg(self):
@@ -51,17 +47,46 @@ class Theory:
         return self.env.sig
 
 
-def axiom_truth(theory: Theory, axiom, forall_p=None, exists_p=None) -> Tensor:
-    """Ground one axiom; its own p annotations win over the overrides."""
+def _check_closed(axiom) -> None:
+    """Raise ValueError unless the axiom has no free variables. The
+    message starts with the axiom's file:line when it was parsed."""
+    loose = free_vars(axiom.formula)
+    if loose:
+        where = f"{axiom.span[0]}:{axiom.span[1]}: " if axiom.span else ""
+        label = f"{axiom.label} " if axiom.label else ""
+        raise ValueError(f"{where}axiom {label}is not closed: "
+                         f"free {', '.join(loose)}")
+
+
+def _with_p(scope: Scope, forall_p, exists_p) -> Scope:
+    if (forall_p, exists_p) == (scope.forall_p, scope.exists_p):
+        return scope
+    return replace(scope, forall_p=forall_p, exists_p=exists_p)
+
+
+def axiom_truth(theory: Theory, axiom, forall_p=None, exists_p=None,
+                scope: Scope = None) -> Tensor:
+    """Ground one axiom under ``scope`` (default: the env's root scope).
+
+    forall_p / exists_p replace the scope's p overrides, and the axiom's
+    own p annotations win over both.
+    """
     fp = axiom.forall_p if axiom.forall_p is not None else forall_p
     ep = axiom.exists_p if axiom.exists_p is not None else exists_p
-    return ground_formula(theory.env, axiom.formula,
-                          forall_p=fp, exists_p=ep).tensor
+    scope = _with_p(theory.env.scope() if scope is None else scope, fp, ep)
+    return ground_formula(theory.env, axiom.formula, scope).tensor
 
 
-def satisfiability(theory: Theory, forall_p=None, exists_p=None) -> Tensor:
-    """Aggregate all axiom truths with the theory's formula aggregator."""
-    truths = [axiom_truth(theory, ax, forall_p, exists_p)
+def satisfiability(theory: Theory, forall_p=None, exists_p=None,
+                   scope: Scope = None) -> Tensor:
+    """Aggregate all axiom truths with the theory's formula aggregator.
+
+    ``scope`` (default: the env's root scope) carries the binds and the
+    training flag; the p overrides apply as in :func:`axiom_truth`.
+    """
+    scope = _with_p(theory.env.scope() if scope is None else scope,
+                    forall_p, exists_p)
+    truths = [axiom_truth(theory, ax, forall_p, exists_p, scope)
               for ax in theory.axioms]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), axes=None)
 
@@ -159,11 +184,19 @@ def _diag_partition(theory: Theory, names) -> list:
     return list(groups.values())
 
 
-def _loss(theory: Theory, train: TrainConfig, fp, ep) -> Tensor:
-    loss = 1.0 - satisfiability(theory, fp, ep)
+def _loss(theory: Theory, train: TrainConfig, sat: Tensor) -> Tensor:
+    """1 - Sat, plus the weighted regularizer when one is configured."""
+    loss = 1.0 - sat
     if train.reg != "none" and train.lam > 0:
         loss = loss + train.lam * regularizer(theory.store, train.reg)
     return loss
+
+
+def _check_grads(grads: dict, where: str) -> None:
+    for name in sorted(grads):
+        if not np.isfinite(grads[name].data).all():
+            raise DivergenceError(
+                f"non-finite gradient in slot {name!r} {where}")
 
 
 def learn(theory: Theory, train: TrainConfig, data: dict = None,
@@ -171,10 +204,15 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     """Maximize Sat by minibatch gradient ascent.
 
     ``data`` maps variable names to full instance arrays; each step
-    rebinds them to a uniformly drawn batch (without replacement,
-    Diag-linked variables share the draw). ``metrics`` maps names to
+    grounds the theory in a scope that binds them to a uniformly drawn
+    batch (without replacement, Diag-linked variables share the draw).
+    ``learn`` is the one writer of ``env.training``: it is True while
+    the optimizer steps run, so their root scopes enable dropout, and
+    False otherwise. Each epoch's record evaluates Sat in a scope that
+    binds the full data with training off. ``metrics`` maps names to
     callables on the theory, evaluated every ``log_every`` epochs.
     Returns (theory, records); records[0] is the pre-training state.
+    Raises DivergenceError on a non-finite loss or gradient.
     """
     data = data or {}
     metrics = metrics or {}
@@ -205,12 +243,12 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
                                      replace=False)
                     for v in g:
                         binds[v] = np.asarray(data[v])[idx]
-                ctx = theory.env.bind(**binds) if binds else nullcontext()
-                with ctx:
-                    loss = _loss(theory, train, fp, ep)
+                sat = satisfiability(theory, fp, ep, theory.env.scope(binds))
+                loss = _loss(theory, train, sat)
                 if not np.isfinite(loss.data):
                     raise DivergenceError(f"loss {loss.data} at epoch {epoch}")
                 grads = backward(loss, theory.store)
+                _check_grads(grads, f"at epoch {epoch}")
                 adam_step(theory.store, grads, lr=train.lr)
         finally:
             theory.env.training = False
@@ -222,14 +260,9 @@ def _log(theory, train, data, metrics, epoch, fp=None, ep=None) -> dict:
     if epoch == 0:
         fp = schedule_value(train.forall_schedule, 0, train.epochs)
         ep = schedule_value(train.exists_schedule, 0, train.epochs)
-    theory.env.training = False
-    ctx = theory.env.bind(**{k: np.asarray(v) for k, v in data.items()}) \
-        if data else nullcontext()
-    with ctx:
-        sat = satisfiability(theory, fp, ep)
-        loss = 1.0 - sat
-        if train.reg != "none" and train.lam > 0:
-            loss = loss + train.lam * regularizer(theory.store, train.reg)
+    sat = satisfiability(theory, fp, ep,
+                         theory.env.scope(data, training=False))
+    loss = _loss(theory, train, sat)
     rec = {"epoch": epoch, "sat": float(sat.data), "loss": float(loss.data)}
     due = epoch % train.log_every == 0 or epoch == train.epochs
     if metrics and due:
@@ -256,8 +289,10 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
           forall_p=None, exists_p=None) -> QueryResult:
     """Evaluate a formula's truth or a term's value; never mutates θ.
 
-    Generalization kinds rebind the given variables to unseen data
-    first. Formula queries accept source text; term queries take an AST.
+    The expression is grounded in a scope with training off, the p
+    overrides, and, for the generalization kinds, the given variables
+    bound to unseen data; the env itself is left as it was. Formula
+    queries accept source text; term queries take an AST.
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -270,19 +305,17 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
             raise ValueError("value queries take a term AST")
         expr = parse_formula(expr, theory.sig)
     before = theory.store.state_hash()
-    theory.env.training = False
-    ctx = theory.env.bind(**data) if data else nullcontext()
-    with ctx:
-        if truthy:
-            gv = ground_formula(theory.env, expr,
-                                forall_p=forall_p, exists_p=exists_p)
-            values = np.asarray(gv.tensor.data)
-            if values.min() < -1e-9 or values.max() > 1 + 1e-9:
-                raise RuntimeError("truth query outside [0, 1]")
-            values = np.clip(values, 0.0, 1.0)
-        else:
-            gv = ground_term(theory.env, expr)
-            values = np.asarray(gv.tensor.data)
+    scope = theory.env.scope(data, training=False, forall_p=forall_p,
+                             exists_p=exists_p)
+    if truthy:
+        gv = ground_formula(theory.env, expr, scope)
+        values = np.asarray(gv.tensor.data)
+        if values.min() < -1e-9 or values.max() > 1 + 1e-9:
+            raise RuntimeError("truth query outside [0, 1]")
+        values = np.clip(values, 0.0, 1.0)
+    else:
+        gv = ground_term(theory.env, expr, scope)
+        values = np.asarray(gv.tensor.data)
     if theory.store.state_hash() != before:
         raise RuntimeError("query mutated the parameter store")
     return QueryResult(kind, values, gv.vars)
@@ -371,12 +404,13 @@ class RefutationConfig:
             raise ValueError("epochs and restarts must be positive")
 
 
-def soft_penalty(sat: float, q: float, alpha: float, beta: float) -> float:
+def soft_penalty(sat, q: float, alpha: float, beta: float) -> Tensor:
     """Elu-shaped penalty on unsatisfied knowledge: linear in the deficit
     below q, a bounded negative reward above it. Continuous, zero at
-    sat == q, non-increasing in sat."""
+    sat == q, non-increasing in sat. ``sat`` is a Tensor or a float."""
+    sat = T.astensor(sat)
     d = q - sat
-    return beta * d if sat <= q else alpha * (math.exp(d) - 1.0)
+    return T.where(sat.data <= q, beta * d, alpha * (T.exp(d) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -414,18 +448,16 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None,
         if isinstance(phi, str):
             from reallogic.parser import parse_formula
             phi_ast = parse_formula(phi, th.sig)
-        th.env.training = False
+        scope = th.env.scope(training=False, forall_p=forall_p,
+                             exists_p=exists_p)
         for _ in range(rcfg.epochs):
-            sat = satisfiability(th, forall_p=forall_p, exists_p=exists_p)
-            gphi = ground_formula(th.env, phi_ast, forall_p=forall_p,
-                                  exists_p=exists_p).tensor
-            d = rcfg.q - sat
-            pen = T.where(sat.data <= rcfg.q, rcfg.beta * d,
-                          rcfg.alpha * (T.exp(d) - 1.0))
-            obj = gphi + pen
+            sat = satisfiability(th, forall_p, exists_p, scope)
+            gphi = ground_formula(th.env, phi_ast, scope).tensor
+            obj = gphi + soft_penalty(sat, rcfg.q, rcfg.alpha, rcfg.beta)
             if not np.isfinite(obj.data):
                 raise DivergenceError("refutation objective diverged")
             grads = backward(obj, th.store)
+            _check_grads(grads, "in the refutation search")
             adam_step(th.store, grads, lr=rcfg.lr)
         sat = float(satisfiability(th, forall_p=forall_p,
                                    exists_p=exists_p).data)
@@ -434,7 +466,6 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None,
         if sat >= rcfg.q and gphi < rcfg.q:
             snapshot = {n: th.store.get(n).data.copy()
                         for n in th.store.names()}
-            assert sat >= rcfg.q and gphi < rcfg.q
             return RefuteResult(False, False, sat, gphi, snapshot,
                                 tuple(runs))
     best = max(runs, key=lambda r: r.sat)

@@ -16,7 +16,6 @@ from reallogic.datasets import (
     make_real_estate_like,
     smoker_facts,
     split_stratified,
-    synthesize_data,
     write_csv,
 )
 
@@ -101,6 +100,7 @@ def test_clustering_blobs_are_separated():
 
 def test_addition_sums():
     parts = make_addition(0, "single", 50, 20)
+    assert set(parts) == {"train", "test"}
     tr = parts["train"]
     assert np.array_equal(tr.col("n"), tr.col("d1") + tr.col("d2"))
     # features are noisy one-hots: argmax recovers the digit most of the time
@@ -125,12 +125,6 @@ def test_smoker_facts_counts():
     listed = {frozenset(p) for p in facts["friends"]}
     assert all(frozenset(p) not in listed for p in facts["non_friends"])
     assert facts["non_cancer"] == ("b", "c", "d", "f", "g", "h")
-
-
-def test_synthesize_data_dispatch():
-    assert set(synthesize_data("addition-single", 0)) == {"train", "test"}
-    with pytest.raises(DataError):
-        synthesize_data("nope", 0)
 
 
 def test_bundled_snapshots_match_recipes():

@@ -11,6 +11,7 @@ from reallogic.demos import (
     DEMO_IDS, RUNNERS, THRESHOLDS, DemoResult, default_train, run_demo,
     run_many, self_check, theory_path,
 )
+from reallogic.nn import ParamStore
 from reallogic.training import TrainConfig
 
 
@@ -152,6 +153,24 @@ def test_cli_train_query_roundtrip(tmp_path, capsys):
     rc = cli.main(["query", "--kb", kb, "--formula", "A | B"])
     fresh = float(capsys.readouterr().out.strip())
     assert fresh != val  # untrained parameters differ from the loaded run
+
+
+@pytest.mark.parametrize("slots,message", [
+    ({"A": 0.5}, r"slot 'B': expected shape \(\), found no slot"),
+    ({"A": 0.5, "B": 0.5, "C": 0.5},
+     r"slot 'C': expected no slot, found shape \(\)"),
+    ({"A": [0.5, 0.5], "B": 0.5},
+     r"slot 'A': expected shape \(\), found shape \(2,\)"),
+], ids=["missing", "extra", "shape"])
+def test_cli_query_rejects_params_that_do_not_match(tmp_path, slots,
+                                                    message):
+    store = ParamStore()
+    for name, value in slots.items():
+        store.add(name, value)
+    store.save(tmp_path / "params.bin")
+    with pytest.raises(ValueError, match=message):
+        cli.main(["query", "--kb", str(theory_path("refute")),
+                  "--formula", "A", "--params", str(tmp_path / "params.bin")])
 
 
 def test_cli_train_applies_operator_tags(tmp_path, capsys):

@@ -10,6 +10,7 @@ from reallogic.fuzzy import (
     AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate, aggregator_grid,
     apply_connective, connective_grid, derivative_profile, parse_op_tag,
 )
+from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -132,6 +133,24 @@ def test_pmean_error_is_one_minus_rmse_at_p2():
     assert got == pytest.approx(1.0 - np.sqrt(np.mean((1 - xs) ** 2)))
     got = agg(AggregatorSpec("pmean", p=2), xs)
     assert got == pytest.approx(np.sqrt(np.mean(xs ** 2)))
+
+
+def test_aggregate_reductions_and_pmeans():
+    a = np.array([0.2, 0.4, 0.9])
+    t = Tensor(a)
+    assert np.allclose(T.reduce_sum(t).data, a.sum())
+    assert np.allclose(aggregate(AggregatorSpec("mean"), t).data, a.mean())
+    assert np.allclose(aggregate(AggregatorSpec("max"), t).data, 0.9)
+    assert np.allclose(aggregate(AggregatorSpec("pmean", p=2), t).data,
+                       np.sqrt((a ** 2).mean()))
+    assert np.allclose(aggregate(AggregatorSpec("pmean_error", p=2), t).data,
+                       1.0 - np.sqrt(((1 - a) ** 2).mean()))
+    with pytest.raises(ValueError):
+        AggregatorSpec("pmean", p=0.5)
+    with pytest.raises(ValueError):
+        AggregatorSpec("mean", p=2)
+    with pytest.raises(ValueError):
+        AggregatorSpec("median")
 
 
 @given(st.lists(unit, min_size=1, max_size=6))
@@ -261,7 +280,6 @@ def test_config_preset_and_overrides():
     assert cfg2.disj == cfg.disj  # untouched
     cfg3 = cfg.with_tag("eq_alpha", "2.5")
     assert cfg3.eq_alpha == 2.5
-    assert cfg.op_for("implies") is cfg.impl
 
 
 PROFILES = [

@@ -8,8 +8,8 @@ import reallogic.tensor as T
 from reallogic.fuzzy import FuzzyConfig
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
-    Quant, Signature, SignatureError, Var, check_formula, free_vars,
-    ground_formula, ground_term, quantify, quantify_diag, quantify_guarded,
+    Quant, Scope, Signature, SignatureError, Var, check_formula, free_vars,
+    ground_formula, ground_term,
 )
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.tensor import Tensor
@@ -44,6 +44,14 @@ def num_env(cfg=RAW, **var_data):
     sig.add_predicate("P2", ("num", "num"))
     env.add_pred_callable("P2", lambda a, b: T.reduce_sum(a * b, axes=(-1,)))
     return env
+
+
+def forall(groups, body, guard=None):
+    return Quant("forall", tuple(groups), guard, body)
+
+
+def exists(groups, body, guard=None):
+    return Quant("exists", tuple(groups), guard, body)
 
 
 def test_product_function_grid_matches_hand_values():
@@ -150,20 +158,22 @@ def test_smooth_equality_value_and_alpha():
 def test_forall_exists_basic_aggregation():
     cfg = RAW.with_tag("forall", "mean").with_tag("exists", "max")
     env = num_env(cfg=cfg, x=[0.2, 0.7, 0.8])
-    allx = quantify(env, "forall", ["x"], Atom("P", (Var("x"),)))
+    allx = ground_formula(env, forall([("x",)], Atom("P", (Var("x"),))))
     assert allx.vars == ()
     assert float(allx.tensor.data) == pytest.approx((0.2 + 0.7 + 0.8) / 3)
-    some = quantify(env, "exists", ["x"], Atom("P", (Var("x"),)))
+    some = ground_formula(env, exists([("x",)], Atom("P", (Var("x"),))))
     assert float(some.tensor.data) == pytest.approx(0.8)
 
 
 def test_quantifier_p_override_applies():
     env = num_env(x=[0.2, 0.7, 0.8])
     xs = np.array([0.2, 0.7, 0.8])
-    got = quantify(env, "forall", ["x"], Atom("P", (Var("x"),)), p=4)
+    got = ground_formula(env, forall([("x",)], Atom("P", (Var("x"),))),
+                         Scope(forall_p=4))
     assert float(got.tensor.data) == pytest.approx(
         1 - (np.mean((1 - xs) ** 4)) ** 0.25)
-    got = quantify(env, "exists", ["x"], Atom("P", (Var("x"),)), p=6)
+    got = ground_formula(env, exists([("x",)], Atom("P", (Var("x"),))),
+                         Scope(exists_p=6))
     assert float(got.tensor.data) == pytest.approx((np.mean(xs ** 6)) ** (1 / 6))
 
 
@@ -187,10 +197,10 @@ def test_diagonal_quantification_matches_paired_oracle():
     ys = [0.3, 0.7, 0.2]
     env = num_env(cfg=cfg, x=xs, y=ys)
     body = Atom("P2", (Var("x"), Var("y")))
-    diag = quantify_diag(env, "forall", ("x", "y"), body)
+    diag = ground_formula(env, forall([("x", "y")], body))
     want = np.mean([a * b for a, b in zip(xs, ys)])
     assert float(diag.tensor.data) == pytest.approx(want)
-    grid = quantify(env, "forall", ["x", "y"], body)
+    grid = ground_formula(env, forall([("x",), ("y",)], body))
     assert float(grid.tensor.data) == pytest.approx(np.outer(xs, ys).mean())
     assert not np.isclose(float(diag.tensor.data), float(grid.tensor.data))
 
@@ -200,12 +210,43 @@ def test_diagonal_truncates_with_warning_and_strict_raises():
     env = num_env(cfg=cfg, x=[0.1, 0.5, 0.9], y=[0.3, 0.7])
     body = Atom("P2", (Var("x"), Var("y")))
     with pytest.warns(UserWarning, match="truncating"):
-        gv = quantify_diag(env, "forall", ("x", "y"), body)
+        gv = ground_formula(env, forall([("x", "y")], body))
     assert float(gv.tensor.data) == pytest.approx(
         np.mean([0.1 * 0.3, 0.5 * 0.7]))
     env.strict_diag = True
     with pytest.raises(EvalError, match="unequal"):
-        quantify_diag(env, "forall", ("x", "y"), body)
+        ground_formula(env, forall([("x", "y")], body))
+
+
+def test_failed_evaluation_leaves_env_untouched():
+    env = num_env(x=[0.1, 0.5, 0.9], y=[0.3, 0.7])
+    env.strict_diag = True
+    env.training = True
+    body = Atom("P2", (Var("x"), Var("y")))
+    # a vector-valued guard term is rejected inside the guard
+    sig = env.sig
+    sig.add_domain("pt", 2)
+    sig.add_variable("v", "pt")
+    env.add_var_data("v", np.zeros((2, 2)))
+    bad_guard = Guard("<", ((1.0, Var("v")),), ((1.0, None),))
+
+    def state():
+        return {k: (v, dict(v) if isinstance(v, dict) else None)
+                for k, v in vars(env).items()}
+
+    before = state()
+    with pytest.raises(EvalError, match="unequal"):
+        ground_formula(env, forall([("x", "y")], body))
+    with pytest.raises(EvalError, match="scalar"):
+        ground_formula(env, forall([("x",)], Atom("P", (Var("x"),)),
+                                   bad_guard))
+    after = state()
+    assert after.keys() == before.keys()
+    for k, (v, items) in before.items():
+        assert after[k][0] is v, k
+        if items is not None:
+            assert after[k][1].keys() == items.keys(), k
+            assert all(after[k][1][n] is items[n] for n in items), k
 
 
 def test_guarded_mean_fixture():
@@ -217,8 +258,8 @@ def test_guarded_mean_fixture():
     env.add_pred_callable("tenth",
                           lambda t: T.reshape(t * 0.1, t.shape[:-1]))
     guard = Guard(">", ((1.0, Var("x")),), ((5.0, None),))
-    gv = quantify_guarded(env, "forall", ["x"], guard,
-                          Atom("tenth", (Var("x"),)))
+    gv = ground_formula(env, forall([("x",)], Atom("tenth", (Var("x"),)),
+                                    guard))
     assert float(gv.tensor.data) == pytest.approx(0.75)
 
 
@@ -228,9 +269,9 @@ def test_empty_guard_gives_vacuous_truth():
     body = Atom("P", (Var("x"),))
     # P values are out of [0,1] here but never touched: all cells masked out
     env2 = num_env(x=[0.1, 0.2, 0.3])
-    allx = quantify_guarded(env2, "forall", ["x"], guard, body)
+    allx = ground_formula(env2, forall([("x",)], body, guard))
     assert float(allx.tensor.data) == 1.0
-    some = quantify_guarded(env2, "exists", ["x"], guard, body)
+    some = ground_formula(env2, exists([("x",)], body, guard))
     assert float(some.tensor.data) == 0.0
 
 
@@ -255,15 +296,16 @@ def test_guard_with_affine_combination_and_builtin():
     # guard: 2*dist(u,v) < 1.1  <=>  dist < 0.55
     guard = Guard("<", ((2.0, App("dist", (Var("u"), Var("v")))),),
                   ((1.1, None),))
-    gv = quantify_guarded(env, "forall", ["u", "v"], guard,
-                          Atom("close", (Var("u"), Var("v"))))
+    gv = ground_formula(env, forall([("u",), ("v",)],
+                                    Atom("close", (Var("u"), Var("v"))), guard))
     want_mask = 2 * d < 1.1
     assert want_mask.any() and not want_mask.all()  # fixture is informative
     assert float(gv.tensor.data) == pytest.approx(0.5)
     # per-cell truth is 0.5, so masked mean is 0.5 wherever nonempty; check
     # the mask actually bit by quantifying only over v with u free
-    gv_u = quantify_guarded(env, "forall", ["v"], guard,
-                            Atom("close", (Var("u"), Var("v"))))
+    gv_u = ground_formula(env, forall([("v",)],
+                                      Atom("close", (Var("u"), Var("v"))),
+                                      guard))
     assert gv_u.vars == ("u",)
     empty_rows = ~want_mask.any(axis=1)
     if empty_rows.any():
@@ -285,7 +327,7 @@ def test_out_of_guard_instances_get_zero_gradient():
     env.add_var_consts("x", ("a", "b", "c"))
     env.add_pred_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
     guard = Guard("<", ((1.0, Var("x")),), ((0.8, None),))
-    gv = quantify_guarded(env, "forall", ["x"], guard, Atom("P", (Var("x"),)))
+    gv = ground_formula(env, forall([("x",)], Atom("P", (Var("x"),)), guard))
     assert float(gv.tensor.data) == pytest.approx(0.4)
     gv.tensor.backward()
     assert np.allclose(store.get("const/a").grad, 0.5)
@@ -300,17 +342,16 @@ def test_vacuous_quantified_variable_broadcasts():
     sig.add_variable("x", "num")
     env.add_var_data("x", [1.0, 2.0, 3.0, 4.0])
     env.cfg = RAW.with_tag("forall", "prod")
-    gv = quantify(env, "forall", ["x"], Atom("A"))
+    gv = ground_formula(env, forall([("x",)], Atom("A")))
     assert float(gv.tensor.data) == pytest.approx(0.3 ** 4)
 
 
 def test_bind_rebinds_data_and_const_variables():
     env = num_env(cfg=RAW.with_tag("forall", "mean"), x=[0.1, 0.2, 0.3, 0.4])
-    body = Atom("P", (Var("x"),))
-    with env.bind(x=np.array([0.4, 0.8])):
-        gv = quantify(env, "forall", ["x"], body)
-        assert float(gv.tensor.data) == pytest.approx(0.6)
-    gv = quantify(env, "forall", ["x"], body)
+    node = forall([("x",)], Atom("P", (Var("x"),)))
+    gv = ground_formula(env, node, env.scope({"x": np.array([0.4, 0.8])}))
+    assert float(gv.tensor.data) == pytest.approx(0.6)
+    gv = ground_formula(env, node)
     assert float(gv.tensor.data) == pytest.approx(0.25)
 
     sig = Signature()
@@ -324,12 +365,11 @@ def test_bind_rebinds_data_and_const_variables():
     env2.add_const("b", [0.8])
     env2.add_var_consts("z", ("a", "b"))
     env2.add_pred_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
-    with env2.bind(z=np.array([1])):
-        gv = quantify(env2, "forall", ["z"], Atom("P", (Var("z"),)))
-        assert float(gv.tensor.data) == pytest.approx(0.8)
-    with pytest.raises(EvalError):
-        with env2.bind(w=np.array([0])):
-            pass
+    gv = ground_formula(env2, forall([("z",)], Atom("P", (Var("z"),))),
+                        env2.scope({"z": np.array([1])}))
+    assert float(gv.tensor.data) == pytest.approx(0.8)
+    with pytest.raises(EvalError, match="cannot bind unknown variable"):
+        env2.scope({"w": np.array([0])})
 
 
 def test_select_predicate_one_hot_and_integer_labels():

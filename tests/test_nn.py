@@ -100,6 +100,25 @@ def test_load_rejects_garbage(tmp_path):
         ParamStore.load(p)
 
 
+def test_load_rejects_truncated_and_trailing_bytes(tmp_path):
+    s = ParamStore()
+    s.add("a", [1.0, 2.0])
+    s.add("b", np.zeros((2, 3)))
+    path = tmp_path / "params.bin"
+    s.save(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8])
+    with pytest.raises(ValueError, match=r"slot 'b' of shape \(2, 3\) "
+                                         r"needs 48 bytes, found 40"):
+        ParamStore.load(path)
+    path.write_bytes(blob + b"\0" * 3)
+    with pytest.raises(ValueError, match="3 bytes after the last slot"):
+        ParamStore.load(path)
+    path.write_bytes(blob[:7])
+    with pytest.raises(ValueError, match="header length cut short"):
+        ParamStore.load(path)
+
+
 def test_glorot_bounds_and_zero_biases():
     s = ParamStore(seed=5)
     spec = MlpSpec((8, 16, 1), ("elu", "sigmoid"))

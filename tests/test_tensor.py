@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reallogic.tensor as T
+from reallogic.fuzzy import AggregatorSpec, aggregate
 from reallogic.tensor import Tensor, DomainError
 
 from fdcheck import check_grads
@@ -168,50 +169,31 @@ def test_backward_needs_scalar_root():
         Tensor([1.0, 2.0], requires_grad=True).backward()
 
 
-def test_elementwise_dispatcher():
+def test_elementwise_op_values():
     a, b = Tensor([0.2, 0.9]), Tensor([0.5, 0.5])
-    assert np.allclose(T.elementwise("add", a, b).data, [0.7, 1.4])
-    assert np.allclose(T.elementwise("min", a, b).data, [0.2, 0.5])
-    assert np.allclose(T.elementwise("neg", a).data, [-0.2, -0.9])
-    assert np.allclose(T.elementwise("pow", a, 2).data, [0.04, 0.81])
-    with pytest.raises(ValueError):
-        T.elementwise("neg", a, b)
-    with pytest.raises(ValueError):
-        T.elementwise("add", a)
-    with pytest.raises(ValueError):
-        T.elementwise("nope", a, b)
+    assert np.allclose(T.add(a, b).data, [0.7, 1.4])
+    assert np.allclose(T.minimum(a, b).data, [0.2, 0.5])
+    assert np.allclose(T.neg(a).data, [-0.2, -0.9])
+    assert np.allclose(T.power(a, 2).data, [0.04, 0.81])
 
 
-def test_reduce_dispatcher_and_pmeans():
-    a = np.array([0.2, 0.4, 0.9])
-    t = Tensor(a)
-    assert np.allclose(T.reduce("sum", t).data, a.sum())
-    assert np.allclose(T.reduce("mean", t).data, a.mean())
-    assert np.allclose(T.reduce("max", t).data, 0.9)
-    assert np.allclose(T.reduce("p-mean", t, p=2).data,
-                       np.sqrt((a ** 2).mean()))
-    assert np.allclose(T.reduce("p-mean-error", t, p=2).data,
-                       1.0 - np.sqrt(((1 - a) ** 2).mean()))
-    with pytest.raises(ValueError):
-        T.reduce("p-mean", t)  # missing p
-    with pytest.raises(ValueError):
-        T.reduce("p-mean", t, p=0.5)
-    with pytest.raises(ValueError):
-        T.reduce("mean", t, p=2)
-    with pytest.raises(ValueError):
-        T.reduce("median", t)
+# the p-means live in fuzzy.aggregate; these pin their autodiff behaviour
 
 
 def test_pmean_limits_approach_extremes():
     a = Tensor(np.array([0.3, 0.6, 0.95]))
-    assert abs(T.reduce("p-mean", a, p=300).data - 0.95) < 0.01
-    assert abs(T.reduce("p-mean-error", a, p=300).data - 0.3) < 0.01
+    pmean = aggregate(AggregatorSpec("pmean", p=300), a, axes=(0,))
+    perr = aggregate(AggregatorSpec("pmean_error", p=300), a, axes=(0,))
+    assert abs(pmean.data - 0.95) < 0.01
+    assert abs(perr.data - 0.3) < 0.01
 
 
 def test_pmean_grads_match_fd():
     a = rng.random((4, 3)) * 0.8 + 0.1
-    check_grads(lambda x: T.reduce("p-mean", x, (0,), p=3).sum(), a)
-    check_grads(lambda x: T.reduce("p-mean-error", x, (1,), p=2).sum(), a)
+    check_grads(lambda x: aggregate(AggregatorSpec("pmean", p=3), x,
+                                    axes=(0,)).sum(), a)
+    check_grads(lambda x: aggregate(AggregatorSpec("pmean_error", p=2), x,
+                                    axes=(1,)).sum(), a)
 
 
 def test_eval_mode_builds_no_graph():

@@ -29,6 +29,7 @@ from reallogic.training import (
     truth_value,
     write_metrics,
 )
+from reallogic.training import _log
 
 DISJ_SRC = "domain u = 1\npred A = scalar\npred B = scalar\naxiom: A | B\n"
 
@@ -215,6 +216,34 @@ def test_divergence_raises():
         learn(th, TrainConfig(epochs=1))
 
 
+def test_non_finite_gradient_raises_before_the_update():
+    # plain pmean_error Sat at all truths 1: the loss is 0, but the
+    # gradient of its root at 0 is NaN in every slot
+    th = disj_theory(a=1.0, b=1.0, raw=True)
+    before = th.store.state_hash()
+    with pytest.raises(DivergenceError, match="non-finite gradient in slot 'A'"):
+        learn(th, TrainConfig(epochs=1))
+    assert th.store.state_hash() == before
+
+    th = disj_theory(a=1.0, b=1.0, raw=True)
+    with pytest.raises(DivergenceError, match="non-finite gradient in slot 'A'"):
+        reason_refute(th, "A", RefutationConfig(epochs=1))
+    assert th.store.state_hash() == before
+
+
+def test_evaluation_leaves_the_training_flag_as_found():
+    th = disj_theory(a=0.3, b=0.6)
+    train = TrainConfig(epochs=1)
+    for flag in (True, False):
+        th.env.training = flag
+        query(th, "truth", "A | B")
+        assert th.env.training is flag
+        _log(th, train, {}, {}, 0)
+        assert th.env.training is flag
+        reason_refute(th, "A", RefutationConfig(epochs=1))
+        assert th.env.training is flag
+
+
 def test_empty_dataset_rejected():
     th = callable_theory([0.5])
     with pytest.raises(ValueError, match="empty"):
@@ -395,18 +424,20 @@ def test_query_detects_parameter_mutation():
 
 
 def test_soft_penalty_shape():
-    assert soft_penalty(0.95, 0.95, 0.05, 10.0) == 0.0
+    def pen(sat):
+        return float(soft_penalty(sat, 0.95, 0.05, 10.0).data)
+
+    assert pen(0.95) == 0.0
     # continuous across the corner and non-increasing in sat
-    below = soft_penalty(0.95 - 1e-9, 0.95, 0.05, 10.0)
-    above = soft_penalty(0.95 + 1e-9, 0.95, 0.05, 10.0)
+    below = pen(0.95 - 1e-9)
+    above = pen(0.95 + 1e-9)
     assert abs(below) < 1e-7 and abs(above) < 1e-7
     xs = np.linspace(0.0, 1.0, 201)
-    pens = [soft_penalty(x, 0.95, 0.05, 10.0) for x in xs]
+    pens = [pen(x) for x in xs]
     assert all(a >= b for a, b in zip(pens, pens[1:]))
     # linear deficit below q, bounded reward above
-    assert soft_penalty(0.85, 0.95, 0.05, 10.0) == pytest.approx(1.0)
-    assert soft_penalty(1.0, 0.95, 0.05, 10.0) == pytest.approx(
-        0.05 * (np.exp(-0.05) - 1.0))
+    assert pen(0.85) == pytest.approx(1.0)
+    assert pen(1.0) == pytest.approx(0.05 * (np.exp(-0.05) - 1.0))
 
 
 def test_refutation_finds_disjunction_counterexample():
