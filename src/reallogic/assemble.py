@@ -13,7 +13,7 @@ import numpy as np
 
 from reallogic.datasets import DataError, load_csv
 from reallogic.fuzzy import FuzzyConfig
-from reallogic.logic import EvalError, GroundingEnv
+from reallogic.logic import EvalError, GroundingEnv, where
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.parser import (
     Axiom, ConfigDecl, ConstDecl, DomainDecl, FuncDecl, PredDecl, TheoryDoc,
@@ -33,25 +33,18 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 BUILTINS = {"euclidean": euclidean}
 
 
-def _where(span) -> str:
-    if span is None:
-        return ""
-    return f"{span[0]}:{span[1]}: "
-
-
 def _mlp_spec(decl, impl) -> MlpSpec:
     try:
         return MlpSpec(impl[1], impl[2], impl[3])
     except ValueError as e:
-        raise TheoryError(f"{_where(decl.span)}{decl.name}: {e}") from None
+        raise TheoryError(f"{where(decl.span)}{decl.name}: {e}") from None
 
 
 def _feature_dim(sig, domains) -> int:
     return sum(sig.dim(d) for d in domains)
 
 
-def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
-                 strict_diag: bool = False) -> Theory:
+def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None) -> Theory:
     """Ground every declaration and collect the axioms.
 
     ``data`` maps variable names to instance arrays, overriding inline
@@ -59,14 +52,14 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
     """
     doc.raise_on_errors()
     data = data or {}
-    cfg = FuzzyConfig.stable_product()
+    cfg = FuzzyConfig()
     for c in doc.configs:
         try:
             cfg = cfg.with_tag(c.key, c.value)
         except ValueError as e:
-            raise TheoryError(f"{_where(c.span)}{e}") from None
+            raise TheoryError(f"{where(c.span)}{e}") from None
     store = ParamStore(seed)
-    env = GroundingEnv(doc.sig, store, cfg, strict_diag=strict_diag)
+    env = GroundingEnv(doc.sig, store, cfg)
     sig = doc.sig
 
     axioms = []
@@ -90,7 +83,7 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
             elif isinstance(s, FuncDecl):
                 if s.impl[0] == "builtin":
                     if s.impl[1] not in BUILTINS:
-                        raise TheoryError(f"{_where(s.span)}unknown builtin "
+                        raise TheoryError(f"{where(s.span)}unknown builtin "
                                           f"{s.impl[1]!r}")
                     env.add_func_builtin(s.name, BUILTINS[s.impl[1]])
                 else:
@@ -119,19 +112,19 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
             if isinstance(e, TheoryError):
                 raise
             name = getattr(s, "name", getattr(s, "label", "?"))
-            raise TheoryError(f"{_where(s.span)}{name}: {e}") from None
+            raise TheoryError(f"{where(s.span)}{name}: {e}") from None
     try:
-        return Theory(tuple(axioms), env, doc=doc)
+        return Theory(tuple(axioms), env)
     except ValueError as e:
         raise TheoryError(str(e)) from None
 
 
 def _check_widths(decl, spec: MlpSpec, din: int, dout) -> None:
     if spec.widths[0] != din:
-        raise TheoryError(f"{_where(decl.span)}{decl.name}: input width "
+        raise TheoryError(f"{where(decl.span)}{decl.name}: input width "
                           f"{spec.widths[0]} does not match feature dim {din}")
     if dout is not None and spec.widths[-1] != dout:
-        raise TheoryError(f"{_where(decl.span)}{decl.name}: output width "
+        raise TheoryError(f"{where(decl.span)}{decl.name}: output width "
                           f"{spec.widths[-1]} does not match dim {dout}")
 
 
@@ -140,18 +133,16 @@ def _load_ref(doc: TheoryDoc, decl: VarDecl) -> np.ndarray:
     if not path.is_absolute():
         base = Path(doc.path).parent if Path(doc.path).exists() else None
         if base is None:
-            raise TheoryError(f"{_where(decl.span)}{decl.name}: data file "
+            raise TheoryError(f"{where(decl.span)}{decl.name}: data file "
                               f"{decl.source[1]!r} needs a file-based theory "
                               "or an explicit binding")
         path = base / path
     try:
         ds = load_csv(path, decl.source[2])
     except (OSError, DataError) as e:
-        raise TheoryError(f"{_where(decl.span)}{decl.name}: {e}") from None
+        raise TheoryError(f"{where(decl.span)}{decl.name}: {e}") from None
     return ds.rows
 
 
-def load_theory(path, seed: int = 0, data: dict = None,
-                strict_diag: bool = False) -> Theory:
-    return build_theory(parse_theory_file(path), seed=seed, data=data,
-                        strict_diag=strict_diag)
+def load_theory(path, seed: int = 0, data: dict = None) -> Theory:
+    return build_theory(parse_theory_file(path), seed=seed, data=data)

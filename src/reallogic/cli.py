@@ -5,30 +5,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from reallogic import demos
 from reallogic.assemble import load_theory
+from reallogic.fuzzy import CONFIG_KEYS
 from reallogic.nn import ParamStore
 from reallogic.training import (
     RefutationConfig, TrainConfig, learn, query, reason_refute, write_metrics,
 )
 
-TRAIN_KEYS = {"epochs": int, "batch": int, "lr": float, "seed": int,
-              "reg": str, "lam": float, "log_every": int}
-FUZZY_KEYS = ("not", "and", "or", "implies", "forall", "exists", "agg",
-              "eq_alpha")
+# the scalar TrainConfig fields, each with the type that parses it
+TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
+              if type(f.default) in (int, float, str)}
 
 
 def read_config(path):
     """Flat ``key = value`` lines; blank lines and # comments are skipped.
 
-    Keys are either optimizer settings (epochs, batch, lr, seed, reg,
-    lam, log_every) or operator tags (and, or, implies, not, forall,
-    exists, agg, eq_alpha) in the same form the theory files use.
+    Returns ``(train, tags)``. A key is either a scalar TrainConfig field
+    (epochs, batch, lr, seed, reg, lam, log_every), parsed into ``train``
+    with the field's type, or a ``fuzzy.CONFIG_KEYS`` operator key (not,
+    and, or, implies, forall, exists, agg, eq_alpha), kept as text in
+    ``tags`` in the same form the theory files use. Any other key, a
+    line without ``=`` or a value that does not parse exits with its
+    file:line.
     """
     train, tags = {}, {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -44,7 +48,7 @@ def read_config(path):
                 train[key] = TRAIN_KEYS[key](val)
             except ValueError:
                 raise SystemExit(f"{path}:{ln}: bad value for {key!r}")
-        elif key in FUZZY_KEYS:
+        elif key in CONFIG_KEYS:
             tags[key] = val
         else:
             raise SystemExit(f"{path}:{ln}: unknown config key {key!r}")

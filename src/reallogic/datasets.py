@@ -99,8 +99,8 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-def bundled(name: str, columns=None) -> Dataset:
-    return load_csv((data_dir() / name).with_suffix(".csv"), columns)
+def bundled(name: str) -> Dataset:
+    return load_csv((data_dir() / name).with_suffix(".csv"))
 
 
 def split_stratified(rng, labels, train_frac):

@@ -501,7 +501,7 @@ def _run_for_pool(args):
 
 
 def run_many(demo: str, runs: int, seed: int = 0, train: TrainConfig = None,
-             processes: int = None, tags=None) -> dict:
+             tags=None) -> dict:
     """Run ``runs`` seeds in parallel; mean with a 95% normal CI per metric."""
     seeds = [seed + i for i in range(runs)]
     args = [(demo, s, None if train is None else replace(train, seed=s), tags)
@@ -509,7 +509,7 @@ def run_many(demo: str, runs: int, seed: int = 0, train: TrainConfig = None,
     if runs == 1:
         finals = [_run_for_pool(args[0])]
     else:
-        with Pool(processes or min(runs, os.cpu_count() or 1)) as pool:
+        with Pool(min(runs, os.cpu_count() or 1)) as pool:
             finals = pool.map(_run_for_pool, args)
     z = NormalDist().inv_cdf(0.975)
     summary = {}

@@ -201,6 +201,13 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
         return T.reduce_sum(x if mt is None else x * mt, axes)
 
     denom = np.maximum(count, 1.0)
+    vacant = count == 0 if mask is not None and np.any(count == 0) else None
+
+    def pmean_base(x):
+        # x ** (1/p) has no finite derivative at 0, so cells with no
+        # selected input take base 1; their value is patched below.
+        base = msum(T.power(x, spec.p)) / denom
+        return base if vacant is None else T.where(vacant, 1.0, base)
 
     if f == "min":
         out = T.reduce_min(fill(t, 1.0), axes)
@@ -218,25 +225,33 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
         out = msum(t) / denom
     elif f == "pmean":
         x = _pi0(t, eps) if spec.stable else t
-        out = T.power(msum(T.power(x, spec.p)) / denom, 1.0 / spec.p)
+        out = T.power(pmean_base(x), 1.0 / spec.p)
     else:  # pmean_error
         x = _pi1(t, eps) if spec.stable else t
-        out = 1.0 - T.power(msum(T.power(1.0 - x, spec.p)) / denom, 1.0 / spec.p)
+        out = 1.0 - T.power(pmean_base(1.0 - x), 1.0 / spec.p)
 
-    if mask is not None and empty is not None and np.any(count == 0):
-        out = T.where(count == 0, float(empty), out)
+    if vacant is not None and empty is not None:
+        out = T.where(vacant, float(empty), out)
     return out
 
 
 # -- configuration ------------------------------------------------------------
 
-_KIND_TO_FIELD = {"not": "neg", "and": "conj", "or": "disj", "implies": "impl",
-                  "forall": "forall", "exists": "exists", "agg": "sat_agg"}
+# config key, as written in theory and --config files -> FuzzyConfig field
+CONFIG_KEYS = {"not": "neg", "and": "conj", "or": "disj", "implies": "impl",
+               "forall": "forall", "exists": "exists", "agg": "sat_agg",
+               "eq_alpha": "eq_alpha"}
 
 
 @dataclass(frozen=True)
 class FuzzyConfig:
-    """Operator choices for a whole theory, plus the equality sharpness."""
+    """Operator choices for a whole theory, plus the equality sharpness.
+
+    The defaults are the stable product configuration: stable product
+    and/or, stable Reichenbach implication, and stable p-means with
+    p = 2 (pmean_error for forall and Sat, pmean for exists), all with
+    eps = 1e-4.
+    """
     neg: ConnectiveOp = ConnectiveOp("not", "standard")
     conj: ConnectiveOp = ConnectiveOp("and", "product", stable=True)
     disj: ConnectiveOp = ConnectiveOp("or", "product", stable=True)
@@ -246,25 +261,13 @@ class FuzzyConfig:
     sat_agg: AggregatorSpec = AggregatorSpec("pmean_error", p=2, stable=True)
     eq_alpha: float = 1.0
 
-    @classmethod
-    def stable_product(cls, eps: float = 1e-4) -> "FuzzyConfig":
-        return cls(
-            neg=ConnectiveOp("not", "standard"),
-            conj=ConnectiveOp("and", "product", stable=True, eps=eps),
-            disj=ConnectiveOp("or", "product", stable=True, eps=eps),
-            impl=ConnectiveOp("implies", "reichenbach", stable=True, eps=eps),
-            forall=AggregatorSpec("pmean_error", p=2, stable=True, eps=eps),
-            exists=AggregatorSpec("pmean", p=2, stable=True, eps=eps),
-            sat_agg=AggregatorSpec("pmean_error", p=2, stable=True, eps=eps),
-        )
-
     def with_tag(self, kind: str, tag: str) -> "FuzzyConfig":
-        """Replace one operator from its text form, e.g. ("and", "luk")."""
-        if kind == "eq_alpha":
-            return dataclasses.replace(self, eq_alpha=float(tag))
-        if kind not in _KIND_TO_FIELD:
+        """Replace one operator from its text form, e.g. ("and", "luk"),
+        or the equality sharpness from a number ("eq_alpha", "2.5")."""
+        if kind not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {kind!r}")
-        return dataclasses.replace(self, **{_KIND_TO_FIELD[kind]: parse_op_tag(kind, tag)})
+        value = float(tag) if kind == "eq_alpha" else parse_op_tag(kind, tag)
+        return dataclasses.replace(self, **{CONFIG_KEYS[kind]: value})
 
 
 def parse_op_tag(kind: str, text: str):

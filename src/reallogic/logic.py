@@ -15,7 +15,9 @@ on the full x-by-y grid while ``P(x) -> Q(x)`` stays elementwise.
 
 Quantifiers aggregate named axes away. A quantifier group with several
 variables is evaluated diagonally: the members share one axis, pairing
-instance i with instance i, instead of spanning their product grid.
+instance i with instance i, instead of spanning their product grid;
+members with unequal instance counts are truncated to the shortest,
+with a warning.
 Guards restrict aggregation with a crisp boolean mask computed from
 detached values, so no gradient ever flows through a guard; cells whose
 guard never fires aggregate to 1 under forall and 0 under exists.
@@ -48,6 +50,11 @@ class EvalError(ValueError):
 
 class SignatureError(ValueError):
     """Symbol declaration or use violates the signature."""
+
+
+def where(span) -> str:
+    """Message prefix ``file:line:col: `` for a source span, or ""."""
+    return "" if span is None else f"{span[0]}:{span[1]}:{span[2]}: "
 
 
 # -- syntax trees -------------------------------------------------------------
@@ -342,17 +349,17 @@ class Scope:
 class GroundingEnv:
     """Maps symbols onto tensors.
 
-    ``training`` is the dropout flag that root scopes start from;
-    ``training.learn`` sets it around its optimizer steps.
+    ``cfg`` defaults to the stable product configuration. ``training``
+    is the dropout flag that root scopes start from; ``training.learn``
+    sets it around its optimizer steps.
     """
 
     def __init__(self, sig: Signature, store: ParamStore,
-                 cfg: FuzzyConfig = None, strict_diag: bool = False):
+                 cfg: FuzzyConfig = None):
         self.sig = sig
         self.store = store
-        self.cfg = cfg or FuzzyConfig.stable_product()
+        self.cfg = cfg or FuzzyConfig()
         self.training = False
-        self.strict_diag = strict_diag
         self._consts: dict[str, tuple] = {}
         self._vars: dict[str, tuple] = {}
         self._funcs: dict[str, tuple] = {}
@@ -566,12 +573,18 @@ def ground_term(env: GroundingEnv, term: Term,
         out = payload(*[t.data for t in aligned])
         return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
     grid = tuple(sizes[v] for v in order)
-    parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in aligned]
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
     return GroundedValue(
-        dense_forward(payload, env.store, term.func, x,
-                      training=scope.training),
-        order)
+        _network(env, term.func, payload, aligned, grid, scope), order)
+
+
+def _network(env: GroundingEnv, name: str, spec: MlpSpec, args, grid: tuple,
+             scope: Scope) -> Tensor:
+    """Run the network of symbol ``name`` once per cell of ``grid``: each
+    aligned argument is broadcast to the grid, and the features are
+    concatenated into the input."""
+    parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in args]
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    return dense_forward(spec, env.store, name, x, training=scope.training)
 
 
 def _smooth_eq(cfg: FuzzyConfig, u: Tensor, v: Tensor) -> Tensor:
@@ -674,17 +687,11 @@ def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
             raise EvalError(
                 f"{atom.pred}: class argument has dim {label.shape[-1]}, "
                 f"network has {nclass} outputs")
-        parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in feats]
-        x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-        out = dense_forward(payload, env.store, atom.pred, x,
-                            training=scope.training)
+        out = _network(env, atom.pred, payload, feats, grid, scope)
         picked = T.reduce_sum(out * label, axes=(-1,))
         return GroundedValue(picked, order)
     # plain mlp predicate
-    parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in aligned]
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    out = dense_forward(payload, env.store, atom.pred, x,
-                        training=scope.training)
+    out = _network(env, atom.pred, payload, aligned, grid, scope)
     return GroundedValue(T.reshape(out, out.shape[:-1]), order)
 
 
@@ -697,11 +704,8 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
         label = "&".join(group)
         lens = [env.var_length(v, scope) for v in group]
         if len(set(lens)) > 1:
-            msg = (f"diagonal over {group} has unequal instance counts "
-                   f"{lens}; truncating to {min(lens)}")
-            if env.strict_diag:
-                raise EvalError(msg)
-            warnings.warn(msg)
+            warnings.warn(f"diagonal over {group} has unequal instance "
+                          f"counts {lens}; truncating to {min(lens)}")
         scope = replace(scope,
                         alias={**scope.alias, **dict.fromkeys(group, label)},
                         trunc={**scope.trunc, label: min(lens)})

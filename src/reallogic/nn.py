@@ -94,10 +94,11 @@ class ParamStore:
                 f.write(np.ascontiguousarray(self.slots[n].tensor.data).tobytes())
 
     @classmethod
-    def load(cls, path, seed: int = 0) -> "ParamStore":
+    def load(cls, path) -> "ParamStore":
         """Read a file written by :meth:`save`; raise ValueError naming
-        the slot whose data is cut short, or the bytes left over."""
-        store = cls(seed)
+        the header or the slot whose data is cut short, or the bytes
+        left over."""
+        store = cls()
         with open(path, "rb") as f:
             if f.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError(f"{path}: not a parameter file")
@@ -105,7 +106,11 @@ class ParamStore:
             if len(raw) != 4:
                 raise ValueError(f"{path}: header length cut short")
             (hlen,) = struct.unpack("<I", raw)
-            header = json.loads(f.read(hlen).decode())
+            blob = f.read(hlen)
+            if len(blob) != hlen:
+                raise ValueError(f"{path}: header needs {hlen} bytes, "
+                                 f"found {len(blob)}")
+            header = json.loads(blob.decode())
             for entry in header:
                 shape = tuple(entry["shape"])
                 n = int(np.prod(shape, dtype=int)) if shape else 1

@@ -64,7 +64,7 @@ import numpy as np
 
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant, Signature,
-    SignatureError, Var, check_formula,
+    SignatureError, Var, check_formula, where,
 )
 
 STATEMENT_KEYWORDS = ("domain", "const", "var", "func", "pred",
@@ -87,8 +87,7 @@ class ParseError(ValueError):
     def __init__(self, message, span=None):
         self.span = span
         self.message = message
-        super().__init__(message if span is None else
-                         f"{span[0]}:{span[1]}:{span[2]}: {message}")
+        super().__init__(f"{where(span)}{message}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ class Diagnostic:
     span: tuple  # (file, line, col)
 
     def __str__(self):
-        f, line, col = self.span
-        return f"{f}:{line}:{col}: {self.message}"
+        return f"{where(self.span)}{self.message}"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from reallogic.fuzzy import aggregate
 from reallogic.logic import (
-    Bin, Not, Quant, Scope, free_vars, ground_formula, ground_term,
+    Bin, Not, Quant, Scope, free_vars, ground_formula, ground_term, where,
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
@@ -26,7 +26,6 @@ class Theory:
     """A knowledge base: closed axioms over a grounded environment."""
     axioms: tuple
     env: "GroundingEnv"
-    doc: object = None
 
     def __post_init__(self):
         if not self.axioms:
@@ -49,45 +48,36 @@ class Theory:
 
 def _check_closed(axiom) -> None:
     """Raise ValueError unless the axiom has no free variables. The
-    message starts with the axiom's file:line when it was parsed."""
+    message starts with the axiom's file:line:col when it was parsed."""
     loose = free_vars(axiom.formula)
     if loose:
-        where = f"{axiom.span[0]}:{axiom.span[1]}: " if axiom.span else ""
         label = f"{axiom.label} " if axiom.label else ""
-        raise ValueError(f"{where}axiom {label}is not closed: "
+        raise ValueError(f"{where(axiom.span)}axiom {label}is not closed: "
                          f"free {', '.join(loose)}")
 
 
-def _with_p(scope: Scope, forall_p, exists_p) -> Scope:
-    if (forall_p, exists_p) == (scope.forall_p, scope.exists_p):
-        return scope
-    return replace(scope, forall_p=forall_p, exists_p=exists_p)
-
-
-def axiom_truth(theory: Theory, axiom, forall_p=None, exists_p=None,
-                scope: Scope = None) -> Tensor:
+def axiom_truth(theory: Theory, axiom, scope: Scope = None) -> Tensor:
     """Ground one axiom under ``scope`` (default: the env's root scope).
 
-    forall_p / exists_p replace the scope's p overrides, and the axiom's
-    own p annotations win over both.
+    The scope carries the binds, the training flag and the quantifier p
+    overrides; the axiom's own ``@forall/@exists(p=..)`` annotations win
+    over the scope's p.
     """
-    fp = axiom.forall_p if axiom.forall_p is not None else forall_p
-    ep = axiom.exists_p if axiom.exists_p is not None else exists_p
-    scope = _with_p(theory.env.scope() if scope is None else scope, fp, ep)
+    scope = theory.env.scope() if scope is None else scope
+    fp, ep = axiom.forall_p, axiom.exists_p
+    if fp is not None or ep is not None:
+        scope = replace(scope, forall_p=scope.forall_p if fp is None else fp,
+                        exists_p=scope.exists_p if ep is None else ep)
     return ground_formula(theory.env, axiom.formula, scope).tensor
 
 
-def satisfiability(theory: Theory, forall_p=None, exists_p=None,
-                   scope: Scope = None) -> Tensor:
+def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
-    ``scope`` (default: the env's root scope) carries the binds and the
-    training flag; the p overrides apply as in :func:`axiom_truth`.
+    Each axiom is grounded by :func:`axiom_truth` under ``scope``
+    (default: the env's root scope).
     """
-    scope = _with_p(theory.env.scope() if scope is None else scope,
-                    forall_p, exists_p)
-    truths = [axiom_truth(theory, ax, forall_p, exists_p, scope)
-              for ax in theory.axioms]
+    truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), axes=None)
 
 
@@ -102,8 +92,7 @@ class TrainConfig:
     seed: int = 0
     reg: str = "none"             # none | l1 | l2
     lam: float = 0.0
-    forall_schedule: tuple = None  # ((epoch, p), ...) or ("linear", p0, p1)
-    exists_schedule: tuple = None
+    exists_schedule: tuple = None  # ((epoch, p), ...) or ("linear", p0, p1)
     log_every: int = 1
 
     def __post_init__(self):
@@ -113,8 +102,7 @@ class TrainConfig:
             raise ValueError(f"unknown regularizer {self.reg!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        for s in (self.forall_schedule, self.exists_schedule):
-            _check_schedule(s)
+        _check_schedule(self.exists_schedule)
 
 
 def _check_schedule(s) -> None:
@@ -192,11 +180,11 @@ def _loss(theory: Theory, train: TrainConfig, sat: Tensor) -> Tensor:
     return loss
 
 
-def _check_grads(grads: dict, where: str) -> None:
+def _check_grads(grads: dict, context: str) -> None:
     for name in sorted(grads):
         if not np.isfinite(grads[name].data).all():
             raise DivergenceError(
-                f"non-finite gradient in slot {name!r} {where}")
+                f"non-finite gradient in slot {name!r} {context}")
 
 
 def learn(theory: Theory, train: TrainConfig, data: dict = None,
@@ -229,9 +217,9 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     steps = max((math.ceil(n / train.batch) for n in sizes.values()),
                 default=1)
     rng = np.random.default_rng(train.seed)
-    records = [_log(theory, train, data, metrics, 0)]
+    records = [_log(theory, train, data, metrics, 0,
+                    schedule_value(train.exists_schedule, 0, train.epochs))]
     for epoch in range(1, train.epochs + 1):
-        fp = schedule_value(train.forall_schedule, epoch - 1, train.epochs)
         ep = schedule_value(train.exists_schedule, epoch - 1, train.epochs)
         theory.env.training = True
         try:
@@ -243,7 +231,8 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
                                      replace=False)
                     for v in g:
                         binds[v] = np.asarray(data[v])[idx]
-                sat = satisfiability(theory, fp, ep, theory.env.scope(binds))
+                sat = satisfiability(theory,
+                                     theory.env.scope(binds, exists_p=ep))
                 loss = _loss(theory, train, sat)
                 if not np.isfinite(loss.data):
                     raise DivergenceError(f"loss {loss.data} at epoch {epoch}")
@@ -252,16 +241,13 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
                 adam_step(theory.store, grads, lr=train.lr)
         finally:
             theory.env.training = False
-        records.append(_log(theory, train, data, metrics, epoch, fp, ep))
+        records.append(_log(theory, train, data, metrics, epoch, ep))
     return theory, records
 
 
-def _log(theory, train, data, metrics, epoch, fp=None, ep=None) -> dict:
-    if epoch == 0:
-        fp = schedule_value(train.forall_schedule, 0, train.epochs)
-        ep = schedule_value(train.exists_schedule, 0, train.epochs)
-    sat = satisfiability(theory, fp, ep,
-                         theory.env.scope(data, training=False))
+def _log(theory, train, data, metrics, epoch, ep=None) -> dict:
+    sat = satisfiability(theory, theory.env.scope(data, training=False,
+                                                  exists_p=ep))
     loss = _loss(theory, train, sat)
     rec = {"epoch": epoch, "sat": float(sat.data), "loss": float(loss.data)}
     due = epoch % train.log_every == 0 or epoch == train.epochs
@@ -386,22 +372,21 @@ def reason_query_after_learning(build, phi, q: float = 0.95,
 @dataclass(frozen=True)
 class RefutationConfig:
     q: float = 0.95
-    alpha: float = 0.05
-    beta: float = 10.0
-    c: float = 2.0        # hard-penalty constant; decision reference only
     restarts: int = 1
     epochs: int = 2000
-    lr: float = 0.01
 
     def __post_init__(self):
         if not 0.5 < self.q < 1:
             raise ValueError("q must be in (0.5, 1)")
-        if self.c <= 1:
-            raise ValueError("c must be > 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
         if self.epochs < 1 or self.restarts < 1:
             raise ValueError("epochs and restarts must be positive")
+
+
+# soft_penalty weights (reward above q, slope below it) and the Adam step
+# size of the refutation search
+REFUTE_ALPHA = 0.05
+REFUTE_BETA = 10.0
+REFUTE_LR = 0.01
 
 
 def soft_penalty(sat, q: float, alpha: float, beta: float) -> Tensor:
@@ -431,11 +416,16 @@ class RefuteResult:
         return f"entailed{tag}: Sat={self.sat:.4f}, phi={self.phi:.4f}"
 
 
-def reason_refute(build, phi, rcfg: RefutationConfig = None,
-                  exists_p=None, forall_p=None) -> RefuteResult:
+def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
     """Search for a grounding that keeps the knowledge base satisfied
     (Sat >= q) while falsifying phi, by minimizing
-    G(phi) + penalty(Sat). Finding one refutes entailment."""
+    G(phi) + soft_penalty(Sat) with Adam for ``rcfg.epochs`` steps from
+    each of ``rcfg.restarts`` theories. Finding one refutes entailment.
+
+    ``build`` maps a restart index to a fresh Theory (or is a Theory when
+    restarts == 1); ``phi`` is a formula AST or source text. Quantifiers
+    use the configured p, or an axiom's own annotation.
+    """
     rcfg = rcfg or RefutationConfig()
     if not callable(build):
         if rcfg.restarts != 1:
@@ -448,20 +438,18 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None,
         if isinstance(phi, str):
             from reallogic.parser import parse_formula
             phi_ast = parse_formula(phi, th.sig)
-        scope = th.env.scope(training=False, forall_p=forall_p,
-                             exists_p=exists_p)
+        scope = th.env.scope(training=False)
         for _ in range(rcfg.epochs):
-            sat = satisfiability(th, forall_p, exists_p, scope)
+            sat = satisfiability(th, scope)
             gphi = ground_formula(th.env, phi_ast, scope).tensor
-            obj = gphi + soft_penalty(sat, rcfg.q, rcfg.alpha, rcfg.beta)
+            obj = gphi + soft_penalty(sat, rcfg.q, REFUTE_ALPHA, REFUTE_BETA)
             if not np.isfinite(obj.data):
                 raise DivergenceError("refutation objective diverged")
             grads = backward(obj, th.store)
             _check_grads(grads, "in the refutation search")
-            adam_step(th.store, grads, lr=rcfg.lr)
-        sat = float(satisfiability(th, forall_p=forall_p,
-                                   exists_p=exists_p).data)
-        gphi = truth_value(th, phi_ast, forall_p=forall_p, exists_p=exists_p)
+            adam_step(th.store, grads, lr=REFUTE_LR)
+        sat = float(satisfiability(th).data)
+        gphi = truth_value(th, phi_ast)
         runs.append(ReasonRun(i, sat, gphi))
         if sat >= rcfg.q and gphi < rcfg.q:
             snapshot = {n: th.store.get(n).data.copy()

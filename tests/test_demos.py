@@ -136,6 +136,17 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
         cli.main(["demo", "binary", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in theory_path("refute").parent.glob("*.rl")))
+def test_cli_trains_every_bundled_theory(name, tmp_path, capsys):
+    out = tmp_path / name
+    rc = cli.main(["train", "--kb", str(theory_path(name)), "--epochs", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    assert "Sat = " in capsys.readouterr().out
+    assert (out / "params.bin").is_file()
+
+
 def test_cli_train_query_roundtrip(tmp_path, capsys):
     kb = str(theory_path("refute"))
     out = tmp_path / "run"

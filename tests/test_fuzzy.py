@@ -210,6 +210,24 @@ def test_empty_mask_patches_with_given_value():
     assert agg(AggregatorSpec("max"), t, mask=nothing, empty=0.0) == 0.0
 
 
+@pytest.mark.parametrize("spec,empty", [
+    (AggregatorSpec("pmean_error", p=2, stable=True), 1.0),
+    (AggregatorSpec("pmean", p=2, stable=True), 0.0),
+])
+def test_empty_row_gets_its_value_and_zero_gradient(spec, empty):
+    # row 0 has two selected cells, row 1 none: a guard that never fires
+    x = Tensor(np.array([[0.3, 0.8], [0.4, 0.6]]), requires_grad=True)
+    mask = np.array([[True, True], [False, False]])
+    out = aggregate(spec, x, axes=(1,), mask=mask, empty=empty)
+    assert out.data[1] == empty
+    full = aggregate(spec, Tensor(np.array([0.3, 0.8])), axes=(0,))
+    assert out.data[0] == pytest.approx(float(full.data), abs=1e-15)
+    T.reduce_sum(out).backward()
+    assert np.isfinite(x.grad).all()
+    assert np.array_equal(x.grad[1], [0.0, 0.0])
+    assert (x.grad[0] != 0.0).all()
+
+
 def test_masked_aggregation_multi_axis_counts():
     t = Tensor(np.full((2, 3), 0.5))
     mask = np.array([[True, True, False], [False, False, False]])
@@ -270,7 +288,7 @@ def test_tag_parsing():
 
 
 def test_config_preset_and_overrides():
-    cfg = FuzzyConfig.stable_product()
+    cfg = FuzzyConfig()
     assert cfg.conj == ConnectiveOp("and", "product", stable=True)
     assert cfg.forall.family == "pmean_error" and cfg.forall.p == 2.0
     assert cfg.sat_agg.stable

@@ -16,7 +16,7 @@ from reallogic.tensor import Tensor
 
 from fdcheck import fd_store_grad
 
-RAW = (FuzzyConfig.stable_product()
+RAW = (FuzzyConfig()
        .with_tag("and", "product").with_tag("or", "product")
        .with_tag("implies", "reichenbach")
        .with_tag("forall", "pmean_error:p=2").with_tag("exists", "pmean:p=2"))
@@ -205,7 +205,7 @@ def test_diagonal_quantification_matches_paired_oracle():
     assert not np.isclose(float(diag.tensor.data), float(grid.tensor.data))
 
 
-def test_diagonal_truncates_with_warning_and_strict_raises():
+def test_diagonal_truncates_with_warning():
     cfg = RAW.with_tag("forall", "mean")
     env = num_env(cfg=cfg, x=[0.1, 0.5, 0.9], y=[0.3, 0.7])
     body = Atom("P2", (Var("x"), Var("y")))
@@ -213,18 +213,17 @@ def test_diagonal_truncates_with_warning_and_strict_raises():
         gv = ground_formula(env, forall([("x", "y")], body))
     assert float(gv.tensor.data) == pytest.approx(
         np.mean([0.1 * 0.3, 0.5 * 0.7]))
-    env.strict_diag = True
-    with pytest.raises(EvalError, match="unequal"):
-        ground_formula(env, forall([("x", "y")], body))
 
 
 def test_failed_evaluation_leaves_env_untouched():
     env = num_env(x=[0.1, 0.5, 0.9], y=[0.3, 0.7])
-    env.strict_diag = True
     env.training = True
-    body = Atom("P2", (Var("x"), Var("y")))
-    # a vector-valued guard term is rejected inside the guard
+    # a declared predicate without a grounding fails inside a diagonal
+    # quantifier, after the quantifier derived its truncated child scope
     sig = env.sig
+    sig.add_predicate("Q2", ("num", "num"))
+    body = Atom("Q2", (Var("x"), Var("y")))
+    # a vector-valued guard term is rejected inside the guard
     sig.add_domain("pt", 2)
     sig.add_variable("v", "pt")
     env.add_var_data("v", np.zeros((2, 2)))
@@ -235,7 +234,8 @@ def test_failed_evaluation_leaves_env_untouched():
                 for k, v in vars(env).items()}
 
     before = state()
-    with pytest.raises(EvalError, match="unequal"):
+    with pytest.warns(UserWarning, match="unequal"), \
+            pytest.raises(EvalError, match="no grounding"):
         ground_formula(env, forall([("x", "y")], body))
     with pytest.raises(EvalError, match="scalar"):
         ground_formula(env, forall([("x",)], Atom("P", (Var("x"),)),

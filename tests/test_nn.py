@@ -117,6 +117,11 @@ def test_load_rejects_truncated_and_trailing_bytes(tmp_path):
     path.write_bytes(blob[:7])
     with pytest.raises(ValueError, match="header length cut short"):
         ParamStore.load(path)
+    path.write_bytes(blob[:13])
+    with pytest.raises(ValueError, match=rf"params\.bin: header needs "
+                                         rf"{len(blob) - 9 - 48 - 16} bytes, "
+                                         rf"found 4$"):
+        ParamStore.load(path)
 
 
 def test_glorot_bounds_and_zero_biases():
