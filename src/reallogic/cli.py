@@ -22,6 +22,8 @@ from reallogic.training import (
 TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
               if type(f.default) in (int, float, str)}
 
+TRAIN_EPOCHS = 1000  # rl train's epochs when neither flag nor file sets them
+
 
 def read_config(path):
     """Flat ``key = value`` lines; blank lines and # comments are skipped.
@@ -55,6 +57,16 @@ def read_config(path):
     return train, tags
 
 
+def _resolve_train(args, base: TrainConfig):
+    """The run's TrainConfig and operator tags: ``--epochs`` beats an
+    ``epochs`` key of the ``--config`` file, and the file's keys beat
+    ``base``."""
+    train_kv, tags = read_config(args.config) if args.config else ({}, {})
+    if args.epochs is not None:
+        train_kv["epochs"] = args.epochs
+    return replace(base, **train_kv), tags
+
+
 def _report_checks(report) -> int:
     bad = 0
     for metric, ok, got, op, bound in report:
@@ -65,12 +77,7 @@ def _report_checks(report) -> int:
 
 
 def cmd_demo(args) -> int:
-    train_kv, tags = read_config(args.config) if args.config else ({}, {})
-    if args.epochs is not None:
-        train_kv["epochs"] = args.epochs
-    train = None
-    if train_kv:
-        train = replace(demos.default_train(args.id, args.seed), **train_kv)
+    train, tags = _resolve_train(args, demos.default_train(args.id, args.seed))
     if args.runs > 1:
         summary = demos.run_many(args.id, args.runs, seed=args.seed,
                                  train=train, tags=tags or None)
@@ -106,13 +113,10 @@ def _load_kb(args):
 
 
 def cmd_train(args) -> int:
-    train_kv, tags = read_config(args.config) if args.config else ({}, {})
-    args.tags = tags
-    th = _load_kb(args)
-    train_kv.setdefault("seed", args.seed)
-    train_kv.setdefault("epochs", args.epochs)
-    th, recs = learn(th, TrainConfig(**train_kv))
-    print(f"Sat = {recs[-1]['sat']:.4f} after {train_kv['epochs']} epochs")
+    train, args.tags = _resolve_train(
+        args, TrainConfig(epochs=TRAIN_EPOCHS, seed=args.seed))
+    th, recs = learn(_load_kb(args), train)
+    print(f"Sat = {recs[-1]['sat']:.4f} after {train.epochs} epochs")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -176,7 +180,9 @@ def main(argv=None) -> int:
     t = sub.add_parser("train", help="maximize satisfiability of a theory")
     t.add_argument("--kb", required=True, help="theory source file")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--epochs", type=int, default=1000)
+    t.add_argument("--epochs", type=int,
+                   help="training epochs; beats the --config file's "
+                        f"epochs (default {TRAIN_EPOCHS})")
     t.add_argument("--config", help="key = value override file")
     t.add_argument("--out", help="directory for metrics and params")
     t.set_defaults(fn=cmd_train)

@@ -9,28 +9,25 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from reallogic.assemble import load_theory
 from reallogic.datasets import (
-    bundled, make_addition, make_binary, make_clustering, smoker_facts,
-    split_stratified,
+    bundled, make_addition, make_binary, make_clustering, split_stratified,
 )
 from reallogic.logic import App, Var
 from reallogic.training import (
     RefutationConfig, TrainConfig, axiom_truth, learn, query, reason_refute,
     truth_value, write_metrics,
 )
-
-DEMO_IDS = ("binary", "multiclass", "multilabel", "addition-single",
-            "addition-multi", "regression", "clustering", "smokers",
-            "refute")
 
 
 def theory_path(name: str) -> Path:
@@ -52,58 +49,6 @@ class DemoResult:
     final: dict       # headline numbers for self-check and aggregation
     artifacts: dict   # name -> (columns, rows); cells may be str or float
     theory: object
-
-
-# thresholds for --self-check: metric -> (comparison, bound)
-THRESHOLDS = {
-    "binary": {"test_accuracy": (">=", 0.9)},
-    "multiclass": {"test_accuracy": (">=", 0.9)},
-    "multilabel": {"test_accuracy": (">=", 0.9), "phi1": (">", 0.7),
-                   "phi2": ("<", 0.3), "phi3": ("<", 0.3)},
-    "addition-single": {"test_accuracy": (">=", 0.85)},
-    "addition-multi": {"test_accuracy": (">=", 0.85)},
-    "regression": {"rmse_ratio": ("<", 0.25), "sat": (">", 0.4)},
-    "clustering": {"sat": (">=", 0.80), "purity": (">=", 0.95)},
-    "smokers": {"sat": (">", 0.7), "phi1": (">", 0.8), "phi2": ("<", 0.4),
-                "symmetry": (">=", 0.9)},
-    "refute": {"entailed": ("==", 0.0), "sat": (">=", 0.95),
-               "counter_a": ("<", 0.05), "counter_b": (">", 0.95)},
-}
-
-_OPS = {
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    "==": lambda a, b: a == b,
-}
-
-
-def default_train(demo: str, seed: int) -> TrainConfig:
-    if demo == "binary":
-        return TrainConfig(epochs=1000, batch=64, seed=seed, log_every=50)
-    if demo == "multiclass":
-        return TrainConfig(epochs=500, batch=64, lr=0.005, seed=seed,
-                           log_every=25)
-    if demo == "multilabel":
-        return TrainConfig(epochs=1000, batch=64, seed=seed, log_every=50)
-    if demo == "addition-single":
-        return TrainConfig(epochs=150, batch=32, seed=seed, log_every=10,
-                           exists_schedule=("linear", 1.0, 6.0))
-    if demo == "addition-multi":
-        return TrainConfig(epochs=200, batch=32, seed=seed, log_every=20,
-                           exists_schedule=("linear", 1.0, 6.0))
-    if demo == "regression":
-        return TrainConfig(epochs=500, batch=64, seed=seed, log_every=25)
-    if demo == "clustering":
-        return TrainConfig(epochs=1000, seed=seed, log_every=50,
-                           exists_schedule=((0, 1.0), (100, 6.0)))
-    if demo == "smokers":
-        return TrainConfig(epochs=1000, seed=seed, log_every=50,
-                           exists_schedule=((0, 1.0), (200, 6.0)))
-    if demo == "refute":
-        return TrainConfig(epochs=2000, seed=seed)
-    raise ValueError(f"unknown demo {demo!r}")
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -386,6 +331,12 @@ SMOKERS_QUERIES = {
 }
 
 
+def smoker_facts(theory) -> tuple:
+    """The smokers theory's people: the constants grounding ``var x``, in
+    the axis order of ``S(x)``. perfbench times it as a data maker."""
+    return theory.env.var_consts("x")
+
+
 def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     th = _load("smokers", seed, tags=tags)
     by_label = {ax.label: ax for ax in th.axioms}
@@ -399,7 +350,7 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     for k in ("phi1", "phi2", "symmetry"):
         final[k] = recs[-1][k]
 
-    people = smoker_facts()["people"]
+    people = smoker_facts(th)
     s = _truths(th, "S(x)")
     c = _truths(th, "C(x)")
     fr = _truths(th, "F(x, y)")
@@ -432,17 +383,67 @@ def run_refute(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     return DemoResult("refute", seed, recs, final, art, None)
 
 
-RUNNERS = {
-    "binary": run_binary,
-    "multiclass": run_multiclass,
-    "multilabel": run_multilabel,
-    "addition-single": run_addition_single,
-    "addition-multi": run_addition_multi,
-    "regression": run_regression,
-    "clustering": run_clustering,
-    "smokers": run_smokers,
-    "refute": run_refute,
+class Demo(NamedTuple):
+    """A demo's runner, its default training settings (the seed is set
+    per run) and its --self-check thresholds: metric -> (op, bound)."""
+    run: Callable
+    train: TrainConfig
+    thresholds: dict
+
+
+DEMOS = {
+    "binary": Demo(
+        run_binary, TrainConfig(epochs=1000, batch=64, log_every=50),
+        {"test_accuracy": (">=", 0.9)}),
+    "multiclass": Demo(
+        run_multiclass,
+        TrainConfig(epochs=500, batch=64, lr=0.005, log_every=25),
+        {"test_accuracy": (">=", 0.9)}),
+    "multilabel": Demo(
+        run_multilabel, TrainConfig(epochs=1000, batch=64, log_every=50),
+        {"test_accuracy": (">=", 0.9), "phi1": (">", 0.7),
+         "phi2": ("<", 0.3), "phi3": ("<", 0.3)}),
+    "addition-single": Demo(
+        run_addition_single,
+        TrainConfig(epochs=150, batch=32, log_every=10,
+                    exists_schedule=("linear", 1.0, 6.0)),
+        {"test_accuracy": (">=", 0.85)}),
+    "addition-multi": Demo(
+        run_addition_multi,
+        TrainConfig(epochs=200, batch=32, log_every=20,
+                    exists_schedule=("linear", 1.0, 6.0)),
+        {"test_accuracy": (">=", 0.85)}),
+    "regression": Demo(
+        run_regression, TrainConfig(epochs=500, batch=64, log_every=25),
+        {"rmse_ratio": ("<", 0.25), "sat": (">", 0.4)}),
+    "clustering": Demo(
+        run_clustering,
+        TrainConfig(epochs=1000, log_every=50,
+                    exists_schedule=((0, 1.0), (100, 6.0))),
+        {"sat": (">=", 0.80), "purity": (">=", 0.95)}),
+    "smokers": Demo(
+        run_smokers,
+        TrainConfig(epochs=1000, log_every=50,
+                    exists_schedule=((0, 1.0), (200, 6.0))),
+        {"sat": (">", 0.7), "phi1": (">", 0.8), "phi2": ("<", 0.4),
+         "symmetry": (">=", 0.9)}),
+    "refute": Demo(
+        run_refute, TrainConfig(epochs=2000),
+        {"entailed": ("==", 0.0), "sat": (">=", 0.95),
+         "counter_a": ("<", 0.05), "counter_b": (">", 0.95)}),
 }
+
+DEMO_IDS = tuple(DEMOS)
+
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt,
+        "==": operator.eq}
+
+
+def default_train(demo: str, seed: int) -> TrainConfig:
+    if demo not in DEMOS:
+        raise ValueError(f"unknown demo {demo!r}; choose from "
+                         + ", ".join(DEMO_IDS))
+    return replace(DEMOS[demo].train, seed=seed)
 
 
 # -- orchestration ----------------------------------------------------------------
@@ -451,11 +452,8 @@ RUNNERS = {
 def run_demo(demo: str, seed: int = 0, train: TrainConfig = None,
              out=None, tags=None) -> DemoResult:
     """Run one demo end to end; write outputs when ``out`` is given."""
-    if demo not in RUNNERS:
-        raise ValueError(f"unknown demo {demo!r}; choose from "
-                         + ", ".join(DEMO_IDS))
-    train = train or default_train(demo, seed)
-    result = RUNNERS[demo](seed, train, tags)
+    default = default_train(demo, seed)  # rejects an unknown demo
+    result = DEMOS[demo].run(seed, train or default, tags)
     if out is not None:
         write_outputs(result, out)
     return result
@@ -487,7 +485,7 @@ def self_check(result: DemoResult) -> list:
     Returns a list of (metric, ok, got, op, bound) tuples.
     """
     report = []
-    for metric, (op, bound) in THRESHOLDS[result.demo].items():
+    for metric, (op, bound) in DEMOS[result.demo].thresholds.items():
         got = result.final.get(metric, math.nan)
         ok = bool(_OPS[op](got, bound)) and not math.isnan(got)
         report.append((metric, ok, got, op, bound))

@@ -461,6 +461,13 @@ class GroundingEnv:
                      training=self.training if training is None else training,
                      forall_p=forall_p, exists_p=exists_p)
 
+    def var_consts(self, name: str) -> tuple:
+        """The constants that ground ``name``, in axis order."""
+        kind, payload = self._vars.get(name, (None, None))
+        if kind != "consts":
+            raise EvalError(f"variable {name!r} is not grounded by constants")
+        return payload
+
     def var_length(self, name: str, scope: Scope = Scope()) -> int:
         if name in scope.binds:
             n = scope.binds[name].shape[0]

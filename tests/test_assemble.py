@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reallogic.assemble import TheoryError, build_theory, euclidean, load_theory
+from reallogic.logic import EvalError
 from reallogic.parser import parse_theory
 from reallogic.training import satisfiability, truth_value
 
@@ -117,10 +118,15 @@ def test_consts_backed_variable():
     src = ("domain p = 2\n"
            "const c1 : p = [0, 1]\nconst c2 : p = [1, 0]\n"
            "var x : p = consts(c1, c2)\n"
+           "var z : p = [[0, 0]]\n"
            "pred P : p = mlp(2, 4, 1; elu, sigmoid)\n"
            "axiom: forall x: P(x)\n")
     th = build_theory(parse_theory(src), seed=0)
     assert th.env.var_length("x") == 2
+    assert th.env.var_consts("x") == ("c1", "c2")
+    for name in ("z", "w"):
+        with pytest.raises(EvalError, match="not grounded by constants"):
+            th.env.var_consts(name)
     t = truth_value(th, "forall x: P(x)")
     assert 0.0 <= t <= 1.0
 

@@ -1,4 +1,5 @@
-"""Tests for CSV loading and the synthetic data recipes."""
+"""Tests for CSV loading, the bundled snapshots and the synthetic data
+recipes."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,7 @@ from reallogic.datasets import (
     make_addition,
     make_binary,
     make_clustering,
-    make_crabs_like,
-    make_iris_like,
-    make_real_estate_like,
-    smoker_facts,
     split_stratified,
-    write_csv,
 )
 
 
@@ -52,20 +48,11 @@ def test_load_csv_ragged_row(tmp_path):
 
 
 def test_dataset_column_access():
-    ds = Dataset("d", ("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]), "test")
+    ds = Dataset("d", ("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert np.array_equal(ds.col("b"), [2.0, 4.0])
     with pytest.raises(DataError, match="'z'"):
         ds.cols("z")
     assert len(ds.take([1])) == 1
-
-
-def test_write_csv_roundtrip(tmp_path):
-    ds = Dataset("d", ("a", "b"), np.array([[1.5, 2.0], [3.25, 4.0]]), "test")
-    p = tmp_path / "out.csv"
-    write_csv(ds, p)
-    back = load_csv(p)
-    assert back.columns == ds.columns
-    assert np.allclose(back.rows, ds.rows)
 
 
 def test_split_stratified_partitions_per_label():
@@ -113,29 +100,8 @@ def test_addition_sums():
     assert np.array_equal(multi.col("n"), want)
 
 
-def test_smoker_facts_counts():
-    facts = smoker_facts()
-    assert len(facts["people"]) == 14
-    assert facts["smokers"] == ("a", "e", "f", "g", "j", "n")
-    assert facts["cancer"] == ("a", "e")
-    assert len(facts["friends"]) == 12
-    # every unordered pair is either a friendship or a reversed negative
-    assert len(facts["non_friends"]) == 14 * 13 // 2 - 12
-    assert all(u > v for u, v in facts["non_friends"])
-    listed = {frozenset(p) for p in facts["friends"]}
-    assert all(frozenset(p) not in listed for p in facts["non_friends"])
-    assert facts["non_cancer"] == ("b", "c", "d", "f", "g", "h")
-
-
-def test_bundled_snapshots_match_recipes():
-    assert np.allclose(bundled("iris_like").rows, make_iris_like().rows)
-    assert np.allclose(bundled("crabs_like").rows, make_crabs_like().rows)
-    assert np.allclose(bundled("real_estate_like").rows,
-                       make_real_estate_like().rows)
-
-
 def test_iris_like_shape():
-    ds = make_iris_like()
+    ds = bundled("iris_like")
     assert len(ds) == 150
     labels = ds.col("species")
     assert sorted(np.unique(labels)) == [0.0, 1.0, 2.0]
@@ -143,7 +109,18 @@ def test_iris_like_shape():
 
 
 def test_crabs_like_shape():
-    ds = make_crabs_like()
+    ds = bundled("crabs_like")
     assert len(ds) == 200
     assert set(np.unique(ds.col("color"))) == {0.0, 1.0}
     assert set(np.unique(ds.col("sex"))) == {0.0, 1.0}
+    # 50 crabs per color/sex combination
+    strata = 2 * ds.col("color") + ds.col("sex")
+    assert np.bincount(strata.astype(int)).tolist() == [50, 50, 50, 50]
+
+
+def test_real_estate_like_shape():
+    ds = bundled("real_estate_like")
+    assert ds.columns == ("date", "age", "dist_station", "stores", "lat",
+                          "lon", "price")
+    assert len(ds) == 414
+    assert np.isfinite(ds.rows).all()

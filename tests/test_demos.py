@@ -1,5 +1,6 @@
 """Demo drivers and the command line front end."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -8,24 +9,50 @@ import pytest
 
 from reallogic import cli, demos
 from reallogic.demos import (
-    DEMO_IDS, RUNNERS, THRESHOLDS, DemoResult, default_train, run_demo,
-    run_many, self_check, theory_path,
+    DEMO_IDS, DEMOS, DemoResult, default_train, run_demo, run_many,
+    self_check, theory_path,
 )
 from reallogic.nn import ParamStore
+from reallogic.parser import parse_theory_file
 from reallogic.training import TrainConfig
 
 
 def test_registry_covers_every_demo():
-    assert set(RUNNERS) == set(DEMO_IDS)
-    assert set(THRESHOLDS) == set(DEMO_IDS)
+    assert DEMO_IDS == tuple(DEMOS)
     for demo in DEMO_IDS:
         cfg = default_train(demo, 3)
         assert cfg.seed == 3
+        assert cfg is not DEMOS[demo].train  # callers may edit their copy
+
+
+def test_every_demo_runs_and_reports_its_checked_metrics(tmp_path):
+    for demo in DEMO_IDS:
+        # refute's runner turns the epochs into RefutationConfig(epochs=1)
+        train = replace(default_train(demo, 0), epochs=1)
+        res = run_demo(demo, 0, train, out=tmp_path / demo)
+        assert set(DEMOS[demo].thresholds) <= set(res.final), demo
+
+    # the smokers artifacts follow the theory's var x order
+    doc = parse_theory_file(theory_path("smokers"))
+    people = next(s.source[1] for s in doc.statements
+                  if getattr(s, "name", None) == "x")
+
+    def table(name):
+        with open(tmp_path / "smokers" / f"{name}.csv", newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    assert [row[0] for row in table("facts")] == list(people)
+    friendships = table("friendships")
+    assert len(friendships) == 196
+    assert [row[:2] for row in friendships] == \
+        [[u, v] for u in people for v in people]
 
 
 def test_unknown_demo_rejected():
     with pytest.raises(ValueError, match="unknown demo"):
         run_demo("mnist")
+    with pytest.raises(ValueError, match="unknown demo"):
+        run_demo("mnist", train=TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="unknown demo"):
         default_train("mnist", 0)
 
@@ -124,6 +151,22 @@ def test_cli_config_file_overrides(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "o" / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["demo", "binary"],
+    ["train", "--kb", str(theory_path("refute"))],
+], ids=["demo", "train"])
+def test_cli_epochs_flag_beats_config_file(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 2\n")
+    rc = cli.main(command + ["--epochs", "3", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")])
+    assert rc == 0
+    lines = (tmp_path / "o" / "metrics.jsonl").read_text().splitlines()
+    assert len(lines) == 4  # pre-training record plus one per epoch
+    if command[0] == "train":
+        assert "after 3 epochs" in capsys.readouterr().out
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from reallogic.assemble import load_theory
-from reallogic.datasets import smoker_facts
 from reallogic.parser import parse_theory, parse_theory_file, pretty_print
 from reallogic.training import satisfiability
 
@@ -53,34 +52,42 @@ def test_theory_builds_and_evaluates(path):
     assert 0.0 <= sat <= 1.0
 
 
-def test_smokers_fact_axioms_match_fact_sets():
+def test_smoker_facts_counts():
     doc = parse_theory_file(THEORY_DIR / "smokers.rl")
-    facts = smoker_facts()
     grouped = {}
     for ax in doc.axioms:
         grouped.setdefault(ax.label, []).append(ax.formula)
 
-    def atom(f):
-        inner = f.body if type(f).__name__ == "Not" else f
-        return tuple(t.name for t in inner.args)
+    def atoms(label, negated):
+        fs = grouped[label]
+        assert all((type(f).__name__ == "Not") == negated for f in fs)
+        return [tuple(t.name for t in (f.body if negated else f).args)
+                for f in fs]
 
-    assert [atom(f) for f in grouped["friends"]] == list(facts["friends"])
-    assert [atom(f) for f in grouped["non-friends"]] == \
-        list(facts["non_friends"])
-    assert [atom(f)[0] for f in grouped["smokers"]] == list(facts["smokers"])
-    assert [atom(f)[0] for f in grouped["non-smokers"]] == \
-        list(facts["non_smokers"])
-    assert [atom(f)[0] for f in grouped["cancer"]] == list(facts["cancer"])
-    assert [atom(f)[0] for f in grouped["no cancer"]] == \
-        list(facts["non_cancer"])
-    # negated fact groups really are negations
-    assert all(type(f).__name__ == "Not" for f in grouped["non-friends"])
-    assert all(type(f).__name__ == "Atom" for f in grouped["friends"])
+    decls = {s.name: s.source[1] for s in doc.statements
+             if hasattr(s, "source") and s.source[0] == "consts"}
+    people = decls["x"]
+    assert decls["y"] == people
+    assert len(people) == 14
 
-    decls = {s.name: s for s in doc.statements if hasattr(s, "source")
-             and s.source[0] == "consts"}
-    assert decls["x"].source[1] == facts["people"]
-    assert decls["y"].source[1] == facts["people"]
+    friends = atoms("friends", False)
+    non_friends = atoms("non-friends", True)
+    assert len(friends) == 12
+    assert len(non_friends) == 79
+    # negated in the reversed direction, so the reverse of a listed
+    # friendship is never negated
+    assert all(u > v for u, v in non_friends)
+    # every unordered pair is either a friendship or a reversed negative
+    pairs = [frozenset(p) for p in friends + non_friends]
+    assert len(set(pairs)) == len(pairs) == 14 * 13 // 2
+    assert all(len(p) == 2 and p <= set(people) for p in pairs)
+
+    smokers = [a for (a,) in atoms("smokers", False)]
+    assert smokers == list("aefgjn")
+    assert [a for (a,) in atoms("non-smokers", True)] == \
+        [u for u in people if u not in smokers]
+    assert [a for (a,) in atoms("cancer", False)] == list("ae")
+    assert [a for (a,) in atoms("no cancer", True)] == list("bcdfgh")
 
 
 def test_smokers_annotations():
