@@ -1,9 +1,12 @@
-"""Tests for CSV loading, the bundled snapshots and the synthetic data
-recipes."""
+"""Tests for CSV loading, the bundled snapshots, the smokers facts and the
+synthetic data recipes."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reallogic.assemble import load_theory
 from reallogic.datasets import (
     DataError,
     Dataset,
@@ -14,6 +17,11 @@ from reallogic.datasets import (
     make_clustering,
     split_stratified,
 )
+from reallogic.demos import smoker_facts
+from reallogic.parser import parse_theory_file
+
+SMOKERS = Path(__file__).parent.parent / "src" / "reallogic" / "theories" \
+    / "smokers.rl"
 
 
 def test_load_csv_roundtrip(tmp_path):
@@ -98,6 +106,28 @@ def test_addition_sums():
     want = (10 * multi.col("d1") + multi.col("d2")
             + 10 * multi.col("d3") + multi.col("d4"))
     assert np.array_equal(multi.col("n"), want)
+
+
+def test_smoker_facts_counts():
+    # the smokers facts are stated once, as labelled axioms in smokers.rl
+    labels = ("friends", "non-friends", "smokers", "cancer", "no cancer")
+    facts = {label: [] for label in labels}
+    for ax in parse_theory_file(SMOKERS).axioms:
+        if ax.label in facts:
+            f = ax.formula.body if type(ax.formula).__name__ == "Not" \
+                else ax.formula
+            facts[ax.label].append(tuple(t.name for t in f.args))
+    people = smoker_facts(load_theory(SMOKERS, seed=0))
+    assert len(people) == 14
+    assert facts["smokers"] == [(p,) for p in "aefgjn"]
+    assert facts["cancer"] == [("a",), ("e",)]
+    assert len(facts["friends"]) == 12
+    # every unordered pair is either a friendship or a reversed negative
+    assert len(facts["non-friends"]) == 14 * 13 // 2 - 12
+    assert all(u > v for u, v in facts["non-friends"])
+    listed = {frozenset(p) for p in facts["friends"]}
+    assert all(frozenset(p) not in listed for p in facts["non-friends"])
+    assert facts["no cancer"] == [(p,) for p in "bcdfgh"]
 
 
 def test_iris_like_shape():
