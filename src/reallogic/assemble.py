@@ -44,11 +44,14 @@ def _feature_dim(sig, domains) -> int:
     return sum(sig.dim(d) for d in domains)
 
 
-def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None) -> Theory:
+def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
+                 tags: dict = None) -> Theory:
     """Ground every declaration and collect the axioms.
 
     ``data`` maps variable names to instance arrays, overriding inline
     and file-backed declarations (demos use it to bind train splits).
+    ``tags`` maps ``fuzzy.CONFIG_KEYS`` keys to operator text, applied
+    in order after the theory's own ``config`` lines, so they win.
     """
     doc.raise_on_errors()
     data = data or {}
@@ -58,6 +61,8 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None) -> Theory:
             cfg = cfg.with_tag(c.key, c.value)
         except ValueError as e:
             raise TheoryError(f"{where(c.span)}{e}") from None
+    for key, value in (tags or {}).items():
+        cfg = cfg.with_tag(key, value)
     store = ParamStore(seed)
     env = GroundingEnv(doc.sig, store, cfg)
     sig = doc.sig
@@ -144,5 +149,7 @@ def _load_ref(doc: TheoryDoc, decl: VarDecl) -> np.ndarray:
     return ds.rows
 
 
-def load_theory(path, seed: int = 0, data: dict = None) -> Theory:
-    return build_theory(parse_theory_file(path), seed=seed, data=data)
+def load_theory(path, seed: int = 0, data: dict = None,
+                tags: dict = None) -> Theory:
+    return build_theory(parse_theory_file(path), seed=seed, data=data,
+                        tags=tags)

@@ -12,15 +12,16 @@ import numpy as np
 
 from reallogic import demos
 from reallogic.assemble import load_theory
-from reallogic.fuzzy import CONFIG_KEYS
+from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.nn import ParamStore
 from reallogic.training import (
     RefutationConfig, TrainConfig, learn, query, reason_refute, write_metrics,
 )
 
-# the scalar TrainConfig fields, each with the type that parses it
+# the scalar TrainConfig fields but seed, each with the type that parses
+# it; the seed also builds the theory and the data, so only --seed sets it
 TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
-              if type(f.default) in (int, float, str)}
+              if type(f.default) in (int, float, str) and f.name != "seed"}
 
 TRAIN_EPOCHS = 1000  # rl train's epochs when neither flag nor file sets them
 
@@ -29,11 +30,12 @@ def read_config(path):
     """Flat ``key = value`` lines; blank lines and # comments are skipped.
 
     Returns ``(train, tags)``. A key is either a scalar TrainConfig field
-    (epochs, batch, lr, seed, reg, lam, log_every), parsed into ``train``
-    with the field's type, or a ``fuzzy.CONFIG_KEYS`` operator key (not,
-    and, or, implies, forall, exists, agg, eq_alpha), kept as text in
-    ``tags`` in the same form the theory files use. Any other key, a
-    line without ``=`` or a value that does not parse exits with its
+    other than the seed (epochs, batch, lr, reg, lam, log_every), parsed
+    into ``train`` with the field's type, or a ``fuzzy.CONFIG_KEYS``
+    operator key (not, and, or, implies, forall, exists, agg, eq_alpha),
+    kept as text in ``tags`` in the same form the theory files use. Any
+    other key (``seed`` included: only ``--seed`` sets it), a line
+    without ``=`` or a value that does not parse exits with its
     file:line.
     """
     train, tags = {}, {}
@@ -51,6 +53,11 @@ def read_config(path):
             except ValueError:
                 raise SystemExit(f"{path}:{ln}: bad value for {key!r}")
         elif key in CONFIG_KEYS:
+            try:
+                FuzzyConfig().with_tag(key, val)
+            except ValueError as e:
+                raise SystemExit(
+                    f"{path}:{ln}: bad value for {key!r}: {e}") from None
             tags[key] = val
         else:
             raise SystemExit(f"{path}:{ln}: unknown config key {key!r}")
@@ -80,7 +87,7 @@ def cmd_demo(args) -> int:
     train, tags = _resolve_train(args, demos.default_train(args.id, args.seed))
     if args.runs > 1:
         summary = demos.run_many(args.id, args.runs, seed=args.seed,
-                                 train=train, tags=tags or None)
+                                 train=train, tags=tags)
         for k in sorted(summary):
             s = summary[k]
             print(f"{k}: {s['mean']:.4f} +/- {s['ci95']:.4f} "
@@ -92,30 +99,21 @@ def cmd_demo(args) -> int:
                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
         if args.self_check:
             final = {k: s["mean"] for k, s in summary.items()}
-            fake = demos.DemoResult(args.id, args.seed, [], final, {}, None)
-            return _report_checks(demos.self_check(fake))
+            return _report_checks(demos.self_check(args.id, final))
         return 0
     result = demos.run_demo(args.id, seed=args.seed, train=train,
-                            out=args.out, tags=tags or None)
+                            out=args.out, tags=tags)
     for k in sorted(result.final):
         print(f"{k}: {result.final[k]:.4f}")
     if args.self_check:
-        return _report_checks(demos.self_check(result))
+        return _report_checks(demos.self_check(args.id, result.final))
     return 0
 
 
-def _load_kb(args):
-    th = load_theory(args.kb, seed=args.seed)
-    tags = getattr(args, "tags", None) or {}
-    for k, v in tags.items():
-        th.env.cfg = th.env.cfg.with_tag(k, v)
-    return th
-
-
 def cmd_train(args) -> int:
-    train, args.tags = _resolve_train(
+    train, tags = _resolve_train(
         args, TrainConfig(epochs=TRAIN_EPOCHS, seed=args.seed))
-    th, recs = learn(_load_kb(args), train)
+    th, recs = learn(load_theory(args.kb, seed=args.seed, tags=tags), train)
     print(f"Sat = {recs[-1]['sat']:.4f} after {train.epochs} epochs")
     if args.out:
         out = Path(args.out)
@@ -129,7 +127,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_query(args) -> int:
-    th = _load_kb(args)
+    th = load_theory(args.kb, seed=args.seed)
     if args.params:
         th.store.copy_from(ParamStore.load(args.params))
     res = query(th, "truth", args.formula,

@@ -35,10 +35,7 @@ def theory_path(name: str) -> Path:
 
 
 def _load(name, seed, data=None, tags=None):
-    th = load_theory(theory_path(name), seed=seed, data=data)
-    for k, v in (tags or {}).items():
-        th.env.cfg = th.env.cfg.with_tag(k, v)
-    return th
+    return load_theory(theory_path(name), seed=seed, data=data, tags=tags)
 
 
 @dataclass
@@ -61,10 +58,9 @@ def _truths(theory, expr, **binds):
     return query(theory, "truth", expr).values
 
 
-def _label_scores(theory, rows, label_names, var="x"):
-    """Stack P(var, l) truth columns for each label constant."""
-    cols = [_truths(theory, f"P({var}, {l})", **{var: rows})
-            for l in label_names]
+def _label_scores(theory, rows, label_names):
+    """Stack P(x, l) truth columns for each label constant."""
+    cols = [_truths(theory, f"P(x, {l})", x=rows) for l in label_names]
     return np.column_stack(cols)
 
 
@@ -479,14 +475,14 @@ def _write_table(path, cols, rows) -> None:
                         for c in row])
 
 
-def self_check(result: DemoResult) -> list:
-    """Compare final metrics against the demo's thresholds.
+def self_check(demo: str, final: dict) -> list:
+    """Compare a demo's final metrics against its thresholds.
 
     Returns a list of (metric, ok, got, op, bound) tuples.
     """
     report = []
-    for metric, (op, bound) in DEMOS[result.demo].thresholds.items():
-        got = result.final.get(metric, math.nan)
+    for metric, (op, bound) in DEMOS[demo].thresholds.items():
+        got = final.get(metric, math.nan)
         ok = bool(_OPS[op](got, bound)) and not math.isnan(got)
         report.append((metric, ok, got, op, bound))
     return report

@@ -19,8 +19,8 @@ propagate through a single input, product families flatline at the
 corners, p-means blow up at them. The "stable" variants squeeze inputs
 away from the corners with the affine maps pi0(x) = (1-eps)x + eps and
 pi1(x) = (1-eps)x, trading exact boundary identities (e.g. and(a, 1) is
-no longer a) for bounded, nonvanishing gradients. ``derivative_profile``
-measures all of this empirically.
+no longer a) for bounded, nonvanishing gradients.
+``tests/test_fuzzy.py`` measures all of this empirically.
 
 Piecewise ops use a fixed subgradient convention: the branch condition is
 evaluated on values and frozen, so e.g. godel/goguen/luk implications
@@ -296,59 +296,3 @@ def parse_op_tag(kind: str, text: str):
     if kind in ("forall", "exists", "agg"):
         return AggregatorSpec(base, kwargs.get("p"), stable, kwargs.get("eps", 1e-4))
     raise ValueError(f"unknown config key {kind!r}")
-
-
-# -- empirical gradient classification ----------------------------------------
-
-
-def connective_grid(n: int = 5):
-    """All pairs over an n-point lattice of [0, 1], corners included."""
-    vals = np.linspace(0.0, 1.0, n)
-    return [(float(a), float(b)) for a in vals for b in vals]
-
-
-def aggregator_grid(size: int = 4):
-    """Corner and interior input vectors for aggregator profiling."""
-    return [np.zeros(size), np.ones(size), np.full(size, 0.5),
-            np.linspace(0.1, 0.9, size), np.linspace(0.0, 1.0, size)]
-
-
-def derivative_profile(op, points=None) -> dict:
-    """Classify an operator's gradient behavior on a grid of inputs.
-
-    - single_passing: at every point, at most one input coordinate gets a
-      gradient above 1e-6 (min/max style bottlenecks).
-    - vanishing: at some point every coordinate's gradient is finite and
-      below 1e-6, so learning stalls there.
-    - exploding: some coordinate exceeds 1e6 or is not finite.
-    """
-    if points is None:
-        points = aggregator_grid() if isinstance(op, AggregatorSpec) else connective_grid()
-    single = True
-    vanishing = False
-    exploding = False
-    for pt in points:
-        if isinstance(op, AggregatorSpec):
-            x = Tensor(np.asarray(pt, dtype=np.float64), requires_grad=True)
-            out = aggregate(op, x, axes=(0,))
-            out.backward()
-            grads = np.abs(x.grad) if x.grad is not None else np.zeros(x.shape)
-        elif op.kind == "not":
-            x = Tensor(float(pt if np.isscalar(pt) else pt[0]), requires_grad=True)
-            apply_connective(op, x).backward()
-            grads = np.abs(np.atleast_1d(x.grad if x.grad is not None else 0.0))
-        else:
-            xa = Tensor(float(pt[0]), requires_grad=True)
-            xb = Tensor(float(pt[1]), requires_grad=True)
-            apply_connective(op, xa, xb).backward()
-            grads = np.abs(np.array([float(xa.grad) if xa.grad is not None else 0.0,
-                                     float(xb.grad) if xb.grad is not None else 0.0]))
-        finite = np.isfinite(grads)
-        if not finite.all() or (grads[finite] > 1e6).any():
-            exploding = True
-        active = (grads > 1e-6) & finite
-        if active.sum() > 1:
-            single = False
-        if finite.all() and not active.any():
-            vanishing = True
-    return {"single_passing": single, "vanishing": vanishing, "exploding": exploding}

@@ -156,10 +156,14 @@ def backward(root: Tensor, store: ParamStore) -> dict[str, Tensor]:
     return out
 
 
-def adam_step(store: ParamStore, grads: dict[str, Tensor],
-              lr: float = 0.001, betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, grads: dict[str, Tensor], lr: float) -> None:
     """One bias-corrected Adam update, then box clamping."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     store.step_count += 1
     t = store.step_count
     for name, p in store.slots.items():
@@ -168,7 +172,7 @@ def adam_step(store: ParamStore, grads: dict[str, Tensor],
         p.v = b2 * p.v + (1.0 - b2) * g * g
         m_hat = p.m / (1.0 - b1 ** t)
         v_hat = p.v / (1.0 - b2 ** t)
-        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.tensor.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.clamp()
 
 

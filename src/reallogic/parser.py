@@ -60,8 +60,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant, Signature,
     SignatureError, Var, check_formula, where,
@@ -682,17 +680,15 @@ def parse_theory(text: str, filename: str = "<theory>", base=None) -> TheoryDoc:
     return TheoryDoc(filename, sig, statements, diagnostics)
 
 
-def parse_formula(text: str, sig: Signature, filename: str = "<formula>",
-                  check: bool = True):
-    """Parse one formula against an existing signature."""
-    toks = tokenize(text, filename)
+def parse_formula(text: str, sig: Signature):
+    """Parse one formula against an existing signature and check it."""
+    toks = tokenize(text, "<formula>")
     p = _Parser(toks, sig, [], [], None, set())
     f = p.formula()
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected {t.text!r} after formula", t.span)
-    if check:
-        check_formula(sig, f)
+    check_formula(sig, f)
     return f
 
 
@@ -701,139 +697,3 @@ def parse_theory_file(path) -> TheoryDoc:
     doc = parse_theory(path.read_text(), str(path), base=path.parent)
     doc.path = str(path)
     return doc
-
-
-# -- printing --------------------------------------------------------------------
-
-
-def _num(x) -> str:
-    x = float(x)
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _vec(v) -> str:
-    return "[" + ", ".join(_vec(e) if isinstance(e, tuple) else _num(e)
-                           for e in v) + "]"
-
-
-def _gsum(pieces) -> str:
-    out = []
-    for i, (coef, term) in enumerate(pieces):
-        mag = abs(coef)
-        if term is None:
-            body = _num(mag)
-        elif mag == 1.0:
-            body = pretty_term(term)
-        else:
-            body = f"{_num(mag)}*{pretty_term(term)}"
-        if i == 0:
-            out.append(("-" if coef < 0 else "") + body)
-        else:
-            out.append(("- " if coef < 0 else "+ ") + body)
-    return " ".join(out)
-
-
-def pretty_term(t) -> str:
-    if isinstance(t, App):
-        return f"{t.func}({', '.join(pretty_term(a) for a in t.args)})"
-    return t.name
-
-
-_LEVEL = {"iff": 1, "implies": 2, "or": 3, "and": 4}
-
-
-def pretty_formula(f) -> str:
-    """Canonical text with minimal parentheses.
-
-    Quantifier bodies extend as far right as possible, so a quantifier
-    under a connective is always parenthesized.
-    """
-
-    def go(node, need: int) -> str:
-        if isinstance(node, Atom):
-            if not node.args:
-                return node.pred
-            return f"{node.pred}({', '.join(pretty_term(a) for a in node.args)})"
-        if isinstance(node, Eq):
-            return f"{pretty_term(node.lhs)} = {pretty_term(node.rhs)}"
-        if isinstance(node, Not):
-            return "~" + go(node.body, 5)
-        if isinstance(node, Quant):
-            groups = ", ".join(g[0] if len(g) == 1 else "(" + ", ".join(g) + ")"
-                               for g in node.groups)
-            guard = ""
-            if node.guard is not None:
-                guard = f" [{_gsum(node.guard.lhs)} {node.guard.op} {_gsum(node.guard.rhs)}]"
-            body = go(node.body, 0)
-            text = f"{node.kind} {groups}{guard}: {body}"
-            return f"({text})" if need > 0 else text
-        level = _LEVEL[node.op]
-        sym = {"iff": "<->", "implies": "->", "or": "|", "and": "&"}[node.op]
-        if node.op == "implies":  # right-associative
-            text = f"{go(node.lhs, level + 1)} {sym} {go(node.rhs, level)}"
-        else:  # left-associative chains
-            text = f"{go(node.lhs, level)} {sym} {go(node.rhs, level + 1)}"
-        return f"({text})" if level < need else text
-
-    return go(f, 0)
-
-
-def pretty_statement(s) -> str:
-    if isinstance(s, DomainDecl):
-        return f"domain {s.name} = {s.dim}"
-    if isinstance(s, ConstDecl):
-        if not s.trainable:
-            return f"const {s.name} : {s.domain} = {_vec(s.init)}"
-        out = f"const {s.name} : {s.domain} = train"
-        if s.init is not None:
-            out += f"({_vec(s.init)})"
-        if s.lo is not None or s.hi is not None:
-            out += f" in [{_num(s.lo)}, {_num(s.hi)}]"
-        return out
-    if isinstance(s, VarDecl):
-        kind = s.source[0]
-        if kind == "inline":
-            body = _vec(s.source[1])
-        elif kind == "consts":
-            body = f"consts({', '.join(s.source[1])})"
-        else:
-            body = f'data "{s.source[1]}"'
-            if s.source[2]:
-                body += " cols " + ", ".join(s.source[2])
-        return f"var {s.name} : {s.domain} = {body}"
-    if isinstance(s, (FuncDecl, PredDecl)):
-        impl = s.impl
-        if impl[0] == "builtin":
-            body = f"builtin {impl[1]}"
-        elif impl[0] == "scalar":
-            body = "scalar" if impl[1] is None else f"scalar({_num(impl[1])})"
-        else:
-            acts = ", ".join(a + (f"@{_num(d)}" if d else "")
-                             for a, d in zip(impl[2], impl[3]))
-            body = f"mlp({', '.join(str(w) for w in impl[1])}; {acts})"
-            if impl[0] == "select":
-                body = "select " + body
-        if isinstance(s, FuncDecl):
-            return f"func {s.name} : {', '.join(s.din)} -> {s.dout} = {body}"
-        types = f" : {', '.join(s.din)}" if s.din else ""
-        return f"pred {s.name}{types} = {body}"
-    if isinstance(s, ConfigDecl):
-        return f"config {s.key} = {s.value}"
-    if isinstance(s, Axiom):
-        parts = ["axiom"]
-        if s.label is not None:
-            parts.append(f'"{s.label}"')
-        if s.forall_p is not None:
-            parts.append(f"@forall(p={_num(s.forall_p)})")
-        if s.exists_p is not None:
-            parts.append(f"@exists(p={_num(s.exists_p)})")
-        return " ".join(parts) + ": " + pretty_formula(s.formula)
-    raise TypeError(f"not a statement: {s!r}")
-
-
-def pretty_print(doc: TheoryDoc) -> str:
-    """Canonical text for a whole theory; reparsing it reproduces the
-    same statements (includes come out flattened)."""
-    return "\n".join(pretty_statement(s) for s in doc.statements) + "\n"

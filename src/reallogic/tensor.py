@@ -14,9 +14,10 @@ Conventions that matter downstream:
   order over the reduced axes. Ties are measure-zero during training but
   the rule keeps tests deterministic.
 - ``pow`` takes a Python scalar exponent only.
-- ``log`` raises :class:`DomainError` on non-positive input. Other ops
-  let numpy produce ``inf``/``nan`` silently; the operator-stability
-  tooling inspects those rather than crashing on them.
+- ops let numpy produce ``inf``/``nan`` silently. Callers check:
+  ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
+  and ``training`` raises ``DivergenceError`` on a non-finite loss or
+  gradient.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag}, op={self._op or 'leaf'})"
@@ -79,12 +77,10 @@ class Tensor:
         g = unbroadcast(g, self.data.shape)
         self.grad = g if self.grad is None else self.grad + g
 
-    def backward(self, grad=None) -> None:
-        """Backpropagate from this node. Scalar roots need no seed."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed needs a scalar root")
-            grad = np.ones_like(self.data)
+    def backward(self) -> None:
+        """Backpropagate from this scalar node."""
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar root")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -102,7 +98,7 @@ class Tensor:
                     stack.append((p, False))
         for node in order:
             node.grad = None
-        self.grad = np.asarray(grad, dtype=np.float64)
+        self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -145,9 +141,6 @@ class Tensor:
 
     def sum(self, axes=None):
         return reduce_sum(self, axes)
-
-    def mean(self, axes=None):
-        return reduce_mean(self, axes)
 
 
 def astensor(x) -> Tensor:
@@ -245,18 +238,6 @@ def exp(a) -> Tensor:
         a._accum(g * out)
 
     return _result(out, (a,), back, "exp")
-
-
-def log(a) -> Tensor:
-    a = astensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log needs strictly positive input")
-    out = np.log(a.data)
-
-    def back(g):
-        a._accum(g / a.data)
-
-    return _result(out, (a,), back, "log")
 
 
 def maximum(a, b) -> Tensor:
@@ -432,21 +413,6 @@ def reduce_sum(a, axes=None) -> Tensor:
         a._accum(np.broadcast_to(gx, shape))
 
     return _result(a.data.sum(axis=axes or None), (a,), back, "sum")
-
-
-def reduce_mean(a, axes=None) -> Tensor:
-    a = astensor(a)
-    axes = _norm_axes(a, axes)
-    if not axes and a.data.ndim > 0:
-        return a
-    shape = a.data.shape
-    count = int(np.prod([shape[ax] for ax in axes])) if axes else 1
-
-    def back(g):
-        gx = np.expand_dims(g, axes) if axes else g
-        a._accum(np.broadcast_to(gx, shape) / count)
-
-    return _result(a.data.mean(axis=axes or None), (a,), back, "mean")
 
 
 def _reduce_extreme(a: Tensor, axes, biggest: bool) -> Tensor:

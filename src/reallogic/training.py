@@ -307,12 +307,11 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     return QueryResult(kind, values, gv.vars)
 
 
-def truth_value(theory: Theory, formula, forall_p=None, exists_p=None,
+def truth_value(theory: Theory, formula, forall_p=None,
                 data: dict = None) -> float:
     """Scalar shortcut for closed-formula truth queries."""
     kind = "generalization-truth" if data else "truth"
-    res = query(theory, kind, formula, data=data,
-                forall_p=forall_p, exists_p=exists_p)
+    res = query(theory, kind, formula, data=data, forall_p=forall_p)
     return float(res.values)
 
 
@@ -324,49 +323,6 @@ class ReasonRun:
     seed: int
     sat: float
     phi: float
-
-
-@dataclass(frozen=True)
-class ReasonResult:
-    entailed: bool
-    vacuous: bool    # no restart reached Sat >= q
-    runs: tuple
-
-    def __str__(self):
-        verdict = "entailed" if self.entailed else "NOT entailed"
-        if self.vacuous:
-            verdict += " (vacuously: no satisfying grounding found)"
-        lines = [verdict]
-        lines += [f"  seed {r.seed}: Sat={r.sat:.4f} phi={r.phi:.4f}"
-                  for r in self.runs]
-        return "\n".join(lines)
-
-
-def reason_query_after_learning(build, phi, q: float = 0.95,
-                                restarts: int = 10, train: TrainConfig = None,
-                                data: dict = None) -> ReasonResult:
-    """Brave-consequence check: maximize Sat from several restarts and
-    inspect the query on each optimum. Can miss counterexamples; that
-    failure mode is what reason_refute repairs.
-
-    ``build`` maps a seed to a fresh Theory (or is a Theory when
-    restarts == 1).
-    """
-    if not callable(build):
-        if restarts != 1:
-            raise ValueError("multiple restarts need a theory builder")
-        theory, build = build, lambda _: theory
-    train = train or TrainConfig(epochs=1000, lr=0.05, batch=64)
-    runs = []
-    for i in range(restarts):
-        th = build(i)
-        learn(th, replace(train, seed=i), data=data)
-        sat = float(satisfiability(th).data)
-        gphi = truth_value(th, phi)
-        runs.append(ReasonRun(i, sat, gphi))
-    reached = [r for r in runs if r.sat >= q]
-    entailed = all(r.phi >= q for r in reached)
-    return ReasonResult(entailed, not reached, tuple(runs))
 
 
 @dataclass(frozen=True)

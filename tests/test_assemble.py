@@ -23,6 +23,11 @@ def test_config_tags_change_operators():
     th = build_theory(parse_theory(src), seed=0)
     assert th.cfg.forall.p == 4
     assert th.cfg.eq_alpha == 2.0
+    # caller tags apply after the theory's config lines
+    th = build_theory(parse_theory(src), seed=0,
+                      tags={"eq_alpha": "3", "and": "luk"})
+    assert th.cfg.forall.p == 4
+    assert th.cfg.eq_alpha == 3.0 and th.cfg.conj.family == "luk"
 
 
 def test_unknown_config_key_rejected():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from reallogic import cli, demos
 from reallogic.demos import (
-    DEMO_IDS, DEMOS, DemoResult, default_train, run_demo, run_many,
-    self_check, theory_path,
+    DEMO_IDS, DEMOS, default_train, run_demo, run_many, self_check,
+    theory_path,
 )
 from reallogic.nn import ParamStore
 from reallogic.parser import parse_theory_file
@@ -90,15 +91,13 @@ def test_refute_demo_finds_counterexample():
     assert res.final["entailed"] == 0.0
     assert res.final["counter_a"] < 0.05
     assert res.final["counter_b"] > 0.95
-    assert all(ok for _, ok, *_ in self_check(res))
+    assert all(ok for _, ok, *_ in self_check("refute", res.final))
 
 
 def test_self_check_flags_misses():
-    fake = DemoResult("binary", 0, [], {"test_accuracy": 0.5}, {}, None)
-    report = self_check(fake)
+    report = self_check("binary", {"test_accuracy": 0.5})
     assert report == [("test_accuracy", False, 0.5, ">=", 0.9)]
-    missing = DemoResult("binary", 0, [], {}, {}, None)
-    assert not self_check(missing)[0][1]
+    assert not self_check("binary", {})[0][1]
 
 
 def test_run_many_aggregates_runs():
@@ -135,10 +134,11 @@ def test_cli_demo_epochs_override_and_out(tmp_path, capsys):
 
 def test_cli_demo_runs_summary(tmp_path, capsys):
     rc = cli.main(["demo", "refute", "--runs", "2", "--epochs", "400",
-                   "--out", str(tmp_path)])
+                   "--out", str(tmp_path), "--self-check"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "+/-" in out
+    assert "self-check ok: sat" in out and "FAIL" not in out
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["entailed"]["mean"] == 0.0
 
@@ -177,6 +177,28 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
     cfg.write_text("epochs ten\n")
     with pytest.raises(SystemExit, match="expected key = value"):
         cli.main(["demo", "binary", "--config", str(cfg)])
+    # --seed also builds the theory and the data; a file seed would
+    # change only the batch order
+    cfg.write_text("epochs = 1\nseed = 5\n")
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{cfg}:2: unknown config key 'seed'")):
+        cli.main(["train", "--kb", str(theory_path("refute")),
+                  "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("line,error", [
+    ("and = bogus", "no and family 'bogus'"),
+    ("forall = pmean:q=2", "unknown op parameters ['q']"),
+    ("eq_alpha = sharp", "could not convert string to float: 'sharp'"),
+], ids=["family", "parameter", "eq_alpha"])
+def test_cli_config_rejects_bad_operator_values(line, error, tmp_path):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text(f"epochs = 1\n{line}\n")
+    key = line.split()[0]
+    with pytest.raises(SystemExit, match=re.escape(
+            f"{cfg}:2: bad value for {key!r}: {error}")):
+        cli.main(["train", "--kb", str(theory_path("refute")),
+                  "--config", str(cfg)])
 
 
 @pytest.mark.parametrize("name", sorted(

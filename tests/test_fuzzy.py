@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reallogic.fuzzy import (
-    AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate, aggregator_grid,
-    apply_connective, connective_grid, derivative_profile, parse_op_tag,
+    AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate, apply_connective,
+    parse_op_tag,
 )
 from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor
@@ -298,6 +298,56 @@ def test_config_preset_and_overrides():
     assert cfg2.disj == cfg.disj  # untouched
     cfg3 = cfg.with_tag("eq_alpha", "2.5")
     assert cfg3.eq_alpha == 2.5
+
+
+# -- gradient profiles: the pathologies behind the stable product default ------
+
+
+def connective_grid():
+    """All pairs over a 5-point lattice of [0, 1], corners included."""
+    vals = np.linspace(0.0, 1.0, 5)
+    return [(float(a), float(b)) for a in vals for b in vals]
+
+
+def aggregator_grid():
+    """Corner and interior input vectors for aggregator profiling."""
+    return [np.zeros(4), np.ones(4), np.full(4, 0.5),
+            np.linspace(0.1, 0.9, 4), np.linspace(0.0, 1.0, 4)]
+
+
+def derivative_profile(op) -> dict:
+    """Classify an operator's gradient behavior on its grid of inputs.
+
+    - single_passing: at every point, at most one input coordinate gets a
+      gradient above 1e-6 (min/max style bottlenecks).
+    - vanishing: at some point every coordinate's gradient is finite and
+      below 1e-6, so learning stalls there.
+    - exploding: some coordinate exceeds 1e6 or is not finite.
+    """
+    is_agg = isinstance(op, AggregatorSpec)
+    single = True
+    vanishing = False
+    exploding = False
+    for pt in aggregator_grid() if is_agg else connective_grid():
+        if is_agg:
+            xs = [Tensor(pt, requires_grad=True)]
+            aggregate(op, xs[0], axes=(0,)).backward()
+        else:
+            xs = [Tensor(v, requires_grad=True) for v in pt]
+            apply_connective(op, *xs).backward()
+        grads = np.abs(np.concatenate(
+            [np.zeros(x.data.size) if x.grad is None else np.ravel(x.grad)
+             for x in xs]))
+        finite = np.isfinite(grads)
+        if not finite.all() or (grads[finite] > 1e6).any():
+            exploding = True
+        active = (grads > 1e-6) & finite
+        if active.sum() > 1:
+            single = False
+        if finite.all() and not active.any():
+            vanishing = True
+    return {"single_passing": single, "vanishing": vanishing,
+            "exploding": exploding}
 
 
 PROFILES = [

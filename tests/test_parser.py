@@ -6,14 +6,13 @@ from reallogic.logic import (
 )
 from reallogic.parser import (
     ConfigDecl, ConstDecl, DomainDecl, FuncDecl, ParseError, PredDecl,
-    VarDecl, parse_formula, parse_theory, parse_theory_file, pretty_formula,
-    pretty_print, tokenize,
+    VarDecl, parse_formula, parse_theory, parse_theory_file, tokenize,
 )
 
 
 def small_sig():
     s = Signature()
-    s.add_domain("item", 2)
+    s.add_domain("item", 1)
     s.add_constant("c", "item")
     s.add_constant("d", "item")
     for v in "xyzw":
@@ -64,7 +63,7 @@ def test_tokenizer_rejects_garbage():
 
 
 def test_precedence_not_and_or_implies_iff():
-    f = parse_formula("~P(x) & Q(x) | R -> R <-> R", small_sig(), check=False)
+    f = parse_formula("~P(x) & Q(x) | R -> R <-> R", small_sig())
     px = Atom("P", (Var("x"),))
     qx = Atom("Q", (Var("x"),))
     r = Atom("R", ())
@@ -99,7 +98,7 @@ def test_quantifier_body_extends_right():
 
 def test_quantifier_groups_and_guard():
     f = parse_formula("forall (x, y), z [2*x - y <= 0.5]: S(x, y)",
-                      small_sig(), check=False)
+                      small_sig())
     assert f.groups == (("x", "y"), ("z",))
     assert f.guard == Guard("<=",
                             ((2.0, Var("x")), (-1.0, Var("y"))),
@@ -107,7 +106,7 @@ def test_quantifier_groups_and_guard():
 
 
 def test_guard_leading_minus_and_bare_term():
-    f = parse_formula("exists x [-x + 1 > y]: P(x)", small_sig(), check=False)
+    f = parse_formula("exists x [-x + 1 > y]: P(x)", small_sig())
     assert f.guard.lhs == ((-1.0, Var("x")), (1.0, None))
     assert f.guard.rhs == ((1.0, Var("y")),)
 
@@ -129,7 +128,7 @@ def test_zero_ary_atom_and_double_negation():
     assert f == Not(Not(Atom("R", ())))
 
 
-# -- printing ---------------------------------------------------------------------
+# -- redundant parentheses ------------------------------------------------------
 
 
 @pytest.mark.parametrize("text,shown", [
@@ -143,9 +142,10 @@ def test_zero_ary_atom_and_double_negation():
     ("forall (x, y) [x - y = 0]: S(x, y)",
      "forall (x, y) [x - y = 0]: S(x, y)"),
 ])
-def test_pretty_minimal_parens(text, shown):
+def test_precedence_and_associativity(text, shown):
+    """Each text and its minimally parenthesized form parse alike."""
     sig = small_sig()
-    assert pretty_formula(parse_formula(text, sig, check=False)) == shown
+    assert parse_formula(text, sig) == parse_formula(shown, sig)
 
 
 def _rand_term(rng, depth):
@@ -223,10 +223,7 @@ def test_random_formulas_round_trip():
     sig = small_sig()
     for _ in range(300):
         ast = _rand_formula(rng, 4, list("xyzw"))
-        assert parse_formula(_full_parens(ast), sig, check=False) == ast
-        shown = pretty_formula(ast)
-        assert parse_formula(shown, sig, check=False) == ast
-        assert pretty_formula(parse_formula(shown, sig, check=False)) == shown
+        assert parse_formula(_full_parens(ast), sig) == ast
 
 
 # -- theories --------------------------------------------------------------------
@@ -291,15 +288,6 @@ def test_theory_declarations():
     assert ax2 == Axiom(Bin("or", Atom("A", ()), Not(Atom("A", ()))))
     assert doc.sig.predicates["Cls"] == ("item", "label")
     assert doc.sig.dim("item") == 2
-
-
-def test_theory_pretty_print_fixpoint():
-    doc = parse_theory(SAMPLE)
-    text = pretty_print(doc)
-    doc2 = parse_theory(text)
-    assert doc2.diagnostics == []
-    assert doc2.statements == doc.statements
-    assert pretty_print(doc2) == text
 
 
 def test_axioms_check_against_signature():

@@ -1,0 +1,53 @@
+"""Every public module-level function and class in ``src/reallogic`` has
+a caller outside the tests: some code under ``src/``, ``tools/`` or
+``perfbench/`` (its tests excluded) names it, other than its own
+definition."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "reallogic"
+
+
+def _sources():
+    for top in ("src", "tools", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if "tests" not in path.relative_to(ROOT).parts:
+                yield path
+
+
+def _names(node) -> set:
+    """Identifiers that ``node`` refers to: names, attributes, imported
+    names, and strings naming an attribute (``getattr``-style)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    defined = []   # (path, top-level node)
+    used = []      # (path, top-level node, names it refers to)
+    for path in _sources():
+        for node in ast.parse(path.read_text()).body:
+            used.append((path, node, _names(node)))
+            if path.parent == PACKAGE and isinstance(
+                    node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined.append((path, node))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in defined
+        if not any(node.name in names for p, n, names in used
+                   if (p, n) != (path, node))
+    ]
+    assert not unused, unused

@@ -1,12 +1,12 @@
 """Autodiff engine: forward values, gradients vs finite differences,
-tie-break rules, graph-reuse accumulation, and the tag dispatchers."""
+tie-break rules, graph-reuse accumulation, and the p-means' gradients."""
 
 import numpy as np
 import pytest
 
 import reallogic.tensor as T
 from reallogic.fuzzy import AggregatorSpec, aggregate
-from reallogic.tensor import Tensor, DomainError
+from reallogic.tensor import Tensor
 
 from fdcheck import check_grads
 
@@ -23,7 +23,6 @@ def test_forward_values_match_numpy():
     assert np.allclose((-Tensor(a)).data, -a)
     assert np.allclose((Tensor(a) ** 3).data, a ** 3)
     assert np.allclose(T.exp(Tensor(a)).data, np.exp(a))
-    assert np.allclose(T.log(Tensor(b)).data, np.log(b))
     assert np.allclose(T.maximum(Tensor(a), Tensor(b)).data, np.maximum(a, b))
     assert np.allclose(T.minimum(Tensor(a), Tensor(b)).data, np.minimum(a, b))
 
@@ -38,10 +37,10 @@ def test_scalar_and_array_mixing():
 
 @pytest.mark.parametrize("build,shapes", [
     (lambda a, b: (a * b + a / b).sum(), [(3, 2), (3, 2)]),
-    (lambda a, b: ((a - b) ** 2).mean(), [(4,), (4,)]),
-    (lambda a: (T.exp(a) * T.log(a + 2.0)).sum(), [(5,)]),
+    (lambda a, b: ((a - b) ** 2).sum(), [(4,), (4,)]),
+    (lambda a: (T.exp(a) * (a + 2.0)).sum(), [(5,)]),
     (lambda a, b: T.maximum(a, b).sum(), [(6,), (6,)]),
-    (lambda a, b: T.minimum(a * 2.0, b).mean(), [(2, 3), (2, 3)]),
+    (lambda a, b: T.minimum(a * 2.0, b).sum(), [(2, 3), (2, 3)]),
     (lambda a: T.sigmoid(a).sum(), [(7,)]),
     (lambda a: T.elu(a).sum(), [(7,)]),
     (lambda a: T.softmax(a).sum(axes=None), [(3, 4)]),
@@ -56,7 +55,7 @@ def test_broadcast_grads():
     a = rng.random((3, 1))
     b = rng.random((1, 4))
     check_grads(lambda x, y: (x * y).sum(), a, b)
-    check_grads(lambda x, y: (x + y * 2.0).mean(), a, b)
+    check_grads(lambda x, y: T.exp(x + y * 2.0).sum(), a, b)
     check_grads(lambda x: T.broadcast_to(x, (5, 3, 2)).sum(), rng.random((3, 2)))
 
 
@@ -94,7 +93,6 @@ def test_reduce_over_axis_subsets():
         want = a.sum(axis=axes if axes is None or isinstance(axes, tuple) else (axes,))
         assert np.allclose(got, want)
         check_grads(lambda x, ax=axes: T.reduce_sum(x, ax).sum(), a)
-    check_grads(lambda x: T.reduce_mean(x, (0, 2)).sum(), a)
     check_grads(lambda x: T.reduce_max(x, (1,)).sum(), a)
     check_grads(lambda x: T.reduce_min(x, (0, 1)).sum(), a)
 
@@ -111,7 +109,7 @@ def test_matmul_values_and_grads():
 def test_shape_ops_grads():
     a = rng.random((2, 3, 4))
     check_grads(lambda x: T.reshape(x, (6, 4)).sum(axes=0).sum(), a)
-    check_grads(lambda x: T.moveaxis(x, 0, 2).mean(), a)
+    check_grads(lambda x: (T.moveaxis(x, 0, 2) * np.arange(2.0)).sum(), a)
     b, c = rng.random((2, 3)), rng.random((4, 3))
     check_grads(lambda x, y: T.concat([x, y], axis=0).sum(), b, c)
     check_grads(lambda x, y: (T.stack([x, y * 2.0], axis=1) ** 2).sum(),
@@ -150,13 +148,6 @@ def test_backward_clears_stale_grads():
     first = a.grad.copy()
     (a * 2.0).sum().backward()
     assert np.allclose(a.grad, first)  # no doubling across calls
-
-
-def test_log_domain_error():
-    with pytest.raises(DomainError):
-        T.log(Tensor([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        T.log(Tensor(-2.0))
 
 
 def test_pow_rejects_tensor_exponent():

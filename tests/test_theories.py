@@ -1,4 +1,4 @@
-"""The bundled theory corpus parses, round-trips, and builds."""
+"""The bundled theory corpus parses and builds."""
 
 from pathlib import Path
 
@@ -7,7 +7,7 @@ import pytest
 
 from reallogic.assemble import load_theory
 from reallogic.demos import smoker_facts
-from reallogic.parser import parse_theory, parse_theory_file, pretty_print
+from reallogic.parser import parse_theory_file
 from reallogic.training import satisfiability
 
 THEORY_DIR = Path(__file__).parent.parent / "src" / "reallogic" / "theories"
@@ -35,15 +35,6 @@ def test_theory_parses_clean(path):
     doc = parse_theory_file(path)
     assert doc.diagnostics == []
     assert len(doc.axioms) == AXIOM_COUNTS[path.stem]
-
-
-@pytest.mark.parametrize("path", THEORIES, ids=lambda p: p.stem)
-def test_theory_pretty_print_fixpoint(path):
-    doc = parse_theory_file(path)
-    text = pretty_print(doc)
-    again = parse_theory(text, filename=str(path))
-    assert again.diagnostics == []
-    assert pretty_print(again) == text
 
 
 @pytest.mark.parametrize("path", THEORIES, ids=lambda p: p.stem)

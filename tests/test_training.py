@@ -21,7 +21,6 @@ from reallogic.training import (
     axiom_truth,
     learn,
     query,
-    reason_query_after_learning,
     reason_refute,
     satisfiability,
     schedule_value,
@@ -467,21 +466,13 @@ def test_refutation_vacuous_on_contradiction():
 
 
 def test_query_after_learning_misses_the_counterexample():
-    res = reason_query_after_learning(
-        lambda s: disj_theory(seed=s), "A", restarts=3,
-        train=TrainConfig(epochs=1000, lr=0.05, batch=64))
-    assert res.entailed and not res.vacuous
-    assert all(r.sat >= 0.95 for r in res.runs)
-    assert all(r.phi >= 0.99 for r in res.runs)
-
-
-def test_query_after_learning_vacuous_flag():
-    src = "domain u = 1\npred A = scalar\naxiom: A & ~A\n"
-    res = reason_query_after_learning(
-        lambda s: build_theory(parse_theory(src), seed=s), "A", restarts=2,
-        train=TrainConfig(epochs=50, lr=0.05))
-    assert res.vacuous and res.entailed
-    assert all(r.sat < 0.95 for r in res.runs)
+    # maximizing Sat of A | B, then querying A, finds A true on every
+    # restart: the counterexample (A false, B true) is never visited
+    for seed in range(3):
+        th = disj_theory(seed=seed)
+        learn(th, TrainConfig(epochs=1000, lr=0.05, batch=64, seed=seed))
+        assert float(satisfiability(th).data) >= 0.95
+        assert truth_value(th, "A") >= 0.99
 
 
 def test_refutation_config_validation():
