@@ -31,6 +31,7 @@ a <= b.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,42 @@ def apply_connective(op: ConnectiveOp, a, b=None) -> Tensor:
     return T.where(a.data <= b.data, 1.0, 1.0 - a + b)  # luk
 
 
+def _pack(t: Tensor, axes: tuple, mask):
+    """Gather the cells ``mask`` keeps, per output cell, into one axis.
+
+    Returns ``(packed, valid, count)``. ``packed`` has the shape of the
+    axes of ``t`` not in ``axes``, plus a last axis as wide as the
+    largest kept count: each output cell's kept cells in row-major
+    order, then padding. ``valid`` marks the kept entries and ``count``
+    holds the number kept per output cell. After a count and a nonzero
+    pass over the boolean mask, the work scales with the kept cells, not
+    with ``t``.
+    """
+    nd, k = t.data.ndim, len(axes)
+    m = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape)
+    moved = axes != tuple(range(nd - k, nd))
+    if moved:
+        m = np.moveaxis(m, axes, range(nd - k, nd))
+    lead_shape = m.shape[:nd - k]
+    rows = m.reshape(math.prod(lead_shape), math.prod(m.shape[nd - k:]))
+    count = np.count_nonzero(rows, axis=1)
+    pos = np.flatnonzero(rows)
+    if moved:
+        # positions index the moved layout; map them back to t's own
+        order = [i for i in range(nd) if i not in axes] + list(axes)
+        coords = np.unravel_index(pos, m.shape)
+        pos = np.ravel_multi_index([coords[order.index(i)] for i in range(nd)],
+                                   t.data.shape)
+    # a padded column keeps min/max defined where no cell is kept
+    width = max(int(count.max(initial=0)), min(t.data.size, 1))
+    valid = np.arange(width) < count[:, None]
+    idx = np.zeros(valid.shape, dtype=np.intp)
+    idx[valid] = pos  # row-major, so each row's kept cells come first
+    shape = lead_shape + (width,)
+    return (T.take(t, idx.reshape(shape)), valid.reshape(shape),
+            count.reshape(lead_shape))
+
+
 def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tensor:
     """Aggregate truth values over ``axes``.
 
@@ -177,7 +214,10 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
     zero are patched with ``empty`` (1 for vacuous universals, 0 for
     failed existentials); leaving ``empty`` as None on an empty cell is
     an error at use sites, so the raw aggregate value leaks through only
-    when every cell is populated.
+    when every cell is populated. The kept cells are first packed per
+    result cell (:func:`_pack`), so past two passes over the boolean
+    mask the masked work and its backward scale with the kept cells, not
+    with the grid; masked-out cells get a zero gradient.
     """
     t = _checked(t)
     axes = T._norm_axes(t, axes)
@@ -186,9 +226,9 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
     f, eps = spec.family, spec.eps
 
     if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape)
+        t, m, count = _pack(t, axes, mask)
+        axes = (t.data.ndim - 1,)
         mt = m.astype(np.float64)
-        count = mt.sum(axis=axes or None)
     else:
         m = mt = None
         count = float(np.prod([t.data.shape[ax] for ax in axes], dtype=np.float64)

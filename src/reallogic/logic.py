@@ -21,6 +21,10 @@ with a warning.
 Guards restrict aggregation with a crisp boolean mask computed from
 detached values, so no gradient ever flows through a guard; cells whose
 guard never fires aggregate to 1 under forall and 0 under exists.
+The guarded body is still grounded on the full grid of its variables;
+only the aggregation packs the cells the guard keeps (see
+:func:`reallogic.fuzzy.aggregate`), so its work and its backward scale
+with the kept cells.
 
 Evaluation is pure: :func:`ground_formula` and :func:`ground_term` take
 a frozen :class:`Scope` with everything that varies per call (variable
@@ -468,7 +472,7 @@ class GroundingEnv:
             raise EvalError(f"variable {name!r} is not grounded by constants")
         return payload
 
-    def var_length(self, name: str, scope: Scope = Scope()) -> int:
+    def var_length(self, name: str, scope: Scope) -> int:
         if name in scope.binds:
             n = scope.binds[name].shape[0]
         else:

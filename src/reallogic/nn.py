@@ -214,7 +214,7 @@ def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec) -> None:
 
 
 def dense_forward(spec: MlpSpec, store: ParamStore, prefix: str,
-                  x: Tensor, training: bool = False) -> Tensor:
+                  x: Tensor, training: bool) -> Tensor:
     """Run ``x`` of shape (..., widths[0]) through the network.
 
     Dropout is inverted (mask / keep-prob) and only active while training,

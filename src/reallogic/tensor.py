@@ -12,7 +12,12 @@ Conventions that matter downstream:
 - elementwise ``min``/``max`` send the gradient to the FIRST argument on
   ties; reduce ``min``/``max`` send it to the first index in row-major
   order over the reduced axes. Ties are measure-zero during training but
-  the rule keeps tests deterministic.
+  the rule keeps tests deterministic. A masked ``fuzzy.aggregate`` packs
+  its kept cells, in row-major order, ahead of its fill values, so a
+  masked ``min``/``max`` that ties with its fill sends the gradient to
+  the first kept cell.
+- ``take(a, idx)`` gathers cells by flat position; positions repeated in
+  ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
   ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
@@ -360,6 +365,20 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis),
                    tensors, back, "concat")
+
+
+def take(a, idx) -> Tensor:
+    """Cells of ``a`` at the row-major flat positions ``idx`` (an
+    integer array); the result has the shape of ``idx``. Positions taken
+    more than once have their gradients summed."""
+    a = astensor(a)
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def back(g):
+        a._accum(np.bincount(idx.ravel(), weights=g.ravel(),
+                             minlength=a.data.size).reshape(a.data.shape))
+
+    return _result(a.data.reshape(-1)[idx], (a,), back, "take")
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

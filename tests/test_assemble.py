@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reallogic.assemble import TheoryError, build_theory, euclidean, load_theory
-from reallogic.logic import EvalError
+from reallogic.logic import EvalError, Scope
 from reallogic.parser import parse_theory
 from reallogic.training import satisfiability, truth_value
 
@@ -85,7 +85,7 @@ def test_data_override_replaces_declared_source():
            "pred P : u = mlp(1, 1; sigmoid)\naxiom: forall x: P(x)\n")
     doc = parse_theory(src)
     th = build_theory(doc, seed=0, data={"x": np.zeros((7, 1))})
-    assert th.env.var_length("x") == 7
+    assert th.env.var_length("x", Scope()) == 7
 
 
 def test_var_from_csv_relative_to_theory(tmp_path):
@@ -97,7 +97,7 @@ def test_var_from_csv_relative_to_theory(tmp_path):
         "pred P : item = mlp(2, 4, 1; elu, sigmoid)\n"
         "axiom: forall x: P(x)\n")
     th = load_theory(kb, seed=0)
-    assert th.env.var_length("x") == 3
+    assert th.env.var_length("x", Scope()) == 3
     assert 0.0 <= float(satisfiability(th).data) <= 1.0
 
 
@@ -127,7 +127,7 @@ def test_consts_backed_variable():
            "pred P : p = mlp(2, 4, 1; elu, sigmoid)\n"
            "axiom: forall x: P(x)\n")
     th = build_theory(parse_theory(src), seed=0)
-    assert th.env.var_length("x") == 2
+    assert th.env.var_length("x", Scope()) == 2
     assert th.env.var_consts("x") == ("c1", "c2")
     for name in ("z", "w"):
         with pytest.raises(EvalError, match="not grounded by constants"):

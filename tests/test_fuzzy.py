@@ -235,6 +235,107 @@ def test_masked_aggregation_multi_axis_counts():
     assert np.allclose(out.data, [0.5, 1.0])
 
 
+# -- masked aggregation against the dense formula -----------------------------
+
+
+def dense_masked(spec, t, axes, mask, empty):
+    """Masked aggregate over the full grid: masked-out cells are filled
+    with the family's neutral value and sums are weighted by the mask."""
+    m = np.broadcast_to(mask, t.shape)
+    mt = m.astype(np.float64)
+    count = mt.sum(axis=axes)
+    denom = np.maximum(count, 1.0)
+    vacant = count == 0 if np.any(count == 0) else None
+
+    def fill(x, v):
+        return T.where(m, x, v)
+
+    def msum(x):
+        return T.reduce_sum(x * mt, axes)
+
+    def pmean_base(x):
+        base = msum(T.power(x, spec.p)) / denom
+        return base if vacant is None else T.where(vacant, 1.0, base)
+
+    f, eps = spec.family, spec.eps
+    if f == "min":
+        out = T.reduce_min(fill(t, 1.0), axes)
+    elif f == "max":
+        out = T.reduce_max(fill(t, 0.0), axes)
+    elif f == "prod":
+        out = T.reduce_prod(fill(t, 1.0), axes)
+    elif f == "prob_sum":
+        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0), axes)
+    elif f == "luk_and":
+        out = T.maximum(msum(t) - count + 1.0, 0.0)
+    elif f == "luk_or":
+        out = T.minimum(msum(t), 1.0)
+    elif f == "mean":
+        out = msum(t) / denom
+    elif f == "pmean":
+        x = (1.0 - eps) * t + eps if spec.stable else t
+        out = T.power(pmean_base(x), 1.0 / spec.p)
+    else:
+        x = (1.0 - eps) * t if spec.stable else t
+        out = 1.0 - T.power(pmean_base(1.0 - x), 1.0 / spec.p)
+    if vacant is not None and empty is not None:
+        out = T.where(vacant, float(empty), out)
+    return out
+
+
+MASKED_SPECS = [AggregatorSpec(f) for f in
+                ("min", "max", "mean", "prod", "prob_sum", "luk_and", "luk_or")]
+MASKED_SPECS += [AggregatorSpec("pmean", p=3), AggregatorSpec("pmean_error", p=3),
+                 AggregatorSpec("pmean", p=2, stable=True),
+                 AggregatorSpec("pmean_error", p=2, stable=True)]
+
+
+@st.composite
+def masked_cases(draw):
+    """Shape, reduced axes (trailing or not), a mask that spans some axes
+    of the grid and broadcasts over the rest, and a kept-cell density
+    (0 keeps no cell anywhere; low densities leave rows with none)."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    axes = tuple(sorted(draw(st.sets(st.integers(0, len(shape) - 1), min_size=1))))
+    spans = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+    mshape = tuple(n if keep else 1 for n, keep in zip(shape, spans))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    return shape, axes, mshape, density, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@pytest.mark.parametrize("spec", MASKED_SPECS, ids=str)
+@settings(deadline=None)
+@given(case=masked_cases(), empty=st.sampled_from([None, 0.0, 1.0]))
+def test_packed_masked_aggregate_matches_dense(spec, case, empty):
+    shape, axes, mshape, density, seed = case
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.05, 0.95, shape)  # no ties with a fill value
+    mask = rng.random(mshape) < density
+    weights = rng.standard_normal([n for i, n in enumerate(shape) if i not in axes])
+    runs = []
+    for fn in (aggregate, dense_masked):
+        x = Tensor(xs, requires_grad=True)
+        out = fn(spec, x, axes, mask, empty)
+        (out * weights).sum().backward()
+        runs.append((out.data, x.grad))
+    (got, got_grad), (want, want_grad) = runs
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
+    assert np.all(got_grad[~np.broadcast_to(mask, shape)] == 0.0)
+
+
+@pytest.mark.parametrize("family,fill", [("min", 1.0), ("max", 0.0)])
+def test_masked_extreme_tied_with_fill_picks_first_kept_cell(family, fill):
+    # row 0 keeps cells 1 and 2, row 1 keeps cells 0 and 2; every value
+    # equals the fill, so the gradient goes to each row's first kept cell
+    x = Tensor(np.full((2, 3), fill), requires_grad=True)
+    mask = np.array([[False, True, True], [True, False, True]])
+    out = aggregate(AggregatorSpec(family), x, axes=(1,), mask=mask)
+    assert np.array_equal(out.data, [fill, fill])
+    out.sum().backward()
+    assert np.array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+
+
 def test_input_validation_and_drift_clamp():
     with pytest.raises(DomainError):
         apply_connective(ANDS["min"], Tensor(1.2), Tensor(0.5))

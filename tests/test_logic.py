@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reallogic.tensor as T
+from reallogic.assemble import euclidean
 from reallogic.fuzzy import FuzzyConfig
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
@@ -393,7 +394,7 @@ def test_select_predicate_one_hot_and_integer_labels():
     env.add_var_data("d", np.array([0.0, 1.0, 2.0]))
 
     from reallogic.nn import dense_forward
-    probs = dense_forward(spec, store, "C", Tensor(xs)).data
+    probs = dense_forward(spec, store, "C", Tensor(xs), training=False).data
 
     gv = ground_formula(env, Atom("C", (Var("x"), Var("l"))))
     assert gv.vars == ("x", "l") and gv.tensor.shape == (5, 3)
@@ -402,7 +403,7 @@ def test_select_predicate_one_hot_and_integer_labels():
     spec2 = MlpSpec((2, 4, 3), ("elu", "softmax"))
     env.add_pred_select("D", spec2)
     gv2 = ground_formula(env, Atom("D", (Var("x"), Var("d"))))
-    probs2 = dense_forward(spec2, store, "D", Tensor(xs)).data
+    probs2 = dense_forward(spec2, store, "D", Tensor(xs), training=False).data
     assert np.allclose(gv2.tensor.data, probs2)
 
     sig.add_variable("bad", "pt")
@@ -411,29 +412,90 @@ def test_select_predicate_one_hot_and_integer_labels():
         ground_formula(env, Atom("C", (Var("x"), Var("bad"))))
 
 
+def assert_store_grads_match_fd(env, node):
+    """Autodiff gradients of a closed formula's truth against central
+    differences, slot by slot; at least one slot must get a gradient."""
+    def value():
+        return float(ground_formula(env, node).tensor.data)
+
+    ground_formula(env, node).tensor.backward()
+    moved = False
+    for name in env.store.names():
+        got = env.store.get(name).grad
+        want = fd_store_grad(env.store, name, value)
+        assert np.allclose(got, want, rtol=1e-4, atol=1e-7), name
+        moved |= bool(np.any(got != 0.0))
+    assert moved
+
+
 def test_formula_gradients_match_fd_through_quantifiers():
     sig = Signature()
     sig.add_domain("pt", 2)
     sig.add_variable("x", "pt")
     sig.add_predicate("P", ("pt",))
     sig.add_predicate("Q", ("pt",))
-    store = ParamStore(seed=13)
-    env = GroundingEnv(sig, store, cfg=RAW)
+    env = GroundingEnv(sig, ParamStore(seed=13), cfg=RAW)
     env.add_var_data("x", np.random.default_rng(3).random((6, 2)))
     env.add_pred_mlp("P", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
     env.add_pred_mlp("Q", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
     node = Quant("forall", (("x",),), None,
                  Bin("implies", Atom("P", (Var("x"),)), Atom("Q", (Var("x"),))))
+    assert_store_grads_match_fd(env, node)
 
-    def value():
-        return float(ground_formula(env, node).tensor.data)
 
-    out = ground_formula(env, node).tensor
-    out.backward()
-    for name in store.names():
-        got = store.get(name).grad
-        want = fd_store_grad(store, name, value)
-        assert np.allclose(got, want, rtol=1e-4, atol=1e-7), name
+def test_guarded_addition_gradients_match_fd():
+    # addition-single: forall (x, y, n): exists d1, d2 [d1 + d2 = n]:
+    # digit_is(x, d1) & digit_is(y, d2), with digits 0-3
+    sig = Signature()
+    for name, dim in (("image", 3), ("result", 1), ("digit", 1)):
+        sig.add_domain(name, dim)
+    for name, dom in (("x", "image"), ("y", "image"), ("n", "result"),
+                      ("d1", "digit"), ("d2", "digit")):
+        sig.add_variable(name, dom)
+    sig.add_predicate("digit_is", ("image", "digit"))
+    env = GroundingEnv(sig, ParamStore(seed=5))
+    env.add_pred_select("digit_is", MlpSpec((3, 4, 4), ("elu", "softmax")))
+    rng = np.random.default_rng(6)
+    env.add_var_data("x", rng.random((5, 3)))
+    env.add_var_data("y", rng.random((5, 3)))
+    env.add_var_data("n", np.array([0.0, 3.0, 6.0, 2.0, 7.0]))  # 7: no pair
+    env.add_var_data("d1", np.arange(4.0))
+    env.add_var_data("d2", np.arange(4.0))
+    guard = Guard("=", ((1.0, Var("d1")), (1.0, Var("d2"))), ((1.0, Var("n")),))
+    body = Bin("and", Atom("digit_is", (Var("x"), Var("d1"))),
+               Atom("digit_is", (Var("y"), Var("d2"))))
+    node = forall([("x", "y", "n")], exists([("d1",), ("d2",)], body, guard))
+    check_formula(sig, node)
+    assert_store_grads_match_fd(env, node)
+
+
+def test_guarded_clustering_gradients_match_fd():
+    # clustering: forall c, x, y [dist(x, y) < t]: C(x, c) <-> C(y, c);
+    # the guard leaves c out. Nested under forall c, the inner aggregate
+    # reduces the non-trailing x and y axes of the (x, c, y) body.
+    sig = Signature()
+    for name, dim in (("point", 2), ("cluster", 3), ("measure", 1)):
+        sig.add_domain(name, dim)
+    for name, dom in (("x", "point"), ("y", "point"), ("c", "cluster")):
+        sig.add_variable(name, dom)
+    sig.add_function("dist", ("point", "point"), "measure")
+    sig.add_predicate("C", ("point", "cluster"))
+    env = GroundingEnv(sig, ParamStore(seed=4),
+                       cfg=FuzzyConfig().with_tag("forall", "pmean_error:p=4"))
+    env.add_pred_select("C", MlpSpec((2, 5, 3), ("elu", "softmax")))
+    pts = np.random.default_rng(9).random((6, 2))
+    env.add_var_data("x", pts)
+    env.add_var_data("y", pts)
+    env.add_var_data("c", np.eye(3))
+    env.add_func_builtin("dist", euclidean)
+    guard = Guard("<", ((1.0, App("dist", (Var("x"), Var("y")))),), ((0.4, None),))
+    kept = euclidean(pts[:, None], pts[None, :]) < 0.4
+    assert kept.any() and not kept.all()  # the guard is informative
+    body = Bin("iff", Atom("C", (Var("x"), Var("c"))), Atom("C", (Var("y"), Var("c"))))
+    for node in (forall([("c",), ("x",), ("y",)], body, guard),
+                 forall([("c",)], forall([("x",), ("y",)], body, guard))):
+        check_formula(sig, node)
+        assert_store_grads_match_fd(env, node)
 
 
 def test_check_formula_catches_type_errors():

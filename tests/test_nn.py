@@ -151,7 +151,7 @@ def test_dense_forward_matches_manual_chain():
     spec = MlpSpec((3, 4, 2), ("elu", "linear"))
     init_mlp(s, "f", spec)
     x = np.array([[0.1, -0.2, 0.4], [1.0, 0.5, -0.3]])
-    out = dense_forward(spec, s, "f", Tensor(x)).data
+    out = dense_forward(spec, s, "f", Tensor(x), training=False).data
     h = x @ s.get("f/W0").data + s.get("f/b0").data
     h = np.where(h > 0, h, np.expm1(h))
     want = h @ s.get("f/W1").data + s.get("f/b1").data
@@ -166,7 +166,7 @@ def test_dense_forward_grads_match_fd():
     weights = np.random.default_rng(1).standard_normal((4, 3))
 
     def run():
-        out = dense_forward(spec, s, "g", Tensor(x))
+        out = dense_forward(spec, s, "g", Tensor(x), training=False)
         return (out * weights).sum()
 
     grads = backward(run(), s)
@@ -181,9 +181,9 @@ def test_dense_forward_handles_extra_leading_axes():
     spec = MlpSpec((3, 4, 1), ("elu", "sigmoid"))
     init_mlp(s, "f", spec)
     x = np.random.default_rng(4).random((2, 5, 3))
-    out = dense_forward(spec, s, "f", Tensor(x))
+    out = dense_forward(spec, s, "f", Tensor(x), training=False)
     assert out.shape == (2, 5, 1)
-    flat = dense_forward(spec, s, "f", Tensor(x.reshape(10, 3)))
+    flat = dense_forward(spec, s, "f", Tensor(x.reshape(10, 3)), training=False)
     assert np.allclose(out.data.reshape(10, 1), flat.data)
 
 

@@ -116,6 +116,17 @@ def test_shape_ops_grads():
                 rng.random(4), rng.random(4))
 
 
+def test_take_gathers_flat_positions_and_sums_repeated_grads():
+    a = rng.random((2, 3))
+    idx = np.array([[5, 0, 5], [2, 2, 2]])  # flat positions, some repeated
+    assert np.array_equal(T.take(Tensor(a), idx).data, a.ravel()[idx])
+    w = rng.standard_normal(idx.shape)
+    check_grads(lambda x: (T.take(x, idx) * w).sum(), a)
+    x = Tensor(a, requires_grad=True)
+    T.take(x, idx).sum().backward()
+    assert np.array_equal(x.grad, [[1.0, 0.0, 3.0], [0.0, 0.0, 2.0]])
+
+
 def test_where_routes_grads_by_mask():
     cond = np.array([True, False, True])
     a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
