@@ -13,6 +13,13 @@ per free variable in order of first syntactic occurrence. Connectives
 align operand axes by name and broadcast, so ``P(x) -> Q(y)`` evaluates
 on the full x-by-y grid while ``P(x) -> Q(x)`` stays elementwise.
 
+A network runs once per cell of its arguments' own grid, not of the
+grid of the atom it sits in. A ``select`` predicate's class argument
+is not a network input: it only picks from the output, so
+``digit_is(x, d)`` runs its classifier once per x and reads the d-th
+output. Under dropout, one mask is drawn per input row and shared by
+that row's classes.
+
 Quantifiers aggregate named axes away. A quantifier group with several
 variables is evaluated diagonally: the members share one axis, pairing
 instance i with instance i, instead of spanning their product grid;
@@ -579,22 +586,34 @@ def ground_term(env: GroundingEnv, term: Term,
         raise EvalError(f"function {term.func!r} has no grounding")
     kind, payload = env._funcs[term.func]
     args = [ground_term(env, a, scope) for a in term.args]
-    order, sizes, aligned = align(args, feature=True)
+    order, _, aligned = align(args, feature=True)
     if kind == "builtin":
         out = payload(*[t.data for t in aligned])
         return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
-    grid = tuple(sizes[v] for v in order)
-    return GroundedValue(
-        _network(env, term.func, payload, aligned, grid, scope), order)
+    return GroundedValue(_network(env, term.func, payload, aligned, scope),
+                         order)
 
 
-def _network(env: GroundingEnv, name: str, spec: MlpSpec, args, grid: tuple,
+def _network(env: GroundingEnv, name: str, spec: MlpSpec, args,
              scope: Scope) -> Tensor:
-    """Run the network of symbol ``name`` once per cell of ``grid``: each
-    aligned argument is broadcast to the grid, and the features are
-    concatenated into the input."""
-    parts = [T.broadcast_to(t, grid + (t.shape[-1],)) for t in args]
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    """Run the network of symbol ``name`` once per cell of its aligned
+    arguments' own grid.
+
+    One argument goes in as it is. Several are each broadcast to their
+    common leading shape (one already at it is not copied), and their
+    features are concatenated into the input. A variable that no
+    argument spans keeps a size-1 axis in the output: a ``select``
+    predicate passes only its feature arguments, so its class argument
+    just picks from each row's output, and under dropout one mask is
+    drawn per row and shared by that row's classes.
+    """
+    if len(args) == 1:
+        x = args[0]
+    else:
+        lead = np.broadcast_shapes(*(t.shape[:-1] for t in args))
+        x = T.concat([t if t.shape[:-1] == lead
+                      else T.broadcast_to(t, lead + (t.shape[-1],))
+                      for t in args], axis=-1)
     return dense_forward(spec, env.store, name, x, training=scope.training)
 
 
@@ -679,18 +698,22 @@ def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
             raise EvalError(f"{atom.pred} takes no arguments")
         return GroundedValue(env.store.get(payload), ())
     args = [ground_term(env, a, scope) for a in atom.args]
+    order, _, aligned = align(args, feature=True)
     if kind == "callable":
-        order, _, aligned = align(args, feature=True)
         return GroundedValue(payload(*aligned), order)
-    order, sizes, aligned = align(args, feature=True)
-    grid = tuple(sizes[v] for v in order)
     if kind == "select":
         label = aligned[-1]
         feats = aligned[:-1]
         nclass = payload.widths[-1]
         if label.shape[-1] == 1 and nclass > 1:
             # integer class index: expand to a one-hot, detached
-            idx = label.data[..., 0].astype(int)
+            idx = label.data[..., 0]
+            bad = ~((idx >= 0) & (idx < nclass) & (idx == np.floor(idx)))
+            if bad.any():
+                raise EvalError(
+                    f"{atom.pred}: class index {idx[bad][0]:g} is not an "
+                    f"integer in 0..{nclass - 1}")
+            idx = idx.astype(int)
             hot = np.zeros(idx.shape + (nclass,))
             np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
             label = Tensor(hot)
@@ -698,11 +721,13 @@ def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
             raise EvalError(
                 f"{atom.pred}: class argument has dim {label.shape[-1]}, "
                 f"network has {nclass} outputs")
-        out = _network(env, atom.pred, payload, feats, grid, scope)
+        # the output spans only the feature arguments' axes; the product
+        # broadcasts it over the axes only the class argument spans
+        out = _network(env, atom.pred, payload, feats, scope)
         picked = T.reduce_sum(out * label, axes=(-1,))
         return GroundedValue(picked, order)
     # plain mlp predicate
-    out = _network(env, atom.pred, payload, aligned, grid, scope)
+    out = _network(env, atom.pred, payload, aligned, scope)
     return GroundedValue(T.reshape(out, out.shape[:-1]), order)
 
 

@@ -1,9 +1,12 @@
 """Grounding and evaluation: term grids, axis bookkeeping, quantifier
 semantics (plain, diagonal, guarded), and gradient flow through formulas."""
 
+import re
+
 import numpy as np
 import pytest
 
+import reallogic.logic as logic
 import reallogic.tensor as T
 from reallogic.assemble import euclidean
 from reallogic.fuzzy import FuzzyConfig
@@ -12,7 +15,7 @@ from reallogic.logic import (
     Quant, Scope, Signature, SignatureError, Var, check_formula, free_vars,
     ground_formula, ground_term,
 )
-from reallogic.nn import MlpSpec, ParamStore
+from reallogic.nn import MlpSpec, ParamStore, backward, dense_forward
 from reallogic.tensor import Tensor
 
 from fdcheck import fd_store_grad
@@ -410,6 +413,147 @@ def test_select_predicate_one_hot_and_integer_labels():
     env.add_var_data("bad", rng.random((2, 2)))
     with pytest.raises(EvalError, match="class argument"):
         ground_formula(env, Atom("C", (Var("x"), Var("bad"))))
+
+
+def network_env(drops=(0.0, 0.0)):
+    """Networks of every kind over points x, y (5 each), one-hot classes
+    l (3), integer classes d (3) and bounds n (4): select predicates C
+    (class one-hot), D (class index) and S (two feature arguments), a
+    plain two-argument predicate F, and a network function f."""
+    sig = Signature()
+    for name, dim in (("pt", 2), ("label3", 3), ("idx", 1)):
+        sig.add_domain(name, dim)
+    for name, dom in (("x", "pt"), ("y", "pt"), ("l", "label3"),
+                      ("d", "idx"), ("n", "idx")):
+        sig.add_variable(name, dom)
+    sig.add_constant("a", "pt")
+    sig.add_constant("c", "label3")
+    sig.add_predicate("C", ("pt", "label3"))
+    sig.add_predicate("D", ("pt", "idx"))
+    sig.add_predicate("S", ("pt", "pt", "label3"))
+    sig.add_predicate("F", ("pt", "pt"))
+    sig.add_function("f", ("pt", "pt"), "pt")
+    env = GroundingEnv(sig, ParamStore(seed=11))
+    rng = np.random.default_rng(12)
+    env.add_var_data("x", rng.random((5, 2)))
+    env.add_var_data("y", rng.random((5, 2)))
+    env.add_var_data("l", np.eye(3))
+    env.add_var_data("d", np.arange(3.0))
+    env.add_var_data("n", np.array([0.0, 2.0, 1.0, 2.0]))
+    env.add_const("a", trainable=True)
+    env.add_const("c", [0.0, 1.0, 0.0])
+    env.add_pred_select("C", MlpSpec((2, 4, 3), ("elu", "softmax"), drops))
+    env.add_pred_select("D", MlpSpec((2, 4, 3), ("elu", "softmax")))
+    env.add_pred_select("S", MlpSpec((4, 5, 3), ("elu", "softmax")))
+    env.add_pred_mlp("F", MlpSpec((4, 3, 1), ("elu", "sigmoid")))
+    env.add_func_mlp("f", MlpSpec((4, 3, 2), ("elu", "sigmoid")))
+    return env
+
+
+def full_grid_networks(monkeypatch):
+    """Patch in the full-grid network path, the oracle of the per-argument
+    one: each argument is broadcast to the grid of the atom or term that
+    runs the network. That grid comes from the atom's or term's own
+    ``align`` call, the last one before its network runs."""
+    grids = []
+    real_align = logic.align
+
+    def align(values, feature):
+        order, sizes, aligned = real_align(values, feature)
+        grids.append(tuple(sizes[v] for v in order))
+        return order, sizes, aligned
+
+    def network(env, name, spec, args, scope):
+        parts = [T.broadcast_to(t, grids[-1] + (t.shape[-1],)) for t in args]
+        x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+        return dense_forward(spec, env.store, name, x, training=scope.training)
+
+    monkeypatch.setattr(logic, "align", align)
+    monkeypatch.setattr(logic, "_network", network)
+
+
+def value_and_grads(env, node):
+    """Truth of ``node`` and every slot's gradient of a fixed random
+    weighting of its cells."""
+    gv = ground_formula(env, node)
+    weights = np.random.default_rng(1).random(gv.tensor.shape)
+    grads = backward(T.reduce_sum(gv.tensor * Tensor(weights)), env.store)
+    return gv, {name: g.data for name, g in grads.items()}
+
+
+D_UP_TO_N = Guard("<=", ((1.0, Var("d")),), ((1.0, Var("n")),))
+NETWORK_CASES = {
+    "variable-one-hot-class": Atom("C", (Var("x"), Var("l"))),
+    "integer-index-class": Atom("D", (Var("x"), Var("d"))),
+    "constant-class": Atom("C", (Var("x"), Const("c"))),
+    "select-two-features": Atom("S", (Var("x"), Var("y"), Var("l"))),
+    "plain-mlp-constant-arg": Atom("F", (Var("x"), Const("a"))),
+    "network-term": Atom("C", (App("f", (Var("x"), Const("a"))), Var("l"))),
+    "under-guard": exists([("d",)], Atom("D", (Var("x"), Var("d"))), D_UP_TO_N),
+    "diagonal-group": forall([("x", "y")], Atom("S", (Var("x"), Var("y"), Var("l")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NETWORK_CASES))
+def test_argument_grid_networks_match_full_grid_oracle(case, monkeypatch):
+    node = NETWORK_CASES[case]
+    env = network_env()
+    check_formula(env.sig, node)
+    got, got_grads = value_and_grads(env, node)
+    with monkeypatch.context() as m:
+        full_grid_networks(m)
+        want, want_grads = value_and_grads(env, node)
+    assert got.vars == want.vars
+    np.testing.assert_allclose(got.tensor.data, want.tensor.data,
+                               rtol=0, atol=1e-12)
+    assert got_grads.keys() == want_grads.keys()
+    for name in got_grads:
+        np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                   rtol=0, atol=1e-12, err_msg=name)
+    assert any(np.any(g != 0.0) for g in got_grads.values())
+
+
+def record_dense_forward(monkeypatch):
+    """Patch dense_forward in logic to log (input, output) per call."""
+    calls = []
+
+    def recorded(spec, store, prefix, x, training):
+        out = dense_forward(spec, store, prefix, x, training=training)
+        calls.append((x.shape, out.data))
+        return out
+
+    monkeypatch.setattr(logic, "dense_forward", recorded)
+    return calls
+
+
+def test_select_network_runs_once_per_feature_row(monkeypatch):
+    env = network_env()
+    calls = record_dense_forward(monkeypatch)
+    gv = ground_formula(env, Atom("C", (Var("x"), Var("l"))))
+    assert gv.tensor.shape == (5, 3)
+    assert [shape for shape, _ in calls] == [(5, 1, 2)]  # 5 rows, not 5 x 3
+
+
+def test_dropout_mask_is_shared_by_one_rows_classes(monkeypatch):
+    # dropout on the hidden layer, then softmax: a row's classes sum to 1
+    # only if they come from one network run with one mask
+    env = network_env(drops=(0.5, 0.0))
+    atom = Atom("C", (Var("x"), Var("l")))
+    calls = record_dense_forward(monkeypatch)
+    noisy = ground_formula(env, atom, env.scope(training=True)).tensor.data
+    assert len(calls) == 1
+    assert np.array_equal(noisy, calls[0][1][:, 0, :])
+    np.testing.assert_allclose(noisy.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    plain = ground_formula(env, atom, env.scope(training=False)).tensor.data
+    assert not np.allclose(noisy, plain)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 2.5, 3.0])
+def test_select_rejects_bad_integer_class_index(bad):
+    env = network_env()
+    env.add_var_data("d", np.array([0.0, bad, 1.0]))
+    with pytest.raises(EvalError, match=re.escape(f"D: class index {bad:g} ")):
+        ground_formula(env, Atom("D", (Var("x"), Var("d"))))
 
 
 def assert_store_grads_match_fd(env, node):
