@@ -170,75 +170,64 @@ def apply_connective(op: ConnectiveOp, a, b=None) -> Tensor:
     return T.where(a.data <= b.data, 1.0, 1.0 - a + b)  # luk
 
 
-def _pack(t: Tensor, axes: tuple, mask):
-    """Gather the cells ``mask`` keeps, per output cell, into one axis.
+def _pack(t: Tensor, m: np.ndarray):
+    """Gather the cells the boolean rows of ``m`` keep into one axis.
 
-    Returns ``(packed, valid, count)``. ``packed`` has the shape of the
-    axes of ``t`` not in ``axes``, plus a last axis as wide as the
-    largest kept count: each output cell's kept cells in row-major
-    order, then padding. ``valid`` marks the kept entries and ``count``
-    holds the number kept per output cell. After a count and a nonzero
-    pass over the boolean mask, the work scales with the kept cells, not
-    with ``t``.
+    ``m`` has the shape of ``t`` with its reduced axes flattened into
+    one last axis, so ``m``'s row-major cells are ``t``'s. Returns
+    ``(packed, valid, count)``. ``packed`` has ``m``'s leading shape plus
+    a last axis as wide as the largest kept count: each row's kept cells
+    in order, then padding. ``valid`` marks the kept entries and
+    ``count`` holds the number kept per row. After a count and a nonzero
+    pass over ``m``, the work scales with the kept cells, not with ``t``.
     """
-    nd, k = t.data.ndim, len(axes)
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), t.data.shape)
-    moved = axes != tuple(range(nd - k, nd))
-    if moved:
-        m = np.moveaxis(m, axes, range(nd - k, nd))
-    lead_shape = m.shape[:nd - k]
-    rows = m.reshape(math.prod(lead_shape), math.prod(m.shape[nd - k:]))
+    lead = m.shape[:-1]
+    rows = m.reshape(math.prod(lead), m.shape[-1])
     count = np.count_nonzero(rows, axis=1)
-    pos = np.flatnonzero(rows)
-    if moved:
-        # positions index the moved layout; map them back to t's own
-        order = [i for i in range(nd) if i not in axes] + list(axes)
-        coords = np.unravel_index(pos, m.shape)
-        pos = np.ravel_multi_index([coords[order.index(i)] for i in range(nd)],
-                                   t.data.shape)
     # a padded column keeps min/max defined where no cell is kept
     width = max(int(count.max(initial=0)), min(t.data.size, 1))
     valid = np.arange(width) < count[:, None]
     idx = np.zeros(valid.shape, dtype=np.intp)
-    idx[valid] = pos  # row-major, so each row's kept cells come first
-    shape = lead_shape + (width,)
+    idx[valid] = np.flatnonzero(rows)  # row-major: each row's kept cells first
+    shape = lead + (width,)
     return (T.take(t, idx.reshape(shape)), valid.reshape(shape),
-            count.reshape(lead_shape))
+            count.reshape(lead))
 
 
-def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tensor:
-    """Aggregate truth values over ``axes``.
+def aggregate(spec: AggregatorSpec, t, k: int, mask=None, empty=None) -> Tensor:
+    """Aggregate truth values over the last ``k`` axes of ``t``.
 
-    ``mask`` (a constant boolean array broadcastable to ``t``) restricts
-    the aggregation to selected cells. Result cells whose mask count is
-    zero are patched with ``empty`` (1 for vacuous universals, 0 for
-    failed existentials); leaving ``empty`` as None on an empty cell is
-    an error at use sites, so the raw aggregate value leaks through only
-    when every cell is populated. The kept cells are first packed per
-    result cell (:func:`_pack`), so past two passes over the boolean
-    mask the masked work and its backward scale with the kept cells, not
-    with the grid; masked-out cells get a zero gradient.
+    Those axes are flattened into one last axis, which every reduction
+    reads. ``mask`` (a constant boolean array broadcastable to ``t``)
+    restricts the aggregation to selected cells. Result cells whose
+    mask count is zero are patched with ``empty`` (1 for vacuous
+    universals, 0 for failed existentials); leaving ``empty`` as None on
+    an empty cell is an error at use sites, so the raw aggregate value
+    leaks through only when every cell is populated. The kept cells are
+    first packed per result cell (:func:`_pack`), so past two passes
+    over the boolean mask the masked work and its backward scale with
+    the kept cells, not with the grid; masked-out cells get a zero
+    gradient.
     """
     t = _checked(t)
-    axes = T._norm_axes(t, axes)
-    if not axes and t.data.ndim > 0:
-        return t
+    lead = t.shape[:t.ndim - k]
+    flat = lead + (math.prod(t.shape[t.ndim - k:]),)
     f, eps = spec.family, spec.eps
 
     if mask is not None:
-        t, m, count = _pack(t, axes, mask)
-        axes = (t.data.ndim - 1,)
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), t.shape).reshape(flat)
+        t, m, count = _pack(t, m)
         mt = m.astype(np.float64)
     else:
+        t = T.reshape(t, flat)
         m = mt = None
-        count = float(np.prod([t.data.shape[ax] for ax in axes], dtype=np.float64)
-                      if axes else t.data.size)
+        count = float(flat[-1])
 
     def fill(x, v):
         return x if m is None else T.where(m, x, v)
 
     def msum(x):
-        return T.reduce_sum(x if mt is None else x * mt, axes)
+        return T.reduce_sum(x if mt is None else x * mt, -1)
 
     denom = np.maximum(count, 1.0)
     vacant = count == 0 if mask is not None and np.any(count == 0) else None
@@ -250,13 +239,13 @@ def aggregate(spec: AggregatorSpec, t, axes=None, mask=None, empty=None) -> Tens
         return base if vacant is None else T.where(vacant, 1.0, base)
 
     if f == "min":
-        out = T.reduce_min(fill(t, 1.0), axes)
+        out = T.reduce_min(fill(t, 1.0))
     elif f == "max":
-        out = T.reduce_max(fill(t, 0.0), axes)
+        out = T.reduce_max(fill(t, 0.0))
     elif f == "prod":
-        out = T.reduce_prod(fill(t, 1.0), axes)
+        out = T.reduce_prod(fill(t, 1.0))
     elif f == "prob_sum":
-        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0), axes)
+        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0))
     elif f == "luk_and":
         out = T.maximum(msum(t) - count + 1.0, 0.0)
     elif f == "luk_or":

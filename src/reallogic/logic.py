@@ -11,7 +11,9 @@ Evaluation turns a term into a tensor shaped ``(n_v1, ..., n_vk, feat)``
 and a formula into a truth tensor shaped ``(n_v1, ..., n_vk)``, one axis
 per free variable in order of first syntactic occurrence. Connectives
 align operand axes by name and broadcast, so ``P(x) -> Q(y)`` evaluates
-on the full x-by-y grid while ``P(x) -> Q(x)`` stays elementwise.
+on the full x-by-y grid while ``P(x) -> Q(x)`` stays elementwise. One
+helper, :func:`align`, lines up the axes of function and predicate
+arguments, connective operands and guard terms.
 
 A network runs once per cell of its arguments' own grid, not of the
 grid of the atom it sits in. A ``select`` predicate's class argument
@@ -20,7 +22,10 @@ is not a network input: it only picks from the output, so
 output. Under dropout, one mask is drawn per input row and shared by
 that row's classes.
 
-Quantifiers aggregate named axes away. A quantifier group with several
+Quantifiers aggregate named axes away. A quantifier lays out its body
+(and its guard's mask) with the result's variables first and its
+quantified variables last, so :func:`reallogic.fuzzy.aggregate` always
+reduces a trailing block of axes. A quantifier group with several
 variables is evaluated diagonally: the members share one axis, pairing
 instance i with instance i, instead of spanning their product grid;
 members with unequal instance counts are truncated to the shortest,
@@ -512,7 +517,7 @@ class GroundingEnv:
         if bound is not None:
             names = tuple(names[int(i)] for i in np.asarray(bound).ravel())
         return GroundedValue(
-            T.stack([self._const_value(c) for c in names[:n]], axis=0),
+            T.stack([self._const_value(c) for c in names[:n]]),
             (label,))
 
     def _const_value(self, name: str) -> Tensor:
@@ -523,27 +528,6 @@ class GroundingEnv:
 
 
 # -- axis alignment ------------------------------------------------------------
-
-
-def _union_order(var_tuples) -> tuple:
-    order: list[str] = []
-    for vs in var_tuples:
-        for v in vs:
-            if v not in order:
-                order.append(v)
-    return tuple(order)
-
-
-def _axis_sizes(values) -> dict:
-    sizes: dict[str, int] = {}
-    for gv in values:
-        for ax, v in enumerate(gv.vars):
-            n = gv.tensor.shape[ax]
-            if sizes.setdefault(v, n) != n:
-                raise EvalError(
-                    f"variable {v!r} has {sizes[v]} instances on one side "
-                    f"and {n} on another")
-    return sizes
 
 
 def _aligned(x, vars_: tuple, order, feature: bool = False):
@@ -560,11 +544,19 @@ def _aligned(x, vars_: tuple, order, feature: bool = False):
 
 
 def align(values, feature: bool):
-    """Common (order, sizes, aligned tensors) for a list of GroundedValues."""
-    order = _union_order([gv.vars for gv in values])
-    sizes = _axis_sizes(values)
-    return order, sizes, [_aligned(gv.tensor, gv.vars, order, feature)
-                          for gv in values]
+    """Common (order, aligned tensors) for a list of GroundedValues, whose
+    tensors may also be detached numpy arrays. ``order`` lists the
+    variables by first occurrence."""
+    sizes: dict[str, int] = {}
+    for gv in values:
+        for v, n in zip(gv.vars, gv.tensor.shape):
+            if sizes.setdefault(v, n) != n:
+                raise EvalError(
+                    f"variable {v!r} has {sizes[v]} instances on one side "
+                    f"and {n} on another")
+    order = tuple(sizes)
+    return order, [_aligned(gv.tensor, gv.vars, order, feature)
+                   for gv in values]
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -586,7 +578,7 @@ def ground_term(env: GroundingEnv, term: Term,
         raise EvalError(f"function {term.func!r} has no grounding")
     kind, payload = env._funcs[term.func]
     args = [ground_term(env, a, scope) for a in term.args]
-    order, _, aligned = align(args, feature=True)
+    order, aligned = align(args, feature=True)
     if kind == "builtin":
         out = payload(*[t.data for t in aligned])
         return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
@@ -633,22 +625,20 @@ def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
         pieces = []
         for coef, term in terms:
             if term is None:
-                pieces.append((np.float64(coef), ()))
+                pieces.append(GroundedValue(np.float64(coef), ()))
                 continue
             gv = ground_term(env, term, scope)
             arr = gv.tensor.data
             if arr.shape[-1] != 1:
                 raise EvalError("guard terms must be scalar-valued")
-            pieces.append((coef * arr[..., 0], gv.vars))
-        order = _union_order([vs for _, vs in pieces])
-        return sum([_aligned(a, vs, order) for a, vs in pieces]), order
+            pieces.append(GroundedValue(coef * arr[..., 0], gv.vars))
+        order, aligned = align(pieces, feature=False)
+        return GroundedValue(sum(aligned), order)
 
-    lv, lvars = side(guard.lhs)
-    rv, rvars = side(guard.rhs)
-    order = _union_order([lvars, rvars])
+    order, (lv, rv) = align([side(guard.lhs), side(guard.rhs)], feature=False)
     cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater,
            ">=": np.greater_equal, "=": np.equal, "!=": np.not_equal}[guard.op]
-    return cmp(_aligned(lv, lvars, order), _aligned(rv, rvars, order)), order
+    return cmp(lv, rv), order
 
 
 def ground_formula(env: GroundingEnv, formula: Formula,
@@ -666,7 +656,7 @@ def ground_formula(env: GroundingEnv, formula: Formula,
     if isinstance(formula, Eq):
         u = ground_term(env, formula.lhs, scope)
         v = ground_term(env, formula.rhs, scope)
-        order, _, (tu, tv) = align([u, v], feature=True)
+        order, (tu, tv) = align([u, v], feature=True)
         return GroundedValue(_smooth_eq(env.cfg, tu, tv), order)
     if isinstance(formula, Not):
         gv = ground_formula(env, formula.body, scope)
@@ -674,7 +664,7 @@ def ground_formula(env: GroundingEnv, formula: Formula,
     if isinstance(formula, Bin):
         lhs = ground_formula(env, formula.lhs, scope)
         rhs = ground_formula(env, formula.rhs, scope)
-        order, _, (a, b) = align([lhs, rhs], feature=False)
+        order, (a, b) = align([lhs, rhs], feature=False)
         if formula.op == "iff":
             fwd = apply_connective(env.cfg.impl, a, b)
             bwd = apply_connective(env.cfg.impl, b, a)
@@ -698,7 +688,7 @@ def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
             raise EvalError(f"{atom.pred} takes no arguments")
         return GroundedValue(env.store.get(payload), ())
     args = [ground_term(env, a, scope) for a in atom.args]
-    order, _, aligned = align(args, feature=True)
+    order, aligned = align(args, feature=True)
     if kind == "callable":
         return GroundedValue(payload(*aligned), order)
     if kind == "select":
@@ -756,23 +746,24 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
     for v in labels + list(mask_vars or ()):
         if v not in want:
             want.append(v)
-    t = body.tensor
-    if len(want) > len(body.vars):
+    # the result's variables first, the quantified labels last, each in
+    # want's order: aggregate reduces the trailing block
+    keep = tuple(v for v in want if v not in labels)
+    order = keep + tuple(v for v in want if v in labels)
+    t = _aligned(body.tensor, body.vars, order)
+    if len(order) > len(body.vars):
         # broadcast over axes the body never mentioned
-        grid = t.shape + tuple(env._label_length(v, scope)
-                               for v in want[len(body.vars):])
-        t = T.broadcast_to(T.reshape(t, t.shape + (1,) * (len(want) - len(body.vars))),
-                           grid)
+        t = T.broadcast_to(t, tuple(n if v in body.vars
+                                    else env._label_length(v, scope)
+                                    for v, n in zip(order, t.shape)))
     if mask is not None:
-        mask = _aligned(mask, mask_vars, want)
+        mask = _aligned(mask, mask_vars, order)
 
-    axes = tuple(want.index(l) for l in labels)
     if node.kind == "forall":
         spec = env.cfg.forall.with_p(scope.forall_p)
         empty = 1.0
     else:
         spec = env.cfg.exists.with_p(scope.exists_p)
         empty = 0.0
-    out = aggregate(spec, t, axes=axes, mask=mask, empty=empty)
-    keep = tuple(v for v in want if v not in labels)
+    out = aggregate(spec, t, len(labels), mask=mask, empty=empty)
     return GroundedValue(out, keep)

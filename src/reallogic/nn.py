@@ -167,7 +167,7 @@ def adam_step(store: ParamStore, grads: dict[str, Tensor], lr: float) -> None:
     store.step_count += 1
     t = store.step_count
     for name, p in store.slots.items():
-        g = grads[name].data if name in grads else np.zeros_like(p.tensor.data)
+        g = grads[name].data
         p.m = b1 * p.m + (1.0 - b1) * g
         p.v = b2 * p.v + (1.0 - b2) * g * g
         m_hat = p.m / (1.0 - b1 ** t)

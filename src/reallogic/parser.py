@@ -77,6 +77,8 @@ _UNICODE_ALIASES = {
     "≥": ">=", "≠": "!=",
 }
 
+_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PUNCT = ("<->", "->", "<=", ">=", "!=", "(", ")", "[", "]", ",", ":", ";",
           "=", "<", ">", "~", "&", "|", "@", "+", "-", "*")
 
@@ -148,19 +150,19 @@ def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        m = re.match(r"\d+(\.\d*)?([eE][+-]?\d+)?", text[i:])
+        m = _NUMBER.match(text, i)
         if m:
             tokens.append(Token("number", m.group(0), float(m.group(0)), span))
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
+        m = _IDENT.match(text, i)
         if m:
             word = m.group(0)
             kind = "keyword" if word in _KEYWORDS else "ident"
             tokens.append(Token(kind, word, word, span))
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):

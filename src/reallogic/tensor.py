@@ -9,13 +9,15 @@ exactly once no matter how often a node is reused.
 Conventions that matter downstream:
 
 - float64 everywhere; inputs are coerced on construction.
+- ``reduce_min``/``reduce_max``/``reduce_prod`` reduce the last axis
+  only; ``fuzzy.aggregate`` flattens the axes it reduces into one last
+  axis first. ``reduce_sum`` takes any axes.
 - elementwise ``min``/``max`` send the gradient to the FIRST argument on
-  ties; reduce ``min``/``max`` send it to the first index in row-major
-  order over the reduced axes. Ties are measure-zero during training but
-  the rule keeps tests deterministic. A masked ``fuzzy.aggregate`` packs
-  its kept cells, in row-major order, ahead of its fill values, so a
-  masked ``min``/``max`` that ties with its fill sends the gradient to
-  the first kept cell.
+  ties; reduce ``min``/``max`` send it to the first index along the last
+  axis. Ties are measure-zero during training but the rule keeps tests
+  deterministic. A masked ``fuzzy.aggregate`` packs its kept cells, in
+  row-major order, ahead of its fill values, so a masked ``min``/``max``
+  that ties with its fill sends the gradient to the first kept cell.
 - ``take(a, idx)`` gathers cells by flat position; positions repeated in
   ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
@@ -327,12 +329,15 @@ def reshape(a, *shape) -> Tensor:
     a = astensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
+    out = a.data.reshape(shape)
+    if out.shape == a.data.shape:
+        return a
     old = a.data.shape
 
     def back(g):
         a._accum(g.reshape(old))
 
-    return _result(a.data.reshape(shape), (a,), back, "reshape")
+    return _result(out, (a,), back, "reshape")
 
 
 def moveaxis(a, src, dst) -> Tensor:
@@ -381,15 +386,15 @@ def take(a, idx) -> Tensor:
     return _result(a.data.reshape(-1)[idx], (a,), back, "take")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack along a fresh axis (built from reshape + concat)."""
-    expanded = []
-    for t in tensors:
-        t = astensor(t)
-        shp = list(t.data.shape)
-        shp.insert(axis if axis >= 0 else axis + t.data.ndim + 1, 1)
-        expanded.append(reshape(t, tuple(shp)))
-    return concat(expanded, axis=axis)
+def stack(tensors) -> Tensor:
+    """Stack along a new first axis."""
+    tensors = [astensor(t) for t in tensors]
+
+    def back(g):
+        for t, piece in zip(tensors, g):
+            t._accum(piece)
+
+    return _result(np.stack([t.data for t in tensors]), tensors, back, "stack")
 
 
 def matmul(a, w) -> Tensor:
@@ -409,85 +414,55 @@ def matmul(a, w) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def _norm_axes(a: Tensor, axes):
-    if axes is None:
-        return tuple(range(a.data.ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(ax % a.data.ndim for ax in axes)
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate reduce axes")
-    return tuple(sorted(axes))
-
-
 def reduce_sum(a, axes=None) -> Tensor:
+    """Sum over ``axes`` (numpy's ``axis``: None sums everything)."""
     a = astensor(a)
-    axes = _norm_axes(a, axes)
-    if not axes and a.data.ndim > 0:
-        return a
     shape = a.data.shape
 
     def back(g):
-        gx = np.expand_dims(g, axes) if axes else g
+        gx = g if axes is None else np.expand_dims(g, axes)
         a._accum(np.broadcast_to(gx, shape))
 
-    return _result(a.data.sum(axis=axes or None), (a,), back, "sum")
+    return _result(a.data.sum(axis=axes), (a,), back, "sum")
 
 
-def _reduce_extreme(a: Tensor, axes, biggest: bool) -> Tensor:
+def _reduce_extreme(a, biggest: bool) -> Tensor:
     a = astensor(a)
-    axes = _norm_axes(a, axes)
-    if not axes and a.data.ndim > 0:
-        return a
-    nd = a.data.ndim
-    lead = tuple(i for i in range(nd) if i not in axes)
-    moved = np.moveaxis(a.data, axes, range(len(lead), nd))
-    lead_shape = moved.shape[:len(lead)]
-    flat = moved.reshape((int(np.prod(lead_shape, dtype=int)), -1))
-    idx = flat.argmax(axis=1) if biggest else flat.argmin(axis=1)  # first hit wins
-    rows = np.arange(flat.shape[0])
-    out = flat[rows, idx].reshape(lead_shape)
+    # first hit wins
+    idx = (a.data.argmax(axis=-1) if biggest else a.data.argmin(axis=-1))[..., None]
 
     def back(g):
-        gf = np.zeros_like(flat)
-        gf[rows, idx] = g.reshape(-1)
-        a._accum(np.moveaxis(gf.reshape(moved.shape), range(len(lead), nd), axes))
+        gx = np.zeros_like(a.data)
+        np.put_along_axis(gx, idx, g[..., None], axis=-1)
+        a._accum(gx)
 
-    return _result(out, (a,), back, "amax" if biggest else "amin")
-
-
-def reduce_max(a, axes=None) -> Tensor:
-    return _reduce_extreme(a, axes, biggest=True)
+    return _result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back,
+                   "amax" if biggest else "amin")
 
 
-def reduce_min(a, axes=None) -> Tensor:
-    return _reduce_extreme(a, axes, biggest=False)
+def reduce_max(a) -> Tensor:
+    """Maximum over the last axis."""
+    return _reduce_extreme(a, biggest=True)
 
 
-def reduce_prod(a, axes=None) -> Tensor:
-    """Product over axes. Gradient is exact even with zero entries:
-    each position gets the product of all the others in its block."""
+def reduce_min(a) -> Tensor:
+    """Minimum over the last axis."""
+    return _reduce_extreme(a, biggest=False)
+
+
+def reduce_prod(a) -> Tensor:
+    """Product over the last axis. Gradient is exact even with zero
+    entries: each position gets the product of all the others in its row."""
     a = astensor(a)
-    axes = _norm_axes(a, axes)
-    if not axes and a.data.ndim > 0:
-        return a
-    nd = a.data.ndim
-    lead = tuple(i for i in range(nd) if i not in axes)
-    moved = np.moveaxis(a.data, axes, range(len(lead), nd))
-    lead_shape = moved.shape[:len(lead)]
-    flat = moved.reshape((int(np.prod(lead_shape, dtype=int)), -1))
-    out = flat.prod(axis=1).reshape(lead_shape)
+    x = a.data
 
     def back(g):
-        zeros = flat == 0.0
-        nzeros = zeros.sum(axis=1)
-        safe = np.where(zeros, 1.0, flat)
-        prod_nonzero = safe.prod(axis=1)
-        gf = np.where(nzeros[:, None] == 0, prod_nonzero[:, None] / safe, 0.0)
-        one = nzeros == 1
-        if one.any():
-            gf[one] = np.where(zeros[one], prod_nonzero[one, None], 0.0)
-        gf = gf * g.reshape(-1, 1)
-        a._accum(np.moveaxis(gf.reshape(moved.shape), range(len(lead), nd), axes))
+        zeros = x == 0.0
+        nzeros = zeros.sum(axis=-1, keepdims=True)
+        safe = np.where(zeros, 1.0, x)
+        prod_nonzero = safe.prod(axis=-1, keepdims=True)
+        gx = np.where(nzeros == 0, prod_nonzero / safe,
+                      np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
+        a._accum(gx * g[..., None])
 
-    return _result(out, (a,), back, "prod")
+    return _result(x.prod(axis=-1), (a,), back, "prod")

@@ -78,7 +78,7 @@ def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     (default: the env's root scope).
     """
     truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
-    return aggregate(theory.cfg.sat_agg, T.stack(truths), axes=None)
+    return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
 
 # -- training ----------------------------------------------------------------
@@ -378,15 +378,11 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
     G(phi) + soft_penalty(Sat) with Adam for ``rcfg.epochs`` steps from
     each of ``rcfg.restarts`` theories. Finding one refutes entailment.
 
-    ``build`` maps a restart index to a fresh Theory (or is a Theory when
-    restarts == 1); ``phi`` is a formula AST or source text. Quantifiers
-    use the configured p, or an axiom's own annotation.
+    ``build`` maps a restart index to a fresh Theory; ``phi`` is a
+    formula AST or source text. Quantifiers use the configured p, or an
+    axiom's own annotation.
     """
     rcfg = rcfg or RefutationConfig()
-    if not callable(build):
-        if rcfg.restarts != 1:
-            raise ValueError("multiple restarts need a theory builder")
-        theory, build = build, lambda _: theory
     runs = []
     for i in range(rcfg.restarts):
         th = build(i)
@@ -420,22 +416,20 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
 # -- metric output -------------------------------------------------------------
 
 
-def write_metrics(records, jsonl_path=None, csv_path=None) -> None:
-    """Emit the metric stream as JSON-lines and/or CSV. Keys are sorted
+def write_metrics(records, jsonl_path, csv_path) -> None:
+    """Emit the metric stream as JSON-lines and as CSV. Keys are sorted
     and floats use repr, so equal runs produce identical bytes."""
-    if jsonl_path is not None:
-        with open(jsonl_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    if csv_path is not None:
-        keys = sorted({k for rec in records for k in rec})
-        keys.remove("epoch")
-        keys = ["epoch"] + keys
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(keys) + "\n")
-            for rec in records:
-                fh.write(",".join("" if k not in rec else _fmt(rec[k])
-                                  for k in keys) + "\n")
+    with open(jsonl_path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    keys = sorted({k for rec in records for k in rec})
+    keys.remove("epoch")
+    keys = ["epoch"] + keys
+    with open(csv_path, "w") as fh:
+        fh.write(",".join(keys) + "\n")
+        for rec in records:
+            fh.write(",".join("" if k not in rec else _fmt(rec[k])
+                              for k in keys) + "\n")
 
 
 def _fmt(v) -> str:

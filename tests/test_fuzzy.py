@@ -29,7 +29,7 @@ def val(op, a, b=None):
 
 
 def agg(spec, xs, **kw):
-    return float(aggregate(spec, Tensor(np.asarray(xs, float)), axes=(0,), **kw).data)
+    return float(aggregate(spec, Tensor(np.asarray(xs, float)), 1, **kw).data)
 
 
 @given(unit)
@@ -139,11 +139,11 @@ def test_aggregate_reductions_and_pmeans():
     a = np.array([0.2, 0.4, 0.9])
     t = Tensor(a)
     assert np.allclose(T.reduce_sum(t).data, a.sum())
-    assert np.allclose(aggregate(AggregatorSpec("mean"), t).data, a.mean())
-    assert np.allclose(aggregate(AggregatorSpec("max"), t).data, 0.9)
-    assert np.allclose(aggregate(AggregatorSpec("pmean", p=2), t).data,
+    assert np.allclose(aggregate(AggregatorSpec("mean"), t, 1).data, a.mean())
+    assert np.allclose(aggregate(AggregatorSpec("max"), t, 1).data, 0.9)
+    assert np.allclose(aggregate(AggregatorSpec("pmean", p=2), t, 1).data,
                        np.sqrt((a ** 2).mean()))
-    assert np.allclose(aggregate(AggregatorSpec("pmean_error", p=2), t).data,
+    assert np.allclose(aggregate(AggregatorSpec("pmean_error", p=2), t, 1).data,
                        1.0 - np.sqrt(((1 - a) ** 2).mean()))
     with pytest.raises(ValueError):
         AggregatorSpec("pmean", p=0.5)
@@ -183,7 +183,7 @@ def test_guard_fixture_mean_vs_implication_form():
     assert guarded == pytest.approx(0.75)
     lifted = apply_connective(IMPS["reichenbach"],
                               Tensor(mask.astype(float)), Tensor(truth))
-    unguarded = float(aggregate(AggregatorSpec("mean"), lifted, axes=(0,)).data)
+    unguarded = float(aggregate(AggregatorSpec("mean"), lifted, 1).data)
     assert unguarded == pytest.approx((1.0 + 0.7 + 0.8) / 3.0)
 
 
@@ -218,9 +218,9 @@ def test_empty_row_gets_its_value_and_zero_gradient(spec, empty):
     # row 0 has two selected cells, row 1 none: a guard that never fires
     x = Tensor(np.array([[0.3, 0.8], [0.4, 0.6]]), requires_grad=True)
     mask = np.array([[True, True], [False, False]])
-    out = aggregate(spec, x, axes=(1,), mask=mask, empty=empty)
+    out = aggregate(spec, x, 1, mask=mask, empty=empty)
     assert out.data[1] == empty
-    full = aggregate(spec, Tensor(np.array([0.3, 0.8])), axes=(0,))
+    full = aggregate(spec, Tensor(np.array([0.3, 0.8])), 1)
     assert out.data[0] == pytest.approx(float(full.data), abs=1e-15)
     T.reduce_sum(out).backward()
     assert np.isfinite(x.grad).all()
@@ -231,19 +231,22 @@ def test_empty_row_gets_its_value_and_zero_gradient(spec, empty):
 def test_masked_aggregation_multi_axis_counts():
     t = Tensor(np.full((2, 3), 0.5))
     mask = np.array([[True, True, False], [False, False, False]])
-    out = aggregate(AggregatorSpec("mean"), t, axes=(1,), mask=mask, empty=1.0)
+    out = aggregate(AggregatorSpec("mean"), t, 1, mask=mask, empty=1.0)
     assert np.allclose(out.data, [0.5, 1.0])
 
 
 # -- masked aggregation against the dense formula -----------------------------
 
 
-def dense_masked(spec, t, axes, mask, empty):
-    """Masked aggregate over the full grid: masked-out cells are filled
-    with the family's neutral value and sums are weighted by the mask."""
-    m = np.broadcast_to(mask, t.shape)
+def dense_masked(spec, t, k, mask, empty):
+    """Masked aggregate over the full grid of the last ``k`` axes,
+    flattened into one: masked-out cells are filled with the family's
+    neutral value and sums are weighted by the mask."""
+    flat = t.shape[:t.ndim - k] + (-1,)
+    m = np.broadcast_to(mask, t.shape).reshape(flat)
+    t = T.reshape(t, flat)
     mt = m.astype(np.float64)
-    count = mt.sum(axis=axes)
+    count = mt.sum(axis=-1)
     denom = np.maximum(count, 1.0)
     vacant = count == 0 if np.any(count == 0) else None
 
@@ -251,7 +254,7 @@ def dense_masked(spec, t, axes, mask, empty):
         return T.where(m, x, v)
 
     def msum(x):
-        return T.reduce_sum(x * mt, axes)
+        return T.reduce_sum(x * mt, -1)
 
     def pmean_base(x):
         base = msum(T.power(x, spec.p)) / denom
@@ -259,13 +262,13 @@ def dense_masked(spec, t, axes, mask, empty):
 
     f, eps = spec.family, spec.eps
     if f == "min":
-        out = T.reduce_min(fill(t, 1.0), axes)
+        out = T.reduce_min(fill(t, 1.0))
     elif f == "max":
-        out = T.reduce_max(fill(t, 0.0), axes)
+        out = T.reduce_max(fill(t, 0.0))
     elif f == "prod":
-        out = T.reduce_prod(fill(t, 1.0), axes)
+        out = T.reduce_prod(fill(t, 1.0))
     elif f == "prob_sum":
-        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0), axes)
+        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0))
     elif f == "luk_and":
         out = T.maximum(msum(t) - count + 1.0, 0.0)
     elif f == "luk_or":
@@ -292,30 +295,31 @@ MASKED_SPECS += [AggregatorSpec("pmean", p=3), AggregatorSpec("pmean_error", p=3
 
 @st.composite
 def masked_cases(draw):
-    """Shape, reduced axes (trailing or not), a mask that spans some axes
-    of the grid and broadcasts over the rest, and a kept-cell density
-    (0 keeps no cell anywhere; low densities leave rows with none)."""
+    """Shape, the number of trailing axes to reduce, a mask that spans
+    some axes of the grid and broadcasts over the rest, and a kept-cell
+    density (0 keeps no cell anywhere; low densities leave rows with
+    none)."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
-    axes = tuple(sorted(draw(st.sets(st.integers(0, len(shape) - 1), min_size=1))))
+    k = draw(st.integers(1, len(shape)))
     spans = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
     mshape = tuple(n if keep else 1 for n, keep in zip(shape, spans))
     density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
-    return shape, axes, mshape, density, draw(st.integers(0, 2 ** 32 - 1))
+    return shape, k, mshape, density, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @pytest.mark.parametrize("spec", MASKED_SPECS, ids=str)
 @settings(deadline=None)
 @given(case=masked_cases(), empty=st.sampled_from([None, 0.0, 1.0]))
 def test_packed_masked_aggregate_matches_dense(spec, case, empty):
-    shape, axes, mshape, density, seed = case
+    shape, k, mshape, density, seed = case
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.05, 0.95, shape)  # no ties with a fill value
     mask = rng.random(mshape) < density
-    weights = rng.standard_normal([n for i, n in enumerate(shape) if i not in axes])
+    weights = rng.standard_normal(shape[:len(shape) - k])
     runs = []
     for fn in (aggregate, dense_masked):
         x = Tensor(xs, requires_grad=True)
-        out = fn(spec, x, axes, mask, empty)
+        out = fn(spec, x, k, mask, empty)
         (out * weights).sum().backward()
         runs.append((out.data, x.grad))
     (got, got_grad), (want, want_grad) = runs
@@ -330,7 +334,7 @@ def test_masked_extreme_tied_with_fill_picks_first_kept_cell(family, fill):
     # equals the fill, so the gradient goes to each row's first kept cell
     x = Tensor(np.full((2, 3), fill), requires_grad=True)
     mask = np.array([[False, True, True], [True, False, True]])
-    out = aggregate(AggregatorSpec(family), x, axes=(1,), mask=mask)
+    out = aggregate(AggregatorSpec(family), x, 1, mask=mask)
     assert np.array_equal(out.data, [fill, fill])
     out.sum().backward()
     assert np.array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -340,7 +344,7 @@ def test_input_validation_and_drift_clamp():
     with pytest.raises(DomainError):
         apply_connective(ANDS["min"], Tensor(1.2), Tensor(0.5))
     with pytest.raises(DomainError):
-        aggregate(AggregatorSpec("mean"), Tensor([-0.5, 0.5]), axes=(0,))
+        aggregate(AggregatorSpec("mean"), Tensor([-0.5, 0.5]), 1)
     # drift within 1e-9 is forgiven and clamped
     out = apply_connective(ANDS["product"], Tensor(1.0 + 5e-10), Tensor(0.5))
     assert float(out.data) == pytest.approx(0.5)
@@ -432,7 +436,7 @@ def derivative_profile(op) -> dict:
     for pt in aggregator_grid() if is_agg else connective_grid():
         if is_agg:
             xs = [Tensor(pt, requires_grad=True)]
-            aggregate(op, xs[0], axes=(0,)).backward()
+            aggregate(op, xs[0], 1).backward()
         else:
             xs = [Tensor(v, requires_grad=True) for v in pt]
             apply_connective(op, *xs).backward()
@@ -495,7 +499,7 @@ def test_stable_gradients_bounded_by_inverse_eps():
                  AggregatorSpec("pmean_error", p=6, stable=True, eps=eps)):
         for xs in aggregator_grid():
             x = Tensor(np.asarray(xs), requires_grad=True)
-            aggregate(spec, x, axes=(0,)).backward()
+            aggregate(spec, x, 1).backward()
             assert np.all(np.isfinite(x.grad))
             assert np.abs(x.grad).max() <= 1.0 / eps
 

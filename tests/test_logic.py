@@ -459,9 +459,9 @@ def full_grid_networks(monkeypatch):
     real_align = logic.align
 
     def align(values, feature):
-        order, sizes, aligned = real_align(values, feature)
-        grids.append(tuple(sizes[v] for v in order))
-        return order, sizes, aligned
+        order, aligned = real_align(values, feature)
+        grids.append(np.broadcast_shapes(*(t.shape[:-1] for t in aligned)))
+        return order, aligned
 
     def network(env, name, spec, args, scope):
         parts = [T.broadcast_to(t, grids[-1] + (t.shape[-1],)) for t in args]
@@ -558,14 +558,15 @@ def test_select_rejects_bad_integer_class_index(bad):
 
 def assert_store_grads_match_fd(env, node):
     """Autodiff gradients of a closed formula's truth against central
-    differences, slot by slot; at least one slot must get a gradient."""
+    differences, slot by slot (zero for a slot the formula does not
+    reach); at least one slot must get a gradient."""
     def value():
         return float(ground_formula(env, node).tensor.data)
 
-    ground_formula(env, node).tensor.backward()
+    grads = backward(ground_formula(env, node).tensor, env.store)
     moved = False
     for name in env.store.names():
-        got = env.store.get(name).grad
+        got = grads[name].data
         want = fd_store_grad(env.store, name, value)
         assert np.allclose(got, want, rtol=1e-4, atol=1e-7), name
         moved |= bool(np.any(got != 0.0))
@@ -714,3 +715,65 @@ def test_mixed_diag_and_plain_groups():
     pairs = [0.1 * 0.3, 0.2 * 0.4]
     want = np.mean([p * z for p in pairs for z in (0.5, 1.0)])
     assert float(gv.tensor.data) == pytest.approx(want)
+
+
+def layout_env(family):
+    """x, y, w grounded by trainable 1-d constants (x and w both with four
+    instances, for a diagonal group), z by fixed data; ``exists`` uses
+    ``family`` and ``forall`` the raw pmean_error."""
+    sig = Signature()
+    sig.add_domain("num", 1)
+    env = GroundingEnv(sig, ParamStore(seed=0),
+                       cfg=RAW.with_tag("exists", family))
+    values = {"x": [0.2, 0.5, 0.9, 1.4], "y": [-1.0, 0.4, 1.5],
+              "w": [0.3, -0.6, 0.1, 0.8]}
+    for var, vals in values.items():
+        sig.add_variable(var, "num")
+        for i, v in enumerate(vals):
+            sig.add_constant(f"{var}{i}", "num")
+            env.add_const(f"{var}{i}", [v], trainable=True)
+        env.add_var_consts(var, [f"{var}{i}" for i in range(len(vals))])
+    sig.add_variable("z", "num")
+    values["z"] = [0.1, 0.6, 1.0]  # 0.1 is below every x
+    env.add_var_data("z", values["z"])
+    sig.add_predicate("P2", ("num", "num"))
+    env.add_pred_callable(
+        "P2", lambda a, b: T.sigmoid(T.reduce_sum(a * b, axes=(-1,))))
+    sig.add_predicate("P3", ("num", "num", "num"))
+    env.add_pred_callable(
+        "P3", lambda a, b, c: T.sigmoid(T.reduce_sum(a * b - c, axes=(-1,))))
+    return env, {k: np.array(v) for k, v in values.items()}
+
+
+def sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+NP_AGGS = {"min": np.min, "max": np.max, "prod": np.prod,
+           "pmean:p=2": lambda a, axis: np.sqrt(np.mean(a ** 2, axis=axis))}
+
+
+@pytest.mark.parametrize("family", sorted(NP_AGGS))
+def test_quantified_axis_not_last_in_its_body(family):
+    env, v = layout_env(family)
+    agg = NP_AGGS[family]
+    x, y, w, z = v["x"], v["y"], v["w"], v["z"]
+    cells = sigmoid(x[:, None] * y[None, :])  # (x, y)
+    x_le_z = Guard("<=", ((1.0, Var("x")),), ((1.0, Var("z")),))
+    # the guard names z, which the body lacks: the result spans (y, z),
+    # and the cell z = 0.1 keeps no x, so it takes exists' empty value 0
+    guarded = [[agg(cells[x <= zk, j], axis=0) if (x <= zk).any() else 0.0
+                for zk in z] for j in range(len(y))]
+    cases = [
+        (exists([("x",)], Atom("P2", (Var("x"), Var("y")))), ("y",),
+         agg(cells, axis=0)),
+        (exists([("x",)], Atom("P2", (Var("x"), Var("y"))), x_le_z), ("y", "z"),
+         np.array(guarded)),
+        (exists([("x", "w")], Atom("P3", (Var("x"), Var("y"), Var("w")))), ("y",),
+         agg(sigmoid(x[:, None] * y[None, :] - w[:, None]), axis=0)),
+    ]
+    for node, free, want in cases:
+        gv = ground_formula(env, node)
+        assert gv.vars == free
+        np.testing.assert_allclose(gv.tensor.data, want, rtol=0, atol=1e-12)
+        assert_store_grads_match_fd(env, forall([(u,) for u in free], node))

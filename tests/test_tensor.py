@@ -80,9 +80,9 @@ def test_elementwise_max_tie_goes_to_first_arg():
 
 def test_reduce_extreme_tie_goes_to_first_index():
     a = Tensor([[2.0, 2.0, 1.0], [0.5, 0.5, 0.9]], requires_grad=True)
-    T.reduce_max(a, axes=1).sum().backward()
+    T.reduce_max(a).sum().backward()
     assert np.allclose(a.grad, [[1, 0, 0], [0, 0, 1]])
-    T.reduce_min(a, axes=1).sum().backward()
+    T.reduce_min(a).sum().backward()
     assert np.allclose(a.grad, [[0, 0, 1], [1, 0, 0]])
 
 
@@ -93,8 +93,9 @@ def test_reduce_over_axis_subsets():
         want = a.sum(axis=axes if axes is None or isinstance(axes, tuple) else (axes,))
         assert np.allclose(got, want)
         check_grads(lambda x, ax=axes: T.reduce_sum(x, ax).sum(), a)
-    check_grads(lambda x: T.reduce_max(x, (1,)).sum(), a)
-    check_grads(lambda x: T.reduce_min(x, (0, 1)).sum(), a)
+    check_grads(lambda x: T.reduce_max(x).sum(), a)
+    check_grads(lambda x: T.reduce_min(x).sum(), a)
+    check_grads(lambda x: T.reduce_prod(x).sum(), a)
 
 
 def test_matmul_values_and_grads():
@@ -112,8 +113,18 @@ def test_shape_ops_grads():
     check_grads(lambda x: (T.moveaxis(x, 0, 2) * np.arange(2.0)).sum(), a)
     b, c = rng.random((2, 3)), rng.random((4, 3))
     check_grads(lambda x, y: T.concat([x, y], axis=0).sum(), b, c)
-    check_grads(lambda x, y: (T.stack([x, y * 2.0], axis=1) ** 2).sum(),
+    check_grads(lambda x, y: (T.stack([x, y * 2.0]) ** 2).sum(),
                 rng.random(4), rng.random(4))
+
+
+def test_reshape_to_own_shape_and_stack_add_one_node_at_most():
+    t = Tensor(rng.random((2, 3)), requires_grad=True)
+    assert T.reshape(t, t.shape) is t
+    assert T.reshape(t, (3, 2))._parents == (t,)
+    parts = [Tensor(rng.random(3), requires_grad=True) for _ in range(4)]
+    out = T.stack(parts)
+    assert out.shape == (4, 3)
+    assert out._parents == tuple(parts)  # one node, straight onto the inputs
 
 
 def test_take_gathers_flat_positions_and_sums_repeated_grads():
@@ -184,18 +195,16 @@ def test_elementwise_op_values():
 
 def test_pmean_limits_approach_extremes():
     a = Tensor(np.array([0.3, 0.6, 0.95]))
-    pmean = aggregate(AggregatorSpec("pmean", p=300), a, axes=(0,))
-    perr = aggregate(AggregatorSpec("pmean_error", p=300), a, axes=(0,))
+    pmean = aggregate(AggregatorSpec("pmean", p=300), a, 1)
+    perr = aggregate(AggregatorSpec("pmean_error", p=300), a, 1)
     assert abs(pmean.data - 0.95) < 0.01
     assert abs(perr.data - 0.3) < 0.01
 
 
 def test_pmean_grads_match_fd():
     a = rng.random((4, 3)) * 0.8 + 0.1
-    check_grads(lambda x: aggregate(AggregatorSpec("pmean", p=3), x,
-                                    axes=(0,)).sum(), a)
-    check_grads(lambda x: aggregate(AggregatorSpec("pmean_error", p=2), x,
-                                    axes=(1,)).sum(), a)
+    check_grads(lambda x: aggregate(AggregatorSpec("pmean", p=3), x, 1).sum(), a)
+    check_grads(lambda x: aggregate(AggregatorSpec("pmean_error", p=2), x, 2), a)
 
 
 def test_eval_mode_builds_no_graph():

@@ -108,14 +108,14 @@ def test_axiom_annotation_beats_override():
     got = float(axiom_truth(th, th.axioms[0],
                             th.env.scope(forall_p=2)).data)
     spec = th.cfg.forall.with_p(6)
-    want = float(aggregate(spec, Tensor(np.array(vals)), axes=(0,)).data)
+    want = float(aggregate(spec, Tensor(np.array(vals)), 1).data)
     assert got == pytest.approx(want, abs=1e-12)
 
     plain = callable_theory(vals)
     got2 = float(axiom_truth(plain, plain.axioms[0],
                              plain.env.scope(forall_p=4)).data)
     want2 = float(aggregate(th.cfg.forall.with_p(4),
-                            Tensor(np.array(vals)), axes=(0,)).data)
+                            Tensor(np.array(vals)), 1).data)
     assert got2 == pytest.approx(want2, abs=1e-12)
 
 
@@ -228,7 +228,7 @@ def test_non_finite_gradient_raises_before_the_update():
 
     th = disj_theory(a=1.0, b=1.0, raw=True)
     with pytest.raises(DivergenceError, match="non-finite gradient in slot 'A'"):
-        reason_refute(th, "A", RefutationConfig(epochs=1))
+        reason_refute(lambda _: th, "A", RefutationConfig(epochs=1))
     assert th.store.state_hash() == before
 
 
@@ -241,7 +241,7 @@ def test_evaluation_leaves_the_training_flag_as_found():
         assert th.env.training is flag
         _log(th, train, {}, {}, 0)
         assert th.env.training is flag
-        reason_refute(th, "A", RefutationConfig(epochs=1))
+        reason_refute(lambda _: th, "A", RefutationConfig(epochs=1))
         assert th.env.training is flag
 
 
@@ -480,12 +480,6 @@ def test_refutation_config_validation():
         RefutationConfig(q=0.4)
     with pytest.raises(ValueError):
         RefutationConfig(epochs=0)
-
-
-def test_single_theory_needs_single_restart():
-    th = disj_theory()
-    with pytest.raises(ValueError, match="builder"):
-        reason_refute(th, "A", RefutationConfig(restarts=2))
 
 
 # -- metrics output ------------------------------------------------------------
