@@ -367,7 +367,7 @@ class GroundingEnv:
 
     ``cfg`` defaults to the stable product configuration. ``training``
     is the dropout flag that root scopes start from; ``training.learn``
-    sets it around its optimizer steps.
+    sets it while an optimizer step grounds Sat.
     """
 
     def __init__(self, sig: Signature, store: ParamStore,
@@ -456,6 +456,13 @@ class GroundingEnv:
     def add_pred_callable(self, name: str, fn: Callable) -> None:
         """fn takes aligned argument tensors, returns a truth Tensor."""
         self._preds[name] = ("callable", fn)
+
+    def has_dropout(self) -> bool:
+        """Whether some network has a dropout rate above 0, so that a
+        training scope grounds differently from an evaluation scope."""
+        return any(kind in ("mlp", "select") and max(spec.drops) > 0.0
+                   for kind, spec in (*self._funcs.values(),
+                                      *self._preds.values()))
 
     # -- scopes and instances -----------------------------------------------
 

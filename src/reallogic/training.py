@@ -108,7 +108,9 @@ class TrainConfig:
 def _check_schedule(s) -> None:
     if s is None:
         return
-    if s and s[0] == "linear":
+    if not s:
+        raise ValueError("exists schedule is empty; use None for none")
+    if s[0] == "linear":
         if len(s) != 3:
             raise ValueError("linear schedule needs (\"linear\", p0, p1)")
         return
@@ -194,13 +196,21 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     ``data`` maps variable names to full instance arrays; each step
     grounds the theory in a scope that binds them to a uniformly drawn
     batch (without replacement, Diag-linked variables share the draw).
-    ``learn`` is the one writer of ``env.training``: it is True while
-    the optimizer steps run, so their root scopes enable dropout, and
-    False otherwise. Each epoch's record evaluates Sat in a scope that
-    binds the full data with training off. ``metrics`` maps names to
-    callables on the theory, evaluated every ``log_every`` epochs.
-    Returns (theory, records); records[0] is the pre-training state.
-    Raises DivergenceError on a non-finite loss or gradient.
+    ``learn`` is the one writer of ``env.training``: it is True while a
+    step grounds Sat, so that root scope enables dropout, and False
+    otherwise. Each epoch's record holds Sat and the loss in a scope
+    that binds the full data with training off. ``metrics`` maps names
+    to callables on the theory, evaluated every ``log_every`` epochs on
+    the parameters the record describes. Returns (theory, records);
+    records[0] is the pre-training state. Raises DivergenceError on a
+    non-finite loss or gradient.
+
+    When a step grounds the very scope of the record before it, that
+    step's forward writes the record, so an epoch costs one Sat forward.
+    That holds when ``data`` is empty (one full-batch step per epoch),
+    no network has a dropout rate above 0, and the record's exists p
+    equals the step's. A record at an exists-schedule boundary, and the
+    final record, take their own forward.
     """
     data = data or {}
     metrics = metrics or {}
@@ -217,39 +227,62 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     steps = max((math.ceil(n / train.batch) for n in sizes.values()),
                 default=1)
     rng = np.random.default_rng(train.seed)
-    records = [_log(theory, train, data, metrics, 0,
-                    schedule_value(train.exists_schedule, 0, train.epochs))]
+    # ps[k]: exists p of step k and of record k (record 0 takes step 1's)
+    ps = [schedule_value(train.exists_schedule, max(k - 1, 0), train.epochs)
+          for k in range(train.epochs + 1)]
+    fused = not data and not theory.env.has_dropout()
+    records = []
     for epoch in range(1, train.epochs + 1):
-        ep = schedule_value(train.exists_schedule, epoch - 1, train.epochs)
-        theory.env.training = True
-        try:
-            for _ in range(steps):
-                binds = {}
-                for g in groups:
-                    n = sizes[tuple(g)]
-                    idx = rng.choice(n, size=min(train.batch, n),
-                                     replace=False)
-                    for v in g:
-                        binds[v] = np.asarray(data[v])[idx]
-                sat = satisfiability(theory,
-                                     theory.env.scope(binds, exists_p=ep))
-                loss = _loss(theory, train, sat)
-                if not np.isfinite(loss.data):
-                    raise DivergenceError(f"loss {loss.data} at epoch {epoch}")
-                grads = backward(loss, theory.store)
-                _check_grads(grads, f"at epoch {epoch}")
-                adam_step(theory.store, grads, lr=train.lr)
-        finally:
-            theory.env.training = False
-        records.append(_log(theory, train, data, metrics, epoch, ep))
+        shared = fused and ps[epoch - 1] == ps[epoch]
+        if not shared:
+            records.append(_log(theory, train, data, metrics, epoch - 1,
+                                ps[epoch - 1]))
+        for _ in range(steps):
+            binds = {}
+            for g in groups:
+                n = sizes[tuple(g)]
+                idx = rng.choice(n, size=min(train.batch, n), replace=False)
+                for v in g:
+                    binds[v] = np.asarray(data[v])[idx]
+            grads, sat, loss = _step(theory, train, binds, ps[epoch], epoch)
+            if shared:
+                records.append(_record(theory, train, metrics, epoch - 1,
+                                       sat, loss))
+            adam_step(theory.store, grads, lr=train.lr)
+    records.append(_log(theory, train, data, metrics, train.epochs,
+                        ps[train.epochs]))
     return theory, records
 
 
+def _step(theory, train, binds, ep, epoch) -> tuple:
+    """Ground one step's Sat with ``env.training`` on, then backpropagate.
+    Returns (gradients, Sat, loss) with Sat and the loss as floats, so
+    the graph is freed on return. Nothing is updated."""
+    theory.env.training = True
+    try:
+        sat = satisfiability(theory, theory.env.scope(binds, exists_p=ep))
+    finally:
+        theory.env.training = False
+    loss = _loss(theory, train, sat)
+    if not np.isfinite(loss.data):
+        raise DivergenceError(f"loss {loss.data} at epoch {epoch}")
+    grads = backward(loss, theory.store)
+    _check_grads(grads, f"at epoch {epoch}")
+    return grads, float(sat.data), float(loss.data)
+
+
 def _log(theory, train, data, metrics, epoch, ep=None) -> dict:
+    """The record of ``epoch`` from its own Sat forward over ``data``."""
     sat = satisfiability(theory, theory.env.scope(data, training=False,
                                                   exists_p=ep))
     loss = _loss(theory, train, sat)
-    rec = {"epoch": epoch, "sat": float(sat.data), "loss": float(loss.data)}
+    return _record(theory, train, metrics, epoch, float(sat.data),
+                   float(loss.data))
+
+
+def _record(theory, train, metrics, epoch, sat: float, loss: float) -> dict:
+    """An epoch's record; the metrics run when due, with training off."""
+    rec = {"epoch": epoch, "sat": sat, "loss": loss}
     due = epoch % train.log_every == 0 or epoch == train.epochs
     if metrics and due:
         for name, fn in metrics.items():

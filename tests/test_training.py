@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from reallogic import tensor as T
-from reallogic.assemble import build_theory
+from reallogic import training
+from reallogic.assemble import build_theory, load_theory
+from reallogic.datasets import make_clustering
+from reallogic.demos import theory_path
 from reallogic.fuzzy import AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate
 from reallogic.logic import Axiom, GroundingEnv, Signature
-from reallogic.nn import ParamStore
+from reallogic.nn import ParamStore, adam_step, backward
 from reallogic.parser import parse_formula, parse_theory
 from reallogic.tensor import Tensor
 from reallogic.training import (
@@ -28,7 +31,7 @@ from reallogic.training import (
     truth_value,
     write_metrics,
 )
-from reallogic.training import _log
+from reallogic.training import _check_grads, _diag_partition, _log, _loss
 
 DISJ_SRC = "domain u = 1\npred A = scalar\npred B = scalar\naxiom: A | B\n"
 
@@ -277,12 +280,160 @@ def test_schedule_validation():
         TrainConfig(exists_schedule=((10, 2.0), (5, 4.0)))
     with pytest.raises(ValueError):
         TrainConfig(exists_schedule=("linear", 1.0))
+    with pytest.raises(ValueError, match="empty"):
+        TrainConfig(exists_schedule=())
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(reg="l3")
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.1)
+
+
+# -- one Sat forward per epoch -------------------------------------------------
+
+
+def plain_learn(theory, train, data=None, metrics=None):
+    """The learning loop with a separate Sat forward for every record:
+    the oracle for ``learn``, which writes a record from the next step's
+    forward when the two ground the same scope."""
+    data = data or {}
+    metrics = metrics or {}
+    groups = _diag_partition(theory, data.keys())
+    sizes = {tuple(g): len(data[g[0]]) for g in groups}
+    steps = max((-(-n // train.batch) for n in sizes.values()), default=1)
+    rng = np.random.default_rng(train.seed)
+
+    def log(epoch, ep):
+        sat = satisfiability(theory, theory.env.scope(data, training=False,
+                                                      exists_p=ep))
+        loss = _loss(theory, train, sat)
+        rec = {"epoch": epoch, "sat": float(sat.data),
+               "loss": float(loss.data)}
+        if metrics and (epoch % train.log_every == 0
+                        or epoch == train.epochs):
+            for name, fn in metrics.items():
+                rec[name] = float(fn(theory))
+        return rec
+
+    records = [log(0, schedule_value(train.exists_schedule, 0,
+                                     train.epochs))]
+    for epoch in range(1, train.epochs + 1):
+        ep = schedule_value(train.exists_schedule, epoch - 1, train.epochs)
+        theory.env.training = True
+        try:
+            for _ in range(steps):
+                binds = {}
+                for g in groups:
+                    n = sizes[tuple(g)]
+                    idx = rng.choice(n, size=min(train.batch, n),
+                                     replace=False)
+                    for v in g:
+                        binds[v] = np.asarray(data[v])[idx]
+                sat = satisfiability(theory,
+                                     theory.env.scope(binds, exists_p=ep))
+                loss = _loss(theory, train, sat)
+                assert np.isfinite(loss.data)
+                grads = backward(loss, theory.store)
+                _check_grads(grads, f"at epoch {epoch}")
+                adam_step(theory.store, grads, lr=train.lr)
+        finally:
+            theory.env.training = False
+        records.append(log(epoch, ep))
+    return theory, records
+
+
+def smokers_theory():
+    th = load_theory(theory_path("smokers"), seed=0)
+    symmetric = next(ax for ax in th.axioms if ax.label == "symmetric")
+    metrics = {"phi1": lambda t: truth_value(t, "forall x: (C(x) -> S(x))",
+                                             forall_p=5),
+               "symmetry": lambda t: float(axiom_truth(t, symmetric).data)}
+    return th, metrics
+
+
+def clustering_theory():
+    xy = make_clustering(0)[0].cols("x1", "x2")
+    th = load_theory(theory_path("clustering"), seed=0, data={"x": xy, "y": xy})
+    return th, {"c0_mass": lambda t: float(
+        query(t, "truth", "C(x, c)").values[:, 0].sum())}
+
+
+FUSED_RUNS = {
+    "smokers": (smokers_theory, TrainConfig(epochs=3, lr=0.01)),
+    "clustering": (clustering_theory, TrainConfig(epochs=3, lr=0.01)),
+    "step-schedule": (smokers_theory, TrainConfig(
+        epochs=5, lr=0.01, exists_schedule=((0, 1.0), (2, 6.0)))),
+    "linear-schedule": (smokers_theory, TrainConfig(
+        epochs=4, lr=0.01, exists_schedule=("linear", 1.0, 6.0))),
+    "l2": (smokers_theory, TrainConfig(epochs=3, lr=0.01, reg="l2",
+                                       lam=0.01)),
+    "log-every-2": (clustering_theory, TrainConfig(
+        epochs=5, lr=0.01, log_every=2,
+        exists_schedule=((0, 1.0), (3, 6.0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_RUNS))
+def test_learn_writes_the_records_of_the_plain_loop(case):
+    make, train = FUSED_RUNS[case]
+    runs = []
+    for loop in (learn, plain_learn):
+        th, metrics = make()
+        _, recs = loop(th, train, metrics=metrics)
+        runs.append((recs, {n: th.store.get(n).data.copy()
+                            for n in th.store.names()}))
+    (recs, params), (want, want_params) = runs
+    assert recs == want
+    assert params.keys() == want_params.keys()
+    for n in params:
+        assert np.array_equal(params[n], want_params[n]), n
+
+
+def count_sat_calls(monkeypatch):
+    """Wrap ``training.satisfiability``; the returned list gets the env's
+    training flag at each call."""
+    calls = []
+
+    def counted(theory, scope=None):
+        calls.append(theory.env.training)
+        return satisfiability(theory, scope)
+
+    monkeypatch.setattr(training, "satisfiability", counted)
+    return calls
+
+
+def test_learn_grounds_sat_once_per_epoch_when_scopes_match(monkeypatch):
+    calls = count_sat_calls(monkeypatch)
+    seen = []
+    th, _ = smokers_theory()
+    metrics = {"flag": lambda t: seen.append(t.env.scope().training) or 0.0}
+    learn(th, TrainConfig(epochs=4, lr=0.01), metrics=metrics)
+    # 4 step forwards under training, then the final record's
+    assert calls == [True] * 4 + [False]
+    assert seen == [False] * 5
+
+    # each schedule boundary inside the run costs one record forward
+    del calls[:]
+    th, _ = smokers_theory()
+    learn(th, TrainConfig(epochs=6, lr=0.01,
+                          exists_schedule=((0, 1.0), (2, 4.0), (4, 6.0))))
+    assert len(calls) == 6 + 1 + 2
+    assert calls.count(True) == 6
+
+
+def test_data_bound_or_dropout_theories_keep_a_record_forward(monkeypatch):
+    calls = count_sat_calls(monkeypatch)
+    th = callable_theory([0.3, 0.7, 0.9])
+    learn(th, TrainConfig(epochs=3), data={"x": np.array([0.3, 0.7, 0.9])})
+    assert len(calls) == 2 * 3 + 1
+
+    del calls[:]
+    th = load_theory(theory_path("multiclass"), seed=0)
+    assert th.env.has_dropout()
+    learn(th, TrainConfig(epochs=3))
+    assert len(calls) == 2 * 3 + 1
+    assert calls.count(True) == 3
 
 
 # -- minibatching --------------------------------------------------------------

@@ -4,15 +4,18 @@ write, for a few seeds.
 Usage: ``PYTHONPATH=src python tools/demo_digest.py SEED...``
 
 Each demo runs through ``demos.run_demo`` at 3 epochs into a temporary
-directory. Then, per seed, the command line runs in-process:
-``rl train --kb smokers.rl --epochs 3 --config <file>`` with a config
-file that sets one optimizer key and one operator key, ``rl query
---params`` on the trained parameters (a closed formula with
-``--forall-p`` and an open one), and ``rl refute --kb refute.rl
---epochs 50``. The config file (``train.cfg``) and the stdout of
-query and refute (``query.txt``, ``refute.txt``) are saved beside the
-files ``rl train`` wrote. The output is one ``<sha256>  <seed>/<demo or cli>/<file>`` line per
-file (metrics, parameters, artifact CSVs and command output), sorted by
+directory. A default exists schedule given as breakpoints, such as
+smokers' and clustering's, is compressed to ``((0, p_first), (2,
+p_last))``, so that the short run crosses a schedule boundary. Then,
+per seed, the command line runs in-process: ``rl train --kb smokers.rl
+--epochs 3 --config <file>`` with a config file that sets one
+optimizer key and one operator key, ``rl query --params`` on the
+trained parameters (a closed formula with ``--forall-p`` and an open
+one), and ``rl refute --kb refute.rl --epochs 50``. The config file
+(``train.cfg``) and the stdout of query and refute (``query.txt``,
+``refute.txt``) are saved beside the files ``rl train`` wrote. The
+output is one ``<sha256>  <seed>/<demo or cli>/<file>`` line per file
+(metrics, parameters, artifact CSVs and command output), sorted by
 path. Two checkouts that print the same lines behave the same on these
 runs.
 """
@@ -57,13 +60,24 @@ def run_cli(seed: int, out: Path) -> None:
             "--seed", seed, "--epochs", 50))
 
 
+def short_train(demo: str, seed: int):
+    """The demo's default training settings at 3 epochs, with a
+    breakpoint schedule moved to a boundary at epoch 2."""
+    train = replace(demos.default_train(demo, seed), epochs=3)
+    sched = train.exists_schedule
+    if sched and sched[0] != "linear":
+        train = replace(train, exists_schedule=((0, sched[0][1]),
+                                                (2, sched[-1][1])))
+    return train
+
+
 def digests(seeds) -> list:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             for demo in demos.DEMO_IDS:
-                train = replace(demos.default_train(demo, seed), epochs=3)
-                demos.run_demo(demo, seed, train, out=Path(tmp, str(seed), demo))
+                demos.run_demo(demo, seed, short_train(demo, seed),
+                               out=Path(tmp, str(seed), demo))
             run_cli(seed, Path(tmp, str(seed), "cli"))
         for path in sorted(Path(tmp).rglob("*")):
             if path.is_file():
