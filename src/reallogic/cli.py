@@ -67,11 +67,14 @@ def read_config(path):
 def _resolve_train(args, base: TrainConfig):
     """The run's TrainConfig and operator tags: ``--epochs`` beats an
     ``epochs`` key of the ``--config`` file, and the file's keys beat
-    ``base``."""
+    ``base``. A value that TrainConfig rejects exits with its message."""
     train_kv, tags = read_config(args.config) if args.config else ({}, {})
     if args.epochs is not None:
         train_kv["epochs"] = args.epochs
-    return replace(base, **train_kv), tags
+    try:
+        return replace(base, **train_kv), tags
+    except ValueError as e:
+        raise SystemExit(f"bad training settings: {e}") from None
 
 
 def _report_checks(report) -> int:

@@ -65,10 +65,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self.slots)
 
-    def zero_grad(self) -> None:
-        for p in self.slots.values():
-            p.tensor.grad = None
-
     def state_hash(self) -> str:
         """Digest of all parameter values; changes iff some value changes."""
         h = hashlib.sha256()
@@ -141,19 +137,15 @@ class ParamStore:
             self.get(name).data[...] = other.get(name).data
 
 
-def backward(root: Tensor, store: ParamStore) -> dict[str, Tensor]:
-    """Backprop from a scalar root; return one gradient per slot.
+def backward(root: Tensor, store: ParamStore) -> dict[str, np.ndarray]:
+    """Backprop from a scalar root; return one gradient array per slot.
 
     Slots the root does not depend on get explicit zeros, so optimizer
-    code never needs to special-case partial graphs.
+    code never needs to special-case partial graphs. The arrays are
+    :func:`tensor.grad`'s: read them, do not write them.
     """
-    store.zero_grad()
-    root.backward()
-    out = {}
-    for name, p in store.slots.items():
-        g = p.tensor.grad
-        out[name] = Tensor(g.copy() if g is not None else np.zeros_like(p.tensor.data))
-    return out
+    slots = store.slots
+    return dict(zip(slots, T.grad(root, [p.tensor for p in slots.values()])))
 
 
 # Adam's moment decay rates and the guard added to its denominator
@@ -161,13 +153,15 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-def adam_step(store: ParamStore, grads: dict[str, Tensor], lr: float) -> None:
-    """One bias-corrected Adam update, then box clamping."""
+def adam_step(store: ParamStore, grads: dict[str, np.ndarray],
+              lr: float) -> None:
+    """One bias-corrected Adam update from :func:`backward`'s gradient
+    arrays, then box clamping."""
     b1, b2 = ADAM_BETAS
     store.step_count += 1
     t = store.step_count
     for name, p in store.slots.items():
-        g = grads[name].data
+        g = grads[name]
         p.m = b1 * p.m + (1.0 - b1) * g
         p.v = b2 * p.v + (1.0 - b2) * g * g
         m_hat = p.m / (1.0 - b1 ** t)

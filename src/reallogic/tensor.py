@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 numpy array plus an optional gradient. Every op
+A Tensor wraps a float64 numpy array and holds no gradient. Every op
 builds an implicit graph: the result keeps handles to its parents and a
-closure that pushes the output gradient back into them. ``backward()``
+rule that hands the output gradient back to them. ``grad(root, wrt)``
 walks that graph once in reverse topological order, so each rule fires
-exactly once no matter how often a node is reused.
+exactly once no matter how often a node is reused, and returns the
+gradients; they live in a map local to the call and nothing is left on
+the graph. A returned array may be a read-only view, or shared with
+another returned array: read it, do not write it.
 
 Conventions that matter downstream:
 
@@ -50,15 +53,13 @@ def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
         self._parents = ()
-        self._op = ""
 
     # -- introspection -------------------------------------------------
 
@@ -70,45 +71,9 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag}, op={self._op or 'leaf'})"
-
-    # -- graph plumbing ------------------------------------------------
-
-    def _accum(self, g: np.ndarray) -> None:
-        g = unbroadcast(g, self.data.shape)
-        self.grad = g if self.grad is None else self.grad + g
-
-    def backward(self) -> None:
-        """Backpropagate from this scalar node."""
-        if self.data.size != 1:
-            raise ValueError("backward() needs a scalar root")
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        for node in order:
-            node.grad = None
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        return f"Tensor(shape={self.data.shape}{flag})"
 
     # -- operator sugar --------------------------------------------------
 
@@ -154,13 +119,47 @@ def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data, parents, backward, op) -> Tensor:
+def _result(data, parents, backward) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
-        out._op = op
     return out
+
+
+def grad(root: Tensor, wrt) -> list[np.ndarray]:
+    """Gradients of the scalar ``root``, one array per tensor in ``wrt``;
+    zeros for a tensor that ``root`` does not reach."""
+    if root.data.size != 1:
+        raise ValueError("grad() needs a scalar root")
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for p in node._parents:
+            if p not in seen:
+                stack.append((p, False))
+    grads = {root: np.ones_like(root.data)}
+
+    def acc(t: Tensor, g: np.ndarray) -> None:
+        # ``+``, not ``+=``: a rule may hand one array to several parents
+        g = unbroadcast(g, t.data.shape)
+        old = grads.get(t)
+        grads[t] = g if old is None else old + g
+
+    for node in reversed(order):
+        g = grads.get(node)
+        if node._backward is not None and g is not None:
+            node._backward(g, acc)
+    return [grads[t] if t in grads else np.zeros_like(t.data) for t in wrt]
 
 
 # -- elementwise ops -----------------------------------------------------
@@ -169,31 +168,31 @@ def _result(data, parents, backward, op) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
 
-    def back(g):
-        a._accum(g)
-        b._accum(g)
+    def back(g, acc):
+        acc(a, g)
+        acc(b, g)
 
-    return _result(a.data + b.data, (a, b), back, "add")
+    return _result(a.data + b.data, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
 
-    def back(g):
-        a._accum(g)
-        b._accum(-g)
+    def back(g, acc):
+        acc(a, g)
+        acc(b, -g)
 
-    return _result(a.data - b.data, (a, b), back, "sub")
+    return _result(a.data - b.data, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
 
-    def back(g):
-        a._accum(g * b.data)
-        b._accum(g * a.data)
+    def back(g, acc):
+        acc(a, g * b.data)
+        acc(b, g * a.data)
 
-    return _result(a.data * b.data, (a, b), back, "mul")
+    return _result(a.data * b.data, (a, b), back)
 
 
 def div(a, b) -> Tensor:
@@ -201,21 +200,21 @@ def div(a, b) -> Tensor:
     with np.errstate(all="ignore"):
         out = a.data / b.data
 
-    def back(g):
+    def back(g, acc):
         with np.errstate(all="ignore"):
-            a._accum(g / b.data)
-            b._accum(-g * a.data / (b.data * b.data))
+            acc(a, g / b.data)
+            acc(b, -g * a.data / (b.data * b.data))
 
-    return _result(out, (a, b), back, "div")
+    return _result(out, (a, b), back)
 
 
 def neg(a) -> Tensor:
     a = astensor(a)
 
-    def back(g):
-        a._accum(-g)
+    def back(g, acc):
+        acc(a, -g)
 
-    return _result(-a.data, (a,), back, "neg")
+    return _result(-a.data, (a,), back)
 
 
 def power(a, n) -> Tensor:
@@ -227,13 +226,13 @@ def power(a, n) -> Tensor:
     with np.errstate(all="ignore"):
         out = a.data ** n
 
-    def back(g):
+    def back(g, acc):
         if n == 0.0:
             return
         with np.errstate(all="ignore"):
-            a._accum(g * n * a.data ** (n - 1.0))
+            acc(a, g * n * a.data ** (n - 1.0))
 
-    return _result(out, (a,), back, "pow")
+    return _result(out, (a,), back)
 
 
 def exp(a) -> Tensor:
@@ -241,32 +240,32 @@ def exp(a) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
 
-    def back(g):
-        a._accum(g * out)
+    def back(g, acc):
+        acc(a, g * out)
 
-    return _result(out, (a,), back, "exp")
+    return _result(out, (a,), back)
 
 
 def maximum(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     pick_a = a.data >= b.data  # ties go to the first argument
 
-    def back(g):
-        a._accum(g * pick_a)
-        b._accum(g * ~pick_a)
+    def back(g, acc):
+        acc(a, g * pick_a)
+        acc(b, g * ~pick_a)
 
-    return _result(np.maximum(a.data, b.data), (a, b), back, "max")
+    return _result(np.maximum(a.data, b.data), (a, b), back)
 
 
 def minimum(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
     pick_a = a.data <= b.data
 
-    def back(g):
-        a._accum(g * pick_a)
-        b._accum(g * ~pick_a)
+    def back(g, acc):
+        acc(a, g * pick_a)
+        acc(b, g * ~pick_a)
 
-    return _result(np.minimum(a.data, b.data), (a, b), back, "min")
+    return _result(np.minimum(a.data, b.data), (a, b), back)
 
 
 def where(cond, a, b) -> Tensor:
@@ -274,11 +273,11 @@ def where(cond, a, b) -> Tensor:
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
     a, b = astensor(a), astensor(b)
 
-    def back(g):
-        a._accum(g * cond)
-        b._accum(g * ~cond)
+    def back(g, acc):
+        acc(a, g * cond)
+        acc(b, g * ~cond)
 
-    return _result(np.where(cond, a.data, b.data), (a, b), back, "where")
+    return _result(np.where(cond, a.data, b.data), (a, b), back)
 
 
 # -- activations -----------------------------------------------------------
@@ -291,10 +290,10 @@ def sigmoid(a) -> Tensor:
                        1.0 / (1.0 + np.exp(-a.data)),
                        np.exp(a.data) / (1.0 + np.exp(a.data)))
 
-    def back(g):
-        a._accum(g * out * (1.0 - out))
+    def back(g, acc):
+        acc(a, g * out * (1.0 - out))
 
-    return _result(out, (a,), back, "sigmoid")
+    return _result(out, (a,), back)
 
 
 def elu(a) -> Tensor:
@@ -302,10 +301,10 @@ def elu(a) -> Tensor:
     pos = a.data > 0
     out = np.where(pos, a.data, np.expm1(np.minimum(a.data, 0.0)))
 
-    def back(g):
-        a._accum(g * np.where(pos, 1.0, out + 1.0))
+    def back(g, acc):
+        acc(a, g * np.where(pos, 1.0, out + 1.0))
 
-    return _result(out, (a,), back, "elu")
+    return _result(out, (a,), back)
 
 
 def softmax(a) -> Tensor:
@@ -315,11 +314,11 @@ def softmax(a) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def back(g):
+    def back(g, acc):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        a._accum((g - dot) * out)
+        acc(a, (g - dot) * out)
 
-    return _result(out, (a,), back, "softmax")
+    return _result(out, (a,), back)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -334,29 +333,29 @@ def reshape(a, *shape) -> Tensor:
         return a
     old = a.data.shape
 
-    def back(g):
-        a._accum(g.reshape(old))
+    def back(g, acc):
+        acc(a, g.reshape(old))
 
-    return _result(out, (a,), back, "reshape")
+    return _result(out, (a,), back)
 
 
 def moveaxis(a, src, dst) -> Tensor:
     a = astensor(a)
 
-    def back(g):
-        a._accum(np.moveaxis(g, dst, src))
+    def back(g, acc):
+        acc(a, np.moveaxis(g, dst, src))
 
-    return _result(np.moveaxis(a.data, src, dst), (a,), back, "moveaxis")
+    return _result(np.moveaxis(a.data, src, dst), (a,), back)
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = astensor(a)
     shape = tuple(shape)
 
-    def back(g):
-        a._accum(g)  # _accum unbroadcasts
+    def back(g, acc):
+        acc(a, g)  # acc unbroadcasts
 
-    return _result(np.broadcast_to(a.data, shape).copy(), (a,), back, "broadcast")
+    return _result(np.broadcast_to(a.data, shape).copy(), (a,), back)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -364,12 +363,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def back(g):
+    def back(g, acc):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accum(piece)
+            acc(t, piece)
 
     return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, back, "concat")
+                   tensors, back)
 
 
 def take(a, idx) -> Tensor:
@@ -379,22 +378,22 @@ def take(a, idx) -> Tensor:
     a = astensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
-    def back(g):
-        a._accum(np.bincount(idx.ravel(), weights=g.ravel(),
+    def back(g, acc):
+        acc(a, np.bincount(idx.ravel(), weights=g.ravel(),
                              minlength=a.data.size).reshape(a.data.shape))
 
-    return _result(a.data.reshape(-1)[idx], (a,), back, "take")
+    return _result(a.data.reshape(-1)[idx], (a,), back)
 
 
 def stack(tensors) -> Tensor:
     """Stack along a new first axis."""
     tensors = [astensor(t) for t in tensors]
 
-    def back(g):
+    def back(g, acc):
         for t, piece in zip(tensors, g):
-            t._accum(piece)
+            acc(t, piece)
 
-    return _result(np.stack([t.data for t in tensors]), tensors, back, "stack")
+    return _result(np.stack([t.data for t in tensors]), tensors, back)
 
 
 def matmul(a, w) -> Tensor:
@@ -404,11 +403,11 @@ def matmul(a, w) -> Tensor:
         raise ValueError("matmul right operand must be 2-D")
     m, h = w.data.shape
 
-    def back(g):
-        a._accum(g @ w.data.T)
-        w._accum(a.data.reshape(-1, m).T @ g.reshape(-1, h))
+    def back(g, acc):
+        acc(a, g @ w.data.T)
+        acc(w, a.data.reshape(-1, m).T @ g.reshape(-1, h))
 
-    return _result(a.data @ w.data, (a, w), back, "matmul")
+    return _result(a.data @ w.data, (a, w), back)
 
 
 # -- reductions --------------------------------------------------------------
@@ -419,11 +418,11 @@ def reduce_sum(a, axes=None) -> Tensor:
     a = astensor(a)
     shape = a.data.shape
 
-    def back(g):
+    def back(g, acc):
         gx = g if axes is None else np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(gx, shape))
+        acc(a, np.broadcast_to(gx, shape))
 
-    return _result(a.data.sum(axis=axes), (a,), back, "sum")
+    return _result(a.data.sum(axis=axes), (a,), back)
 
 
 def _reduce_extreme(a, biggest: bool) -> Tensor:
@@ -431,13 +430,12 @@ def _reduce_extreme(a, biggest: bool) -> Tensor:
     # first hit wins
     idx = (a.data.argmax(axis=-1) if biggest else a.data.argmin(axis=-1))[..., None]
 
-    def back(g):
+    def back(g, acc):
         gx = np.zeros_like(a.data)
         np.put_along_axis(gx, idx, g[..., None], axis=-1)
-        a._accum(gx)
+        acc(a, gx)
 
-    return _result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back,
-                   "amax" if biggest else "amin")
+    return _result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
 
 
 def reduce_max(a) -> Tensor:
@@ -456,13 +454,13 @@ def reduce_prod(a) -> Tensor:
     a = astensor(a)
     x = a.data
 
-    def back(g):
+    def back(g, acc):
         zeros = x == 0.0
         nzeros = zeros.sum(axis=-1, keepdims=True)
         safe = np.where(zeros, 1.0, x)
         prod_nonzero = safe.prod(axis=-1, keepdims=True)
         gx = np.where(nzeros == 0, prod_nonzero / safe,
                       np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
-        a._accum(gx * g[..., None])
+        acc(a, gx * g[..., None])
 
-    return _result(x.prod(axis=-1), (a,), back, "prod")
+    return _result(x.prod(axis=-1), (a,), back)

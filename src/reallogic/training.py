@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError(f"unknown regularizer {self.reg!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.log_every < 1:
+            raise ValueError("log_every must be positive")
         _check_schedule(self.exists_schedule)
 
 
@@ -184,7 +186,7 @@ def _loss(theory: Theory, train: TrainConfig, sat: Tensor) -> Tensor:
 
 def _check_grads(grads: dict, context: str) -> None:
     for name in sorted(grads):
-        if not np.isfinite(grads[name].data).all():
+        if not np.isfinite(grads[name]).all():
             raise DivergenceError(
                 f"non-finite gradient in slot {name!r} {context}")
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from reallogic.tensor import Tensor
+from reallogic.tensor import Tensor, grad
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -46,16 +46,14 @@ def check_grads(build, *arrays, rtol=1e-4, atol=1e-7, h=1e-5):
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = build(*tensors)
-    out.backward()
-    for k, (t, a) in enumerate(zip(tensors, arrays)):
+    grads = grad(build(*tensors), tensors)
+    for k, (got, a) in enumerate(zip(grads, arrays)):
         def f(x, k=k):
             args = [Tensor(arr) for arr in arrays]
             args[k] = Tensor(x)
             return float(build(*args).data)
 
         want = fd_grad(f, a, h=h)
-        got = t.grad if t.grad is not None else np.zeros_like(a)
         err = np.abs(got - want)
         tol = np.maximum(atol, rtol * np.abs(want))
         assert np.all(err <= tol), (

@@ -186,6 +186,14 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
                   "--config", str(cfg)])
 
 
+def test_cli_config_rejects_out_of_range_values(tmp_path):
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("log_every = 0\n")
+    with pytest.raises(SystemExit, match="log_every must be positive"):
+        cli.main(["train", "--kb", str(theory_path("refute")),
+                  "--epochs", "2", "--config", str(cfg)])
+
+
 @pytest.mark.parametrize("line,error", [
     ("and = bogus", "no and family 'bogus'"),
     ("forall = pmean:q=2", "unknown op parameters ['q']"),

@@ -222,10 +222,10 @@ def test_empty_row_gets_its_value_and_zero_gradient(spec, empty):
     assert out.data[1] == empty
     full = aggregate(spec, Tensor(np.array([0.3, 0.8])), 1)
     assert out.data[0] == pytest.approx(float(full.data), abs=1e-15)
-    T.reduce_sum(out).backward()
-    assert np.isfinite(x.grad).all()
-    assert np.array_equal(x.grad[1], [0.0, 0.0])
-    assert (x.grad[0] != 0.0).all()
+    (gx,) = T.grad(T.reduce_sum(out), [x])
+    assert np.isfinite(gx).all()
+    assert np.array_equal(gx[1], [0.0, 0.0])
+    assert (gx[0] != 0.0).all()
 
 
 def test_masked_aggregation_multi_axis_counts():
@@ -320,8 +320,7 @@ def test_packed_masked_aggregate_matches_dense(spec, case, empty):
     for fn in (aggregate, dense_masked):
         x = Tensor(xs, requires_grad=True)
         out = fn(spec, x, k, mask, empty)
-        (out * weights).sum().backward()
-        runs.append((out.data, x.grad))
+        runs.append((out.data, T.grad((out * weights).sum(), [x])[0]))
     (got, got_grad), (want, want_grad) = runs
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
@@ -336,8 +335,8 @@ def test_masked_extreme_tied_with_fill_picks_first_kept_cell(family, fill):
     mask = np.array([[False, True, True], [True, False, True]])
     out = aggregate(AggregatorSpec(family), x, 1, mask=mask)
     assert np.array_equal(out.data, [fill, fill])
-    out.sum().backward()
-    assert np.array_equal(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(T.grad(out.sum(), [x])[0],
+                          [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def test_input_validation_and_drift_clamp():
@@ -436,13 +435,12 @@ def derivative_profile(op) -> dict:
     for pt in aggregator_grid() if is_agg else connective_grid():
         if is_agg:
             xs = [Tensor(pt, requires_grad=True)]
-            aggregate(op, xs[0], 1).backward()
+            out = aggregate(op, xs[0], 1)
         else:
             xs = [Tensor(v, requires_grad=True) for v in pt]
-            apply_connective(op, *xs).backward()
+            out = apply_connective(op, *xs)
         grads = np.abs(np.concatenate(
-            [np.zeros(x.data.size) if x.grad is None else np.ravel(x.grad)
-             for x in xs]))
+            [np.ravel(g) for g in T.grad(out, xs)]))
         finite = np.isfinite(grads)
         if not finite.all() or (grads[finite] > 1e6).any():
             exploding = True
@@ -499,9 +497,9 @@ def test_stable_gradients_bounded_by_inverse_eps():
                  AggregatorSpec("pmean_error", p=6, stable=True, eps=eps)):
         for xs in aggregator_grid():
             x = Tensor(np.asarray(xs), requires_grad=True)
-            aggregate(spec, x, 1).backward()
-            assert np.all(np.isfinite(x.grad))
-            assert np.abs(x.grad).max() <= 1.0 / eps
+            (gx,) = T.grad(aggregate(spec, x, 1), [x])
+            assert np.all(np.isfinite(gx))
+            assert np.abs(gx).max() <= 1.0 / eps
 
 
 def test_profile_grids_cover_corners():

@@ -31,8 +31,8 @@ def test_backward_returns_zeros_for_unreachable_slots():
     a = s.add("a", 2.0)
     s.add("unused", [1.0, 1.0])
     grads = backward(a * a, s)
-    assert np.allclose(grads["a"].data, 4.0)
-    assert np.allclose(grads["unused"].data, [0.0, 0.0])
+    assert np.allclose(grads["a"], 4.0)
+    assert np.allclose(grads["unused"], [0.0, 0.0])
 
 
 def test_adam_first_step_magnitude_is_lr():
@@ -53,7 +53,7 @@ def test_adam_matches_reference_implementation():
     for t in range(1, 6):
         grads = backward((a * a * Tensor([1.0, -2.0])).sum(), s)
         g = 2.0 * theta * np.array([1.0, -2.0])
-        assert np.allclose(grads["a"].data, g)
+        assert np.allclose(grads["a"], g)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         theta = theta - 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -172,7 +172,7 @@ def test_dense_forward_grads_match_fd():
     grads = backward(run(), s)
     for name in s.names():
         want = fd_store_grad(s, name, lambda: float(run().data))
-        got = grads[name].data
+        got = grads[name]
         assert np.allclose(got, want, rtol=1e-4, atol=1e-7), name
 
 
@@ -211,7 +211,7 @@ def test_dropout_mask_gradient_flow():
     s.get("d/W0").data[:] = np.eye(2)
     out = dense_forward(spec, s, "d", Tensor(np.ones((50, 2))), training=True)
     grads = backward(out.sum(), s)
-    g = grads["d/W0"].data
+    g = grads["d/W0"]
     # grad wrt W sums x*mask contributions: strictly positive, scaled by 2
     assert np.all(g >= 0.0)
     assert g.max() > 0.0

@@ -30,9 +30,9 @@ def test_forward_values_match_numpy():
 def test_scalar_and_array_mixing():
     a = Tensor([1.0, 2.0], requires_grad=True)
     out = ((2.0 * a + 1.0) / 2.0 - 0.5).sum()
-    out.backward()
+    (ga,) = T.grad(out, [a])
     assert np.allclose(out.data, 3.0)
-    assert np.allclose(a.grad, [1.0, 1.0])
+    assert np.allclose(ga, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("build,shapes", [
@@ -70,20 +70,20 @@ def test_unbroadcast_sums_added_and_kept_axes():
 def test_elementwise_max_tie_goes_to_first_arg():
     a = Tensor([1.0, 2.0, 5.0], requires_grad=True)
     b = Tensor([1.0, 3.0, 4.0], requires_grad=True)
-    T.maximum(a, b).sum().backward()
-    assert np.allclose(a.grad, [1.0, 0.0, 1.0])
-    assert np.allclose(b.grad, [0.0, 1.0, 0.0])
-    T.minimum(a, b).sum().backward()
-    assert np.allclose(a.grad, [1.0, 1.0, 0.0])
-    assert np.allclose(b.grad, [0.0, 0.0, 1.0])
+    ga, gb = T.grad(T.maximum(a, b).sum(), [a, b])
+    assert np.allclose(ga, [1.0, 0.0, 1.0])
+    assert np.allclose(gb, [0.0, 1.0, 0.0])
+    ga, gb = T.grad(T.minimum(a, b).sum(), [a, b])
+    assert np.allclose(ga, [1.0, 1.0, 0.0])
+    assert np.allclose(gb, [0.0, 0.0, 1.0])
 
 
 def test_reduce_extreme_tie_goes_to_first_index():
     a = Tensor([[2.0, 2.0, 1.0], [0.5, 0.5, 0.9]], requires_grad=True)
-    T.reduce_max(a).sum().backward()
-    assert np.allclose(a.grad, [[1, 0, 0], [0, 0, 1]])
-    T.reduce_min(a).sum().backward()
-    assert np.allclose(a.grad, [[0, 0, 1], [1, 0, 0]])
+    (ga,) = T.grad(T.reduce_max(a).sum(), [a])
+    assert np.allclose(ga, [[1, 0, 0], [0, 0, 1]])
+    (ga,) = T.grad(T.reduce_min(a).sum(), [a])
+    assert np.allclose(ga, [[0, 0, 1], [1, 0, 0]])
 
 
 def test_reduce_over_axis_subsets():
@@ -134,8 +134,8 @@ def test_take_gathers_flat_positions_and_sums_repeated_grads():
     w = rng.standard_normal(idx.shape)
     check_grads(lambda x: (T.take(x, idx) * w).sum(), a)
     x = Tensor(a, requires_grad=True)
-    T.take(x, idx).sum().backward()
-    assert np.array_equal(x.grad, [[1.0, 0.0, 3.0], [0.0, 0.0, 2.0]])
+    (gx,) = T.grad(T.take(x, idx).sum(), [x])
+    assert np.array_equal(gx, [[1.0, 0.0, 3.0], [0.0, 0.0, 2.0]])
 
 
 def test_where_routes_grads_by_mask():
@@ -144,32 +144,30 @@ def test_where_routes_grads_by_mask():
     b = Tensor([9.0, 8.0, 7.0], requires_grad=True)
     out = T.where(cond, a, b)
     assert np.allclose(out.data, [1.0, 8.0, 3.0])
-    out.sum().backward()
-    assert np.allclose(a.grad, [1.0, 0.0, 1.0])
-    assert np.allclose(b.grad, [0.0, 1.0, 0.0])
+    ga, gb = T.grad(out.sum(), [a, b])
+    assert np.allclose(ga, [1.0, 0.0, 1.0])
+    assert np.allclose(gb, [0.0, 1.0, 0.0])
 
 
 def test_graph_reuse_accumulates():
     a = Tensor(3.0, requires_grad=True)
     y = a * a + a  # a used twice in the product, once in the sum
-    y.backward()
-    assert np.allclose(a.grad, 2 * 3.0 + 1.0)
+    assert np.allclose(T.grad(y, [a])[0], 2 * 3.0 + 1.0)
+    # add hands one gradient array to both parents, so it reaches a
+    # twice; accumulating in place would write into b's gradient too
+    # (the product makes that array writable, so it would not raise)
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([5.0, 7.0], requires_grad=True)
+    ga, gb = T.grad((((a + b) + a) * 1.0).sum(), [a, b])
+    assert np.array_equal(ga, [2.0, 2.0])
+    assert np.array_equal(gb, [1.0, 1.0])
 
 
 def test_diamond_graph_single_visit():
     a = Tensor([2.0], requires_grad=True)
     b = a * 3.0
     y = (b + b * b).sum()
-    y.backward()
-    assert np.allclose(a.grad, 3.0 + 2 * 6.0 * 3.0)
-
-
-def test_backward_clears_stale_grads():
-    a = Tensor([1.0, 2.0], requires_grad=True)
-    (a * 2.0).sum().backward()
-    first = a.grad.copy()
-    (a * 2.0).sum().backward()
-    assert np.allclose(a.grad, first)  # no doubling across calls
+    assert np.allclose(T.grad(y, [a])[0], 3.0 + 2 * 6.0 * 3.0)
 
 
 def test_pow_rejects_tensor_exponent():
@@ -179,7 +177,8 @@ def test_pow_rejects_tensor_exponent():
 
 def test_backward_needs_scalar_root():
     with pytest.raises(ValueError):
-        Tensor([1.0, 2.0], requires_grad=True).backward()
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        T.grad(a, [a])
 
 
 def test_elementwise_op_values():

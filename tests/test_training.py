@@ -288,6 +288,9 @@ def test_schedule_validation():
         TrainConfig(reg="l3")
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.1)
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="log_every"):
+            TrainConfig(log_every=every)
 
 
 # -- one Sat forward per epoch -------------------------------------------------
