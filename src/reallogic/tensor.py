@@ -24,6 +24,8 @@ Conventions that matter downstream:
 - ``take(a, idx)`` gathers cells by flat position; positions repeated in
   ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
+- ``mul``'s gradients contract broadcast axes in one ``np.einsum``, so
+  their summation order can differ from ``ndarray.sum`` in the last bit.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
   ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
   and ``training`` raises ``DivergenceError`` on a non-finite loss or
@@ -31,6 +33,9 @@ Conventions that matter downstream:
 """
 
 from __future__ import annotations
+
+import functools
+import string
 
 import numpy as np
 
@@ -50,6 +55,25 @@ def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if squeezed:
         g = g.sum(axis=squeezed, keepdims=True)
     return g
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction(gshape: tuple, xshape: tuple, shape: tuple) -> tuple:
+    """``np.einsum`` subscripts summing ``g * x`` to ``shape`` less its size-1
+    axes (operands keep theirs and broadcast), and whether to reshape back."""
+    letters = string.ascii_letters[:len(gshape)]
+    out = "".join(c for c, n in zip(letters[::-1], shape[::-1]) if n != 1)[::-1]
+    return (f"{letters},{letters[len(gshape) - len(xshape):]}->{out}",
+            len(out) != len(shape))
+
+
+def _unbroadcast_product(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """``unbroadcast(g * x, shape)``, never building a ``g * x`` to sum."""
+    if g.shape == shape:
+        return g * x
+    subscripts, reshape = _contraction(g.shape, x.shape, shape)
+    out = np.einsum(subscripts, g, x)
+    return out.reshape(shape) if reshape else out
 
 
 class Tensor:
@@ -180,7 +204,7 @@ def sub(a, b) -> Tensor:
 
     def back(g, acc):
         acc(a, g)
-        acc(b, -g)
+        acc(b, -unbroadcast(g, b.data.shape))
 
     return _result(a.data - b.data, (a, b), back)
 
@@ -189,8 +213,8 @@ def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
 
     def back(g, acc):
-        acc(a, g * b.data)
-        acc(b, g * a.data)
+        acc(a, _unbroadcast_product(g, b.data, a.data.shape))
+        acc(b, _unbroadcast_product(g, a.data, b.data.shape))
 
     return _result(a.data * b.data, (a, b), back)
 

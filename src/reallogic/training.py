@@ -331,7 +331,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)
-        if values.min() < -1e-9 or values.max() > 1 + 1e-9:
+        if values.size and (values.min() < -1e-9 or values.max() > 1 + 1e-9):
             raise RuntimeError("truth query outside [0, 1]")
         values = np.clip(values, 0.0, 1.0)
     else:

@@ -1,5 +1,10 @@
 """Parameter store, Adam, and dense-network behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +127,33 @@ def test_load_rejects_truncated_and_trailing_bytes(tmp_path):
                                          rf"{len(blob) - 9 - 48 - 16} bytes, "
                                          rf"found 4$"):
         ParamStore.load(path)
+
+
+def test_params_diff_tool_prints_each_slot_and_rejects_mismatches(tmp_path):
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def params_diff(a, b):
+        return subprocess.run([sys.executable, root / "tools" / "params_diff.py",
+                               a, b], env=env, capture_output=True, text=True)
+
+    def save(name, **slots):
+        s = ParamStore()
+        for slot, value in slots.items():
+            s.add(slot, value)
+        s.save(tmp_path / name)
+        return tmp_path / name
+
+    a = save("a.bin", w=[1.0, 2.0], b=0.5)
+    out = params_diff(a, save("b.bin", w=[1.0, 2.25], b=0.5))
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == ["0.0  b", "0.25  w", "0.25  (largest)"]
+    out = params_diff(a, save("c.bin", w=[1.0, 2.0], c=0.5))
+    assert out.returncode == 1
+    assert "only in A: ['b']; only in B: ['c']" in out.stderr
+    out = params_diff(a, save("d.bin", w=[[1.0, 2.0]], b=0.5))
+    assert out.returncode == 1
+    assert "slot 'w' has shape (2,) in A and (1, 2) in B" in out.stderr
 
 
 def test_glorot_bounds_and_zero_biases():

@@ -3,6 +3,8 @@ tie-break rules, graph-reuse accumulation, and the p-means' gradients."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reallogic.tensor as T
 from reallogic.fuzzy import AggregatorSpec, aggregate
@@ -56,6 +58,9 @@ def test_broadcast_grads():
     b = rng.random((1, 4))
     check_grads(lambda x, y: (x * y).sum(), a, b)
     check_grads(lambda x, y: T.exp(x + y * 2.0).sum(), a, b)
+    check_grads(lambda x, y: ((x - y) ** 2).sum(), a, b)
+    check_grads(lambda x, y: ((x * y) ** 2).sum(),
+                rng.random((3, 1, 4)), rng.random((2, 1)))
     check_grads(lambda x: T.broadcast_to(x, (5, 3, 2)).sum(), rng.random((3, 2)))
 
 
@@ -65,6 +70,35 @@ def test_unbroadcast_sums_added_and_kept_axes():
     assert np.all(T.unbroadcast(g, (3, 2)) == 5.0)
     assert T.unbroadcast(g, (1, 2)).shape == (1, 2)
     assert np.all(T.unbroadcast(g, (1, 2)) == 15.0)
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """Two broadcast-compatible shapes: suffixes of one shape, each with
+    some axes set to 1; sizes run from 0 to 3."""
+    full = draw(st.lists(st.integers(0, 3), max_size=4))
+
+    def operand():
+        lead = len(full) - draw(st.integers(0, len(full)))
+        return tuple(1 if draw(st.booleans()) else n for n in full[lead:])
+
+    return operand(), operand()
+
+
+@given(broadcast_shapes(), st.integers(0, 2**32 - 1))
+@example(((), (2, 3)), 0)
+@example(((3, 1, 4), (2, 1)), 0)
+@example(((1, 0), (3, 1)), 0)
+@settings(max_examples=300, deadline=None)
+def test_product_grad_matches_summing_the_full_product(shapes, seed):
+    r = np.random.default_rng(seed)
+    a, b = (np.asarray(r.standard_normal(s)) for s in shapes)
+    g = np.asarray(r.standard_normal(np.broadcast_shapes(*shapes)))
+    for x, shape in ((b, a.shape), (a, b.shape)):
+        got = T._unbroadcast_product(g, x, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, T.unbroadcast(g * x, shape),
+                                   rtol=0, atol=1e-12)
 
 
 def test_elementwise_max_tie_goes_to_first_arg():

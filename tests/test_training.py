@@ -543,6 +543,17 @@ def test_generalization_query_over_unseen_instances():
     assert np.allclose(res.values, unseen)
 
 
+def test_open_query_over_empty_data_returns_an_empty_array():
+    th = load_theory(theory_path("multilabel"), seed=0)
+    empty = {"x": np.zeros((0, 5))}
+    res = query(th, "generalization-truth", "P(x, l_blue)", data=empty)
+    assert res.vars == ("x",)
+    assert res.values.shape == (0,)
+    closed = query(th, "generalization-truth", "forall x: P(x, l_blue)",
+                   data=empty)
+    assert float(closed.values) == 1.0
+
+
 def test_query_truth_must_stay_in_unit_interval():
     from reallogic.tensor import DomainError
 
