@@ -33,17 +33,6 @@ def euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 BUILTINS = {"euclidean": euclidean}
 
 
-def _mlp_spec(decl, impl) -> MlpSpec:
-    try:
-        return MlpSpec(impl[1], impl[2], impl[3])
-    except ValueError as e:
-        raise TheoryError(f"{where(decl.span)}{decl.name}: {e}") from None
-
-
-def _feature_dim(sig, domains) -> int:
-    return sum(sig.dim(d) for d in domains)
-
-
 def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                  tags: dict = None) -> Theory:
     """Ground every declaration and collect the axioms.
@@ -65,7 +54,6 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
         cfg = cfg.with_tag(key, value)
     store = ParamStore(seed)
     env = GroundingEnv(doc.sig, store, cfg)
-    sig = doc.sig
 
     axioms = []
     for s in doc.statements:
@@ -92,23 +80,14 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                                           f"{s.impl[1]!r}")
                     env.add_func_builtin(s.name, BUILTINS[s.impl[1]])
                 else:
-                    spec = _mlp_spec(s, s.impl)
-                    _check_widths(s, spec, _feature_dim(sig, s.din),
-                                  sig.dim(s.dout))
-                    env.add_func_mlp(s.name, spec)
+                    env.add_func_mlp(s.name, MlpSpec(*s.impl[1:]))
             elif isinstance(s, PredDecl):
                 if s.impl[0] == "scalar":
                     env.add_pred_scalar(s.name, s.impl[1])
                 elif s.impl[0] == "select":
-                    spec = _mlp_spec(s, s.impl)
-                    label_dim = sig.dim(s.din[-1])
-                    out = None if label_dim == 1 else label_dim
-                    _check_widths(s, spec, _feature_dim(sig, s.din[:-1]), out)
-                    env.add_pred_select(s.name, spec)
+                    env.add_pred_select(s.name, MlpSpec(*s.impl[1:]))
                 else:
-                    spec = _mlp_spec(s, s.impl)
-                    _check_widths(s, spec, _feature_dim(sig, s.din), 1)
-                    env.add_pred_mlp(s.name, spec)
+                    env.add_pred_mlp(s.name, MlpSpec(*s.impl[1:]))
             elif isinstance(s, Axiom):
                 axioms.append(s)
             else:
@@ -122,15 +101,6 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
         return Theory(tuple(axioms), env)
     except ValueError as e:
         raise TheoryError(str(e)) from None
-
-
-def _check_widths(decl, spec: MlpSpec, din: int, dout) -> None:
-    if spec.widths[0] != din:
-        raise TheoryError(f"{where(decl.span)}{decl.name}: input width "
-                          f"{spec.widths[0]} does not match feature dim {din}")
-    if dout is not None and spec.widths[-1] != dout:
-        raise TheoryError(f"{where(decl.span)}{decl.name}: output width "
-                          f"{spec.widths[-1]} does not match dim {dout}")
 
 
 def _load_ref(doc: TheoryDoc, decl: VarDecl) -> np.ndarray:

@@ -87,6 +87,8 @@ def _report_checks(report) -> int:
 
 
 def cmd_demo(args) -> int:
+    if args.runs < 1:
+        raise SystemExit(f"--runs must be at least 1, got {args.runs}")
     train, tags = _resolve_train(args, demos.default_train(args.id, args.seed))
     if args.runs > 1:
         summary = demos.run_many(args.id, args.runs, seed=args.seed,
@@ -144,8 +146,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    rcfg = RefutationConfig(q=args.q, epochs=args.epochs,
-                            restarts=args.restarts)
+    try:
+        rcfg = RefutationConfig(q=args.q, epochs=args.epochs,
+                                restarts=args.restarts)
+    except ValueError as e:
+        raise SystemExit(f"bad refutation settings: {e}") from None
     rr = reason_refute(lambda s: load_theory(args.kb, seed=args.seed + s),
                        args.formula, rcfg)
     print(rr)

@@ -161,26 +161,42 @@ def digit_features(rng, digits: np.ndarray) -> np.ndarray:
     return feats
 
 
-def make_addition(seed: int, kind: str, n_train: int, n_test: int) -> dict:
-    """Digit-pair (or two-digit-number pair) addition examples.
+def place_values(operands) -> list:
+    """The place value of each digit block, in the flattened block order
+    of ``operands``. Each operand lists its blocks most significant
+    first, so an operand of w digits reads 10**(w-1), ..., 10, 1, and
+    the sum of the operands is sum(place value * digit) over all blocks:
+    [1, 1] for (("x",), ("y",)), [10, 1, 10, 1] for (("x1", "x2"),
+    ("y1", "y2"))."""
+    return [10 ** (len(op) - 1 - i) for op in operands for i in range(len(op))]
 
-    Single: columns x0..x9, y0..y9, d1, d2, n with n = d1 + d2.
-    Multi: four feature blocks and n = 10*d1 + d2 + 10*d3 + d4.
+
+def digit_cols(block: str) -> list:
+    """The 10 feature columns of one digit block."""
+    return [f"{block}_{i}" for i in range(10)]
+
+
+def make_addition(seed: int, operands, n_train: int, n_test: int) -> dict:
+    """Addition examples for operands of any number of digits.
+
+    ``operands`` names each operand's digit blocks, most significant
+    first: (("x",), ("y",)) is single-digit addition and (("x1", "x2"),
+    ("y1", "y2")) two-digit. Each of the "train" and "test" parts has
+    the noisy one-hot features of every block (``digit_cols``), then the
+    digits d1, d2, ... in block order, then their sum n, the sum of
+    place value * digit (``place_values``): n = d1 + d2 for single
+    digits, n = 10*d1 + d2 + 10*d3 + d4 for two.
     """
     rng = np.random.default_rng(seed)
-    ndig = 2 if kind == "single" else 4
+    blocks = [b for op in operands for b in op]
+    place = np.array(place_values(operands))
+    cols = ([c for b in blocks for c in digit_cols(b)]
+            + [f"d{j + 1}" for j in range(len(blocks))] + ["n"])
     out = {}
     for part, count in (("train", n_train), ("test", n_test)):
-        digs = rng.integers(0, 10, size=(count, ndig))
-        blocks = [digit_features(rng, digs[:, j]) for j in range(ndig)]
-        if kind == "single":
-            n = digs.sum(axis=1)
-        else:
-            n = 10 * digs[:, 0] + digs[:, 1] + 10 * digs[:, 2] + digs[:, 3]
-        names = [f"{chr(ord('x') + j)}{i}" for j in range(ndig) for i in range(10)] \
-            if ndig == 2 else \
-            [f"{b}{i}" for b in ("x1_", "x2_", "y1_", "y2_") for i in range(10)]
-        cols = names + [f"d{j + 1}" for j in range(ndig)] + ["n"]
-        rows = np.column_stack(blocks + [digs.astype(float), n.astype(float)])
-        out[part] = Dataset(f"addition-{kind}-{part}", tuple(cols), rows)
+        digs = rng.integers(0, 10, size=(count, len(blocks)))
+        feats = [digit_features(rng, digs[:, j]) for j in range(len(blocks))]
+        rows = np.column_stack(feats + [digs.astype(float),
+                                        (digs @ place).astype(float)])
+        out[part] = Dataset(f"addition-{part}", tuple(cols), rows)
     return out

@@ -21,7 +21,8 @@ import numpy as np
 
 from reallogic.assemble import load_theory
 from reallogic.datasets import (
-    bundled, make_addition, make_binary, make_clustering, split_stratified,
+    bundled, digit_cols, make_addition, make_binary, make_clustering,
+    place_values, split_stratified,
 )
 from reallogic.logic import App, Var
 from reallogic.training import (
@@ -40,8 +41,6 @@ def _load(name, seed, data=None, tags=None):
 
 @dataclass
 class DemoResult:
-    demo: str
-    seed: int
     records: list     # training metric stream
     final: dict       # headline numbers for self-check and aggregation
     artifacts: dict   # name -> (columns, rows); cells may be str or float
@@ -62,6 +61,13 @@ def _label_scores(theory, rows, label_names):
     """Stack P(x, l) truth columns for each label constant."""
     cols = [_truths(theory, f"P(x, {l})", x=rows) for l in label_names]
     return np.column_stack(cols)
+
+
+def _final(recs, **extra) -> dict:
+    """A run's headline numbers: its last record but the epoch and the
+    loss, plus ``extra`` metrics that no record holds."""
+    return {k: v for k, v in recs[-1].items()
+            if k not in ("epoch", "loss")} | extra
 
 
 # -- demos ----------------------------------------------------------------------
@@ -90,29 +96,26 @@ def run_binary(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     xx, yy = np.meshgrid(g, g)
     grid = np.column_stack([xx.ravel(), yy.ravel()])
     truth = _truths(th, "A(x)", x=grid)
-    final = {"sat": recs[-1]["sat"],
-             "train_accuracy": recs[-1]["train_accuracy"],
-             "test_accuracy": recs[-1]["test_accuracy"]}
     art = {"decision_grid": (("x1", "x2", "truth"),
                              np.column_stack([grid, truth]).tolist())}
-    return DemoResult("binary", seed, recs, final, art, th)
+    return DemoResult(recs, _final(recs), art, th)
 
 
-def _classify_demo(demo, seed, train, dataset, label_col, labels,
-                   feature_cols, tags=None):
-    """Shared driver for the single-label classifier demos."""
+def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
+    ds = bundled("iris_like")
+    feature_cols = ("sepal_len", "sepal_wid", "petal_len", "petal_wid")
+    labels = ("l0", "l1", "l2")
     rng = np.random.default_rng([seed, 2])
-    tr, te = split_stratified(rng, dataset.col(label_col), 0.75)
-    train_ds, test_ds = dataset.take(tr), dataset.take(te)
+    tr, te = split_stratified(rng, ds.col("species"), 0.75)
+    train_ds, test_ds = ds.take(tr), ds.take(te)
     feats = train_ds.cols(*feature_cols)
     binds = {"x": feats}
-    for k, lname in enumerate(labels):
-        binds[f"x{k}"] = feats[train_ds.col(label_col) == k]
-    th = _load(demo, seed, binds, tags)
+    for k in range(len(labels)):
+        binds[f"x{k}"] = feats[train_ds.col("species") == k]
+    th = _load("multiclass", seed, binds, tags)
 
-    def acc(ds):
-        rows = ds.cols(*feature_cols)
-        want = ds.col(label_col)
+    def acc(d):
+        rows, want = d.cols(*feature_cols), d.col("species")
 
         def f(t):
             scores = _label_scores(t, rows, labels)
@@ -120,26 +123,15 @@ def _classify_demo(demo, seed, train, dataset, label_col, labels,
         return f
 
     _, recs = learn(th, train,
-                    data={f"x{k}": binds[f"x{k}"] for k in range(len(labels))},
+                    data={k: v for k, v in binds.items() if k != "x"},
                     metrics={"train_accuracy": acc(train_ds),
                              "test_accuracy": acc(test_ds)})
     rows = test_ds.cols(*feature_cols)
     pred = np.argmax(_label_scores(th, rows, labels), axis=1)
-    final = {"sat": recs[-1]["sat"],
-             "train_accuracy": recs[-1]["train_accuracy"],
-             "test_accuracy": recs[-1]["test_accuracy"]}
-    art_rows = np.column_stack([rows, test_ds.col(label_col), pred]).tolist()
-    art = {"test_predictions": (tuple(feature_cols) + (label_col, "predicted"),
+    art_rows = np.column_stack([rows, test_ds.col("species"), pred]).tolist()
+    art = {"test_predictions": (feature_cols + ("species", "predicted"),
                                 art_rows)}
-    return DemoResult(demo, seed, recs, final, art, th)
-
-
-def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
-    ds = bundled("iris_like")
-    return _classify_demo("multiclass", seed, train, ds, "species",
-                          ("l0", "l1", "l2"),
-                          ("sepal_len", "sepal_wid", "petal_len",
-                           "petal_wid"), tags)
+    return DemoResult(recs, _final(recs), art, th)
 
 
 MULTILABEL_QUERIES = {
@@ -185,82 +177,55 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     _, recs = learn(th, train,
                     data={k: binds[k] for k in binds if k != "x"},
                     metrics=metrics)
-    final = {"sat": recs[-1]["sat"],
-             "train_accuracy": recs[-1]["train_accuracy"],
-             "test_accuracy": recs[-1]["test_accuracy"]}
-    for name in MULTILABEL_QUERIES:
-        final[name] = recs[-1][name]
     scores = _label_scores(th, test_ds.cols(*feature_cols), labels)
     art_rows = np.column_stack([test_ds.cols(*feature_cols),
                                 targets(test_ds), scores]).tolist()
     cols = feature_cols + ("is_blue", "is_orange", "is_male", "is_female",
                            "s_blue", "s_orange", "s_male", "s_female")
-    return DemoResult("multilabel", seed, recs, final,
+    return DemoResult(recs, _final(recs),
                       {"test_predictions": (cols, art_rows)}, th)
 
 
-def _addition_demo(demo, seed, train, kind, blocks, tags=None):
-    parts = make_addition(seed, kind, *(600, 300) if kind == "single"
-                          else (500, 200))
+def _addition_demo(demo, seed, train, operands, sizes, tags=None):
+    """Guarded-sum training over one digit classifier; ``operands`` and
+    ``sizes`` (train and test counts) go to ``make_addition``."""
+    parts = make_addition(seed, operands, *sizes)
     train_ds, test_ds = parts["train"], parts["test"]
-
-    def block_cols(prefix):
-        return [f"{prefix}{i}" for i in range(10)]
-
-    binds = {b: train_ds.cols(*block_cols(p)) for b, p in blocks.items()}
+    blocks = [b for op in operands for b in op]
+    place = place_values(operands)
+    binds = {b: train_ds.cols(*digit_cols(b)) for b in blocks}
     binds["n"] = train_ds.col("n")
     th = _load(demo.replace("-", "_"), seed, binds, tags)
+    x = blocks[0]  # one classifier reads every block, through this var
 
-    def digits(t, rows):
-        v = _truths(t, "digit_is(x, d1)" if "x" in blocks else
-                    "digit_is(x1, d1)",
-                    **{("x" if "x" in blocks else "x1"): rows})
-        return np.argmax(v, axis=1)
+    def summed(t, ds):
+        """The sum of the classifier's digits on each row of ``ds``."""
+        return sum(p * np.argmax(_truths(t, f"digit_is({x}, d1)",
+                                         **{x: ds.cols(*digit_cols(b))}),
+                                 axis=1)
+                   for p, b in zip(place, blocks))
 
     def acc(ds):
-        feats = {b: ds.cols(*block_cols(p)) for b, p in blocks.items()}
-
-        def f(t):
-            d = {b: digits(t, feats[b]) for b in blocks}
-            if kind == "single":
-                pred = d["x"] + d["y"]
-            else:
-                pred = 10 * d["x1"] + d["x2"] + 10 * d["y1"] + d["y2"]
-            return float((pred == ds.col("n")).mean())
-        return f
+        return lambda t: float((summed(t, ds) == ds.col("n")).mean())
 
     _, recs = learn(th, train, data=binds,
                     metrics={"train_accuracy": acc(train_ds),
                              "test_accuracy": acc(test_ds)})
-    final = {"sat": recs[-1]["sat"],
-             "train_accuracy": recs[-1]["train_accuracy"],
-             "test_accuracy": recs[-1]["test_accuracy"]}
-    feats = {b: test_ds.cols(*block_cols(p)) for b, p in blocks.items()}
-    d = {b: digits(th, feats[b]) for b in blocks}
-    if kind == "single":
-        pred = d["x"] + d["y"]
-        cols = ("d1", "d2", "n", "predicted")
-        rows = np.column_stack([test_ds.col("d1"), test_ds.col("d2"),
-                                test_ds.col("n"), pred]).tolist()
-    else:
-        pred = 10 * d["x1"] + d["x2"] + 10 * d["y1"] + d["y2"]
-        cols = ("d1", "d2", "d3", "d4", "n", "predicted")
-        rows = np.column_stack([test_ds.col("d1"), test_ds.col("d2"),
-                                test_ds.col("d3"), test_ds.col("d4"),
-                                test_ds.col("n"), pred]).tolist()
-    return DemoResult(demo, seed, recs, final,
-                      {"test_predictions": (cols, rows)}, th)
+    pred = summed(th, test_ds)
+    cols = test_ds.columns[-len(blocks) - 1:]  # the digits, then n
+    rows = np.column_stack([test_ds.cols(*cols), pred]).tolist()
+    return DemoResult(recs, _final(recs),
+                      {"test_predictions": (cols + ("predicted",), rows)}, th)
 
 
 def run_addition_single(seed: int, train: TrainConfig, tags=None) -> DemoResult:
-    return _addition_demo("addition-single", seed, train, "single",
-                          {"x": "x", "y": "y"}, tags)
+    return _addition_demo("addition-single", seed, train, (("x",), ("y",)),
+                          (600, 300), tags)
 
 
 def run_addition_multi(seed: int, train: TrainConfig, tags=None) -> DemoResult:
-    return _addition_demo("addition-multi", seed, train, "multi",
-                          {"x1": "x1_", "x2": "x2_", "y1": "y1_",
-                           "y2": "y2_"}, tags)
+    return _addition_demo("addition-multi", seed, train,
+                          (("x1", "x2"), ("y1", "y2")), (500, 200), tags)
 
 
 def run_regression(seed: int, train: TrainConfig, tags=None) -> DemoResult:
@@ -289,14 +254,12 @@ def run_regression(seed: int, train: TrainConfig, tags=None) -> DemoResult:
                           "y": train_ds.col("price")},
                     metrics={"rmse_train": rmse(train_ds),
                              "rmse_test": rmse(test_ds)})
-    final = {"sat": recs[-1]["sat"],
-             "rmse_train": recs[-1]["rmse_train"],
-             "rmse_test": recs[-1]["rmse_test"],
-             "rmse_ratio": recs[-1]["rmse_test"] / recs[0]["rmse_test"]}
     pred = query(th, "generalization-value", fx,
                  data={"x": test_ds.cols(*feature_cols)}).values[:, 0]
     rows = np.column_stack([test_ds.col("price"), pred]).tolist()
-    return DemoResult("regression", seed, recs, final,
+    final = _final(recs,
+                   rmse_ratio=recs[-1]["rmse_test"] / recs[0]["rmse_test"])
+    return DemoResult(recs, final,
                       {"test_predictions": (("price", "predicted"), rows)},
                       th)
 
@@ -313,12 +276,11 @@ def run_clustering(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     for b in np.unique(blob):
         members = assign[blob == b]
         agree += (members == np.bincount(members).argmax()).sum()
-    final = {"sat": recs[-1]["sat"],
-             "purity": float(agree / len(pts))}
     rows = np.column_stack([xy, blob, assign]).tolist()
     art = {"assignments": (("x1", "x2", "blob", "cluster"), rows),
            "centers": (("x1", "x2"), centers.tolist())}
-    return DemoResult("clustering", seed, recs, final, art, th)
+    return DemoResult(recs, _final(recs, purity=float(agree / len(pts))),
+                      art, th)
 
 
 SMOKERS_QUERIES = {
@@ -342,10 +304,6 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     metrics["symmetry"] = (
         lambda t: float(axiom_truth(t, by_label["symmetric"]).data))
     _, recs = learn(th, train, metrics=metrics)
-    final = {"sat": recs[-1]["sat"]}
-    for k in ("phi1", "phi2", "symmetry"):
-        final[k] = recs[-1][k]
-
     people = smoker_facts(th)
     s = _truths(th, "S(x)")
     c = _truths(th, "C(x)")
@@ -359,7 +317,7 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
            "friendships": (("u", "v", "truth"), pairs),
            "embeddings": (("person",) + tuple(f"e{k}" for k in range(5)),
                           emb)}
-    return DemoResult("smokers", seed, recs, final, art, th)
+    return DemoResult(recs, _final(recs), art, th)
 
 
 def run_refute(seed: int, train: TrainConfig, tags=None) -> DemoResult:
@@ -376,7 +334,7 @@ def run_refute(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     if counter:
         art["counterexample"] = (("slot", "value"),
                                  [[k, float(v)] for k, v in counter.items()])
-    return DemoResult("refute", seed, recs, final, art, None)
+    return DemoResult(recs, final, art, None)
 
 
 class Demo(NamedTuple):

@@ -383,14 +383,14 @@ class GroundingEnv:
 
     # -- declaration helpers ------------------------------------------
 
-    def _dim_of(self, name: str, table: dict) -> int:
+    def _declared(self, name: str, table: dict):
         if name not in table:
             raise EvalError(f"symbol {name!r} is not declared")
-        return self.sig.dim(table[name])
+        return table[name]
 
     def add_const(self, name: str, value=None, trainable: bool = False,
                   lo=None, hi=None) -> None:
-        dim = self._dim_of(name, self.sig.constants)
+        dim = self.sig.dim(self._declared(name, self.sig.constants))
         if trainable:
             init = (self.store.rng.random(dim) if value is None
                     else np.asarray(value, dtype=np.float64))
@@ -405,7 +405,7 @@ class GroundingEnv:
             self._consts[name] = ("fixed", arr)
 
     def add_var_data(self, name: str, data) -> None:
-        dim = self._dim_of(name, self.sig.variables)
+        dim = self.sig.dim(self._declared(name, self.sig.variables))
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -427,7 +427,20 @@ class GroundingEnv:
                 raise EvalError(f"constant {c!r} is not in domain {vdom!r}")
         self._vars[name] = ("consts", const_names)
 
+    def _check_mlp(self, spec: MlpSpec, din: tuple, dout) -> None:
+        """Raise unless ``spec`` reads the features of the domains ``din``
+        side by side and, when ``dout`` is not None, ends in that width."""
+        fdim = sum(self.sig.dim(d) for d in din)
+        if spec.widths[0] != fdim:
+            raise EvalError(f"input width {spec.widths[0]} does not match "
+                            f"feature dim {fdim}")
+        if dout is not None and spec.widths[-1] != dout:
+            raise EvalError(f"output width {spec.widths[-1]} does not match "
+                            f"dim {dout}")
+
     def add_func_mlp(self, name: str, spec: MlpSpec) -> None:
+        din, dout = self._declared(name, self.sig.functions)
+        self._check_mlp(spec, din, self.sig.dim(dout))
         init_mlp(self.store, name, spec)
         self._funcs[name] = ("mlp", spec)
 
@@ -437,14 +450,18 @@ class GroundingEnv:
         self._funcs[name] = ("builtin", fn)
 
     def add_pred_mlp(self, name: str, spec: MlpSpec) -> None:
-        if spec.widths[-1] != 1:
-            raise EvalError(f"predicate {name} network must end in width 1")
+        self._check_mlp(spec, self._declared(name, self.sig.predicates), 1)
         init_mlp(self.store, name, spec)
         self._preds[name] = ("mlp", spec)
 
     def add_pred_select(self, name: str, spec: MlpSpec) -> None:
         """Network over all arguments but the last; the last argument's
-        features weight the output classes (one-hot picks one)."""
+        features weight the output classes (one-hot picks one). A class
+        domain of dim 1 holds integer class indices, so any output width
+        passes."""
+        din = self._declared(name, self.sig.predicates)
+        classes = self.sig.dim(din[-1])
+        self._check_mlp(spec, din[:-1], None if classes == 1 else classes)
         init_mlp(self.store, name, spec)
         self._preds[name] = ("select", spec)
 

@@ -11,6 +11,7 @@ from reallogic.datasets import (
     DataError,
     Dataset,
     bundled,
+    digit_cols,
     load_csv,
     make_addition,
     make_binary,
@@ -94,18 +95,24 @@ def test_clustering_blobs_are_separated():
 
 
 def test_addition_sums():
-    parts = make_addition(0, "single", 50, 20)
+    parts = make_addition(0, (("x",), ("y",)), 50, 20)
     assert set(parts) == {"train", "test"}
+    assert len(parts["train"]) == 50 and len(parts["test"]) == 20
     tr = parts["train"]
     assert np.array_equal(tr.col("n"), tr.col("d1") + tr.col("d2"))
     # features are noisy one-hots: argmax recovers the digit most of the time
-    feats = tr.cols(*[f"x{i}" for i in range(10)])
-    assert (np.argmax(feats, axis=1) == tr.col("d1")).mean() > 0.9
+    for block, digit in (("x", "d1"), ("y", "d2")):
+        feats = tr.cols(*digit_cols(block))
+        assert (np.argmax(feats, axis=1) == tr.col(digit)).mean() > 0.9
 
-    multi = make_addition(1, "multi", 40, 10)["train"]
+    multi = make_addition(1, (("x1", "x2"), ("y1", "y2")), 40, 10)["train"]
     want = (10 * multi.col("d1") + multi.col("d2")
             + 10 * multi.col("d3") + multi.col("d4"))
     assert np.array_equal(multi.col("n"), want)
+    for block, digit in (("x1", "d1"), ("x2", "d2"), ("y1", "d3"),
+                         ("y2", "d4")):
+        feats = multi.cols(*digit_cols(block))
+        assert (np.argmax(feats, axis=1) == multi.col(digit)).mean() > 0.9
 
 
 def test_smoker_facts_counts():

@@ -32,6 +32,10 @@ def test_every_demo_runs_and_reports_its_checked_metrics(tmp_path):
         train = replace(default_train(demo, 0), epochs=1)
         res = run_demo(demo, 0, train, out=tmp_path / demo)
         assert set(DEMOS[demo].thresholds) <= set(res.final), demo
+        # final reads the last record; refute and two extras excepted
+        assert demo == "refute" or all(
+            k in ("rmse_ratio", "purity") or v == res.records[-1][k]
+            for k, v in res.final.items()), demo
 
     # the smokers artifacts follow the theory's var x order
     doc = parse_theory_file(theory_path("smokers"))
@@ -47,6 +51,19 @@ def test_every_demo_runs_and_reports_its_checked_metrics(tmp_path):
     assert len(friendships) == 196
     assert [row[:2] for row in friendships] == \
         [[u, v] for u in people for v in people]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("demo", [
+    pytest.param(d, marks=pytest.mark.xfail(
+        reason="smokers misses its symmetry threshold at default "
+               "settings; see the smokers defect in ROADMAP.md"))
+    if d == "smokers" else d for d in DEMO_IDS])
+def test_demo_passes_its_self_check_at_default_length(demo, seed):
+    res = run_demo(demo, seed)
+    report = self_check(demo, res.final)
+    assert all(ok for _, ok, *_ in report), report
 
 
 def test_unknown_demo_rejected():
@@ -141,6 +158,24 @@ def test_cli_demo_runs_summary(tmp_path, capsys):
     assert "self-check ok: sat" in out and "FAIL" not in out
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["entailed"]["mean"] == 0.0
+
+
+REFUTE_ARGS = ["refute", "--kb", str(theory_path("refute")), "--formula", "A"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["demo", "refute", "--runs", "0"], "--runs must be at least 1, got 0"),
+    (["demo", "refute", "--runs", "-3"], "--runs must be at least 1, got -3"),
+    (REFUTE_ARGS + ["--restarts", "0"],
+     "bad refutation settings: epochs and restarts must be positive"),
+    (REFUTE_ARGS + ["--epochs", "0"],
+     "bad refutation settings: epochs and restarts must be positive"),
+    (REFUTE_ARGS + ["--q", "1.5"],
+     "bad refutation settings: q must be in (0.5, 1)"),
+], ids=["runs-0", "runs-negative", "restarts-0", "epochs-0", "q-1.5"])
+def test_cli_rejects_bad_numeric_flags(argv, message):
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        cli.main(argv)
 
 
 def test_cli_config_file_overrides(tmp_path, capsys):

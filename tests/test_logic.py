@@ -144,6 +144,41 @@ def test_mlp_predicate_squeezes_feature_axis():
         env.add_pred_mlp("Q", MlpSpec((2, 3, 2), ("elu", "softmax")))
 
 
+@pytest.mark.parametrize("kind,name,widths,message", [
+    ("pred_select", "C", (5, 8, 3),
+     "input width 5 does not match feature dim 2"),
+    ("pred_select", "C", (2, 8, 4),
+     "output width 4 does not match dim 3"),
+    ("pred_mlp", "P", (3, 4, 1),
+     "input width 3 does not match feature dim 2"),
+    ("pred_mlp", "P", (2, 4, 2),
+     "output width 2 does not match dim 1"),
+    ("func_mlp", "f", (4, 4, 2),
+     "input width 4 does not match feature dim 2"),
+    ("func_mlp", "f", (2, 4, 3),
+     "output width 3 does not match dim 2"),
+], ids=["select-in", "select-out", "pred-in", "pred-out", "func-in",
+        "func-out"])
+def test_hand_built_networks_must_fit_the_signature(kind, name, widths,
+                                                    message):
+    # checked when the network is added, not at its first forward
+    sig = Signature()
+    sig.add_domain("pt", 2)
+    sig.add_domain("label3", 3)
+    sig.add_domain("idx", 1)
+    sig.add_predicate("C", ("pt", "label3"))
+    sig.add_predicate("D", ("pt", "idx"))
+    sig.add_predicate("P", ("pt",))
+    sig.add_function("f", ("pt",), "pt")
+    env = GroundingEnv(sig, ParamStore(seed=0))
+    add = getattr(env, f"add_{kind}")
+    with pytest.raises(EvalError, match=message):
+        add(name, MlpSpec(widths, ("elu", "sigmoid")))
+    assert env.store.names() == []
+    # a class domain of dim 1 holds indices, so any output width fits
+    env.add_pred_select("D", MlpSpec((2, 8, 5), ("elu", "softmax")))
+
+
 def test_smooth_equality_value_and_alpha():
     sig = Signature()
     sig.add_domain("pt", 2)
