@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from reallogic import demos
-from reallogic.assemble import load_theory
+from reallogic.assemble import TheoryError, load_theory
 from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.nn import ParamStore
+from reallogic.parser import ParseError
 from reallogic.training import (
     RefutationConfig, TrainConfig, learn, query, reason_refute, write_metrics,
 )
@@ -134,9 +135,15 @@ def cmd_train(args) -> int:
 def cmd_query(args) -> int:
     th = load_theory(args.kb, seed=args.seed)
     if args.params:
-        th.store.copy_from(ParamStore.load(args.params))
-    res = query(th, "truth", args.formula,
-                forall_p=args.forall_p, exists_p=args.exists_p)
+        try:
+            th.store.copy_from(ParamStore.load(args.params))
+        except (OSError, ValueError) as e:
+            raise SystemExit(f"--params: {e}") from None
+    try:  # a p below 1 fails only when its aggregator is built
+        res = query(th, "truth", args.formula,
+                    forall_p=args.forall_p, exists_p=args.exists_p)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
     if res.values.ndim == 0:
         print(f"{float(res.values):.6f}")
     else:
@@ -215,7 +222,10 @@ def main(argv=None) -> int:
     r.set_defaults(fn=cmd_refute)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:  # a theory or formula with diagnostics exits with one line
+        return args.fn(args)  # each, led by its file:line:col
+    except (ParseError, TheoryError) as e:
+        raise SystemExit(str(e)) from None
 
 
 if __name__ == "__main__":

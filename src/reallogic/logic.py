@@ -211,88 +211,6 @@ class Signature:
     def dim(self, domain: str) -> int:
         return self.domains[self._known(domain)]
 
-    def term_domain(self, term: Term) -> str:
-        if isinstance(term, Const):
-            if term.name not in self.constants:
-                raise SignatureError(f"unknown constant {term.name!r}")
-            return self.constants[term.name]
-        if isinstance(term, Var):
-            if term.name not in self.variables:
-                raise SignatureError(f"unknown variable {term.name!r}")
-            return self.variables[term.name]
-        if term.func not in self.functions:
-            raise SignatureError(f"unknown function {term.func!r}")
-        return self.functions[term.func][1]
-
-
-def check_formula(sig: Signature, formula: Formula) -> None:
-    """Raise SignatureError on any arity or domain mismatch."""
-
-    def check_term(term: Term) -> str:
-        if isinstance(term, App):
-            din, _ = sig.functions.get(term.func) or _missing(term.func)
-            _arity(term.func, din, term.args)
-            for d, a in zip(din, term.args):
-                got = check_term(a)
-                if got != d:
-                    raise SignatureError(
-                        f"{term.func}: expected {d}, got {got}")
-        return sig.term_domain(term)
-
-    def _missing(name):
-        raise SignatureError(f"unknown function {name!r}")
-
-    def _arity(name, din, args):
-        if len(din) != len(args):
-            raise SignatureError(
-                f"{name} takes {len(din)} arguments, got {len(args)}")
-
-    def check_guard(g: Guard) -> None:
-        for side in (g.lhs, g.rhs):
-            for _, term in side:
-                if term is None:
-                    continue
-                dom = check_term(term)
-                if sig.dim(dom) != 1:
-                    raise SignatureError(
-                        f"guard term of domain {dom!r} is not scalar")
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            if f.pred not in sig.predicates:
-                raise SignatureError(f"unknown predicate {f.pred!r}")
-            din = sig.predicates[f.pred]
-            _arity(f.pred, din, f.args)
-            for d, a in zip(din, f.args):
-                got = check_term(a)
-                if got != d:
-                    raise SignatureError(f"{f.pred}: expected {d}, got {got}")
-        elif isinstance(f, Eq):
-            dl, dr = check_term(f.lhs), check_term(f.rhs)
-            if dl != dr:
-                raise SignatureError(f"= compares {dl!r} with {dr!r}")
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, Bin):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, Quant):
-            seen = set()
-            for group in f.groups:
-                for v in group:
-                    if v in seen:
-                        raise SignatureError(f"variable {v!r} quantified twice")
-                    seen.add(v)
-                    if v not in sig.variables:
-                        raise SignatureError(f"unknown variable {v!r}")
-            if f.guard is not None:
-                check_guard(f.guard)
-            walk(f.body)
-        else:
-            raise SignatureError(f"not a formula node: {f!r}")
-
-    walk(formula)
-
 
 def free_vars(formula: Formula) -> tuple[str, ...]:
     """Free variables in order of first syntactic occurrence."""

@@ -51,7 +51,10 @@ next statement keyword and is reported in ``TheoryDoc.diagnostics``.
 
 Identifiers must be declared before use; the parser resolves each name
 against the signature built so far, which is how ``P(x)`` becomes an
-atom while ``f(x)`` stays a term.
+atom while ``f(x)`` stays a term. The same pass types each formula:
+every term is read with its domain and each node is checked where it
+is built, so every diagnostic names the token at fault (a declaration
+the signature rejects names its statement's first token).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from pathlib import Path
 
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant, Signature,
-    SignatureError, Var, check_formula, where,
+    SignatureError, Var, where,
 )
 
 STATEMENT_KEYWORDS = ("domain", "const", "var", "func", "pred",
@@ -308,7 +311,7 @@ class _Parser:
             try:
                 self.statement()
             except (ParseError, SignatureError) as e:
-                span = getattr(e, "span", None) or self.peek().span
+                span = getattr(e, "span", None) or self.toks[start].span
                 msg = getattr(e, "message", None) or e.args[0]
                 self.diagnostics.append(Diagnostic(msg, span))
                 if self.pos == start:
@@ -362,19 +365,11 @@ class _Parser:
         self.expect("punct", "=")
         if self.eat("keyword", "consts"):
             self.expect("punct", "(")
-            names = [self.expect("ident").text]
-            while self.eat("punct", ","):
-                names.append(self.expect("ident").text)
+            source = ("consts", self.idents())
             self.expect("punct", ")")
-            source = ("consts", tuple(names))
         elif self.eat("keyword", "data"):
             path = self.expect("string").value
-            cols = None
-            if self.eat("keyword", "cols"):
-                cols = [self.expect("ident").text]
-                while self.eat("punct", ","):
-                    cols.append(self.expect("ident").text)
-                cols = tuple(cols)
+            cols = self.idents() if self.eat("keyword", "cols") else None
             source = ("data", path, cols)
         else:
             source = ("inline", self.vector())
@@ -385,9 +380,7 @@ class _Parser:
         span = self.next().span
         name = self.expect("ident").text
         self.expect("punct", ":")
-        din = [self.expect("ident").text]
-        while self.eat("punct", ","):
-            din.append(self.expect("ident").text)
+        din = self.idents()
         self.expect("punct", "->")
         dout = self.expect("ident").text
         self.expect("punct", "=")
@@ -395,17 +388,13 @@ class _Parser:
             impl = ("builtin", self.expect("ident").text)
         else:
             impl = self.mlp_impl("mlp")
-        self.sig.add_function(name, tuple(din), dout)
-        self.statements.append(FuncDecl(name, tuple(din), dout, impl, span))
+        self.sig.add_function(name, din, dout)
+        self.statements.append(FuncDecl(name, din, dout, impl, span))
 
     def s_pred(self):
         span = self.next().span
         name = self.expect("ident").text
-        din = []
-        if self.eat("punct", ":"):
-            din.append(self.expect("ident").text)
-            while self.eat("punct", ","):
-                din.append(self.expect("ident").text)
+        din = self.idents() if self.eat("punct", ":") else ()
         self.expect("punct", "=")
         if self.eat("keyword", "scalar"):
             init = None
@@ -417,8 +406,8 @@ class _Parser:
             impl = self.mlp_impl("select")
         else:
             impl = self.mlp_impl("mlp")
-        self.sig.add_predicate(name, tuple(din))
-        self.statements.append(PredDecl(name, tuple(din), impl, span))
+        self.sig.add_predicate(name, din)
+        self.statements.append(PredDecl(name, din, impl, span))
 
     def mlp_impl(self, tag):
         self.expect("keyword", "mlp")
@@ -499,10 +488,15 @@ class _Parser:
                 exists_p = val
         self.expect("punct", ":")
         f = self.formula()
-        check_formula(self.sig, f)
         self.statements.append(Axiom(f, label, forall_p, exists_p, span))
 
     # -- shared small pieces ------------------------------------------------
+
+    def idents(self) -> tuple:
+        names = [self.expect("ident").text]
+        while self.eat("punct", ","):
+            names.append(self.expect("ident").text)
+        return tuple(names)
 
     def signed_number(self) -> float:
         neg = bool(self.eat("punct", "-"))
@@ -580,9 +574,10 @@ class _Parser:
 
     def quant(self):
         kw = self.next()
-        groups = [self.group()]
+        bound = set()
+        groups = [self.group(bound)]
         while self.eat("punct", ","):
-            groups.append(self.group())
+            groups.append(self.group(bound))
         guard = None
         if self.eat("punct", "["):
             guard = self.guard()
@@ -591,17 +586,27 @@ class _Parser:
         body = self.formula()
         return Quant(kw.text, tuple(groups), guard, body, span=kw.span)
 
-    def group(self):
-        if self.eat("punct", "("):
-            names = [self.expect("ident").text]
-            while self.eat("punct", ","):
-                names.append(self.expect("ident").text)
+    def group(self, bound):
+        """One group; ``bound`` holds the names its quantifier bound so far."""
+        paren = self.eat("punct", "(")
+        names = [self.bound_var(bound)]
+        while paren and self.eat("punct", ","):
+            names.append(self.bound_var(bound))
+        if paren:
             self.expect("punct", ")")
             if len(names) < 2:
-                raise ParseError("a diagonal group needs at least two variables",
-                                 self.peek().span)
-            return tuple(names)
-        return (self.expect("ident").text,)
+                raise ParseError("a diagonal group needs at least two "
+                                 "variables", paren.span)
+        return tuple(names)
+
+    def bound_var(self, bound) -> str:
+        t = self.expect("ident")
+        if t.text in bound:
+            raise ParseError(f"variable {t.text!r} quantified twice", t.span)
+        if t.text not in self.sig.variables:
+            raise ParseError(f"unknown variable {t.text!r}", t.span)
+        bound.add(t.text)
+        return t.text
 
     def guard(self) -> Guard:
         span = self.peek().span
@@ -626,49 +631,78 @@ class _Parser:
 
     def gpiece(self, sign):
         if self.at("number"):
-            coef = sign * self.next().value
-            if self.eat("punct", "*"):
-                return (coef, self.term())
-            return (coef, None)
-        return (sign, self.term())
+            sign *= self.next().value
+            if not self.eat("punct", "*"):
+                return (sign, None)
+        term, dom = self.term()
+        if self.sig.dim(dom) != 1:
+            raise ParseError(f"guard term of domain {dom!r} is not scalar",
+                             term.span)
+        return (sign, term)
 
     def atom(self):
         t = self.peek()
         if t.kind != "ident":
             raise ParseError(f"expected a formula, found {t.text or t.kind!r}",
                              t.span)
-        term = self.term()
-        if self.eat("punct", "="):
-            return Eq(term, self.term(), span=t.span)
-        if isinstance(term, App):
-            if term.func in self.sig.predicates:
-                return Atom(term.func, term.args, span=t.span)
-            raise ParseError(f"{term.func!r} is not a predicate", t.span)
-        name = term.name
-        if name in self.sig.predicates:
-            return Atom(name, (), span=t.span)
-        raise ParseError(f"{name!r} is not a predicate", t.span)
+        din = self.sig.predicates.get(t.text)
+        if din is None:
+            lhs, dl = self.term()
+            if not self.eat("punct", "="):
+                raise ParseError(f"{t.text!r} is not a predicate", t.span)
+            rhs, dr = self.term()
+            if dl != dr:
+                raise ParseError(f"= compares {dl!r} with {dr!r}", lhs.span)
+            return Eq(lhs, rhs, span=t.span)
+        self.next()
+        paren = self.at("punct", "(")
+        atom = Atom(t.text, self.args(t, din), span=t.span)
+        if self.at("punct", "="):
+            raise _predicate_as_term(t, paren)
+        return atom
 
     def term(self):
+        """One term and its domain."""
         t = self.expect("ident")
+        name, sig = t.text, self.sig
+        paren = self.at("punct", "(")
+        if name in sig.predicates:
+            raise _predicate_as_term(t, paren)
+        if paren:
+            if name not in sig.functions:
+                raise ParseError(f"{name!r} is not a function or predicate",
+                                 t.span)
+            din, dout = sig.functions[name]
+            return App(name, self.args(t, din), span=t.span), dout
+        if name in sig.variables:
+            return Var(name, span=t.span), sig.variables[name]
+        if name in sig.constants:
+            return Const(name, span=t.span), sig.constants[name]
+        raise ParseError(f"unknown symbol {name!r}", t.span)
+
+    def args(self, t, din) -> tuple:
+        """The arguments after the function or predicate at ``t``, if
+        any, each checked against its domain in ``din``."""
+        args = []
         if self.eat("punct", "("):
-            args = [self.term()]
+            args.append(self.term())
             while self.eat("punct", ","):
                 args.append(self.term())
             self.expect("punct", ")")
-            if t.text in self.sig.predicates:
-                return App(t.text, tuple(args), span=t.span)  # atom() converts
-            if t.text not in self.sig.functions:
-                raise ParseError(f"{t.text!r} is not a function or predicate",
-                                 t.span)
-            return App(t.text, tuple(args), span=t.span)
-        if t.text in self.sig.variables:
-            return Var(t.text, span=t.span)
-        if t.text in self.sig.constants:
-            return Const(t.text, span=t.span)
-        if t.text in self.sig.predicates:
-            return Const(t.text, span=t.span)  # 0-ary atom; atom() converts
-        raise ParseError(f"unknown symbol {t.text!r}", t.span)
+        if len(args) != len(din):
+            raise ParseError(
+                f"{t.text} takes {len(din)} arguments, got {len(args)}", t.span)
+        for want, (arg, got) in zip(din, args):
+            if got != want:
+                raise ParseError(f"{t.text}: expected {want}, got {got}",
+                                 arg.span)
+        return tuple(arg for arg, _ in args)
+
+
+def _predicate_as_term(t, paren) -> ParseError:
+    """The error for the predicate at ``t`` read where a term belongs."""
+    kind = "function" if paren else "constant"
+    return ParseError(f"unknown {kind} {t.text!r}", t.span)
 
 
 def parse_theory(text: str, filename: str = "<theory>", base=None) -> TheoryDoc:
@@ -683,14 +717,13 @@ def parse_theory(text: str, filename: str = "<theory>", base=None) -> TheoryDoc:
 
 
 def parse_formula(text: str, sig: Signature):
-    """Parse one formula against an existing signature and check it."""
+    """Parse and type one formula against an existing signature."""
     toks = tokenize(text, "<formula>")
     p = _Parser(toks, sig, [], [], None, set())
     f = p.formula()
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"unexpected {t.text!r} after formula", t.span)
-    check_formula(sig, f)
     return f
 
 

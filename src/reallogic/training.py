@@ -115,10 +115,14 @@ def _check_schedule(s) -> None:
     if s[0] == "linear":
         if len(s) != 3:
             raise ValueError("linear schedule needs (\"linear\", p0, p1)")
-        return
-    epochs = [e for e, _ in s]
-    if epochs != sorted(set(epochs)):
-        raise ValueError("schedule epochs must be strictly increasing")
+        ps = s[1:]
+    else:
+        epochs = [e for e, _ in s]
+        if epochs != sorted(set(epochs)):
+            raise ValueError("schedule epochs must be strictly increasing")
+        ps = [p for _, p in s]
+    if min(ps) < 1:  # the p-mean rule, checked before the first epoch
+        raise ValueError(f"exists schedule p must be >= 1, got {min(ps):g}")
 
 
 def schedule_value(schedule, epoch: int, total: int):

@@ -1,0 +1,71 @@
+"""Random well-typed formulas over one small signature, shared by the
+parser's round-trip test and the gradient check of grounded formulas."""
+
+from reallogic.logic import (
+    App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var,
+)
+
+
+def small_sig():
+    """One 1-d domain ``item``: constants c, d; variables x, y, z, w;
+    functions f (unary) and g (binary); predicates P, Q (unary), S
+    (binary) and R (0-ary)."""
+    s = Signature()
+    s.add_domain("item", 1)
+    s.add_constant("c", "item")
+    s.add_constant("d", "item")
+    for v in "xyzw":
+        s.add_variable(v, "item")
+    s.add_function("f", ("item",), "item")
+    s.add_function("g", ("item", "item"), "item")
+    s.add_predicate("P", ("item",))
+    s.add_predicate("Q", ("item",))
+    s.add_predicate("S", ("item", "item"))
+    s.add_predicate("R", ())
+    return s
+
+
+def rand_term(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.55:
+        pool = ["x", "y", "z", "w", "c", "d"]
+        name = pool[rng.integers(len(pool))]
+        return Var(name) if name in "xyzw" else Const(name)
+    if r < 0.8:
+        return App("f", (rand_term(rng, depth - 1),))
+    return App("g", (rand_term(rng, depth - 1), rand_term(rng, depth - 1)))
+
+
+def rand_formula(rng, depth, pool):
+    """A formula over ``small_sig``; quantifiers bind names from
+    ``pool``, each at most once on a path, and may carry a guard."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        k = rng.integers(5)
+        if k == 0:
+            return Atom("P", (rand_term(rng, 1),))
+        if k == 1:
+            return Atom("Q", (rand_term(rng, 1),))
+        if k == 2:
+            return Atom("S", (rand_term(rng, 1), rand_term(rng, 1)))
+        if k == 3:
+            return Atom("R", ())
+        return Eq(rand_term(rng, 1), rand_term(rng, 1))
+    if r < 0.4:
+        return Not(rand_formula(rng, depth - 1, pool))
+    if r < 0.5 and len(pool) >= 2:
+        take = 2 if rng.random() < 0.3 else 1
+        names = pool[:take + 1]
+        groups = ((tuple(names[:take]),) if take > 1 or rng.random() < 0.7
+                  else ((names[0],), (names[1],)))
+        used = {v for g in groups for v in g}
+        guard = None
+        if rng.random() < 0.4:
+            a, b = sorted(used)[0], pool[0]
+            guard = Guard("<", ((1.0, Var(a)), (-1.0, Var(b))), ((0.5, None),))
+        body = rand_formula(rng, depth - 1, [v for v in pool if v not in used])
+        return Quant("forall" if rng.random() < 0.5 else "exists",
+                     groups, guard, body)
+    op = ["and", "or", "implies", "iff"][rng.integers(4)]
+    return Bin(op, rand_formula(rng, depth - 1, pool),
+               rand_formula(rng, depth - 1, pool))

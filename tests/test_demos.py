@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from reallogic import cli, demos
+from reallogic.assemble import load_theory
 from reallogic.demos import (
     DEMO_IDS, DEMOS, default_train, run_demo, run_many, self_check,
     theory_path,
@@ -178,6 +179,59 @@ def test_cli_rejects_bad_numeric_flags(argv, message):
         cli.main(argv)
 
 
+def _bad_kb(tmp, command, *flags):
+    """``command`` on a theory with two diagnostics, and its exit message."""
+    kb = tmp / "bad.rl"
+    kb.write_text("pred A = scalar\npred A = scalar\naxiom: A | B\n")
+    where = str(kb.resolve())
+    return ([command, "--kb", str(kb), *flags],
+            f"{where}:2:1: symbol 'A' already declared\n"
+            f"{where}:3:12: unknown symbol 'B'")
+
+
+def _cut_params(tmp, cut):
+    """The refute theory's parameters, less their last ``cut`` bytes."""
+    path = tmp / "params.bin"
+    load_theory(theory_path("refute")).store.save(path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    return str(path)
+
+
+SMOKERS_QUERY = ["query", "--kb", str(theory_path("smokers")), "--formula"]
+REFUTE_QUERY = ["query", "--kb", str(theory_path("refute")), "--formula", "A"]
+BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
+    "train-bad-kb": lambda tmp: _bad_kb(tmp, "train", "--epochs", "1"),
+    "query-bad-kb": lambda tmp: _bad_kb(tmp, "query", "--formula", "A"),
+    "refute-bad-kb": lambda tmp: _bad_kb(tmp, "refute", "--formula", "A"),
+    "query-unparsed-formula": lambda tmp: (
+        REFUTE_QUERY[:-1] + ["A & C"], "<formula>:1:5: unknown symbol 'C'"),
+    "query-ill-typed-formula": lambda tmp: (
+        SMOKERS_QUERY + ["forall x: F(x)"],
+        "<formula>:1:11: F takes 2 arguments, got 1"),
+    "refute-unparsed-formula": lambda tmp: (
+        REFUTE_ARGS[:-1] + ["A &"],
+        "<formula>:1:4: expected a formula, found 'eof'"),
+    "params-missing": lambda tmp: (
+        REFUTE_QUERY + ["--params", str(tmp / "none.bin")],
+        f"--params: [Errno 2] No such file or directory: "
+        f"'{tmp / 'none.bin'}'"),
+    "params-cut-short": lambda tmp: (
+        REFUTE_QUERY + ["--params", _cut_params(tmp, 8)],
+        f"--params: {tmp / 'params.bin'}: slot 'B' of shape () needs 8 "
+        f"bytes, found 0"),
+    "forall-p-below-1": lambda tmp: (
+        SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "0.5"],
+        "p must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_cli_rejects_bad_input_with_its_message(case, tmp_path):
+    argv, message = BAD_INPUT[case](tmp_path)
+    with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+        cli.main(argv)
+
+
 def test_cli_config_file_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# hotter optimizer\nepochs = 3\nlr = 0.05\n")
@@ -275,11 +329,11 @@ def test_cli_train_query_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("slots,message", [
-    ({"A": 0.5}, r"slot 'B': expected shape \(\), found no slot"),
+    ({"A": 0.5}, "slot 'B': expected shape (), found no slot"),
     ({"A": 0.5, "B": 0.5, "C": 0.5},
-     r"slot 'C': expected no slot, found shape \(\)"),
+     "slot 'C': expected no slot, found shape ()"),
     ({"A": [0.5, 0.5], "B": 0.5},
-     r"slot 'A': expected shape \(\), found shape \(2,\)"),
+     "slot 'A': expected shape (), found shape (2,)"),
 ], ids=["missing", "extra", "shape"])
 def test_cli_query_rejects_params_that_do_not_match(tmp_path, slots,
                                                     message):
@@ -287,7 +341,7 @@ def test_cli_query_rejects_params_that_do_not_match(tmp_path, slots,
     for name, value in slots.items():
         store.add(name, value)
     store.save(tmp_path / "params.bin")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SystemExit, match=f"^--params: {re.escape(message)}$"):
         cli.main(["query", "--kb", str(theory_path("refute")),
                   "--formula", "A", "--params", str(tmp_path / "params.bin")])
 

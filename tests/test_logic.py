@@ -12,13 +12,15 @@ from reallogic.assemble import euclidean
 from reallogic.fuzzy import FuzzyConfig
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
-    Quant, Scope, Signature, SignatureError, Var, check_formula, free_vars,
-    ground_formula, ground_term,
+    Quant, Scope, Signature, SignatureError, Var, free_vars, ground_formula,
+    ground_term,
 )
 from reallogic.nn import MlpSpec, ParamStore, backward, dense_forward
+from reallogic.parser import parse_formula
 from reallogic.tensor import Tensor
 
 from fdcheck import fd_store_grad
+from randformula import rand_formula, small_sig
 
 RAW = (FuzzyConfig()
        .with_tag("and", "product").with_tag("or", "product")
@@ -516,23 +518,29 @@ def value_and_grads(env, node):
 
 
 D_UP_TO_N = Guard("<=", ((1.0, Var("d")),), ((1.0, Var("n")),))
-NETWORK_CASES = {
-    "variable-one-hot-class": Atom("C", (Var("x"), Var("l"))),
-    "integer-index-class": Atom("D", (Var("x"), Var("d"))),
-    "constant-class": Atom("C", (Var("x"), Const("c"))),
-    "select-two-features": Atom("S", (Var("x"), Var("y"), Var("l"))),
-    "plain-mlp-constant-arg": Atom("F", (Var("x"), Const("a"))),
-    "network-term": Atom("C", (App("f", (Var("x"), Const("a"))), Var("l"))),
-    "under-guard": exists([("d",)], Atom("D", (Var("x"), Var("d"))), D_UP_TO_N),
-    "diagonal-group": forall([("x", "y")], Atom("S", (Var("x"), Var("y"), Var("l")))),
+NETWORK_CASES = {  # case: (text, the formula it parses to)
+    "variable-one-hot-class": ("C(x, l)", Atom("C", (Var("x"), Var("l")))),
+    "integer-index-class": ("D(x, d)", Atom("D", (Var("x"), Var("d")))),
+    "constant-class": ("C(x, c)", Atom("C", (Var("x"), Const("c")))),
+    "select-two-features": ("S(x, y, l)",
+                            Atom("S", (Var("x"), Var("y"), Var("l")))),
+    "plain-mlp-constant-arg": ("F(x, a)", Atom("F", (Var("x"), Const("a")))),
+    "network-term": ("C(f(x, a), l)",
+                     Atom("C", (App("f", (Var("x"), Const("a"))), Var("l")))),
+    "under-guard": ("exists d [d <= n]: D(x, d)",
+                    exists([("d",)], Atom("D", (Var("x"), Var("d"))),
+                           D_UP_TO_N)),
+    "diagonal-group": ("forall (x, y): S(x, y, l)",
+                       forall([("x", "y")],
+                              Atom("S", (Var("x"), Var("y"), Var("l"))))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NETWORK_CASES))
 def test_argument_grid_networks_match_full_grid_oracle(case, monkeypatch):
-    node = NETWORK_CASES[case]
+    text, node = NETWORK_CASES[case]
     env = network_env()
-    check_formula(env.sig, node)
+    assert parse_formula(text, env.sig) == node
     got, got_grads = value_and_grads(env, node)
     with monkeypatch.context() as m:
         full_grid_networks(m)
@@ -644,7 +652,8 @@ def test_guarded_addition_gradients_match_fd():
     body = Bin("and", Atom("digit_is", (Var("x"), Var("d1"))),
                Atom("digit_is", (Var("y"), Var("d2"))))
     node = forall([("x", "y", "n")], exists([("d1",), ("d2",)], body, guard))
-    check_formula(sig, node)
+    assert parse_formula("forall (x, y, n): exists d1, d2 [d1 + d2 = n]: "
+                         "digit_is(x, d1) & digit_is(y, d2)", sig) == node
     assert_store_grads_match_fd(env, node)
 
 
@@ -671,38 +680,48 @@ def test_guarded_clustering_gradients_match_fd():
     kept = euclidean(pts[:, None], pts[None, :]) < 0.4
     assert kept.any() and not kept.all()  # the guard is informative
     body = Bin("iff", Atom("C", (Var("x"), Var("c"))), Atom("C", (Var("y"), Var("c"))))
-    for node in (forall([("c",), ("x",), ("y",)], body, guard),
-                 forall([("c",)], forall([("x",), ("y",)], body, guard))):
-        check_formula(sig, node)
+    for text, node in (
+            ("forall c, x, y", forall([("c",), ("x",), ("y",)], body, guard)),
+            ("forall c: forall x, y",
+             forall([("c",)], forall([("x",), ("y",)], body, guard)))):
+        text += " [dist(x, y) < 0.4]: C(x, c) <-> C(y, c)"
+        assert parse_formula(text, sig) == node
         assert_store_grads_match_fd(env, node)
 
 
-def test_check_formula_catches_type_errors():
-    sig = Signature()
-    sig.add_domain("pt", 2)
-    sig.add_domain("num", 1)
-    sig.add_variable("x", "pt")
-    sig.add_variable("t", "num")
-    sig.add_constant("c", "pt")
-    sig.add_function("f", ("pt",), "num")
-    sig.add_predicate("P", ("pt",))
-    check_formula(sig, Atom("P", (Var("x"),)))
-    check_formula(sig, Eq(App("f", (Var("x"),)), Var("t")))
-    with pytest.raises(SignatureError, match="unknown predicate"):
-        check_formula(sig, Atom("Nope", (Var("x"),)))
-    with pytest.raises(SignatureError, match="takes 1"):
-        check_formula(sig, Atom("P", (Var("x"), Var("x"))))
-    with pytest.raises(SignatureError, match="expected pt"):
-        check_formula(sig, Atom("P", (Var("t"),)))
-    with pytest.raises(SignatureError, match="compares"):
-        check_formula(sig, Eq(Var("x"), Var("t")))
-    with pytest.raises(SignatureError, match="quantified twice"):
-        check_formula(sig, Quant("forall", (("x", "x"),), None,
-                                 Atom("P", (Var("x"),))))
-    with pytest.raises(SignatureError, match="not scalar"):
-        check_formula(sig, Quant("forall", (("x",),),
-                                 Guard("<", ((1.0, Var("x")),), ((1.0, None),)),
-                                 Atom("P", (Var("x"),))))
+def random_formula_env():
+    """``small_sig`` grounded under the default stable-product config:
+    three instances per variable, trainable constants, trainable networks
+    for P, Q, S, f and g, and a trainable truth scalar for R."""
+    env = GroundingEnv(small_sig(), ParamStore(seed=21))
+    rng = np.random.default_rng(22)
+    for v in "xyzw":
+        env.add_var_data(v, rng.random((3, 1)))
+    for c in "cd":
+        env.add_const(c, trainable=True)
+    for name, din in (("P", 1), ("Q", 1), ("S", 2)):
+        env.add_pred_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
+    for name, din in (("f", 1), ("g", 2)):
+        env.add_func_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
+    env.add_pred_scalar("R", init=0.6)
+    return env
+
+
+RANDOM_FORMULAS = 40
+
+
+def test_random_formula_gradients_match_fd():
+    """Random formulas, closed by a forall over their free variables and
+    put under ``R ->`` so that every one reaches a slot (a formula of
+    variable equalities alone reaches none)."""
+    env = random_formula_env()
+    rng = np.random.default_rng(23)
+    for _ in range(RANDOM_FORMULAS):
+        f = rand_formula(rng, 4, list("xyzw"))
+        loose = free_vars(f)
+        if loose:
+            f = forall([(v,) for v in loose], f)
+        assert_store_grads_match_fd(env, Bin("implies", Atom("R"), f))
 
 
 def test_free_vars_order_and_binding():

@@ -2,28 +2,14 @@ import numpy as np
 import pytest
 
 from reallogic.logic import (
-    App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var,
+    App, Atom, Axiom, Bin, Eq, Guard, Not, Quant, Signature, Var,
 )
 from reallogic.parser import (
     ConfigDecl, ConstDecl, DomainDecl, FuncDecl, ParseError, PredDecl,
     VarDecl, parse_formula, parse_theory, parse_theory_file, tokenize,
 )
 
-
-def small_sig():
-    s = Signature()
-    s.add_domain("item", 1)
-    s.add_constant("c", "item")
-    s.add_constant("d", "item")
-    for v in "xyzw":
-        s.add_variable(v, "item")
-    s.add_function("f", ("item",), "item")
-    s.add_function("g", ("item", "item"), "item")
-    s.add_predicate("P", ("item",))
-    s.add_predicate("Q", ("item",))
-    s.add_predicate("S", ("item", "item"))
-    s.add_predicate("R", ())
-    return s
+from randformula import rand_formula, small_sig
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -123,6 +109,51 @@ def test_unknown_symbols_are_errors():
         parse_formula("P(x) Q(x)", sig)
 
 
+def type_sig():
+    s = Signature()
+    s.add_domain("pt", 2)
+    s.add_domain("num", 1)
+    s.add_variable("x", "pt")
+    s.add_variable("t", "num")
+    s.add_constant("c", "pt")
+    s.add_function("f", ("pt",), "num")
+    s.add_predicate("P", ("pt",))
+    return s
+
+
+@pytest.mark.parametrize("text", [
+    "P(x)", "f(x) = t", "exists x [f(x) < 1]: P(x)",
+    "forall x: forall x: P(x)",  # an inner quantifier may rebind
+])
+def test_parse_formula_accepts_well_typed(text):
+    parse_formula(text, type_sig())
+
+
+def test_parse_formula_catches_type_errors():
+    """Each error is raised at the token at fault: (column, message)."""
+    cases = {
+        "Nope(x)": (1, "'Nope' is not a function or predicate"),
+        "P(x, x)": (1, "P takes 1 arguments, got 2"),
+        "P(t)": (3, "P: expected pt, got num"),
+        "f(t) = t": (3, "f: expected pt, got num"),
+        "x = t": (1, "= compares 'pt' with 'num'"),
+        "P(c) & ~(f(c) = c)": (10, "= compares 'num' with 'pt'"),
+        "forall (x, x): P(x)": (12, "variable 'x' quantified twice"),
+        "forall x, x: P(x)": (11, "variable 'x' quantified twice"),
+        "forall c: P(c)": (8, "unknown variable 'c'"),
+        "forall x [x < 1]: P(x)": (11, "guard term of domain 'pt' is not scalar"),
+        "exists x [1 < 2 * c]: P(x)": (
+            19, "guard term of domain 'pt' is not scalar"),
+    }
+    sig = type_sig()
+    for text, (col, message) in cases.items():
+        with pytest.raises(ParseError) as e:
+            parse_formula(text, sig)
+        assert (e.value.span, e.value.message) == (("<formula>", 1, col),
+                                                   message), text
+        assert str(e.value) == f"<formula>:1:{col}: {message}"
+
+
 def test_zero_ary_atom_and_double_negation():
     f = parse_formula("~~R", small_sig())
     assert f == Not(Not(Atom("R", ())))
@@ -146,48 +177,6 @@ def test_precedence_and_associativity(text, shown):
     """Each text and its minimally parenthesized form parse alike."""
     sig = small_sig()
     assert parse_formula(text, sig) == parse_formula(shown, sig)
-
-
-def _rand_term(rng, depth):
-    r = rng.random()
-    if depth <= 0 or r < 0.55:
-        pool = ["x", "y", "z", "w", "c", "d"]
-        name = pool[rng.integers(len(pool))]
-        return Var(name) if name in "xyzw" else Const(name)
-    if r < 0.8:
-        return App("f", (_rand_term(rng, depth - 1),))
-    return App("g", (_rand_term(rng, depth - 1), _rand_term(rng, depth - 1)))
-
-
-def _rand_formula(rng, depth, pool):
-    r = rng.random()
-    if depth <= 0 or r < 0.3:
-        k = rng.integers(4)
-        if k == 0:
-            return Atom("P", (_rand_term(rng, 1),))
-        if k == 1:
-            return Atom("S", (_rand_term(rng, 1), _rand_term(rng, 1)))
-        if k == 2:
-            return Atom("R", ())
-        return Eq(_rand_term(rng, 1), _rand_term(rng, 1))
-    if r < 0.4:
-        return Not(_rand_formula(rng, depth - 1, pool))
-    if r < 0.5 and len(pool) >= 2:
-        take = 2 if rng.random() < 0.3 else 1
-        names = pool[:take + 1]
-        groups = ((tuple(names[:take]),) if take > 1 or rng.random() < 0.7
-                  else ((names[0],), (names[1],)))
-        used = {v for g in groups for v in g}
-        guard = None
-        if rng.random() < 0.4:
-            a, b = sorted(used)[0], pool[0]
-            guard = Guard("<", ((1.0, Var(a)), (-1.0, Var(b))), ((0.5, None),))
-        body = _rand_formula(rng, depth - 1, [v for v in pool if v not in used])
-        return Quant("forall" if rng.random() < 0.5 else "exists",
-                     groups, guard, body)
-    op = ["and", "or", "implies", "iff"][rng.integers(4)]
-    return Bin(op, _rand_formula(rng, depth - 1, pool),
-               _rand_formula(rng, depth - 1, pool))
 
 
 def _full_parens(f):
@@ -222,7 +211,7 @@ def test_random_formulas_round_trip():
     rng = np.random.default_rng(7)
     sig = small_sig()
     for _ in range(300):
-        ast = _rand_formula(rng, 4, list("xyzw"))
+        ast = rand_formula(rng, 4, list("xyzw"))
         assert parse_formula(_full_parens(ast), sig) == ast
 
 
@@ -292,9 +281,9 @@ def test_theory_declarations():
 
 def test_axioms_check_against_signature():
     doc = parse_theory("domain d = 1\npred P : d = mlp(1, 1; sigmoid)\n"
-                       "var x : d = [1, 2]\naxiom: P(x, x)")
-    assert len(doc.diagnostics) == 1
-    assert "P takes 1 arguments" in doc.diagnostics[0].message
+                       "var x : d = [1, 2]\naxiom: forall x: P(x, x)")
+    assert [str(d) for d in doc.diagnostics] == [
+        "<theory>:4:18: P takes 1 arguments, got 2"]
     assert doc.axioms == []
 
 
@@ -318,12 +307,50 @@ axiom: forall x: P(x)
         doc.raise_on_errors()
 
 
+THEORY_WITH_ERRORS = """\
+domain pt = 2
+domain num = 1
+var x : pt = [[0, 1], [1, 0]]
+var x : pt = [[1, 1]]
+var t : num = [[1], [2]]
+const c : pt = [0, 0]
+func f : pt -> num = mlp(2, 1; sigmoid)
+pred P : pt = mlp(2, 1; sigmoid)
+axiom: forall x: P(t)
+axiom: forall x: P(x, x)
+axiom: forall x: f(t) = t
+axiom: forall x: f(x) = x
+axiom: forall x [x < 1]: P(x)
+axiom: forall x, x: P(x)
+axiom: forall (x, x): P(x)
+axiom: forall c: P(c)
+axiom: forall x: P(x)
+pred Q : e = scalar"""
+
+
+def test_each_diagnostic_points_at_its_token_or_statement():
+    doc = parse_theory(THEORY_WITH_ERRORS, filename="bad.rl")
+    assert [str(d) for d in doc.diagnostics] == [
+        "bad.rl:4:1: symbol 'x' already declared",
+        "bad.rl:9:20: P: expected pt, got num",
+        "bad.rl:10:18: P takes 1 arguments, got 2",
+        "bad.rl:11:20: f: expected pt, got num",
+        "bad.rl:12:18: = compares 'num' with 'pt'",
+        "bad.rl:13:18: guard term of domain 'pt' is not scalar",
+        "bad.rl:14:18: variable 'x' quantified twice",
+        "bad.rl:15:19: variable 'x' quantified twice",
+        "bad.rl:16:15: unknown variable 'c'",
+        "bad.rl:18:1: unknown domain 'e'",
+    ]
+    assert len(doc.axioms) == 1
+
+
 def test_duplicate_declaration_is_a_diagnostic():
     doc = parse_theory("domain d = 1\ndomain d = 2\nconst e : d = [1]\n"
                        "var e : d = [1]")
-    msgs = " / ".join(d.message for d in doc.diagnostics)
-    assert "'d' already declared" in msgs
-    assert "'e' already declared" in msgs
+    assert [str(d) for d in doc.diagnostics] == [
+        "<theory>:2:1: domain 'd' already declared",
+        "<theory>:4:1: symbol 'e' already declared"]
     assert len(doc.statements) == 2
 
 

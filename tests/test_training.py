@@ -288,6 +288,15 @@ def test_schedule_validation():
         TrainConfig(reg="l3")
     with pytest.raises(ValueError):
         TrainConfig(lam=-0.1)
+
+
+@pytest.mark.parametrize("schedule", [((0, 1.0), (4, 0.5)),
+                                      ("linear", 0.5, 6.0)],
+                         ids=["breakpoints", "linear"])
+def test_schedule_rejects_p_below_one(schedule):
+    with pytest.raises(ValueError, match=r"^exists schedule p must be >= 1, "
+                                         r"got 0\.5$"):
+        TrainConfig(exists_schedule=schedule)
     for every in (0, -1):
         with pytest.raises(ValueError, match="log_every"):
             TrainConfig(log_every=every)
