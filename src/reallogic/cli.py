@@ -87,6 +87,15 @@ def _report_checks(report) -> int:
     return 1 if bad else 0
 
 
+def _load_kb(args, seed: int, tags=None):
+    """The ``--kb`` theory; a file that cannot be read exits with one
+    line."""
+    try:
+        return load_theory(args.kb, seed=seed, tags=tags)
+    except OSError as e:
+        raise SystemExit(f"--kb: {e}") from None
+
+
 def cmd_demo(args) -> int:
     if args.runs < 1:
         raise SystemExit(f"--runs must be at least 1, got {args.runs}")
@@ -119,7 +128,7 @@ def cmd_demo(args) -> int:
 def cmd_train(args) -> int:
     train, tags = _resolve_train(
         args, TrainConfig(epochs=TRAIN_EPOCHS, seed=args.seed))
-    th, recs = learn(load_theory(args.kb, seed=args.seed, tags=tags), train)
+    th, recs = learn(_load_kb(args, args.seed, tags), train)
     print(f"Sat = {recs[-1]['sat']:.4f} after {train.epochs} epochs")
     if args.out:
         out = Path(args.out)
@@ -133,7 +142,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_query(args) -> int:
-    th = load_theory(args.kb, seed=args.seed)
+    th = _load_kb(args, args.seed)
     if args.params:
         try:
             th.store.copy_from(ParamStore.load(args.params))
@@ -158,8 +167,11 @@ def cmd_refute(args) -> int:
                                 restarts=args.restarts)
     except ValueError as e:
         raise SystemExit(f"bad refutation settings: {e}") from None
-    rr = reason_refute(lambda s: load_theory(args.kb, seed=args.seed + s),
-                       args.formula, rcfg)
+    try:  # an open formula is rejected before the search
+        rr = reason_refute(lambda s: _load_kb(args, args.seed + s),
+                           args.formula, rcfg)
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
     print(rr)
     if rr.counterexample:
         print("counterexample:")

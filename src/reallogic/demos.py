@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from reallogic import parser
 from reallogic.assemble import load_theory
 from reallogic.datasets import (
     bundled, digit_cols, make_addition, make_binary, make_clustering,
@@ -50,6 +51,13 @@ class DemoResult:
 # -- shared helpers -------------------------------------------------------------
 
 
+def _parsed(theory, *texts) -> list:
+    """Each formula text parsed once, at set-up, against the theory's
+    signature; the demos query these ASTs on every metric call. The
+    parser is looked up on its module, where perfbench counts calls."""
+    return [parser.parse_formula(text, theory.sig) for text in texts]
+
+
 def _truths(theory, expr, **binds):
     if binds:
         return query(theory, "generalization-truth", expr,
@@ -57,10 +65,10 @@ def _truths(theory, expr, **binds):
     return query(theory, "truth", expr).values
 
 
-def _label_scores(theory, rows, label_names):
-    """Stack P(x, l) truth columns for each label constant."""
-    cols = [_truths(theory, f"P(x, {l})", x=rows) for l in label_names]
-    return np.column_stack(cols)
+def _label_scores(theory, rows, atoms):
+    """Stack the truth columns of the parsed atoms ``P(x, l)`` on
+    ``rows``, one per label constant ``l``."""
+    return np.column_stack([_truths(theory, a, x=rows) for a in atoms])
 
 
 def _final(recs, **extra) -> dict:
@@ -82,10 +90,11 @@ def run_binary(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     neg = train_ds.rows[train_ds.col("label") == 0.0][:, :2]
     th = _load("binary", seed, {"x_pos": pos, "x_neg": neg,
                                 "x": train_ds.rows[:, :2]}, tags)
+    (a_x,) = _parsed(th, "A(x)")
 
     def acc(ds):
         def f(t):
-            v = _truths(t, "A(x)", x=ds.rows[:, :2])
+            v = _truths(t, a_x, x=ds.rows[:, :2])
             return float(((v > 0.5) == (ds.col("label") == 1.0)).mean())
         return f
 
@@ -95,7 +104,7 @@ def run_binary(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     g = np.linspace(0.0, 1.0, 50)
     xx, yy = np.meshgrid(g, g)
     grid = np.column_stack([xx.ravel(), yy.ravel()])
-    truth = _truths(th, "A(x)", x=grid)
+    truth = _truths(th, a_x, x=grid)
     art = {"decision_grid": (("x1", "x2", "truth"),
                              np.column_stack([grid, truth]).tolist())}
     return DemoResult(recs, _final(recs), art, th)
@@ -113,12 +122,13 @@ def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     for k in range(len(labels)):
         binds[f"x{k}"] = feats[train_ds.col("species") == k]
     th = _load("multiclass", seed, binds, tags)
+    atoms = _parsed(th, *(f"P(x, {l})" for l in labels))
 
     def acc(d):
         rows, want = d.cols(*feature_cols), d.col("species")
 
         def f(t):
-            scores = _label_scores(t, rows, labels)
+            scores = _label_scores(t, rows, atoms)
             return float((np.argmax(scores, axis=1) == want).mean())
         return f
 
@@ -127,7 +137,7 @@ def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
                     metrics={"train_accuracy": acc(train_ds),
                              "test_accuracy": acc(test_ds)})
     rows = test_ds.cols(*feature_cols)
-    pred = np.argmax(_label_scores(th, rows, labels), axis=1)
+    pred = np.argmax(_label_scores(th, rows, atoms), axis=1)
     art_rows = np.column_stack([rows, test_ds.col("species"), pred]).tolist()
     art = {"test_predictions": (feature_cols + ("species", "predicted"),
                                 art_rows)}
@@ -156,6 +166,9 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
              "x_female": feats[train_ds.col("sex") == 1.0]}
     th = _load("multilabel", seed, binds, tags)
     labels = ("l_blue", "l_orange", "l_male", "l_female")
+    atoms = _parsed(th, *(f"P(x, {l})" for l in labels))
+    phis = dict(zip(MULTILABEL_QUERIES,
+                    _parsed(th, *MULTILABEL_QUERIES.values())))
 
     def targets(d):
         color, sex = d.col("color"), d.col("sex")
@@ -165,19 +178,19 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
         rows, want = d.cols(*feature_cols), targets(d)
 
         def f(t):
-            hl = ((_label_scores(t, rows, labels) > 0.5) != want).mean()
+            hl = ((_label_scores(t, rows, atoms) > 0.5) != want).mean()
             return float(1.0 - hl)
         return f
 
     metrics = {"train_accuracy": acc(train_ds), "test_accuracy": acc(test_ds)}
-    for name, phi in MULTILABEL_QUERIES.items():
+    for name, phi in phis.items():
         metrics[name] = (lambda t, phi=phi:
                          truth_value(t, phi, forall_p=5,
                                      data={"x": test_ds.cols(*feature_cols)}))
     _, recs = learn(th, train,
                     data={k: binds[k] for k in binds if k != "x"},
                     metrics=metrics)
-    scores = _label_scores(th, test_ds.cols(*feature_cols), labels)
+    scores = _label_scores(th, test_ds.cols(*feature_cols), atoms)
     art_rows = np.column_stack([test_ds.cols(*feature_cols),
                                 targets(test_ds), scores]).tolist()
     cols = feature_cols + ("is_blue", "is_orange", "is_male", "is_female",
@@ -197,10 +210,11 @@ def _addition_demo(demo, seed, train, operands, sizes, tags=None):
     binds["n"] = train_ds.col("n")
     th = _load(demo.replace("-", "_"), seed, binds, tags)
     x = blocks[0]  # one classifier reads every block, through this var
+    (digit,) = _parsed(th, f"digit_is({x}, d1)")
 
     def summed(t, ds):
         """The sum of the classifier's digits on each row of ``ds``."""
-        return sum(p * np.argmax(_truths(t, f"digit_is({x}, d1)",
+        return sum(p * np.argmax(_truths(t, digit,
                                          **{x: ds.cols(*digit_cols(b))}),
                                  axis=1)
                    for p, b in zip(place, blocks))
@@ -268,8 +282,9 @@ def run_clustering(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     pts, centers = make_clustering(seed)
     xy = pts.cols("x1", "x2")
     th = _load("clustering", seed, {"x": xy, "y": xy}, tags)
+    (c_xc,) = _parsed(th, "C(x, c)")
     _, recs = learn(th, train)  # full batch: variables stay statically bound
-    scores = _truths(th, "C(x, c)", x=xy)
+    scores = _truths(th, c_xc, x=xy)
     assign = np.argmax(scores, axis=1)
     blob = pts.col("blob").astype(int)
     agree = 0
@@ -298,16 +313,18 @@ def smoker_facts(theory) -> tuple:
 def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     th = _load("smokers", seed, tags=tags)
     by_label = {ax.label: ax for ax in th.axioms}
+    phis = _parsed(th, *SMOKERS_QUERIES.values())
+    s_x, c_x, f_xy = _parsed(th, "S(x)", "C(x)", "F(x, y)")
 
     metrics = {name: (lambda t, phi=phi: truth_value(t, phi, forall_p=5))
-               for name, phi in SMOKERS_QUERIES.items()}
+               for name, phi in zip(SMOKERS_QUERIES, phis)}
     metrics["symmetry"] = (
         lambda t: float(axiom_truth(t, by_label["symmetric"]).data))
     _, recs = learn(th, train, metrics=metrics)
     people = smoker_facts(th)
-    s = _truths(th, "S(x)")
-    c = _truths(th, "C(x)")
-    fr = _truths(th, "F(x, y)")
+    s = _truths(th, s_x)
+    c = _truths(th, c_x)
+    fr = _truths(th, f_xy)
     facts = [[p, float(s[i]), float(c[i])] for i, p in enumerate(people)]
     pairs = [[u, v, float(fr[i, j])] for i, u in enumerate(people)
              for j, v in enumerate(people)]

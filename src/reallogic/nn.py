@@ -9,7 +9,6 @@ initialization and dropout, so one seed fixes an entire run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -65,15 +64,12 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self.slots)
 
-    def state_hash(self) -> str:
-        """Digest of all parameter values; changes iff some value changes."""
-        h = hashlib.sha256()
-        for name in self.names():
-            p = self.slots[name]
-            h.update(name.encode())
-            h.update(str(p.tensor.data.shape).encode())
-            h.update(np.ascontiguousarray(p.tensor.data).tobytes())
-        return h.hexdigest()
+    def snapshot(self) -> tuple:
+        """Every slot's name, shape and raw bytes. Two snapshots compare
+        equal iff no slot was added, removed or reshaped and no bit of
+        any value changed (NaN included)."""
+        return tuple((name, p.tensor.data.shape, p.tensor.data.tobytes())
+                     for name, p in self.slots.items())
 
     def save(self, path) -> None:
         header = [{"name": n,
@@ -172,14 +168,6 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray],
 
 # -- dense networks ----------------------------------------------------------
 
-_ACTIVATIONS = {
-    "elu": T.elu,
-    "sigmoid": T.sigmoid,
-    "softmax": T.softmax,
-    "linear": lambda t: t,
-}
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """widths includes the input dim; acts/drops cover each layer after it."""
@@ -195,7 +183,7 @@ class MlpSpec:
             raise ValueError("need one dropout rate per layer")
         object.__setattr__(self, "drops", tuple(float(d) for d in drops))
         for a in self.acts:
-            if a not in _ACTIVATIONS:
+            if a not in T.ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
 
 
@@ -209,15 +197,16 @@ def init_mlp(store: ParamStore, prefix: str, spec: MlpSpec) -> None:
 
 def dense_forward(spec: MlpSpec, store: ParamStore, prefix: str,
                   x: Tensor, training: bool) -> Tensor:
-    """Run ``x`` of shape (..., widths[0]) through the network.
+    """Run ``x`` of shape (..., widths[0]) through the network, one
+    :func:`tensor.dense` node per layer.
 
     Dropout is inverted (mask / keep-prob) and only active while training,
     so evaluation is deterministic and unscaled.
     """
     h = x
     for i, act in enumerate(spec.acts):
-        h = h @ store.get(f"{prefix}/W{i}") + store.get(f"{prefix}/b{i}")
-        h = _ACTIVATIONS[act](h)
+        h = T.dense(h, store.get(f"{prefix}/W{i}"),
+                    store.get(f"{prefix}/b{i}"), act)
         rate = spec.drops[i]
         if training and rate > 0.0:
             keep = store.rng.random(h.shape) >= rate

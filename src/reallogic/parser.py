@@ -480,7 +480,10 @@ class _Parser:
             if pname.text != "p":
                 raise ParseError("only p can be overridden", pname.span)
             self.expect("punct", "=")
+            num = self.peek()
             val = self.signed_number()
+            if val < 1:  # the p-mean rule, checked where it is written
+                raise ParseError(f"p must be >= 1, got {val:g}", num.span)
             self.expect("punct", ")")
             if kw.text == "forall":
                 forall_p = val

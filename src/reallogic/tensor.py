@@ -24,6 +24,10 @@ Conventions that matter downstream:
 - ``take(a, idx)`` gathers cells by flat position; positions repeated in
   ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
+- a dense layer ``act(x @ w + b)`` is one node, ``dense(x, w, b, act)``.
+  Each activation (elu, sigmoid, softmax, linear) is stated once, as an
+  ``ACTIVATIONS`` kernel that returns the output and its derivative
+  rule; softmax reads the last axis.
 - ``mul``'s gradients contract broadcast axes in one ``np.einsum``, so
   their summation order can differ from ``ndarray.sum`` in the last bit.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
@@ -128,9 +132,6 @@ class Tensor:
 
     def __pow__(self, n):
         return power(self, n)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -304,45 +305,58 @@ def where(cond, a, b) -> Tensor:
     return _result(np.where(cond, a.data, b.data), (a, b), back)
 
 
-# -- activations -----------------------------------------------------------
+# -- dense layers -----------------------------------------------------------
+#
+# Each activation is a kernel: it maps the pre-activation ``z`` to the
+# layer's output and the rule that turns the output's gradient into
+# ``z``'s.
 
 
-def sigmoid(a) -> Tensor:
-    a = astensor(a)
+def _elu(z):
+    pos = z > 0
+    out = np.where(pos, z, np.expm1(np.minimum(z, 0.0)))
+    return out, lambda g: g * np.where(pos, 1.0, out + 1.0)
+
+
+def _sigmoid(z):
     with np.errstate(over="ignore"):
-        out = np.where(a.data >= 0,
-                       1.0 / (1.0 + np.exp(-a.data)),
-                       np.exp(a.data) / (1.0 + np.exp(a.data)))
-
-    def back(g, acc):
-        acc(a, g * out * (1.0 - out))
-
-    return _result(out, (a,), back)
+        out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                       np.exp(z) / (1.0 + np.exp(z)))
+    return out, lambda g: g * out * (1.0 - out)
 
 
-def elu(a) -> Tensor:
-    a = astensor(a)
-    pos = a.data > 0
-    out = np.where(pos, a.data, np.expm1(np.minimum(a.data, 0.0)))
-
-    def back(g, acc):
-        acc(a, g * np.where(pos, 1.0, out + 1.0))
-
-    return _result(out, (a,), back)
-
-
-def softmax(a) -> Tensor:
+def _softmax(z):
     """Softmax over the last axis."""
-    a = astensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     out = e / e.sum(axis=-1, keepdims=True)
+    return out, lambda g: (g - (g * out).sum(axis=-1, keepdims=True)) * out
+
+
+ACTIVATIONS = {
+    "elu": _elu,
+    "sigmoid": _sigmoid,
+    "softmax": _softmax,
+    "linear": lambda z: (z, lambda g: g),
+}
+
+
+def dense(x, w, b, act: str) -> Tensor:
+    """``act(x @ w + b)`` as one node: ``x`` is ``(..., m)``, ``w`` is
+    ``(m, h)``, ``b`` is ``(h,)`` and ``act`` names an ``ACTIVATIONS``
+    kernel."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if w.data.ndim != 2:
+        raise ValueError("dense weights must be 2-D")
+    m, h = w.data.shape
+    out, deriv = ACTIVATIONS[act](x.data @ w.data + b.data)
 
     def back(g, acc):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        acc(a, (g - dot) * out)
+        gz = deriv(g)
+        acc(x, gz @ w.data.T)
+        acc(w, x.data.reshape(-1, m).T @ gz.reshape(-1, h))
+        acc(b, gz)  # acc sums the broadcast rows
 
-    return _result(out, (a,), back)
+    return _result(out, (x, w, b), back)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -418,20 +432,6 @@ def stack(tensors) -> Tensor:
             acc(t, piece)
 
     return _result(np.stack([t.data for t in tensors]), tensors, back)
-
-
-def matmul(a, w) -> Tensor:
-    """``(..., m) @ (m, h)`` -> ``(..., h)``."""
-    a, w = astensor(a), astensor(w)
-    if w.data.ndim != 2:
-        raise ValueError("matmul right operand must be 2-D")
-    m, h = w.data.shape
-
-    def back(g, acc):
-        acc(a, g @ w.data.T)
-        acc(w, a.data.reshape(-1, m).T @ g.reshape(-1, h))
-
-    return _result(a.data @ w.data, (a, w), back)
 
 
 # -- reductions --------------------------------------------------------------

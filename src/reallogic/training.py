@@ -317,7 +317,9 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     The expression is grounded in a scope with training off, the p
     overrides, and, for the generalization kinds, the given variables
     bound to unseen data; the env itself is left as it was. Formula
-    queries accept source text; term queries take an AST.
+    queries take an AST or source text, parsed on every call; term
+    queries take an AST. Raises RuntimeError when any bit of θ changed
+    (:meth:`ParamStore.snapshot` before and after).
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -329,7 +331,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
         if not truthy:
             raise ValueError("value queries take a term AST")
         expr = parse_formula(expr, theory.sig)
-    before = theory.store.state_hash()
+    before = theory.store.snapshot()
     scope = theory.env.scope(data, training=False, forall_p=forall_p,
                              exists_p=exists_p)
     if truthy:
@@ -341,7 +343,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     else:
         gv = ground_term(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)
-    if theory.store.state_hash() != before:
+    if theory.store.snapshot() != before:
         raise RuntimeError("query mutated the parameter store")
     return QueryResult(kind, values, gv.vars)
 
@@ -418,8 +420,9 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
     each of ``rcfg.restarts`` theories. Finding one refutes entailment.
 
     ``build`` maps a restart index to a fresh Theory; ``phi`` is a
-    formula AST or source text. Quantifiers use the configured p, or an
-    axiom's own annotation.
+    closed formula, as an AST or source text: an open one raises
+    ValueError naming its free variables. Quantifiers use the
+    configured p, or an axiom's own annotation.
     """
     rcfg = rcfg or RefutationConfig()
     runs = []
@@ -429,6 +432,10 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
         if isinstance(phi, str):
             from reallogic.parser import parse_formula
             phi_ast = parse_formula(phi, th.sig)
+        loose = free_vars(phi_ast)
+        if loose:
+            raise ValueError(f"refuted formula is not closed: "
+                             f"free {', '.join(loose)}")
         scope = th.env.scope(training=False)
         for _ in range(rcfg.epochs):
             sat = satisfiability(th, scope)

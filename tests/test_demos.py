@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from reallogic import cli, demos
 from reallogic.assemble import load_theory
 from reallogic.demos import (
-    DEMO_IDS, DEMOS, default_train, run_demo, run_many, self_check,
-    theory_path,
+    DEMO_IDS, DEMOS, MULTILABEL_QUERIES, default_train, run_demo, run_many,
+    self_check, theory_path,
 )
 from reallogic.nn import ParamStore
 from reallogic.parser import parse_theory_file
@@ -222,7 +223,31 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "forall-p-below-1": lambda tmp: (
         SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "0.5"],
         "p must be >= 1"),
+    "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
+    "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
+    "refute-missing-kb": lambda tmp: _missing_kb(tmp, "refute",
+                                                 "--formula", "A"),
+    "refute-open-formula": lambda tmp: (
+        ["refute", "--kb", str(theory_path("smokers")),
+         "--formula", "S(x) & F(x, y)"],
+        "refuted formula is not closed: free x, y"),
+    "train-annotation-below-1": lambda tmp: _annotated_kb(tmp, "0.5"),
 }
+
+
+def _missing_kb(tmp, command, *flags):
+    """``command`` on a theory file that does not exist."""
+    kb = tmp / "none.rl"
+    return ([command, "--kb", str(kb), *flags],
+            f"--kb: [Errno 2] No such file or directory: '{kb.resolve()}'")
+
+
+def _annotated_kb(tmp, p):
+    """``rl train`` on a theory whose axiom annotates ``@forall(p=<p>)``."""
+    kb = tmp / "annotated.rl"
+    kb.write_text(f"domain d = 1\npred A = scalar\naxiom @forall(p={p}): A\n")
+    return (["train", "--kb", str(kb), "--epochs", "1"],
+            f"{kb.resolve()}:3:17: p must be >= 1, got {p}")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
@@ -381,3 +406,21 @@ def test_cli_query_array_output(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("axes: x")
+
+
+def test_multilabel_parses_each_formula_once(monkeypatch):
+    from reallogic import parser
+    calls = Counter()
+    parse = parser.parse_formula
+
+    def counting(text, sig):
+        calls[text] += 1
+        return parse(text, sig)
+
+    monkeypatch.setattr(parser, "parse_formula", counting)
+    run_demo("multilabel", 0, replace(default_train("multilabel", 0),
+                                      epochs=2, log_every=1))
+    labels = ("l_blue", "l_orange", "l_male", "l_female")
+    assert sorted(calls) == sorted(
+        [f"P(x, {l})" for l in labels] + list(MULTILABEL_QUERIES.values()))
+    assert set(calls.values()) == {1}

@@ -791,15 +791,19 @@ def layout_env(family):
     env.add_var_data("z", values["z"])
     sig.add_predicate("P2", ("num", "num"))
     env.add_pred_callable(
-        "P2", lambda a, b: T.sigmoid(T.reduce_sum(a * b, axes=(-1,))))
+        "P2", lambda a, b: t_sigmoid(T.reduce_sum(a * b, axes=(-1,))))
     sig.add_predicate("P3", ("num", "num", "num"))
     env.add_pred_callable(
-        "P3", lambda a, b, c: T.sigmoid(T.reduce_sum(a * b - c, axes=(-1,))))
+        "P3", lambda a, b, c: t_sigmoid(T.reduce_sum(a * b - c, axes=(-1,))))
     return env, {k: np.array(v) for k, v in values.items()}
 
 
 def sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
+
+
+def t_sigmoid(t):
+    return 1.0 / (1.0 + T.exp(-t))
 
 
 NP_AGGS = {"min": np.min, "max": np.max, "prod": np.prod,

@@ -74,14 +74,22 @@ def test_adam_clamps_to_box_after_step():
     assert a.data == 1.0
 
 
-def test_state_hash_tracks_values():
+def test_snapshot_tracks_every_bit():
     s = ParamStore()
-    s.add("a", [1.0, 2.0])
+    s.add("a", [1.0, 0.0])
     s.add("b", 3.0)
-    h0 = s.state_hash()
-    assert s.state_hash() == h0
+    snap = s.snapshot()
+    assert s.snapshot() == snap
     s.get("b").data += 1e-12
-    assert s.state_hash() != h0
+    assert s.snapshot() != snap
+    snap = s.snapshot()
+    s.get("a").data[1] = -0.0  # equal as a float, not as bits
+    assert s.snapshot() != snap
+    s.get("a").data[0] = np.nan  # NaN compares equal to its own bits
+    snap = s.snapshot()
+    assert s.snapshot() == snap
+    s.add("c", 0.0)
+    assert s.snapshot() != snap
 
 
 def test_save_load_round_trip(tmp_path):
@@ -95,7 +103,7 @@ def test_save_load_round_trip(tmp_path):
     for n in s.names():
         assert np.array_equal(s2.get(n).data, s.get(n).data)
     assert s2.slots["t"].lo == 0.0 and s2.slots["t"].hi == 1.0
-    assert s2.state_hash() == s.state_hash()
+    assert s2.snapshot() == s.snapshot()
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -377,3 +377,13 @@ def test_axiom_annotation_validation():
     doc = parse_theory("domain d = 1\npred A = scalar\n"
                        "axiom @forall(q=2): A")
     assert any("only p" in d.message for d in doc.diagnostics)
+
+
+def test_axiom_annotation_below_one_is_reported_at_its_number():
+    doc = parse_theory("domain d = 1\npred A = scalar\n"
+                       "axiom @forall(p=0.5): A\n"
+                       "axiom @exists(p=-2) @forall(p=1): A\n"
+                       "axiom @exists(p=1): A\n")
+    assert [(d.message, d.span[1:]) for d in doc.diagnostics] == [
+        ("p must be >= 1, got 0.5", (3, 17)), ("p must be >= 1, got -2", (4, 17))]
+    assert [ax.exists_p for ax in doc.axioms] == [1.0]

@@ -43,10 +43,15 @@ def test_scalar_and_array_mixing():
     (lambda a: (T.exp(a) * (a + 2.0)).sum(), [(5,)]),
     (lambda a, b: T.maximum(a, b).sum(), [(6,), (6,)]),
     (lambda a, b: T.minimum(a * 2.0, b).sum(), [(2, 3), (2, 3)]),
-    (lambda a: T.sigmoid(a).sum(), [(7,)]),
-    (lambda a: T.elu(a).sum(), [(7,)]),
-    (lambda a: T.softmax(a).sum(axes=None), [(3, 4)]),
-    (lambda a: (T.softmax(a) * np.arange(4.0)).sum(), [(3, 4)]),
+    (lambda x, w, b: T.dense(x, w, b, "sigmoid").sum(),
+     [(7, 3), (3, 2), (2,)]),
+    (lambda x, w, b: T.dense(x, w, b, "elu").sum(), [(7, 3), (3, 2), (2,)]),
+    (lambda x, w, b: T.dense(x, w, b, "softmax").sum(axes=None),
+     [(3, 4), (4, 4), (4,)]),
+    (lambda x, w, b: (T.dense(x, w, b, "softmax") * np.arange(4.0)).sum(),
+     [(2, 3, 4), (4, 4), (4,)]),
+    (lambda x, w, b: (T.dense(x, w, b, "linear") ** 2).sum(),
+     [(2, 3, 4), (4, 2), (2,)]),
 ])
 def test_grads_match_fd(build, shapes):
     arrays = [rng.standard_normal(s) for s in shapes]
@@ -133,12 +138,60 @@ def test_reduce_over_axis_subsets():
 
 
 def test_matmul_values_and_grads():
+    # a linear dense layer with a zero bias is the plain matrix product
     a = rng.standard_normal((5, 3))
     w = rng.standard_normal((3, 2))
-    assert np.allclose((Tensor(a) @ Tensor(w)).data, a @ w)
-    check_grads(lambda x, y: (x @ y).sum(), a, w)
+    zero = np.zeros(2)
+    assert np.allclose(T.dense(Tensor(a), Tensor(w), zero, "linear").data,
+                       a @ w)
+    check_grads(lambda x, y: T.dense(x, y, zero, "linear").sum(), a, w)
     batched = rng.standard_normal((2, 4, 3))
-    check_grads(lambda x, y: ((x @ y) ** 2).sum(), batched, w)
+    check_grads(lambda x, y: (T.dense(x, y, zero, "linear") ** 2).sum(),
+                batched, w)
+    with pytest.raises(ValueError, match="2-D"):
+        T.dense(Tensor(a), Tensor(w[0]), zero, "linear")
+
+
+def three_rules(x, w, b, act, g):
+    """A dense layer as the matmul, bias-add and activation rules that
+    it replaced, in numpy: the output, and the gradients of x, w and b
+    for the output gradient g."""
+    m, h = w.shape
+    z = x @ w + b
+    if act == "elu":
+        pos = z > 0
+        out = np.where(pos, z, np.expm1(np.minimum(z, 0.0)))
+        gz = g * np.where(pos, 1.0, out + 1.0)
+    elif act == "sigmoid":
+        with np.errstate(over="ignore"):
+            out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)),
+                           np.exp(z) / (1.0 + np.exp(z)))
+        gz = g * out * (1.0 - out)
+    elif act == "softmax":
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        out = e / e.sum(axis=-1, keepdims=True)
+        gz = (g - (g * out).sum(axis=-1, keepdims=True)) * out
+    else:
+        out, gz = z, g
+    gb = gz.sum(axis=tuple(range(gz.ndim - 1)))  # the add's unbroadcast
+    return out, gz @ w.T, x.reshape(-1, m).T @ gz.reshape(-1, h), gb
+
+
+@pytest.mark.parametrize("act", sorted(T.ACTIVATIONS))
+@pytest.mark.parametrize("shape", [(6, 3), (2, 5, 3)])
+def test_dense_matches_the_three_rules_exactly(act, shape):
+    r = np.random.default_rng(len(shape))
+    # a wide spread reaches both sigmoid branches and saturated softmax
+    x = r.standard_normal(shape) * 10.0
+    w, b = r.standard_normal((3, 4)), r.standard_normal(4)
+    g = r.standard_normal(shape[:-1] + (4,))
+    want = three_rules(x, w, b, act, g)
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.dense(tx, tw, tb, act)
+    assert out._parents == (tx, tw, tb)  # one node per layer
+    got = [out.data] + T.grad((out * g).sum(), [tx, tw, tb])
+    for k, (a, e) in enumerate(zip(got, want)):
+        assert a.shape == e.shape and np.array_equal(a, e), k
 
 
 def test_shape_ops_grads():

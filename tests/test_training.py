@@ -224,15 +224,15 @@ def test_non_finite_gradient_raises_before_the_update():
     # plain pmean_error Sat at all truths 1: the loss is 0, but the
     # gradient of its root at 0 is NaN in every slot
     th = disj_theory(a=1.0, b=1.0, raw=True)
-    before = th.store.state_hash()
+    before = th.store.snapshot()
     with pytest.raises(DivergenceError, match="non-finite gradient in slot 'A'"):
         learn(th, TrainConfig(epochs=1))
-    assert th.store.state_hash() == before
+    assert th.store.snapshot() == before
 
     th = disj_theory(a=1.0, b=1.0, raw=True)
     with pytest.raises(DivergenceError, match="non-finite gradient in slot 'A'"):
         reason_refute(lambda _: th, "A", RefutationConfig(epochs=1))
-    assert th.store.state_hash() == before
+    assert th.store.snapshot() == before
 
 
 def test_evaluation_leaves_the_training_flag_as_found():
@@ -575,24 +575,58 @@ def test_query_truth_must_stay_in_unit_interval():
         query(th, "truth", "P(x)")
 
 
-def test_query_detects_parameter_mutation():
+def slot_theory(value, write=None):
+    """``forall x: P(x)`` with P constant at 0.5 and one slot ``w``
+    holding ``value``; ``write(w.data)`` runs in every call of P."""
     sig = Signature()
     sig.add_domain("u", 1)
     sig.add_variable("x", "u")
     sig.add_predicate("P", ("u",))
     store = ParamStore(0)
-    store.add("w", 0.5)
+    w = store.add("w", value)
 
-    def naughty(v):
-        store.get("w").data += 1.0
-        return Tensor(np.zeros(np.shape(v.data)[0]) + 0.5)
+    def p(v):
+        if write is not None:
+            write(w.data)
+        return Tensor(np.full(np.shape(v.data)[0], 0.5))
 
     env = GroundingEnv(sig, store)
     env.add_var_data("x", np.zeros(2))
-    env.add_pred_callable("P", naughty)
-    th = Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
+    env.add_pred_callable("P", p)
+    return Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
+
+
+def test_query_detects_parameter_mutation():
+    def bump(data):
+        data += 1.0
+
     with pytest.raises(RuntimeError, match="mutated"):
+        query(slot_theory(0.5, bump), "truth", "forall x: P(x)")
+
+
+def next_ulp(data):
+    data[...] = np.nextafter(data, np.inf)
+
+
+def negate(data):
+    np.negative(data, out=data)
+
+
+@pytest.mark.parametrize("value, write", [
+    (0.5, next_ulp),
+    (0.0, negate),  # 0.0 becomes -0.0: equal as floats, not as bits
+], ids=["one-ulp", "sign-of-zero"])
+def test_query_detects_an_in_place_write_of_one_bit(value, write):
+    th = slot_theory(value, write)
+    with pytest.raises(RuntimeError, match="query mutated the parameter store"):
         query(th, "truth", "forall x: P(x)")
+
+
+def test_query_accepts_a_slot_holding_nan():
+    th = slot_theory(np.nan)
+    want = truth_value(slot_theory(0.0), "forall x: P(x)")
+    assert truth_value(th, "forall x: P(x)") == want
+    assert np.isnan(th.store.get("w").data)
 
 
 # -- reasoning -----------------------------------------------------------------
