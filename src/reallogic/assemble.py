@@ -72,7 +72,7 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                 elif s.source[0] == "consts":
                     env.add_var_consts(s.name, s.source[1])
                 else:
-                    env.add_var_data(s.name, _load_ref(doc, s))
+                    env.add_var_data(s.name, _load_ref(s))
             elif isinstance(s, FuncDecl):
                 if s.impl[0] == "builtin":
                     if s.impl[1] not in BUILTINS:
@@ -103,15 +103,17 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
         raise TheoryError(str(e)) from None
 
 
-def _load_ref(doc: TheoryDoc, decl: VarDecl) -> np.ndarray:
+def _load_ref(decl: VarDecl) -> np.ndarray:
+    """The rows of ``decl``'s CSV; a relative path is read from the
+    directory of the theory file that declares it."""
     path = Path(decl.source[1])
     if not path.is_absolute():
-        base = Path(doc.path).parent if Path(doc.path).exists() else None
-        if base is None:
+        theory = Path(decl.span[0])
+        if not theory.exists():
             raise TheoryError(f"{where(decl.span)}{decl.name}: data file "
                               f"{decl.source[1]!r} needs a file-based theory "
                               "or an explicit binding")
-        path = base / path
+        path = theory.parent / path
     try:
         ds = load_csv(path, decl.source[2])
     except (OSError, DataError) as e:

@@ -1,18 +1,21 @@
 """Fuzzy connectives and aggregators on truth tensors.
 
-Connectives come in families, keyed per kind:
+Each connective is a family of one kind. ``_CONNECTIVES`` maps every
+``(kind, family)`` to its truth rule; a family marked * below also has a
+stable form, and its entry gives the squeeze of each operand:
 
 - ``not``: ``standard`` (1 - a)
-- ``and``: ``min``, ``product``, ``luk``
-- ``or``: ``max``, ``product`` (probabilistic sum), ``luk``
-- ``implies``: ``kleene_dienes``, ``godel``, ``reichenbach``, ``goguen``,
-  ``luk``
+- ``and``: ``min``, ``product`` * (pi0, pi0), ``luk``
+- ``or``: ``max``, ``product`` * (probabilistic sum; pi1, pi1), ``luk``
+- ``implies``: ``kleene_dienes``, ``godel``, ``reichenbach`` * (pi0 on
+  the antecedent, pi1 on the consequent), ``goguen``, ``luk``
 
 Aggregators generalize them over whole axes: ``min``, ``max``, ``prod``,
-``prob_sum``, ``luk_and``, ``luk_or``, ``mean``, ``pmean``,
-``pmean_error``. ``pmean`` leans toward the largest inputs as p grows
-(existential flavor); ``pmean_error`` penalizes the largest deviations
-from 1 (universal flavor).
+``prob_sum``, ``luk_and``, ``luk_or``, ``mean``, and the p-means
+``pmean`` and ``pmean_error`` (``_P_AGGS``), the only ones that take p
+and have a stable form (pi0 and pi1). ``pmean`` leans toward the
+largest inputs as p grows (existential flavor); ``pmean_error``
+penalizes the largest deviations from 1 (universal flavor).
 
 Most of these have gradient pathologies somewhere on [0, 1]: min/max
 propagate through a single input, product families flatline at the
@@ -39,19 +42,11 @@ import numpy as np
 from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor, astensor
 
-_CONNECTIVE_FAMILIES = {
-    "not": ("standard",),
-    "and": ("min", "product", "luk"),
-    "or": ("max", "product", "luk"),
-    "implies": ("kleene_dienes", "godel", "reichenbach", "goguen", "luk"),
-}
 _AGG_FAMILIES = ("min", "max", "mean", "pmean", "pmean_error",
                  "prod", "prob_sum", "luk_and", "luk_or")
-_STABLE_CONNECTIVES = {("and", "product"), ("or", "product"),
-                       ("implies", "reichenbach")}
-_STABLE_AGGS = ("pmean", "pmean_error")
+_P_AGGS = ("pmean", "pmean_error")
 
-_TOL = 1e-9  # forgiveness for float drift outside [0, 1]
+TOL = 1e-9  # forgiveness for float drift outside [0, 1]
 
 
 @dataclass(frozen=True)
@@ -62,11 +57,11 @@ class ConnectiveOp:
     eps: float = 1e-4
 
     def __post_init__(self):
-        if self.kind not in _CONNECTIVE_FAMILIES:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown connective kind {self.kind!r}")
-        if self.family not in _CONNECTIVE_FAMILIES[self.kind]:
+        if (self.kind, self.family) not in _CONNECTIVES:
             raise ValueError(f"no {self.kind} family {self.family!r}")
-        if self.stable and (self.kind, self.family) not in _STABLE_CONNECTIVES:
+        if self.stable and _CONNECTIVES[self.kind, self.family][1] is None:
             raise ValueError(f"{self.kind}:{self.family} has no stable form")
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must be in (0, 0.5)")
@@ -85,20 +80,20 @@ class AggregatorSpec:
     def __post_init__(self):
         if self.family not in _AGG_FAMILIES:
             raise ValueError(f"unknown aggregator family {self.family!r}")
-        if self.family in ("pmean", "pmean_error"):
+        if self.family in _P_AGGS:
             p = 2.0 if self.p is None else float(self.p)
             if p < 1.0:
                 raise ValueError("p must be >= 1")
             object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise ValueError(f"{self.family} takes no p")
-        if self.stable and self.family not in _STABLE_AGGS:
+        if self.stable and self.family not in _P_AGGS:
             raise ValueError(f"{self.family} has no stable form")
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must be in (0, 0.5)")
 
     def with_p(self, p) -> "AggregatorSpec":
-        if self.family not in ("pmean", "pmean_error") or p is None:
+        if self.family not in _P_AGGS or p is None:
             return self
         return dataclasses.replace(self, p=float(p))
 
@@ -116,58 +111,55 @@ def _pi1(t: Tensor, eps: float) -> Tensor:
 
 
 def _checked(t) -> Tensor:
-    """Validate truth values; clamp only float drift within _TOL."""
+    """Validate truth values; clamp only float drift within TOL."""
     t = astensor(t)
     d = t.data
     if d.size:
         lo, hi = d.min(), d.max()
-        if lo < -_TOL or hi > 1.0 + _TOL:
+        if lo < -TOL or hi > 1.0 + TOL:
             raise DomainError(f"truth value outside [0, 1]: range [{lo}, {hi}]")
         if lo < 0.0 or hi > 1.0:
             t = T.minimum(T.maximum(t, 0.0), 1.0)
     return t
 
 
+def _goguen(a: Tensor, b: Tensor) -> Tensor:
+    denom = T.where(a.data > b.data, a, 1.0)
+    return T.where(a.data <= b.data, 1.0, b / denom)
+
+
+# (kind, family) -> (truth rule, squeeze of each operand in the stable
+# form, or None where the family has no stable form)
+_CONNECTIVES = {
+    ("not", "standard"): (lambda a: 1.0 - a, None),
+    ("and", "min"): (T.minimum, None),
+    ("and", "product"): (lambda a, b: a * b, (_pi0, _pi0)),
+    ("and", "luk"): (lambda a, b: T.maximum(a + b - 1.0, 0.0), None),
+    ("or", "max"): (T.maximum, None),
+    ("or", "product"): (lambda a, b: a + b - a * b, (_pi1, _pi1)),
+    ("or", "luk"): (lambda a, b: T.minimum(a + b, 1.0), None),
+    ("implies", "kleene_dienes"): (lambda a, b: T.maximum(1.0 - a, b), None),
+    ("implies", "godel"): (lambda a, b: T.where(a.data <= b.data, 1.0, b), None),
+    ("implies", "reichenbach"): (lambda a, b: 1.0 - a + a * b, (_pi0, _pi1)),
+    ("implies", "goguen"): (_goguen, None),
+    ("implies", "luk"):
+        (lambda a, b: T.where(a.data <= b.data, 1.0, 1.0 - a + b), None),
+}
+_KINDS = {kind for kind, _ in _CONNECTIVES}
+
+
 def apply_connective(op: ConnectiveOp, a, b=None) -> Tensor:
+    if (b is None) != (op.kind == "not"):
+        raise ValueError("not is unary" if b is not None
+                         else f"{op.kind} needs two operands")
+    rule, squeeze = _CONNECTIVES[op.kind, op.family]
     a = _checked(a)
-    if op.kind == "not":
-        if b is not None:
-            raise ValueError("not is unary")
-        return 1.0 - a
     if b is None:
-        raise ValueError(f"{op.kind} needs two operands")
+        return rule(a)
     b = _checked(b)
-    f, eps = op.family, op.eps
-    if op.kind == "and":
-        if f == "min":
-            return T.minimum(a, b)
-        if f == "product":
-            if op.stable:
-                a, b = _pi0(a, eps), _pi0(b, eps)
-            return a * b
-        return T.maximum(a + b - 1.0, 0.0)  # luk
-    if op.kind == "or":
-        if f == "max":
-            return T.maximum(a, b)
-        if f == "product":
-            if op.stable:
-                a, b = _pi1(a, eps), _pi1(b, eps)
-            return a + b - a * b
-        return T.minimum(a + b, 1.0)  # luk
-    # implies
-    if f == "kleene_dienes":
-        return T.maximum(1.0 - a, b)
-    if f == "godel":
-        return T.where(a.data <= b.data, 1.0, b)
-    if f == "reichenbach":
-        if op.stable:
-            a2 = _pi0(a, eps)
-            return 1.0 - a2 + a2 * _pi1(b, eps)
-        return 1.0 - a + a * b
-    if f == "goguen":
-        denom = T.where(a.data > b.data, a, 1.0)
-        return T.where(a.data <= b.data, 1.0, b / denom)
-    return T.where(a.data <= b.data, 1.0, 1.0 - a + b)  # luk
+    if op.stable:
+        a, b = squeeze[0](a, op.eps), squeeze[1](b, op.eps)
+    return rule(a, b)
 
 
 def _pack(t: Tensor, m: np.ndarray):
@@ -318,7 +310,7 @@ def parse_op_tag(kind: str, text: str):
     extra = set(kwargs) - {"p", "eps"}
     if extra:
         raise ValueError(f"unknown op parameters {sorted(extra)}")
-    if kind in _CONNECTIVE_FAMILIES:
+    if kind in _KINDS:
         if "p" in kwargs:
             raise ValueError(f"{kind} takes no p")
         return ConnectiveOp(kind, base, stable, kwargs.get("eps", 1e-4))

@@ -55,7 +55,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from reallogic import tensor as T
-from reallogic.fuzzy import FuzzyConfig, aggregate, apply_connective
+from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig, aggregate, apply_connective
 from reallogic.nn import MlpSpec, ParamStore, dense_forward, init_mlp
 from reallogic.tensor import Tensor
 
@@ -264,8 +264,8 @@ class GroundedValue(NamedTuple):
 class Scope:
     """Context of one evaluation, passed down through grounding.
 
-    ``binds`` maps variables to other instance arrays (build it with
-    :meth:`GroundingEnv.scope`, which checks the names). ``alias`` maps
+    ``binds`` maps variables to other instances (build it with
+    :meth:`GroundingEnv.scope`, which checks them). ``alias`` maps
     each diagonally quantified variable to the label of its shared axis,
     and ``trunc`` maps that label to the axis length. ``training`` turns
     on dropout. ``forall_p``/``exists_p`` override the p of every
@@ -322,13 +322,19 @@ class GroundingEnv:
                 raise EvalError(f"constant {name} needs shape ({dim},)")
             self._consts[name] = ("fixed", arr)
 
-    def add_var_data(self, name: str, data) -> None:
+    def _rows(self, name: str, data) -> np.ndarray:
+        """``data`` as instances of the data variable ``name``: an array
+        (n, dim), or (n,) when dim is 1."""
         dim = self.sig.dim(self._declared(name, self.sig.variables))
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[1] != dim:
             raise EvalError(f"variable {name} needs shape (n, {dim})")
+        return arr
+
+    def add_var_data(self, name: str, data) -> None:
+        arr = self._rows(name, data)
         if arr.shape[0] == 0:
             raise EvalError(f"variable {name} has no instances")
         self._vars[name] = ("data", arr)
@@ -384,6 +390,8 @@ class GroundingEnv:
         self._preds[name] = ("select", spec)
 
     def add_pred_scalar(self, name: str, init=None) -> None:
+        if self._declared(name, self.sig.predicates):
+            raise EvalError("a scalar predicate takes no arguments")
         val = self.store.rng.random() if init is None else float(init)
         self.store.add(name, val, lo=0.0, hi=1.0)
         self._preds[name] = ("scalar", name)
@@ -405,17 +413,25 @@ class GroundingEnv:
               exists_p=None) -> Scope:
         """Root scope of one evaluation.
 
-        ``binds`` rebinds variables to other instances: data-backed
-        variables take a float array (n, dim) or (n,); constant-backed
-        variables take an integer index array selecting which constants
-        to stack. ``training`` defaults to the env's flag.
+        ``binds`` rebinds variables to other instances, possibly none:
+        data-backed variables take a float array (n, dim) or (n,), as
+        declarations do; constant-backed variables take an integer index
+        array selecting which constants to stack. Each is checked here
+        and kept as the instance array or the tuple of constant names.
+        ``training`` defaults to the env's flag.
         """
-        arrays = {}
+        checked = {}
         for name, arr in (binds or {}).items():
             if name not in self._vars:
                 raise EvalError(f"cannot bind unknown variable {name!r}")
-            arrays[name] = np.asarray(arr)
-        return Scope(arrays,
+            kind, payload = self._vars[name]
+            if kind == "data":
+                checked[name] = self._rows(name, arr)
+            else:
+                idx = np.asarray(arr, dtype=np.float64).ravel()
+                checked[name] = tuple(payload[i] for i in _index(
+                    idx, len(payload), f"variable {name}: index"))
+        return Scope(checked,
                      training=self.training if training is None else training,
                      forall_p=forall_p, exists_p=exists_p)
 
@@ -427,11 +443,7 @@ class GroundingEnv:
         return payload
 
     def var_length(self, name: str, scope: Scope) -> int:
-        if name in scope.binds:
-            n = scope.binds[name].shape[0]
-        else:
-            kind, payload = self._vars[name]
-            n = payload.shape[0] if kind == "data" else len(payload)
+        n = len(scope.binds.get(name, self._vars[name][1]))
         t = scope.trunc.get(scope.alias.get(name, name))
         return n if t is None else min(n, t)
 
@@ -445,28 +457,28 @@ class GroundingEnv:
             raise EvalError(f"variable {name!r} has no grounding")
         label = scope.alias.get(name, name)
         n = self.var_length(name, scope)
-        bound = scope.binds.get(name)
         kind, payload = self._vars[name]
+        inst = scope.binds.get(name, payload)[:n]
         if kind == "data":
-            if bound is not None:
-                arr = np.asarray(bound, dtype=np.float64)
-                if arr.ndim == 1:
-                    arr = arr[:, None]
-            else:
-                arr = payload
-            return GroundedValue(Tensor(arr[:n]), (label,))
-        names = payload
-        if bound is not None:
-            names = tuple(names[int(i)] for i in np.asarray(bound).ravel())
-        return GroundedValue(
-            T.stack([self._const_value(c) for c in names[:n]]),
-            (label,))
+            return GroundedValue(Tensor(inst), (label,))
+        return GroundedValue(T.stack([self._const_value(c) for c in inst]),
+                             (label,))
 
     def _const_value(self, name: str) -> Tensor:
         if name not in self._consts:
             raise EvalError(f"constant {name!r} has no grounding")
         kind, payload = self._consts[name]
         return self.store.get(payload) if kind == "slot" else Tensor(payload)
+
+
+def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
+    """``idx`` as integers; an EvalError led by ``what`` names the first
+    entry that is not an integer in 0..n-1."""
+    bad = ~((idx >= 0) & (idx < n) & (idx == np.floor(idx)))
+    if bad.any():
+        raise EvalError(f"{what} {idx[bad][0]:g} is not an integer in "
+                        f"0..{n - 1}")
+    return idx.astype(int)
 
 
 # -- axis alignment ------------------------------------------------------------
@@ -612,8 +624,7 @@ def ground_formula(env: GroundingEnv, formula: Formula,
             bwd = apply_connective(env.cfg.impl, b, a)
             out = apply_connective(env.cfg.conj, fwd, bwd)
         else:
-            op = {"and": env.cfg.conj, "or": env.cfg.disj,
-                  "implies": env.cfg.impl}[formula.op]
+            op = getattr(env.cfg, CONFIG_KEYS[formula.op])
             out = apply_connective(op, a, b)
         return GroundedValue(out, order)
     if isinstance(formula, Quant):
@@ -639,13 +650,8 @@ def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
         nclass = payload.widths[-1]
         if label.shape[-1] == 1 and nclass > 1:
             # integer class index: expand to a one-hot, detached
-            idx = label.data[..., 0]
-            bad = ~((idx >= 0) & (idx < nclass) & (idx == np.floor(idx)))
-            if bad.any():
-                raise EvalError(
-                    f"{atom.pred}: class index {idx[bad][0]:g} is not an "
-                    f"integer in 0..{nclass - 1}")
-            idx = idx.astype(int)
+            idx = _index(label.data[..., 0], nclass,
+                         f"{atom.pred}: class index")
             hot = np.zeros(idx.shape + (nclass,))
             np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
             label = Tensor(hot)

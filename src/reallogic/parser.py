@@ -25,7 +25,7 @@ Grammar (EBNF, ``#`` starts a line comment, whitespace is free-form):
     axiomdecl   = "axiom" [ STRING ] { "@" IDENT "(" "p" "=" NUMBER ")" }
                   ":" formula ;
 
-    formula     = iff ;
+    formula     = iff ;                       (* one level per _BINARY row *)
     iff         = imp { "<->" imp } ;
     imp         = or [ "->" imp ] ;           (* right-associative *)
     or          = and { "|" and } ;
@@ -84,6 +84,9 @@ _NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PUNCT = ("<->", "->", "<=", ">=", "!=", "(", ")", "[", "]", ",", ":", ";",
           "=", "<", ">", "~", "&", "|", "@", "+", "-", "*")
+# the binary connectives, loosest first: (token, Bin op, right-associative)
+_BINARY = (("<->", "iff", False), ("->", "implies", True),
+           ("|", "or", False), ("&", "and", False))
 
 
 class ParseError(ValueError):
@@ -112,30 +115,28 @@ class Token:
 
 def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
     tokens = []
-    line, col = 1, 1
+    line, start = 1, 0  # the current line and the offset it starts at
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c == "\n":
             line += 1
-            col = 1
             i += 1
+            start = i
             continue
         if c in " \t\r":
             i += 1
-            col += 1
             continue
         if c == "#":
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        span = (filename, line, col)
+        span = (filename, line, i - start + 1)
         if c in _UNICODE_ALIASES:
             alias = _UNICODE_ALIASES[c]
             kind = "keyword" if alias in ("forall", "exists") else "punct"
             tokens.append(Token(kind, alias, alias, span))
             i += 1
-            col += 1
             continue
         if c == '"':
             j = i + 1
@@ -150,13 +151,11 @@ def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
             if j >= n:
                 raise ParseError("unterminated string", span)
             tokens.append(Token("string", text[i:j + 1], "".join(out), span))
-            col += j + 1 - i
             i = j + 1
             continue
         m = _NUMBER.match(text, i)
         if m:
             tokens.append(Token("number", m.group(0), float(m.group(0)), span))
-            col += m.end() - i
             i = m.end()
             continue
         m = _IDENT.match(text, i)
@@ -164,18 +163,16 @@ def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
             word = m.group(0)
             kind = "keyword" if word in _KEYWORDS else "ident"
             tokens.append(Token(kind, word, word, span))
-            col += m.end() - i
             i = m.end()
             continue
         for p in _PUNCT:
             if text.startswith(p, i):
                 tokens.append(Token("punct", p, p, span))
                 i += len(p)
-                col += len(p)
                 break
         else:
             raise ParseError(f"stray character {c!r}", span)
-    tokens.append(Token("eof", "", None, (filename, line, col)))
+    tokens.append(Token("eof", "", None, (filename, line, i - start + 1)))
     return tokens
 
 
@@ -529,39 +526,17 @@ class _Parser:
 
     # -- formulas -------------------------------------------------------------
 
-    def formula(self):
-        return self.iff()
-
-    def iff(self):
-        lhs = self.imp()
-        while True:
-            t = self.eat("punct", "<->")
-            if not t:
-                return lhs
-            lhs = Bin("iff", lhs, self.imp(), span=t.span)
-
-    def imp(self):
-        lhs = self.orx()
-        t = self.eat("punct", "->")
-        if t:
-            return Bin("implies", lhs, self.imp(), span=t.span)
+    def formula(self, level=0):
+        """A formula whose binary connectives bind no looser than
+        ``_BINARY[level]``; the default reads a whole formula."""
+        if level == len(_BINARY):
+            return self.unary()
+        token, op, right = _BINARY[level]
+        lhs = self.formula(level + 1)
+        while t := self.eat("punct", token):
+            rhs = self.formula(level if right else level + 1)
+            lhs = Bin(op, lhs, rhs, span=t.span)
         return lhs
-
-    def orx(self):
-        lhs = self.andx()
-        while True:
-            t = self.eat("punct", "|")
-            if not t:
-                return lhs
-            lhs = Bin("or", lhs, self.andx(), span=t.span)
-
-    def andx(self):
-        lhs = self.unary()
-        while True:
-            t = self.eat("punct", "&")
-            if not t:
-                return lhs
-            lhs = Bin("and", lhs, self.unary(), span=t.span)
 
     def unary(self):
         t = self.eat("punct", "~")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from reallogic.fuzzy import aggregate
+from reallogic.fuzzy import TOL, aggregate
 from reallogic.logic import (
     Bin, Not, Quant, Scope, free_vars, ground_formula, ground_term, where,
 )
@@ -337,7 +337,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)
-        if values.size and (values.min() < -1e-9 or values.max() > 1 + 1e-9):
+        if values.size and (values.min() < -TOL or values.max() > 1 + TOL):
             raise RuntimeError("truth query outside [0, 1]")
         values = np.clip(values, 0.0, 1.0)
     else:

@@ -110,6 +110,26 @@ def test_csv_var_requires_file_backed_doc():
         build_theory(parse_theory(src), seed=0)
 
 
+def test_csv_var_in_an_included_theory_is_read_beside_it(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.csv").write_text("v\n0.1\n0.2\n")
+    (tmp_path / "sub" / "b.rl").write_text(
+        'domain d = 1\nvar x : d = data "b.csv" cols v\n')
+    kb = tmp_path / "root.rl"
+    kb.write_text('include "sub/b.rl"\npred P : d = mlp(1, 1; sigmoid)\n'
+                  "axiom: forall x: P(x)\n")
+    th = load_theory(kb, seed=0)
+    assert th.env.var_length("x", Scope()) == 2
+
+
+def test_scalar_predicate_with_arguments_rejected_at_its_declaration():
+    src = ("domain d = 1\nvar x : d = [0.5]\npred P : d = scalar\n"
+           "axiom: forall x: P(x)\n")
+    with pytest.raises(TheoryError, match=r"^kb\.rl:3:1: P: a scalar "
+                                          r"predicate takes no arguments$"):
+        build_theory(parse_theory(src, filename="kb.rl"), seed=0)
+
+
 def test_trainable_const_with_interval():
     src = ("domain p = 2\nconst c : p = train in [0, 1]\n"
            "pred A = scalar\naxiom: A\n")

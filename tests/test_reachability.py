@@ -1,13 +1,17 @@
-"""Every public module-level function and class in ``src/reallogic`` has
-a caller outside the tests: some code under ``src/``, ``tools/`` or
-``perfbench/`` (its tests excluded) names it, other than its own
-definition."""
+"""Every public module-level function and class in ``src/reallogic``,
+and every public method of such a class, has a caller outside the
+tests: some code under ``src/``, ``tools/`` or ``perfbench/`` (its tests
+excluded) names it, other than its own definition."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "reallogic"
+
+# kept although only tests call it: the only way to give a predicate
+# exact truths
+EXEMPT_METHODS = {"GroundingEnv.add_pred_callable"}
 
 
 def _sources():
@@ -49,5 +53,26 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         for path, node in defined
         if not any(node.name in names for p, n, names in used
                    if (p, n) != (path, node))
+    ]
+    assert not unused, unused
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    methods = []   # (path, class, method)
+    used = []      # (node, names it refers to), classes split by member
+    for path in _sources():
+        for node in ast.parse(path.read_text()).body:
+            parts = node.body if isinstance(node, ast.ClassDef) else [node]
+            used += [(n, _names(n)) for n in parts]
+            if path.parent == PACKAGE and isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                methods += [(path, node, m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")]
+    unused = [
+        f"{path.name}:{m.lineno} {cls.name}.{m.name}"
+        for path, cls, m in methods
+        if f"{cls.name}.{m.name}" not in EXEMPT_METHODS
+        and not any(m.name in names for n, names in used if n is not m)
     ]
     assert not unused, unused

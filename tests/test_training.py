@@ -1,6 +1,7 @@
 """Tests for satisfiability, the learning loop, queries, and refutation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from reallogic.assemble import build_theory, load_theory
 from reallogic.datasets import make_clustering
 from reallogic.demos import theory_path
 from reallogic.fuzzy import AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate
-from reallogic.logic import Axiom, GroundingEnv, Signature
+from reallogic.logic import Axiom, EvalError, GroundingEnv, Signature
 from reallogic.nn import ParamStore, adam_step, backward
 from reallogic.parser import parse_formula, parse_theory
 from reallogic.tensor import Tensor
@@ -561,6 +562,19 @@ def test_open_query_over_empty_data_returns_an_empty_array():
     closed = query(th, "generalization-truth", "forall x: P(x, l_blue)",
                    data=empty)
     assert float(closed.values) == 1.0
+
+
+@pytest.mark.parametrize("demo, formula, bind, message", [
+    ("smokers", "S(x)", [-1], "variable x: index -1 is not an integer in 0..13"),
+    ("smokers", "S(x)", [1.7], "variable x: index 1.7 is not an integer"),
+    ("smokers", "S(x)", [14], "variable x: index 14 is not an integer"),
+    ("binary", "A(x)", np.zeros((2, 3)), "variable x needs shape (n, 2)"),
+], ids=["negative", "fractional", "past-the-end", "too-wide"])
+def test_query_rejects_a_bad_bind_naming_its_variable(demo, formula, bind,
+                                                       message):
+    th = load_theory(theory_path(demo), seed=0)
+    with pytest.raises(EvalError, match=re.escape(message)):
+        query(th, "generalization-truth", formula, data={"x": bind})
 
 
 def test_query_truth_must_stay_in_unit_interval():
