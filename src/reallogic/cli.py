@@ -150,7 +150,7 @@ def cmd_query(args) -> int:
             raise SystemExit(f"--params: {e}") from None
     try:  # a p below 1 fails only when its aggregator is built
         res = query(th, "truth", args.formula,
-                    forall_p=args.forall_p, exists_p=args.exists_p)
+                    p={"forall": args.forall_p, "exists": args.exists_p})
     except ValueError as e:
         raise SystemExit(str(e)) from None
     if res.values.ndim == 0:

@@ -185,7 +185,7 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     metrics = {"train_accuracy": acc(train_ds), "test_accuracy": acc(test_ds)}
     for name, phi in phis.items():
         metrics[name] = (lambda t, phi=phi:
-                         truth_value(t, phi, forall_p=5,
+                         truth_value(t, phi, p={"forall": 5},
                                      data={"x": test_ds.cols(*feature_cols)}))
     _, recs = learn(th, train,
                     data={k: binds[k] for k in binds if k != "x"},
@@ -316,7 +316,7 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     phis = _parsed(th, *SMOKERS_QUERIES.values())
     s_x, c_x, f_xy = _parsed(th, "S(x)", "C(x)", "F(x, y)")
 
-    metrics = {name: (lambda t, phi=phi: truth_value(t, phi, forall_p=5))
+    metrics = {name: (lambda t, phi=phi: truth_value(t, phi, p={"forall": 5}))
                for name, phi in zip(SMOKERS_QUERIES, phis)}
     metrics["symmetry"] = (
         lambda t: float(axiom_truth(t, by_label["symmetric"]).data))

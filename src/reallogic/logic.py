@@ -155,8 +155,7 @@ Formula = Atom | Eq | Not | Bin | Quant
 class Axiom:
     formula: Formula
     label: str = None
-    forall_p: float = None
-    exists_p: float = None
+    p: Mapping = field(default_factory=dict)   # quantifier kind -> p
     span: tuple = field(default=None, compare=False)
 
 
@@ -268,16 +267,17 @@ class Scope:
     :meth:`GroundingEnv.scope`, which checks them). ``alias`` maps
     each diagonally quantified variable to the label of its shared axis,
     and ``trunc`` maps that label to the axis length. ``training`` turns
-    on dropout. ``forall_p``/``exists_p`` override the p of every
-    matching quantifier. Quantifiers and guards derive child scopes with
-    ``dataclasses.replace``, so evaluation never writes to the env.
+    on dropout. ``p`` maps a quantifier kind (``"forall"``, ``"exists"``)
+    to the p of every quantifier of that kind; a kind left out or mapped
+    to None keeps the configured p. Quantifiers and guards derive child
+    scopes with ``dataclasses.replace``, so evaluation never writes to
+    the env.
     """
     binds: Mapping = field(default_factory=dict)
     alias: Mapping = field(default_factory=dict)
     trunc: Mapping = field(default_factory=dict)
     training: bool = False
-    forall_p: float = None
-    exists_p: float = None
+    p: Mapping = field(default_factory=dict)
 
 
 class GroundingEnv:
@@ -409,8 +409,7 @@ class GroundingEnv:
 
     # -- scopes and instances -----------------------------------------------
 
-    def scope(self, binds=None, training: bool = None, forall_p=None,
-              exists_p=None) -> Scope:
+    def scope(self, binds=None, training: bool = None, p=None) -> Scope:
         """Root scope of one evaluation.
 
         ``binds`` rebinds variables to other instances, possibly none:
@@ -418,7 +417,8 @@ class GroundingEnv:
         declarations do; constant-backed variables take an integer index
         array selecting which constants to stack. Each is checked here
         and kept as the instance array or the tuple of constant names.
-        ``training`` defaults to the env's flag.
+        ``training`` defaults to the env's flag. ``p`` maps quantifier
+        kinds to their p override, as :class:`Scope` does.
         """
         checked = {}
         for name, arr in (binds or {}).items():
@@ -433,7 +433,7 @@ class GroundingEnv:
                     idx, len(payload), f"variable {name}: index"))
         return Scope(checked,
                      training=self.training if training is None else training,
-                     forall_p=forall_p, exists_p=exists_p)
+                     p=p or {})
 
     def var_consts(self, name: str) -> tuple:
         """The constants that ground ``name``, in axis order."""
@@ -443,14 +443,12 @@ class GroundingEnv:
         return payload
 
     def var_length(self, name: str, scope: Scope) -> int:
-        n = len(scope.binds.get(name, self._vars[name][1]))
-        t = scope.trunc.get(scope.alias.get(name, name))
-        return n if t is None else min(n, t)
-
-    def _label_length(self, label: str, scope: Scope) -> int:
+        """Axis length of a variable or diagonal label: the shared axis's
+        truncation when it has one, else the instance count."""
+        label = scope.alias.get(name, name)
         if label in scope.trunc:
             return scope.trunc[label]
-        return self.var_length(label, scope)
+        return len(scope.binds.get(name, self._vars[name][1]))
 
     def _var_value(self, name: str, scope: Scope) -> GroundedValue:
         if name not in self._vars:
@@ -461,6 +459,9 @@ class GroundingEnv:
         inst = scope.binds.get(name, payload)[:n]
         if kind == "data":
             return GroundedValue(Tensor(inst), (label,))
+        if not inst:  # an empty bind: no constant to stack
+            dim = self.sig.dim(self.sig.variables[name])
+            return GroundedValue(Tensor(np.zeros((0, dim))), (label,))
         return GroundedValue(T.stack([self._const_value(c) for c in inst]),
                              (label,))
 
@@ -702,16 +703,13 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
     if len(order) > len(body.vars):
         # broadcast over axes the body never mentioned
         t = T.broadcast_to(t, tuple(n if v in body.vars
-                                    else env._label_length(v, scope)
+                                    else env.var_length(v, scope)
                                     for v, n in zip(order, t.shape)))
     if mask is not None:
         mask = _aligned(mask, mask_vars, order)
 
-    if node.kind == "forall":
-        spec = env.cfg.forall.with_p(scope.forall_p)
-        empty = 1.0
-    else:
-        spec = env.cfg.exists.with_p(scope.exists_p)
-        empty = 0.0
-    out = aggregate(spec, t, len(labels), mask=mask, empty=empty)
+    spec = getattr(env.cfg, CONFIG_KEYS[node.kind]).with_p(
+        scope.p.get(node.kind))
+    out = aggregate(spec, t, len(labels), mask=mask,
+                    empty=float(node.kind == "forall"))
     return GroundedValue(out, keep)

@@ -231,7 +231,6 @@ class ConfigDecl:
 
 @dataclass
 class TheoryDoc:
-    path: str
     sig: Signature
     statements: list
     diagnostics: list
@@ -466,11 +465,13 @@ class _Parser:
         label = None
         if self.at("string"):
             label = self.next().value
-        forall_p = exists_p = None
+        p = {}
         while self.eat("punct", "@"):
             kw = self.peek()
             if kw.text not in ("forall", "exists"):
                 raise ParseError("expected @forall(p=..) or @exists(p=..)", kw.span)
+            if kw.text in p:
+                raise ParseError(f"repeated @{kw.text} annotation", kw.span)
             self.next()
             self.expect("punct", "(")
             pname = self.expect("ident")
@@ -482,13 +483,10 @@ class _Parser:
             if val < 1:  # the p-mean rule, checked where it is written
                 raise ParseError(f"p must be >= 1, got {val:g}", num.span)
             self.expect("punct", ")")
-            if kw.text == "forall":
-                forall_p = val
-            else:
-                exists_p = val
+            p[kw.text] = val
         self.expect("punct", ":")
         f = self.formula()
-        self.statements.append(Axiom(f, label, forall_p, exists_p, span))
+        self.statements.append(Axiom(f, label, p, span))
 
     # -- shared small pieces ------------------------------------------------
 
@@ -691,7 +689,7 @@ def parse_theory(text: str, filename: str = "<theory>", base=None) -> TheoryDoc:
     toks = tokenize(text, filename)
     p = _Parser(toks, sig, statements, diagnostics, base, set())
     p.run()
-    return TheoryDoc(filename, sig, statements, diagnostics)
+    return TheoryDoc(sig, statements, diagnostics)
 
 
 def parse_formula(text: str, sig: Signature):
@@ -707,6 +705,4 @@ def parse_formula(text: str, sig: Signature):
 
 def parse_theory_file(path) -> TheoryDoc:
     path = Path(path).resolve()
-    doc = parse_theory(path.read_text(), str(path), base=path.parent)
-    doc.path = str(path)
-    return doc
+    return parse_theory(path.read_text(), str(path), base=path.parent)

@@ -31,7 +31,8 @@ class Theory:
         if not self.axioms:
             raise ValueError("theory has no axioms")
         for ax in self.axioms:
-            _check_closed(ax)
+            label = f" {ax.label}" if ax.label else ""
+            _check_closed(ax.formula, f"{where(ax.span)}axiom{label}")
 
     @property
     def cfg(self):
@@ -46,14 +47,12 @@ class Theory:
         return self.env.sig
 
 
-def _check_closed(axiom) -> None:
-    """Raise ValueError unless the axiom has no free variables. The
-    message starts with the axiom's file:line:col when it was parsed."""
-    loose = free_vars(axiom.formula)
+def _check_closed(formula, what: str) -> None:
+    """Raise ValueError, led by ``what``, unless the formula has no free
+    variables."""
+    loose = free_vars(formula)
     if loose:
-        label = f"{axiom.label} " if axiom.label else ""
-        raise ValueError(f"{where(axiom.span)}axiom {label}is not closed: "
-                         f"free {', '.join(loose)}")
+        raise ValueError(f"{what} is not closed: free {', '.join(loose)}")
 
 
 def axiom_truth(theory: Theory, axiom, scope: Scope = None) -> Tensor:
@@ -64,10 +63,8 @@ def axiom_truth(theory: Theory, axiom, scope: Scope = None) -> Tensor:
     over the scope's p.
     """
     scope = theory.env.scope() if scope is None else scope
-    fp, ep = axiom.forall_p, axiom.exists_p
-    if fp is not None or ep is not None:
-        scope = replace(scope, forall_p=scope.forall_p if fp is None else fp,
-                        exists_p=scope.exists_p if ep is None else ep)
+    if axiom.p:
+        scope = replace(scope, p={**scope.p, **axiom.p})
     return ground_formula(theory.env, axiom.formula, scope).tensor
 
 
@@ -266,7 +263,8 @@ def _step(theory, train, binds, ep, epoch) -> tuple:
     the graph is freed on return. Nothing is updated."""
     theory.env.training = True
     try:
-        sat = satisfiability(theory, theory.env.scope(binds, exists_p=ep))
+        sat = satisfiability(theory,
+                             theory.env.scope(binds, p={"exists": ep}))
     finally:
         theory.env.training = False
     loss = _loss(theory, train, sat)
@@ -280,7 +278,7 @@ def _step(theory, train, binds, ep, epoch) -> tuple:
 def _log(theory, train, data, metrics, epoch, ep=None) -> dict:
     """The record of ``epoch`` from its own Sat forward over ``data``."""
     sat = satisfiability(theory, theory.env.scope(data, training=False,
-                                                  exists_p=ep))
+                                                  p={"exists": ep}))
     loss = _loss(theory, train, sat)
     return _record(theory, train, metrics, epoch, float(sat.data),
                    float(loss.data))
@@ -311,12 +309,13 @@ QUERY_KINDS = ("truth", "value", "generalization-truth",
 
 
 def query(theory: Theory, kind: str, expr, data: dict = None,
-          forall_p=None, exists_p=None) -> QueryResult:
+          p: dict = None) -> QueryResult:
     """Evaluate a formula's truth or a term's value; never mutates θ.
 
     The expression is grounded in a scope with training off, the p
-    overrides, and, for the generalization kinds, the given variables
-    bound to unseen data; the env itself is left as it was. Formula
+    overrides ``p`` (quantifier kind to p, as in :class:`Scope`), and,
+    for the generalization kinds, the given variables bound to unseen
+    data; the env itself is left as it was. Formula
     queries take an AST or source text, parsed on every call; term
     queries take an AST. Raises RuntimeError when any bit of θ changed
     (:meth:`ParamStore.snapshot` before and after).
@@ -332,8 +331,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
             raise ValueError("value queries take a term AST")
         expr = parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
-    scope = theory.env.scope(data, training=False, forall_p=forall_p,
-                             exists_p=exists_p)
+    scope = theory.env.scope(data, training=False, p=p)
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)
@@ -348,11 +346,12 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     return QueryResult(kind, values, gv.vars)
 
 
-def truth_value(theory: Theory, formula, forall_p=None,
+def truth_value(theory: Theory, formula, p: dict = None,
                 data: dict = None) -> float:
-    """Scalar shortcut for closed-formula truth queries."""
+    """Scalar shortcut for closed-formula truth queries; ``p`` and
+    ``data`` are as in :func:`query`."""
     kind = "generalization-truth" if data else "truth"
-    res = query(theory, kind, formula, data=data, forall_p=forall_p)
+    res = query(theory, kind, formula, data=data, p=p)
     return float(res.values)
 
 
@@ -432,10 +431,7 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
         if isinstance(phi, str):
             from reallogic.parser import parse_formula
             phi_ast = parse_formula(phi, th.sig)
-        loose = free_vars(phi_ast)
-        if loose:
-            raise ValueError(f"refuted formula is not closed: "
-                             f"free {', '.join(loose)}")
+        _check_closed(phi_ast, "refuted formula")
         scope = th.env.scope(training=False)
         for _ in range(rcfg.epochs):
             sat = satisfiability(th, scope)

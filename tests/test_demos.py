@@ -17,7 +17,7 @@ from reallogic.demos import (
 )
 from reallogic.nn import ParamStore
 from reallogic.parser import parse_theory_file
-from reallogic.training import TrainConfig
+from reallogic.training import TrainConfig, query
 
 
 def test_registry_covers_every_demo():
@@ -406,6 +406,18 @@ def test_cli_query_array_output(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("axes: x")
+
+
+def test_cli_query_exists_p_overrides_the_configured_p(capsys):
+    kb = theory_path("clustering")
+    formula = "forall x: (exists c: C(x, c))"
+    rc = cli.main(["query", "--kb", str(kb), "--formula", formula,
+                   "--exists-p", "6"])
+    assert rc == 0
+    want = query(load_theory(kb, seed=0), "truth", formula, p={"exists": 6})
+    plain = query(load_theory(kb, seed=0), "truth", formula)
+    assert capsys.readouterr().out == f"{float(want.values):.6f}\n"
+    assert f"{float(want.values):.6f}" != f"{float(plain.values):.6f}"
 
 
 def test_multilabel_parses_each_formula_once(monkeypatch):

@@ -210,11 +210,11 @@ def test_quantifier_p_override_applies():
     env = num_env(x=[0.2, 0.7, 0.8])
     xs = np.array([0.2, 0.7, 0.8])
     got = ground_formula(env, forall([("x",)], Atom("P", (Var("x"),))),
-                         Scope(forall_p=4))
+                         Scope(p={"forall": 4}))
     assert float(got.tensor.data) == pytest.approx(
         1 - (np.mean((1 - xs) ** 4)) ** 0.25)
     got = ground_formula(env, exists([("x",)], Atom("P", (Var("x"),))),
-                         Scope(exists_p=6))
+                         Scope(p={"exists": 6}))
     assert float(got.tensor.data) == pytest.approx((np.mean(xs ** 6)) ** (1 / 6))
 
 

@@ -272,7 +272,7 @@ def test_theory_declarations():
                            ConfigDecl("forall", "pmean_error:p=4"),
                            ConfigDecl("eq_alpha", "2")]
     ax1, ax2 = doc.axioms
-    assert ax1.label == "closure" and ax1.forall_p == 6.0 and ax1.exists_p is None
+    assert ax1.label == "closure" and ax1.p == {"forall": 6.0}
     assert isinstance(ax1.formula, Quant)
     assert ax2 == Axiom(Bin("or", Atom("A", ()), Not(Atom("A", ()))))
     assert doc.sig.predicates["Cls"] == ("item", "label")
@@ -386,4 +386,13 @@ def test_axiom_annotation_below_one_is_reported_at_its_number():
                        "axiom @exists(p=1): A\n")
     assert [(d.message, d.span[1:]) for d in doc.diagnostics] == [
         ("p must be >= 1, got 0.5", (3, 17)), ("p must be >= 1, got -2", (4, 17))]
-    assert [ax.exists_p for ax in doc.axioms] == [1.0]
+    assert [ax.p for ax in doc.axioms] == [{"exists": 1.0}]
+
+
+def test_repeated_axiom_annotation_is_reported_at_its_keyword():
+    doc = parse_theory("domain d = 1\npred A = scalar\n"
+                       "axiom @forall(p=2) @forall(p=3): A\n"
+                       "axiom @forall(p=2) @exists(p=3): A\n")
+    assert [(d.message, d.span[1:]) for d in doc.diagnostics] == [
+        ("repeated @forall annotation", (3, 21))]
+    assert [ax.p for ax in doc.axioms] == [{"forall": 2.0, "exists": 3.0}]

@@ -85,9 +85,9 @@ def test_smokers_fact_axioms_match_fact_sets():
 def test_smokers_annotations():
     doc = parse_theory_file(THEORY_DIR / "smokers.rl")
     by_label = {ax.label: ax for ax in doc.axioms}
-    assert by_label["anti-reflexive"].forall_p == 6
-    assert by_label["symmetric"].forall_p == 6
-    assert by_label["smoking propagates"].forall_p is None
+    assert by_label["anti-reflexive"].p["forall"] == 6
+    assert by_label["symmetric"].p["forall"] == 6
+    assert by_label["smoking propagates"].p.get("forall") is None
 
 
 def test_multilabel_has_no_negative_facts():

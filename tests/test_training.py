@@ -60,7 +60,7 @@ def disj_theory(a=None, b=None, seed=0, raw=False):
     return th
 
 
-def callable_theory(values, fn=None, forall_p=None):
+def callable_theory(values, fn=None, p=None):
     """One axiom 'forall x: P(x)' with P reading off fixed truths."""
     values = np.asarray(values, dtype=float)
     sig = Signature()
@@ -70,7 +70,7 @@ def callable_theory(values, fn=None, forall_p=None):
     env = GroundingEnv(sig, ParamStore(0))
     env.add_var_data("x", values)
     env.add_pred_callable("P", fn or (lambda v: Tensor(values)))
-    ax = Axiom(parse_formula("forall x: P(x)", sig), forall_p=forall_p)
+    ax = Axiom(parse_formula("forall x: P(x)", sig), p=p or {})
     return Theory((ax,), env)
 
 
@@ -108,19 +108,40 @@ def test_sat_agg_combines_axioms():
 
 def test_axiom_annotation_beats_override():
     vals = [0.2, 0.5, 0.9]
-    th = callable_theory(vals, forall_p=6)
+    th = callable_theory(vals, p={"forall": 6})
     got = float(axiom_truth(th, th.axioms[0],
-                            th.env.scope(forall_p=2)).data)
+                            th.env.scope(p={"forall": 2})).data)
     spec = th.cfg.forall.with_p(6)
     want = float(aggregate(spec, Tensor(np.array(vals)), 1).data)
     assert got == pytest.approx(want, abs=1e-12)
 
     plain = callable_theory(vals)
     got2 = float(axiom_truth(plain, plain.axioms[0],
-                             plain.env.scope(forall_p=4)).data)
+                             plain.env.scope(p={"forall": 4})).data)
     want2 = float(aggregate(th.cfg.forall.with_p(4),
                             Tensor(np.array(vals)), 1).data)
     assert got2 == pytest.approx(want2, abs=1e-12)
+
+
+def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
+    vals = np.array([[0.2, 0.9], [0.5, 0.4], [0.7, 0.1]])
+    sig = Signature()
+    sig.add_domain("u", 1)
+    sig.add_variable("x", "u")
+    sig.add_variable("y", "u")
+    sig.add_predicate("P", ("u", "u"))
+    env = GroundingEnv(sig, ParamStore(0))
+    env.add_var_data("x", [0.0, 1.0, 2.0])
+    env.add_var_data("y", [0.0, 1.0])
+    env.add_pred_callable("P", lambda a, b: Tensor(vals))
+    ax = Axiom(parse_formula("forall x: exists y: P(x, y)", sig),
+               p={"forall": 6})
+    th = Theory((ax,), env)
+    got = float(axiom_truth(th, ax, env.scope(p={"exists": 3})).data)
+    some = aggregate(th.cfg.exists.with_p(3), Tensor(vals), 1)
+    want = float(aggregate(th.cfg.forall.with_p(6), some, 1).data)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got != pytest.approx(float(axiom_truth(th, ax).data), abs=1e-6)
 
 
 def test_theory_rejects_open_axioms():
@@ -319,7 +340,7 @@ def plain_learn(theory, train, data=None, metrics=None):
 
     def log(epoch, ep):
         sat = satisfiability(theory, theory.env.scope(data, training=False,
-                                                      exists_p=ep))
+                                                      p={"exists": ep}))
         loss = _loss(theory, train, sat)
         rec = {"epoch": epoch, "sat": float(sat.data),
                "loss": float(loss.data)}
@@ -344,7 +365,7 @@ def plain_learn(theory, train, data=None, metrics=None):
                     for v in g:
                         binds[v] = np.asarray(data[v])[idx]
                 sat = satisfiability(theory,
-                                     theory.env.scope(binds, exists_p=ep))
+                                     theory.env.scope(binds, p={"exists": ep}))
                 loss = _loss(theory, train, sat)
                 assert np.isfinite(loss.data)
                 grads = backward(loss, theory.store)
@@ -360,7 +381,7 @@ def smokers_theory():
     th = load_theory(theory_path("smokers"), seed=0)
     symmetric = next(ax for ax in th.axioms if ax.label == "symmetric")
     metrics = {"phi1": lambda t: truth_value(t, "forall x: (C(x) -> S(x))",
-                                             forall_p=5),
+                                             p={"forall": 5}),
                "symmetry": lambda t: float(axiom_truth(t, symmetric).data)}
     return th, metrics
 
@@ -561,6 +582,16 @@ def test_open_query_over_empty_data_returns_an_empty_array():
     assert res.values.shape == (0,)
     closed = query(th, "generalization-truth", "forall x: P(x, l_blue)",
                    data=empty)
+    assert float(closed.values) == 1.0
+
+
+def test_open_query_over_an_empty_constant_bind_returns_an_empty_array():
+    th = load_theory(theory_path("smokers"), seed=0)
+    empty = {"x": np.array([], dtype=int)}
+    res = query(th, "generalization-truth", "S(x)", data=empty)
+    assert res.vars == ("x",)
+    assert res.values.shape == (0,)
+    closed = query(th, "generalization-truth", "forall x: S(x)", data=empty)
     assert float(closed.values) == 1.0
 
 
