@@ -10,12 +10,13 @@ stable form, and its entry gives the squeeze of each operand:
 - ``implies``: ``kleene_dienes``, ``godel``, ``reichenbach`` * (pi0 on
   the antecedent, pi1 on the consequent), ``goguen``, ``luk``
 
-Aggregators generalize them over whole axes: ``min``, ``max``, ``prod``,
-``prob_sum``, ``luk_and``, ``luk_or``, ``mean``, and the p-means
-``pmean`` and ``pmean_error`` (``_P_AGGS``), the only ones that take p
-and have a stable form (pi0 and pi1). ``pmean`` leans toward the
-largest inputs as p grows (existential flavor); ``pmean_error``
-penalizes the largest deviations from 1 (universal flavor).
+Aggregators generalize them over a whole axis. ``_AGGREGATORS`` maps
+each family to its neutral value (in brackets), its rule and the
+squeeze of its stable form: ``min`` (1), ``max`` (0), ``prod`` (1),
+``prob_sum`` (0), ``luk_and`` (0), ``luk_or`` (0), ``mean`` (0), and the
+only families that take p and have a stable form, the p-means ``pmean``
+(0; pi0), which leans toward the largest inputs as p grows, and
+``pmean_error`` (1; pi1), which penalizes the largest deviations from 1.
 
 Most of these have gradient pathologies somewhere on [0, 1]: min/max
 propagate through a single input, product families flatline at the
@@ -41,10 +42,6 @@ import numpy as np
 
 from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor, astensor
-
-_AGG_FAMILIES = ("min", "max", "mean", "pmean", "pmean_error",
-                 "prod", "prob_sum", "luk_and", "luk_or")
-_P_AGGS = ("pmean", "pmean_error")
 
 TOL = 1e-9  # forgiveness for float drift outside [0, 1]
 
@@ -78,22 +75,23 @@ class AggregatorSpec:
     eps: float = 1e-4
 
     def __post_init__(self):
-        if self.family not in _AGG_FAMILIES:
+        if self.family not in _AGGREGATORS:
             raise ValueError(f"unknown aggregator family {self.family!r}")
-        if self.family in _P_AGGS:
+        pmean = _AGGREGATORS[self.family][2] is not None
+        if pmean:
             p = 2.0 if self.p is None else float(self.p)
             if p < 1.0:
                 raise ValueError("p must be >= 1")
             object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise ValueError(f"{self.family} takes no p")
-        if self.stable and self.family not in _P_AGGS:
+        if self.stable and not pmean:
             raise ValueError(f"{self.family} has no stable form")
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must be in (0, 0.5)")
 
     def with_p(self, p) -> "AggregatorSpec":
-        if self.family not in _P_AGGS or p is None:
+        if self.p is None or p is None:
             return self
         return dataclasses.replace(self, p=float(p))
 
@@ -186,71 +184,67 @@ def _pack(t: Tensor, m: np.ndarray):
             count.reshape(lead))
 
 
+def _pmean(x: Tensor, count, p: float, vacant) -> Tensor:
+    base = T.reduce_sum(T.power(x, p), -1) / np.maximum(count, 1.0)
+    if vacant is not None:
+        # x ** (1/p) has no finite derivative at 0, so a row with no
+        # kept cell takes base 1; aggregate patches its value
+        base = T.where(vacant, 1.0, base)
+    return T.power(base, 1.0 / p)
+
+
+# family -> (neutral value, which fills the cells a mask leaves out;
+# rule reducing the last axis of x, given the kept count per row, p and
+# the rows a mask keeps no cell of; squeeze in the stable form or None)
+_AGGREGATORS = {
+    "min": (1.0, lambda x, *_: T.reduce_min(x), None),
+    "max": (0.0, lambda x, *_: T.reduce_max(x), None),
+    "prod": (1.0, lambda x, *_: T.reduce_prod(x), None),
+    "prob_sum": (0.0, lambda x, *_: 1.0 - T.reduce_prod(1.0 - x), None),
+    "luk_and": (0.0, lambda x, count, *_:
+                T.maximum(T.reduce_sum(x, -1) - count + 1.0, 0.0), None),
+    "luk_or": (0.0, lambda x, *_: T.minimum(T.reduce_sum(x, -1), 1.0), None),
+    "mean": (0.0, lambda x, count, *_:
+             T.reduce_sum(x, -1) / np.maximum(count, 1.0), None),
+    "pmean": (0.0, _pmean, _pi0),
+    "pmean_error": (1.0, lambda x, *rest: 1.0 - _pmean(1.0 - x, *rest), _pi1),
+}
+
+
 def aggregate(spec: AggregatorSpec, t, k: int, mask=None, empty=None) -> Tensor:
     """Aggregate truth values over the last ``k`` axes of ``t``.
 
-    Those axes are flattened into one last axis, which every reduction
-    reads. ``mask`` (a constant boolean array broadcastable to ``t``)
-    restricts the aggregation to selected cells. Result cells whose
-    mask count is zero are patched with ``empty`` (1 for vacuous
-    universals, 0 for failed existentials); leaving ``empty`` as None on
-    an empty cell is an error at use sites, so the raw aggregate value
-    leaks through only when every cell is populated. The kept cells are
-    first packed per result cell (:func:`_pack`), so past two passes
-    over the boolean mask the masked work and its backward scale with
-    the kept cells, not with the grid; masked-out cells get a zero
-    gradient.
+    Those axes are flattened into one last axis, which the family's rule
+    in ``_AGGREGATORS`` reduces. ``empty`` is the value over no cell (1
+    for vacuous universals, 0 for failed existentials): every result
+    cell takes it when the reduced axes hold no cell. ``mask`` (a
+    constant boolean array broadcastable to ``t``) restricts the
+    aggregation to selected cells. Their cells are packed per result
+    cell (:func:`_pack`), squeezed in the stable form, and the padding
+    is filled with the family's neutral value, so past two passes over
+    the boolean mask the work and its backward scale with the kept
+    cells, not with the grid; masked-out cells get a zero gradient.
+    Result cells whose mask keeps no cell are patched with ``empty``;
+    left as None, their raw value leaks through, an error at use sites.
     """
     t = _checked(t)
     lead = t.shape[:t.ndim - k]
     flat = lead + (math.prod(t.shape[t.ndim - k:]),)
-    f, eps = spec.family, spec.eps
-
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), t.shape).reshape(flat)
-        t, m, count = _pack(t, m)
-        mt = m.astype(np.float64)
+    if empty is not None and flat[-1] == 0:
+        return Tensor(np.full(lead, float(empty)))
+    neutral, rule, squeeze = _AGGREGATORS[spec.family]
+    if mask is None:
+        t, valid, count = T.reshape(t, flat), None, float(flat[-1])
     else:
-        t = T.reshape(t, flat)
-        m = mt = None
-        count = float(flat[-1])
-
-    def fill(x, v):
-        return x if m is None else T.where(m, x, v)
-
-    def msum(x):
-        return T.reduce_sum(x if mt is None else x * mt, -1)
-
-    denom = np.maximum(count, 1.0)
-    vacant = count == 0 if mask is not None and np.any(count == 0) else None
-
-    def pmean_base(x):
-        # x ** (1/p) has no finite derivative at 0, so cells with no
-        # selected input take base 1; their value is patched below.
-        base = msum(T.power(x, spec.p)) / denom
-        return base if vacant is None else T.where(vacant, 1.0, base)
-
-    if f == "min":
-        out = T.reduce_min(fill(t, 1.0))
-    elif f == "max":
-        out = T.reduce_max(fill(t, 0.0))
-    elif f == "prod":
-        out = T.reduce_prod(fill(t, 1.0))
-    elif f == "prob_sum":
-        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0))
-    elif f == "luk_and":
-        out = T.maximum(msum(t) - count + 1.0, 0.0)
-    elif f == "luk_or":
-        out = T.minimum(msum(t), 1.0)
-    elif f == "mean":
-        out = msum(t) / denom
-    elif f == "pmean":
-        x = _pi0(t, eps) if spec.stable else t
-        out = T.power(pmean_base(x), 1.0 / spec.p)
-    else:  # pmean_error
-        x = _pi1(t, eps) if spec.stable else t
-        out = 1.0 - T.power(pmean_base(1.0 - x), 1.0 / spec.p)
-
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), t.shape).reshape(flat)
+        t, valid, count = _pack(t, m)
+    if spec.stable:
+        t = squeeze(t, spec.eps)
+    vacant = None
+    if valid is not None:
+        t = T.where(valid, t, neutral)
+        vacant = None if count.all() else count == 0
+    out = rule(t, count, spec.p, vacant)
     if vacant is not None and empty is not None:
         out = T.where(vacant, float(empty), out)
     return out

@@ -60,6 +60,9 @@ from reallogic.nn import MlpSpec, ParamStore, dense_forward, init_mlp
 from reallogic.tensor import Tensor
 
 
+QUANTIFIERS = ("forall", "exists")  # the quantifier kinds, as written
+
+
 class EvalError(ValueError):
     """Formula or term cannot be evaluated against this grounding."""
 
@@ -141,7 +144,7 @@ class Guard:
 
 @dataclass(frozen=True)
 class Quant:
-    kind: str            # forall | exists
+    kind: str            # one of QUANTIFIERS
     groups: tuple        # tuple of tuples of var names; len > 1 = diagonal
     guard: Optional[Guard]
     body: "Formula"
@@ -267,7 +270,7 @@ class Scope:
     :meth:`GroundingEnv.scope`, which checks them). ``alias`` maps
     each diagonally quantified variable to the label of its shared axis,
     and ``trunc`` maps that label to the axis length. ``training`` turns
-    on dropout. ``p`` maps a quantifier kind (``"forall"``, ``"exists"``)
+    on dropout. ``p`` maps a quantifier kind (one of ``QUANTIFIERS``)
     to the p of every quantifier of that kind; a kind left out or mapped
     to None keeps the configured p. Quantifiers and guards derive child
     scopes with ``dataclasses.replace``, so evaluation never writes to
@@ -418,8 +421,12 @@ class GroundingEnv:
         array selecting which constants to stack. Each is checked here
         and kept as the instance array or the tuple of constant names.
         ``training`` defaults to the env's flag. ``p`` maps quantifier
-        kinds to their p override, as :class:`Scope` does.
+        kinds to their p override, as :class:`Scope` does; a key that is
+        not one of ``QUANTIFIERS`` is an error.
         """
+        for kind in p or {}:
+            if kind not in QUANTIFIERS:
+                raise EvalError(f"p override for unknown quantifier kind {kind!r}")
         checked = {}
         for name, arr in (binds or {}).items():
             if name not in self._vars:

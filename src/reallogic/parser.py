@@ -64,15 +64,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from reallogic.logic import (
-    App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant, Signature,
-    SignatureError, Var, where,
+    QUANTIFIERS, App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant,
+    Signature, SignatureError, Var, where,
 )
 
 STATEMENT_KEYWORDS = ("domain", "const", "var", "func", "pred",
                       "axiom", "config", "include")
-_KEYWORDS = STATEMENT_KEYWORDS + ("forall", "exists", "in", "train", "consts",
-                                  "data", "cols", "mlp", "select", "scalar",
-                                  "builtin")
+_KEYWORDS = STATEMENT_KEYWORDS + QUANTIFIERS + (
+    "in", "train", "consts", "data", "cols", "mlp", "select", "scalar",
+    "builtin")
 
 _UNICODE_ALIASES = {
     "∀": "forall", "∃": "exists", "∧": "&", "∨": "|",
@@ -134,7 +134,7 @@ def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
         span = (filename, line, i - start + 1)
         if c in _UNICODE_ALIASES:
             alias = _UNICODE_ALIASES[c]
-            kind = "keyword" if alias in ("forall", "exists") else "punct"
+            kind = "keyword" if alias in QUANTIFIERS else "punct"
             tokens.append(Token(kind, alias, alias, span))
             i += 1
             continue
@@ -468,7 +468,7 @@ class _Parser:
         p = {}
         while self.eat("punct", "@"):
             kw = self.peek()
-            if kw.text not in ("forall", "exists"):
+            if kw.text not in QUANTIFIERS:
                 raise ParseError("expected @forall(p=..) or @exists(p=..)", kw.span)
             if kw.text in p:
                 raise ParseError(f"repeated @{kw.text} annotation", kw.span)
@@ -540,7 +540,7 @@ class _Parser:
         t = self.eat("punct", "~")
         if t:
             return Not(self.unary(), span=t.span)
-        if self.at("keyword", "forall") or self.at("keyword", "exists"):
+        if self.at("keyword") and self.peek().text in QUANTIFIERS:
             return self.quant()
         if self.eat("punct", "("):
             f = self.formula()

@@ -108,8 +108,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -124,14 +122,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, n):
-        return power(self, n)
 
     def reshape(self, *shape):
         return reshape(self, *shape)

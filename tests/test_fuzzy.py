@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reallogic.fuzzy import (
-    AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate, apply_connective,
-    parse_op_tag,
+    _AGGREGATORS, AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate,
+    apply_connective, parse_op_tag,
 )
 from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor
@@ -291,6 +291,9 @@ MASKED_SPECS = [AggregatorSpec(f) for f in
 MASKED_SPECS += [AggregatorSpec("pmean", p=3), AggregatorSpec("pmean_error", p=3),
                  AggregatorSpec("pmean", p=2, stable=True),
                  AggregatorSpec("pmean_error", p=2, stable=True)]
+# at p = 1 the neutral padding meets power's derivative at 0 ** 0
+MASKED_SPECS += [AggregatorSpec(f, p=1, stable=stable)
+                 for f in ("pmean", "pmean_error") for stable in (False, True)]
 
 
 @st.composite
@@ -370,6 +373,19 @@ def test_op_validation():
     with pytest.raises(ValueError):
         AggregatorSpec("min", stable=True)
     assert AggregatorSpec("pmean").p == 2.0  # default
+
+
+@pytest.mark.parametrize("family", sorted(_AGGREGATORS))
+def test_only_the_p_means_take_p_and_a_stable_form(family):
+    pmean = family in ("pmean", "pmean_error")
+    for kwargs in ({"p": 2}, {"stable": True}):
+        if pmean:
+            AggregatorSpec(family, **kwargs)
+        else:
+            with pytest.raises(ValueError):
+                AggregatorSpec(family, **kwargs)
+    assert (AggregatorSpec(family).p is not None) == pmean
+    assert (AggregatorSpec(family).with_p(4).p == 4.0) == pmean
 
 
 def test_tag_parsing():

@@ -803,7 +803,7 @@ def sigmoid(a):
 
 
 def t_sigmoid(t):
-    return 1.0 / (1.0 + T.exp(-t))
+    return T.div(1.0, T.add(1.0, T.exp(-t)))
 
 
 NP_AGGS = {"min": np.min, "max": np.max, "prod": np.prod,

@@ -11,7 +11,9 @@ from reallogic import training
 from reallogic.assemble import build_theory, load_theory
 from reallogic.datasets import make_clustering
 from reallogic.demos import theory_path
-from reallogic.fuzzy import AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate
+from reallogic.fuzzy import (
+    _AGGREGATORS, AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate,
+)
 from reallogic.logic import Axiom, EvalError, GroundingEnv, Signature
 from reallogic.nn import ParamStore, adam_step, backward
 from reallogic.parser import parse_formula, parse_theory
@@ -585,6 +587,16 @@ def test_open_query_over_empty_data_returns_an_empty_array():
     assert float(closed.values) == 1.0
 
 
+@pytest.mark.parametrize("family", sorted(_AGGREGATORS))
+def test_quantifier_over_an_empty_bind_reads_its_vacuous_value(family):
+    th = load_theory(theory_path("binary"),
+                     tags={"forall": family, "exists": family})
+    empty = {"x": np.zeros((0, 2))}
+    for formula, want in (("forall x: A(x)", 1.0), ("exists x: A(x)", 0.0)):
+        res = query(th, "generalization-truth", formula, data=empty)
+        assert float(res.values) == want, formula
+
+
 def test_open_query_over_an_empty_constant_bind_returns_an_empty_array():
     th = load_theory(theory_path("smokers"), seed=0)
     empty = {"x": np.array([], dtype=int)}
@@ -606,6 +618,12 @@ def test_query_rejects_a_bad_bind_naming_its_variable(demo, formula, bind,
     th = load_theory(theory_path(demo), seed=0)
     with pytest.raises(EvalError, match=re.escape(message)):
         query(th, "generalization-truth", formula, data={"x": bind})
+
+
+def test_query_rejects_a_p_override_for_an_unknown_quantifier_kind():
+    th = load_theory(theory_path("smokers"), seed=0)
+    with pytest.raises(EvalError, match="unknown quantifier kind 'foral'"):
+        query(th, "truth", "forall x: S(x)", p={"foral": 5})
 
 
 def test_query_truth_must_stay_in_unit_interval():
