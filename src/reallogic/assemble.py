@@ -16,8 +16,8 @@ from reallogic.fuzzy import FuzzyConfig
 from reallogic.logic import EvalError, GroundingEnv, where
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.parser import (
-    Axiom, ConfigDecl, ConstDecl, DomainDecl, FuncDecl, PredDecl, TheoryDoc,
-    VarDecl, parse_theory_file,
+    Axiom, ConfigDecl, ConstDecl, DomainDecl, SymbolDecl, TheoryDoc, VarDecl,
+    parse_theory_file,
 )
 from reallogic.training import Theory
 
@@ -73,21 +73,19 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                     env.add_var_consts(s.name, s.source[1])
                 else:
                     env.add_var_data(s.name, _load_ref(s))
-            elif isinstance(s, FuncDecl):
-                if s.impl[0] == "builtin":
-                    if s.impl[1] not in BUILTINS:
+            elif isinstance(s, SymbolDecl):
+                kind, *args = s.impl
+                if kind == "builtin":
+                    if args[0] not in BUILTINS:
                         raise TheoryError(f"{where(s.span)}unknown builtin "
-                                          f"{s.impl[1]!r}")
-                    env.add_func_builtin(s.name, BUILTINS[s.impl[1]])
+                                          f"{args[0]!r}")
+                    env.add_builtin(s.name, BUILTINS[args[0]])
+                elif kind == "scalar":
+                    env.add_scalar(s.name, *args)
+                elif kind == "select":
+                    env.add_select(s.name, MlpSpec(*args))
                 else:
-                    env.add_func_mlp(s.name, MlpSpec(*s.impl[1:]))
-            elif isinstance(s, PredDecl):
-                if s.impl[0] == "scalar":
-                    env.add_pred_scalar(s.name, s.impl[1])
-                elif s.impl[0] == "select":
-                    env.add_pred_select(s.name, MlpSpec(*s.impl[1:]))
-                else:
-                    env.add_pred_mlp(s.name, MlpSpec(*s.impl[1:]))
+                    env.add_mlp(s.name, MlpSpec(*args))
             elif isinstance(s, Axiom):
                 axioms.append(s)
             else:

@@ -377,12 +377,14 @@ DEMOS = {
     "addition-single": Demo(
         run_addition_single,
         TrainConfig(epochs=150, batch=32, log_every=10,
-                    exists_schedule=("linear", 1.0, 6.0)),
+                    exists_schedule=((0, 1.0), (40, 2.0), (80, 4.0),
+                                     (120, 6.0))),
         {"test_accuracy": (">=", 0.85)}),
     "addition-multi": Demo(
         run_addition_multi,
         TrainConfig(epochs=200, batch=32, log_every=20,
-                    exists_schedule=("linear", 1.0, 6.0)),
+                    exists_schedule=((0, 1.0), (50, 2.0), (100, 4.0),
+                                     (150, 6.0))),
         {"test_accuracy": (">=", 0.85)}),
     "regression": Demo(
         run_regression, TrainConfig(epochs=500, batch=64, log_every=25),

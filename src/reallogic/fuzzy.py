@@ -63,9 +63,6 @@ class ConnectiveOp:
         if not 0.0 < self.eps < 0.5:
             raise ValueError("eps must be in (0, 0.5)")
 
-    def __str__(self):
-        return f"{self.kind}:{self.family}{'_stable' if self.stable else ''}"
-
 
 @dataclass(frozen=True)
 class AggregatorSpec:
@@ -91,13 +88,7 @@ class AggregatorSpec:
             raise ValueError("eps must be in (0, 0.5)")
 
     def with_p(self, p) -> "AggregatorSpec":
-        if self.p is None or p is None:
-            return self
-        return dataclasses.replace(self, p=float(p))
-
-    def __str__(self):
-        tag = f"{self.family}{'_stable' if self.stable else ''}"
-        return f"{tag}:p={self.p:g}" if self.p is not None else tag
+        return self if p is None else dataclasses.replace(self, p=float(p))
 
 
 def _pi0(t: Tensor, eps: float) -> Tensor:

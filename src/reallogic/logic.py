@@ -4,8 +4,11 @@ Symbols are declared in a :class:`Signature` (domains with feature
 dimensions, constants, variables, functions, predicates). A
 :class:`GroundingEnv` maps each symbol onto tensors: constants become
 feature vectors (fixed or trainable), variables become stacks of
-instances, functions and predicates become dense networks, builtins, or
-trainable truth scalars.
+instances. Functions and predicates share one table of groundings
+(dense networks, ``select`` networks, builtins, trainable truth
+scalars) and one application rule, :func:`_apply`, which grounds both
+terms ``f(t1, ..., tn)`` and atoms ``P(t1, ..., tn)``; a predicate is a
+function whose value is a truth in [0, 1] and has no feature axis.
 
 Evaluation turns a term into a tensor shaped ``(n_v1, ..., n_vk, feat)``
 and a formula into a truth tensor shaped ``(n_v1, ..., n_vk)``, one axis
@@ -136,10 +139,15 @@ class Guard:
     Each side is a tuple of (coefficient, term-or-None); None stands for
     the constant 1, so ``(2.0, None)`` is the literal 2.
     """
-    op: str  # < <= > >= = !=
+    op: str  # a key of COMPARISONS
     lhs: tuple
     rhs: tuple
     span: tuple = field(default=None, compare=False)
+
+
+# each guard operator and its rule on detached arrays
+COMPARISONS = {"<": np.less, "<=": np.less_equal, ">": np.greater,
+               ">=": np.greater_equal, "=": np.equal, "!=": np.not_equal}
 
 
 @dataclass(frozen=True)
@@ -286,6 +294,11 @@ class Scope:
 class GroundingEnv:
     """Maps symbols onto tensors.
 
+    Constants and variables each have a table; functions and predicates
+    share one, keyed by name, with one adder per implementation:
+    :meth:`add_mlp`, :meth:`add_select`, :meth:`add_scalar`,
+    :meth:`add_builtin` and :meth:`add_callable`.
+
     ``cfg`` defaults to the stable product configuration. ``training``
     is the dropout flag that root scopes start from; ``training.learn``
     sets it while an optimizer step grounds Sat.
@@ -299,8 +312,7 @@ class GroundingEnv:
         self.training = False
         self._consts: dict[str, tuple] = {}
         self._vars: dict[str, tuple] = {}
-        self._funcs: dict[str, tuple] = {}
-        self._preds: dict[str, tuple] = {}
+        self._symbols: dict[str, tuple] = {}
 
     # -- declaration helpers ------------------------------------------
 
@@ -365,23 +377,19 @@ class GroundingEnv:
             raise EvalError(f"output width {spec.widths[-1]} does not match "
                             f"dim {dout}")
 
-    def add_func_mlp(self, name: str, spec: MlpSpec) -> None:
-        din, dout = self._declared(name, self.sig.functions)
-        self._check_mlp(spec, din, self.sig.dim(dout))
+    def add_mlp(self, name: str, spec: MlpSpec) -> None:
+        """Network over the arguments' features side by side; a
+        function's ends in its range's dim, a predicate's in width 1."""
+        if name in self.sig.functions:
+            din, dout = self.sig.functions[name]
+            dout = self.sig.dim(dout)
+        else:
+            din, dout = self._declared(name, self.sig.predicates), 1
+        self._check_mlp(spec, din, dout)
         init_mlp(self.store, name, spec)
-        self._funcs[name] = ("mlp", spec)
+        self._symbols[name] = ("mlp", spec)
 
-    def add_func_builtin(self, name: str, fn: Callable) -> None:
-        """fn maps broadcast numpy arrays (..., din_i) to (..., dout);
-        it is detached, so use it in guards, not in trained terms."""
-        self._funcs[name] = ("builtin", fn)
-
-    def add_pred_mlp(self, name: str, spec: MlpSpec) -> None:
-        self._check_mlp(spec, self._declared(name, self.sig.predicates), 1)
-        init_mlp(self.store, name, spec)
-        self._preds[name] = ("mlp", spec)
-
-    def add_pred_select(self, name: str, spec: MlpSpec) -> None:
+    def add_select(self, name: str, spec: MlpSpec) -> None:
         """Network over all arguments but the last; the last argument's
         features weight the output classes (one-hot picks one). A class
         domain of dim 1 holds integer class indices, so any output width
@@ -390,25 +398,31 @@ class GroundingEnv:
         classes = self.sig.dim(din[-1])
         self._check_mlp(spec, din[:-1], None if classes == 1 else classes)
         init_mlp(self.store, name, spec)
-        self._preds[name] = ("select", spec)
+        self._symbols[name] = ("select", spec)
 
-    def add_pred_scalar(self, name: str, init=None) -> None:
+    def add_scalar(self, name: str, init=None) -> None:
         if self._declared(name, self.sig.predicates):
             raise EvalError("a scalar predicate takes no arguments")
         val = self.store.rng.random() if init is None else float(init)
         self.store.add(name, val, lo=0.0, hi=1.0)
-        self._preds[name] = ("scalar", name)
+        self._symbols[name] = ("scalar", name)
 
-    def add_pred_callable(self, name: str, fn: Callable) -> None:
+    def add_builtin(self, name: str, fn: Callable) -> None:
+        """fn maps broadcast numpy arrays (..., din_i) to (..., dout);
+        it is detached, so use it in guards, not in trained terms."""
+        self._declared(name, self.sig.functions)
+        self._symbols[name] = ("builtin", fn)
+
+    def add_callable(self, name: str, fn: Callable) -> None:
         """fn takes aligned argument tensors, returns a truth Tensor."""
-        self._preds[name] = ("callable", fn)
+        self._declared(name, self.sig.predicates)
+        self._symbols[name] = ("callable", fn)
 
     def has_dropout(self) -> bool:
         """Whether some network has a dropout rate above 0, so that a
         training scope grounds differently from an evaluation scope."""
         return any(kind in ("mlp", "select") and max(spec.drops) > 0.0
-                   for kind, spec in (*self._funcs.values(),
-                                      *self._preds.values()))
+                   for kind, spec in self._symbols.values())
 
     # -- scopes and instances -----------------------------------------------
 
@@ -536,16 +550,49 @@ def ground_term(env: GroundingEnv, term: Term,
         return env._var_value(term.name, scope)
     if not isinstance(term, App):
         raise EvalError(f"not a term: {term!r}")
-    if term.func not in env._funcs:
-        raise EvalError(f"function {term.func!r} has no grounding")
-    kind, payload = env._funcs[term.func]
-    args = [ground_term(env, a, scope) for a in term.args]
+    return _apply(env, term.func, term.args, scope)
+
+
+def _apply(env: GroundingEnv, name: str, terms: tuple,
+           scope: Scope) -> GroundedValue:
+    """Ground the function or predicate ``name`` on the terms ``terms``:
+    a function gives features shaped (n_v1, ..., n_vk, feat), a
+    predicate truths shaped (n_v1, ..., n_vk)."""
+    if name not in env._symbols:
+        raise EvalError(f"symbol {name!r} has no grounding")
+    kind, payload = env._symbols[name]
+    if kind == "scalar":
+        if terms:
+            raise EvalError(f"{name} takes no arguments")
+        return GroundedValue(env.store.get(payload), ())
+    args = [ground_term(env, a, scope) for a in terms]
     order, aligned = align(args, feature=True)
     if kind == "builtin":
         out = payload(*[t.data for t in aligned])
         return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
-    return GroundedValue(_network(env, term.func, payload, aligned, scope),
-                         order)
+    if kind == "callable":
+        return GroundedValue(payload(*aligned), order)
+    if kind == "select":
+        *feats, label = aligned
+        nclass = payload.widths[-1]
+        if label.shape[-1] == 1 and nclass > 1:
+            # integer class index: expand to a one-hot, detached
+            idx = _index(label.data[..., 0], nclass, f"{name}: class index")
+            hot = np.zeros(idx.shape + (nclass,))
+            np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
+            label = Tensor(hot)
+        elif label.shape[-1] != nclass:
+            raise EvalError(
+                f"{name}: class argument has dim {label.shape[-1]}, "
+                f"network has {nclass} outputs")
+        # the output spans only the feature arguments' axes; the product
+        # broadcasts it over the axes only the class argument spans
+        out = _network(env, name, payload, feats, scope)
+        return GroundedValue(T.reduce_sum(out * label, axes=(-1,)), order)
+    out = _network(env, name, payload, aligned, scope)
+    if name in env.sig.predicates:  # a truth drops its width-1 axis
+        out = T.reshape(out, out.shape[:-1])
+    return GroundedValue(out, order)
 
 
 def _network(env: GroundingEnv, name: str, spec: MlpSpec, args,
@@ -598,9 +645,7 @@ def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
         return GroundedValue(sum(aligned), order)
 
     order, (lv, rv) = align([side(guard.lhs), side(guard.rhs)], feature=False)
-    cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater,
-           ">=": np.greater_equal, "=": np.equal, "!=": np.not_equal}[guard.op]
-    return cmp(lv, rv), order
+    return COMPARISONS[guard.op](lv, rv), order
 
 
 def ground_formula(env: GroundingEnv, formula: Formula,
@@ -614,7 +659,7 @@ def ground_formula(env: GroundingEnv, formula: Formula,
     if scope is None:
         scope = env.scope()
     if isinstance(formula, Atom):
-        return _atom(env, formula, scope)
+        return _apply(env, formula.pred, formula.args, scope)
     if isinstance(formula, Eq):
         u = ground_term(env, formula.lhs, scope)
         v = ground_term(env, formula.rhs, scope)
@@ -638,43 +683,6 @@ def ground_formula(env: GroundingEnv, formula: Formula,
     if isinstance(formula, Quant):
         return _quant(env, formula, scope)
     raise EvalError(f"not a formula node: {formula!r}")
-
-
-def _atom(env: GroundingEnv, atom: Atom, scope: Scope) -> GroundedValue:
-    if atom.pred not in env._preds:
-        raise EvalError(f"predicate {atom.pred!r} has no grounding")
-    kind, payload = env._preds[atom.pred]
-    if kind == "scalar":
-        if atom.args:
-            raise EvalError(f"{atom.pred} takes no arguments")
-        return GroundedValue(env.store.get(payload), ())
-    args = [ground_term(env, a, scope) for a in atom.args]
-    order, aligned = align(args, feature=True)
-    if kind == "callable":
-        return GroundedValue(payload(*aligned), order)
-    if kind == "select":
-        label = aligned[-1]
-        feats = aligned[:-1]
-        nclass = payload.widths[-1]
-        if label.shape[-1] == 1 and nclass > 1:
-            # integer class index: expand to a one-hot, detached
-            idx = _index(label.data[..., 0], nclass,
-                         f"{atom.pred}: class index")
-            hot = np.zeros(idx.shape + (nclass,))
-            np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
-            label = Tensor(hot)
-        elif label.shape[-1] != nclass:
-            raise EvalError(
-                f"{atom.pred}: class argument has dim {label.shape[-1]}, "
-                f"network has {nclass} outputs")
-        # the output spans only the feature arguments' axes; the product
-        # broadcasts it over the axes only the class argument spans
-        out = _network(env, atom.pred, payload, feats, scope)
-        picked = T.reduce_sum(out * label, axes=(-1,))
-        return GroundedValue(picked, order)
-    # plain mlp predicate
-    out = _network(env, atom.pred, payload, aligned, scope)
-    return GroundedValue(T.reshape(out, out.shape[:-1]), order)
 
 
 def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:

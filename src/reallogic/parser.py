@@ -64,8 +64,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from reallogic.logic import (
-    QUANTIFIERS, App, Atom, Axiom, Bin, Const, Eq, Guard, Not, Quant,
-    Signature, SignatureError, Var, where,
+    COMPARISONS, QUANTIFIERS, App, Atom, Axiom, Bin, Const, Eq, Guard, Not,
+    Quant, Signature, SignatureError, Var, where,
 )
 
 STATEMENT_KEYWORDS = ("domain", "const", "var", "func", "pred",
@@ -206,19 +206,12 @@ class VarDecl:
 
 
 @dataclass(frozen=True)
-class FuncDecl:
+class SymbolDecl:
     name: str
     din: tuple
-    dout: str
-    impl: tuple          # ("mlp", widths, acts, drops) | ("builtin", name)
-    span: tuple = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class PredDecl:
-    name: str
-    din: tuple
-    impl: tuple          # ("mlp"|"select", widths, acts, drops) | ("scalar", init)
+    dout: str            # the range domain; None for a predicate
+    impl: tuple          # ("mlp"|"select", widths, acts, drops) |
+                         # ("scalar", init) | ("builtin", name)
     span: tuple = field(default=None, compare=False)
 
 
@@ -385,7 +378,7 @@ class _Parser:
         else:
             impl = self.mlp_impl("mlp")
         self.sig.add_function(name, din, dout)
-        self.statements.append(FuncDecl(name, din, dout, impl, span))
+        self.statements.append(SymbolDecl(name, din, dout, impl, span))
 
     def s_pred(self):
         span = self.next().span
@@ -403,7 +396,7 @@ class _Parser:
         else:
             impl = self.mlp_impl("mlp")
         self.sig.add_predicate(name, din)
-        self.statements.append(PredDecl(name, din, impl, span))
+        self.statements.append(SymbolDecl(name, din, None, impl, span))
 
     def mlp_impl(self, tag):
         self.expect("keyword", "mlp")
@@ -588,7 +581,7 @@ class _Parser:
         span = self.peek().span
         lhs = self.gsum()
         t = self.peek()
-        if not (t.kind == "punct" and t.text in ("<", "<=", ">", ">=", "=", "!=")):
+        if not (t.kind == "punct" and t.text in COMPARISONS):
             raise ParseError("expected a comparison in guard", t.span)
         self.next()
         rhs = self.gsum()

@@ -125,9 +125,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
     def sum(self, axes=None):
         return reduce_sum(self, axes)
 
@@ -354,10 +351,8 @@ def dense(x, w, b, act: str) -> Tensor:
 # -- shape ops -------------------------------------------------------------
 
 
-def reshape(a, *shape) -> Tensor:
+def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     out = a.data.reshape(shape)
     if out.shape == a.data.shape:
         return a

@@ -89,7 +89,7 @@ class TrainConfig:
     seed: int = 0
     reg: str = "none"             # none | l1 | l2
     lam: float = 0.0
-    exists_schedule: tuple = None  # ((epoch, p), ...) or ("linear", p0, p1)
+    exists_schedule: tuple = None  # ((epoch, p), ...)
     log_every: int = 1
 
     def __post_init__(self):
@@ -109,28 +109,18 @@ def _check_schedule(s) -> None:
         return
     if not s:
         raise ValueError("exists schedule is empty; use None for none")
-    if s[0] == "linear":
-        if len(s) != 3:
-            raise ValueError("linear schedule needs (\"linear\", p0, p1)")
-        ps = s[1:]
-    else:
-        epochs = [e for e, _ in s]
-        if epochs != sorted(set(epochs)):
-            raise ValueError("schedule epochs must be strictly increasing")
-        ps = [p for _, p in s]
+    epochs = [e for e, _ in s]
+    if epochs != sorted(set(epochs)):
+        raise ValueError("schedule epochs must be strictly increasing")
+    ps = [p for _, p in s]
     if min(ps) < 1:  # the p-mean rule, checked before the first epoch
         raise ValueError(f"exists schedule p must be >= 1, got {min(ps):g}")
 
 
-def schedule_value(schedule, epoch: int, total: int):
+def schedule_value(schedule, epoch: int):
     """p for a 0-based epoch; None leaves the configured default."""
-    if schedule is None:
-        return None
-    if schedule[0] == "linear":
-        _, p0, p1 = schedule
-        return float(p0) + (float(p1) - float(p0)) * epoch / max(total - 1, 1)
     value = None
-    for e, p in schedule:
+    for e, p in schedule or ():
         if epoch >= e:
             value = float(p)
     return value
@@ -231,7 +221,7 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
                 default=1)
     rng = np.random.default_rng(train.seed)
     # ps[k]: exists p of step k and of record k (record 0 takes step 1's)
-    ps = [schedule_value(train.exists_schedule, max(k - 1, 0), train.epochs)
+    ps = [schedule_value(train.exists_schedule, max(k - 1, 0))
           for k in range(train.epochs + 1)]
     fused = not data and not theory.env.has_dropout()
     records = []

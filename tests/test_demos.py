@@ -223,6 +223,7 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "forall-p-below-1": lambda tmp: (
         SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "0.5"],
         "p must be >= 1"),
+    "forall-p-for-a-mean": lambda tmp: _mean_kb_query(tmp, "--forall-p", "5"),
     "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
     "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
     "refute-missing-kb": lambda tmp: _missing_kb(tmp, "refute",
@@ -240,6 +241,15 @@ def _missing_kb(tmp, command, *flags):
     kb = tmp / "none.rl"
     return ([command, "--kb", str(kb), *flags],
             f"--kb: [Errno 2] No such file or directory: '{kb.resolve()}'")
+
+
+def _mean_kb_query(tmp, *flags):
+    """``rl query`` on a theory whose forall is the mean, which takes no p."""
+    kb = tmp / "mean.rl"
+    kb.write_text("domain d = 1\nconfig forall = mean\nvar x : d = [1, 2]\n"
+                  "pred P : d = mlp(1, 1; sigmoid)\naxiom: forall x: P(x)\n")
+    return ["query", "--kb", str(kb), "--formula", "forall x: P(x)",
+            *flags], "mean takes no p"
 
 
 def _annotated_kb(tmp, p):

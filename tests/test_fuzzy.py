@@ -22,6 +22,15 @@ IMPS = {f: ConnectiveOp("implies", f)
         for f in ("kleene_dienes", "godel", "reichenbach", "goguen", "luk")}
 
 
+def op_id(op) -> str:
+    """Test id of a connective or aggregator: ``and:product_stable``,
+    ``pmean:p=2``."""
+    tag = op.family + ("_stable" if op.stable else "")
+    if isinstance(op, ConnectiveOp):
+        return f"{op.kind}:{tag}"
+    return tag if op.p is None else f"{tag}:p={op.p:g}"
+
+
 def val(op, a, b=None):
     if b is None:
         return float(apply_connective(op, Tensor(a)).data)
@@ -310,7 +319,7 @@ def masked_cases(draw):
     return shape, k, mshape, density, draw(st.integers(0, 2 ** 32 - 1))
 
 
-@pytest.mark.parametrize("spec", MASKED_SPECS, ids=str)
+@pytest.mark.parametrize("spec", MASKED_SPECS, ids=op_id)
 @settings(deadline=None)
 @given(case=masked_cases(), empty=st.sampled_from([None, 0.0, 1.0]))
 def test_packed_masked_aggregate_matches_dense(spec, case, empty):
@@ -385,7 +394,11 @@ def test_only_the_p_means_take_p_and_a_stable_form(family):
             with pytest.raises(ValueError):
                 AggregatorSpec(family, **kwargs)
     assert (AggregatorSpec(family).p is not None) == pmean
-    assert (AggregatorSpec(family).with_p(4).p == 4.0) == pmean
+    if pmean:
+        assert AggregatorSpec(family).with_p(4).p == 4.0
+    else:
+        with pytest.raises(ValueError, match=f"^{family} takes no p$"):
+            AggregatorSpec(family).with_p(4)
 
 
 def test_tag_parsing():
@@ -499,7 +512,7 @@ PROFILES = [
 
 
 @pytest.mark.parametrize("op,single,vanish,explode", PROFILES,
-                         ids=[str(p[0]) for p in PROFILES])
+                         ids=[op_id(p[0]) for p in PROFILES])
 def test_derivative_profiles(op, single, vanish, explode):
     prof = derivative_profile(op)
     assert prof["single_passing"] == single, prof

@@ -33,7 +33,7 @@ def scalar_env(**preds):
     env = GroundingEnv(sig, ParamStore(seed=0), cfg=RAW)
     for name, val in preds.items():
         sig.add_predicate(name, ())
-        env.add_pred_scalar(name, init=val)
+        env.add_scalar(name, init=val)
     return env
 
 
@@ -46,9 +46,9 @@ def num_env(cfg=RAW, **var_data):
         sig.add_variable(name, "num")
         env.add_var_data(name, np.asarray(data, float))
     sig.add_predicate("P", ("num",))
-    env.add_pred_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
+    env.add_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
     sig.add_predicate("P2", ("num", "num"))
-    env.add_pred_callable("P2", lambda a, b: T.reduce_sum(a * b, axes=(-1,)))
+    env.add_callable("P2", lambda a, b: T.reduce_sum(a * b, axes=(-1,)))
     return env
 
 
@@ -69,7 +69,7 @@ def test_product_function_grid_matches_hand_values():
     env = GroundingEnv(sig, ParamStore())
     env.add_var_data("x", [1.0, 2.0, 3.0])
     env.add_var_data("y", [-1.0, -2.0])
-    env.add_func_builtin("f", lambda a, b: a * b)
+    env.add_builtin("f", lambda a, b: a * b)
     gv = ground_term(env, App("f", (Var("x"), Var("y"))))
     assert gv.vars == ("x", "y")
     assert gv.tensor.shape == (3, 2, 1)
@@ -138,26 +138,26 @@ def test_mlp_predicate_squeezes_feature_axis():
     sig.add_predicate("P", ("pt",))
     env = GroundingEnv(sig, ParamStore(seed=4))
     env.add_var_data("x", np.random.default_rng(0).random((5, 2)))
-    env.add_pred_mlp("P", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
+    env.add_mlp("P", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
     gv = ground_formula(env, Atom("P", (Var("x"),)))
     assert gv.tensor.shape == (5,)
     assert np.all((gv.tensor.data > 0) & (gv.tensor.data < 1))
     with pytest.raises(EvalError):
-        env.add_pred_mlp("Q", MlpSpec((2, 3, 2), ("elu", "softmax")))
+        env.add_mlp("Q", MlpSpec((2, 3, 2), ("elu", "softmax")))
 
 
 @pytest.mark.parametrize("kind,name,widths,message", [
-    ("pred_select", "C", (5, 8, 3),
+    ("select", "C", (5, 8, 3),
      "input width 5 does not match feature dim 2"),
-    ("pred_select", "C", (2, 8, 4),
+    ("select", "C", (2, 8, 4),
      "output width 4 does not match dim 3"),
-    ("pred_mlp", "P", (3, 4, 1),
+    ("mlp", "P", (3, 4, 1),
      "input width 3 does not match feature dim 2"),
-    ("pred_mlp", "P", (2, 4, 2),
+    ("mlp", "P", (2, 4, 2),
      "output width 2 does not match dim 1"),
-    ("func_mlp", "f", (4, 4, 2),
+    ("mlp", "f", (4, 4, 2),
      "input width 4 does not match feature dim 2"),
-    ("func_mlp", "f", (2, 4, 3),
+    ("mlp", "f", (2, 4, 3),
      "output width 3 does not match dim 2"),
 ], ids=["select-in", "select-out", "pred-in", "pred-out", "func-in",
         "func-out"])
@@ -178,7 +178,21 @@ def test_hand_built_networks_must_fit_the_signature(kind, name, widths,
         add(name, MlpSpec(widths, ("elu", "sigmoid")))
     assert env.store.names() == []
     # a class domain of dim 1 holds indices, so any output width fits
-    env.add_pred_select("D", MlpSpec((2, 8, 5), ("elu", "softmax")))
+    env.add_select("D", MlpSpec((2, 8, 5), ("elu", "softmax")))
+
+
+def test_builtins_ground_only_functions_and_callables_only_predicates():
+    # both kinds share one table, so a grounding of the wrong kind would
+    # give a truth a feature axis, or a term none
+    sig = Signature()
+    sig.add_domain("pt", 2)
+    sig.add_predicate("P", ("pt",))
+    sig.add_function("f", ("pt",), "pt")
+    env = GroundingEnv(sig, ParamStore(seed=0))
+    with pytest.raises(EvalError, match="symbol 'P' is not declared"):
+        env.add_builtin("P", euclidean)
+    with pytest.raises(EvalError, match="symbol 'f' is not declared"):
+        env.add_callable("f", lambda t: T.reshape(t, t.shape[:-1]))
 
 
 def test_smooth_equality_value_and_alpha():
@@ -296,8 +310,7 @@ def test_guarded_mean_fixture():
     env = num_env(cfg=cfg, x=[2.0, 7.0, 8.0])
     sig = env.sig
     sig.add_predicate("tenth", ("num",))
-    env.add_pred_callable("tenth",
-                          lambda t: T.reshape(t * 0.1, t.shape[:-1]))
+    env.add_callable("tenth", lambda t: T.reshape(t * 0.1, t.shape[:-1]))
     guard = Guard(">", ((1.0, Var("x")),), ((5.0, None),))
     gv = ground_formula(env, forall([("x",)], Atom("tenth", (Var("x"),)),
                                     guard))
@@ -329,9 +342,9 @@ def test_guard_with_affine_combination_and_builtin():
     us, vs = rng.random((4, 2)), rng.random((3, 2))
     env.add_var_data("u", us)
     env.add_var_data("v", vs)
-    env.add_func_builtin(
+    env.add_builtin(
         "dist", lambda a, b: np.sqrt(((a - b) ** 2).sum(-1, keepdims=True)))
-    env.add_pred_callable(
+    env.add_callable(
         "close", lambda a, b: T.reduce_sum((a - b) * 0.0, axes=(-1,)) + 0.5)
     d = np.sqrt(((us[:, None, :] - vs[None, :, :]) ** 2).sum(-1))
     # guard: 2*dist(u,v) < 1.1  <=>  dist < 0.55
@@ -366,7 +379,7 @@ def test_out_of_guard_instances_get_zero_gradient():
     env.add_const("b", [0.6], trainable=True)
     env.add_const("c", [0.9], trainable=True)
     env.add_var_consts("x", ("a", "b", "c"))
-    env.add_pred_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
+    env.add_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
     guard = Guard("<", ((1.0, Var("x")),), ((0.8, None),))
     gv = ground_formula(env, forall([("x",)], Atom("P", (Var("x"),)), guard))
     assert float(gv.tensor.data) == pytest.approx(0.4)
@@ -405,7 +418,7 @@ def test_bind_rebinds_data_and_const_variables():
     env2.add_const("a", [0.2])
     env2.add_const("b", [0.8])
     env2.add_var_consts("z", ("a", "b"))
-    env2.add_pred_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
+    env2.add_callable("P", lambda t: T.reshape(t, t.shape[:-1]))
     gv = ground_formula(env2, forall([("z",)], Atom("P", (Var("z"),))),
                         env2.scope({"z": np.array([1])}))
     assert float(gv.tensor.data) == pytest.approx(0.8)
@@ -426,7 +439,7 @@ def test_select_predicate_one_hot_and_integer_labels():
     store = ParamStore(seed=8)
     env = GroundingEnv(sig, store)
     spec = MlpSpec((2, 4, 3), ("elu", "softmax"))
-    env.add_pred_select("C", spec)
+    env.add_select("C", spec)
     rng = np.random.default_rng(2)
     xs = rng.random((5, 2))
     env.add_var_data("x", xs)
@@ -441,7 +454,7 @@ def test_select_predicate_one_hot_and_integer_labels():
     assert np.allclose(gv.tensor.data, probs)
 
     spec2 = MlpSpec((2, 4, 3), ("elu", "softmax"))
-    env.add_pred_select("D", spec2)
+    env.add_select("D", spec2)
     gv2 = ground_formula(env, Atom("D", (Var("x"), Var("d"))))
     probs2 = dense_forward(spec2, store, "D", Tensor(xs), training=False).data
     assert np.allclose(gv2.tensor.data, probs2)
@@ -479,11 +492,11 @@ def network_env(drops=(0.0, 0.0)):
     env.add_var_data("n", np.array([0.0, 2.0, 1.0, 2.0]))
     env.add_const("a", trainable=True)
     env.add_const("c", [0.0, 1.0, 0.0])
-    env.add_pred_select("C", MlpSpec((2, 4, 3), ("elu", "softmax"), drops))
-    env.add_pred_select("D", MlpSpec((2, 4, 3), ("elu", "softmax")))
-    env.add_pred_select("S", MlpSpec((4, 5, 3), ("elu", "softmax")))
-    env.add_pred_mlp("F", MlpSpec((4, 3, 1), ("elu", "sigmoid")))
-    env.add_func_mlp("f", MlpSpec((4, 3, 2), ("elu", "sigmoid")))
+    env.add_select("C", MlpSpec((2, 4, 3), ("elu", "softmax"), drops))
+    env.add_select("D", MlpSpec((2, 4, 3), ("elu", "softmax")))
+    env.add_select("S", MlpSpec((4, 5, 3), ("elu", "softmax")))
+    env.add_mlp("F", MlpSpec((4, 3, 1), ("elu", "sigmoid")))
+    env.add_mlp("f", MlpSpec((4, 3, 2), ("elu", "sigmoid")))
     return env
 
 
@@ -623,8 +636,8 @@ def test_formula_gradients_match_fd_through_quantifiers():
     sig.add_predicate("Q", ("pt",))
     env = GroundingEnv(sig, ParamStore(seed=13), cfg=RAW)
     env.add_var_data("x", np.random.default_rng(3).random((6, 2)))
-    env.add_pred_mlp("P", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
-    env.add_pred_mlp("Q", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
+    env.add_mlp("P", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
+    env.add_mlp("Q", MlpSpec((2, 3, 1), ("elu", "sigmoid")))
     node = Quant("forall", (("x",),), None,
                  Bin("implies", Atom("P", (Var("x"),)), Atom("Q", (Var("x"),))))
     assert_store_grads_match_fd(env, node)
@@ -641,7 +654,7 @@ def test_guarded_addition_gradients_match_fd():
         sig.add_variable(name, dom)
     sig.add_predicate("digit_is", ("image", "digit"))
     env = GroundingEnv(sig, ParamStore(seed=5))
-    env.add_pred_select("digit_is", MlpSpec((3, 4, 4), ("elu", "softmax")))
+    env.add_select("digit_is", MlpSpec((3, 4, 4), ("elu", "softmax")))
     rng = np.random.default_rng(6)
     env.add_var_data("x", rng.random((5, 3)))
     env.add_var_data("y", rng.random((5, 3)))
@@ -670,12 +683,12 @@ def test_guarded_clustering_gradients_match_fd():
     sig.add_predicate("C", ("point", "cluster"))
     env = GroundingEnv(sig, ParamStore(seed=4),
                        cfg=FuzzyConfig().with_tag("forall", "pmean_error:p=4"))
-    env.add_pred_select("C", MlpSpec((2, 5, 3), ("elu", "softmax")))
+    env.add_select("C", MlpSpec((2, 5, 3), ("elu", "softmax")))
     pts = np.random.default_rng(9).random((6, 2))
     env.add_var_data("x", pts)
     env.add_var_data("y", pts)
     env.add_var_data("c", np.eye(3))
-    env.add_func_builtin("dist", euclidean)
+    env.add_builtin("dist", euclidean)
     guard = Guard("<", ((1.0, App("dist", (Var("x"), Var("y")))),), ((0.4, None),))
     kept = euclidean(pts[:, None], pts[None, :]) < 0.4
     assert kept.any() and not kept.all()  # the guard is informative
@@ -700,10 +713,10 @@ def random_formula_env():
     for c in "cd":
         env.add_const(c, trainable=True)
     for name, din in (("P", 1), ("Q", 1), ("S", 2)):
-        env.add_pred_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
+        env.add_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
     for name, din in (("f", 1), ("g", 2)):
-        env.add_func_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
-    env.add_pred_scalar("R", init=0.6)
+        env.add_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
+    env.add_scalar("R", init=0.6)
     return env
 
 
@@ -760,7 +773,7 @@ def test_mixed_diag_and_plain_groups():
     env = num_env(cfg=cfg, x=[0.1, 0.2], y=[0.3, 0.4], z=[0.5, 1.0])
     sig = env.sig
     sig.add_predicate("P3", ("num", "num", "num"))
-    env.add_pred_callable(
+    env.add_callable(
         "P3", lambda a, b, c: T.reduce_sum(a * b * c, axes=(-1,)))
     node = Quant("forall", (("x", "y"), ("z",)), None,
                  Atom("P3", (Var("x"), Var("y"), Var("z"))))
@@ -790,10 +803,10 @@ def layout_env(family):
     values["z"] = [0.1, 0.6, 1.0]  # 0.1 is below every x
     env.add_var_data("z", values["z"])
     sig.add_predicate("P2", ("num", "num"))
-    env.add_pred_callable(
+    env.add_callable(
         "P2", lambda a, b: t_sigmoid(T.reduce_sum(a * b, axes=(-1,))))
     sig.add_predicate("P3", ("num", "num", "num"))
-    env.add_pred_callable(
+    env.add_callable(
         "P3", lambda a, b, c: t_sigmoid(T.reduce_sum(a * b - c, axes=(-1,))))
     return env, {k: np.array(v) for k, v in values.items()}
 

@@ -5,8 +5,8 @@ from reallogic.logic import (
     App, Atom, Axiom, Bin, Eq, Guard, Not, Quant, Signature, Var,
 )
 from reallogic.parser import (
-    ConfigDecl, ConstDecl, DomainDecl, FuncDecl, ParseError, PredDecl,
-    VarDecl, parse_formula, parse_theory, parse_theory_file, tokenize,
+    ConfigDecl, ConstDecl, DomainDecl, ParseError, SymbolDecl, VarDecl,
+    parse_formula, parse_theory, parse_theory_file, tokenize,
 )
 
 from randformula import rand_formula, small_sig
@@ -260,14 +260,14 @@ def test_theory_declarations():
     assert s[6] == VarDecl("xs", "item", ("consts", ("c", "m")))
     assert s[7] == VarDecl("lab", "label",
                            ("data", "points.csv", ("f1", "f2", "f3")))
-    assert s[8] == FuncDecl("f", ("item",), "item",
-                            ("mlp", (2, 8, 2), ("elu", "linear"), (0.0, 0.0)))
-    assert s[9] == FuncDecl("dist", ("item", "item"), "item",
-                            ("builtin", "euclidean"))
-    assert s[10] == PredDecl("P", ("item",),
-                             ("mlp", (2, 8, 1), ("elu", "sigmoid"), (0.25, 0.0)))
+    assert s[8] == SymbolDecl("f", ("item",), "item",
+                              ("mlp", (2, 8, 2), ("elu", "linear"), (0.0, 0.0)))
+    assert s[9] == SymbolDecl("dist", ("item", "item"), "item",
+                              ("builtin", "euclidean"))
+    assert s[10] == SymbolDecl("P", ("item",), None,
+                               ("mlp", (2, 8, 1), ("elu", "sigmoid"), (0.25, 0.0)))
     assert s[11].impl[0] == "select"
-    assert s[12] == PredDecl("A", (), ("scalar", 0.5))
+    assert s[12] == SymbolDecl("A", (), None, ("scalar", 0.5))
     assert doc.configs == [ConfigDecl("and", "product"),
                            ConfigDecl("forall", "pmean_error:p=4"),
                            ConfigDecl("eq_alpha", "2")]
@@ -302,7 +302,7 @@ axiom: forall x: P(x)
     assert "unknown symbol 'nope'" in doc.diagnostics[1].message
     assert doc.diagnostics[1].span[0] == "bad.rl"
     kinds = [type(s).__name__ for s in doc.statements]
-    assert kinds == ["DomainDecl", "PredDecl", "VarDecl", "Axiom"]
+    assert kinds == ["DomainDecl", "SymbolDecl", "VarDecl", "Axiom"]
     with pytest.raises(ParseError, match="nope"):
         doc.raise_on_errors()
 

@@ -11,7 +11,7 @@ PACKAGE = ROOT / "src" / "reallogic"
 
 # kept although only tests call it: the only way to give a predicate
 # exact truths
-EXEMPT_METHODS = {"GroundingEnv.add_pred_callable"}
+EXEMPT_METHODS = {"GroundingEnv.add_callable"}
 
 
 def _sources():

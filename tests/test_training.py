@@ -71,7 +71,7 @@ def callable_theory(values, fn=None, p=None):
     sig.add_predicate("P", ("u",))
     env = GroundingEnv(sig, ParamStore(0))
     env.add_var_data("x", values)
-    env.add_pred_callable("P", fn or (lambda v: Tensor(values)))
+    env.add_callable("P", fn or (lambda v: Tensor(values)))
     ax = Axiom(parse_formula("forall x: P(x)", sig), p=p or {})
     return Theory((ax,), env)
 
@@ -135,7 +135,7 @@ def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
     env = GroundingEnv(sig, ParamStore(0))
     env.add_var_data("x", [0.0, 1.0, 2.0])
     env.add_var_data("y", [0.0, 1.0])
-    env.add_pred_callable("P", lambda a, b: Tensor(vals))
+    env.add_callable("P", lambda a, b: Tensor(vals))
     ax = Axiom(parse_formula("forall x: exists y: P(x, y)", sig),
                p={"forall": 6})
     th = Theory((ax,), env)
@@ -153,7 +153,7 @@ def test_theory_rejects_open_axioms():
     sig.add_predicate("P", ("u",))
     env = GroundingEnv(sig, ParamStore(0))
     env.add_var_data("x", np.zeros(3))
-    env.add_pred_callable("P", lambda v: Tensor(np.zeros(3)))
+    env.add_callable("P", lambda v: Tensor(np.zeros(3)))
     with pytest.raises(ValueError, match="not closed"):
         Theory((Axiom(parse_formula("P(x)", sig)),), env)
 
@@ -198,7 +198,7 @@ def test_seed_determinism():
         env = GroundingEnv(sig, ParamStore(5))
         env.add_var_data("x", data["x"])
         from reallogic.nn import MlpSpec
-        env.add_pred_mlp("P", MlpSpec((1, 4, 1), ("elu", "sigmoid")))
+        env.add_mlp("P", MlpSpec((1, 4, 1), ("elu", "sigmoid")))
         th = Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
         _, recs = learn(th, TrainConfig(epochs=4, batch=8, seed=1), data=data)
         return recs, {n: th.store.get(n).data.copy()
@@ -220,7 +220,7 @@ def test_l2_regularizer_shrinks_weights():
         env = GroundingEnv(sig, ParamStore(11))
         env.add_var_data("x", np.random.default_rng(2).random((16, 2)))
         from reallogic.nn import MlpSpec
-        env.add_pred_mlp("P", MlpSpec((2, 4, 1), ("elu", "sigmoid")))
+        env.add_mlp("P", MlpSpec((2, 4, 1), ("elu", "sigmoid")))
         th = Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
         learn(th, TrainConfig(epochs=40, reg="l2", lam=lam))
         return sum(float(np.sum(th.store.get(n).data ** 2))
@@ -283,27 +283,18 @@ def test_empty_dataset_rejected():
 
 def test_schedule_breakpoints():
     sched = ((0, 1.0), (100, 4.0), (200, 6.0))
-    assert schedule_value(sched, 0, 300) == 1.0
-    assert schedule_value(sched, 99, 300) == 1.0
-    assert schedule_value(sched, 100, 300) == 4.0
-    assert schedule_value(sched, 250, 300) == 6.0
+    assert schedule_value(sched, 0) == 1.0
+    assert schedule_value(sched, 99) == 1.0
+    assert schedule_value(sched, 100) == 4.0
+    assert schedule_value(sched, 250) == 6.0
     # before the first breakpoint the configured default stays in force
-    assert schedule_value(((50, 3.0),), 10, 300) is None
-    assert schedule_value(None, 10, 300) is None
-
-
-def test_schedule_linear():
-    sched = ("linear", 1.0, 6.0)
-    assert schedule_value(sched, 0, 11) == pytest.approx(1.0)
-    assert schedule_value(sched, 10, 11) == pytest.approx(6.0)
-    assert schedule_value(sched, 5, 11) == pytest.approx(3.5)
+    assert schedule_value(((50, 3.0),), 10) is None
+    assert schedule_value(None, 10) is None
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
         TrainConfig(exists_schedule=((10, 2.0), (5, 4.0)))
-    with pytest.raises(ValueError):
-        TrainConfig(exists_schedule=("linear", 1.0))
     with pytest.raises(ValueError, match="empty"):
         TrainConfig(exists_schedule=())
     with pytest.raises(ValueError):
@@ -314,9 +305,8 @@ def test_schedule_validation():
         TrainConfig(lam=-0.1)
 
 
-@pytest.mark.parametrize("schedule", [((0, 1.0), (4, 0.5)),
-                                      ("linear", 0.5, 6.0)],
-                         ids=["breakpoints", "linear"])
+@pytest.mark.parametrize("schedule", [((0, 1.0), (4, 0.5))],
+                         ids=["breakpoints"])
 def test_schedule_rejects_p_below_one(schedule):
     with pytest.raises(ValueError, match=r"^exists schedule p must be >= 1, "
                                          r"got 0\.5$"):
@@ -352,10 +342,9 @@ def plain_learn(theory, train, data=None, metrics=None):
                 rec[name] = float(fn(theory))
         return rec
 
-    records = [log(0, schedule_value(train.exists_schedule, 0,
-                                     train.epochs))]
+    records = [log(0, schedule_value(train.exists_schedule, 0))]
     for epoch in range(1, train.epochs + 1):
-        ep = schedule_value(train.exists_schedule, epoch - 1, train.epochs)
+        ep = schedule_value(train.exists_schedule, epoch - 1)
         theory.env.training = True
         try:
             for _ in range(steps):
@@ -401,7 +390,8 @@ FUSED_RUNS = {
     "step-schedule": (smokers_theory, TrainConfig(
         epochs=5, lr=0.01, exists_schedule=((0, 1.0), (2, 6.0)))),
     "linear-schedule": (smokers_theory, TrainConfig(
-        epochs=4, lr=0.01, exists_schedule=("linear", 1.0, 6.0))),
+        epochs=4, lr=0.01,
+        exists_schedule=((0, 1.0), (1, 2.0), (2, 4.0), (3, 6.0)))),
     "l2": (smokers_theory, TrainConfig(epochs=3, lr=0.01, reg="l2",
                                        lam=0.01)),
     "log-every-2": (clustering_theory, TrainConfig(
@@ -484,7 +474,7 @@ def pair_theory(formula, n_x, n_y, fn):
     env = GroundingEnv(sig, ParamStore(0))
     env.add_var_data("x", np.arange(n_x, dtype=float))
     env.add_var_data("y", np.arange(n_y, dtype=float))
-    env.add_pred_callable("Same", fn)
+    env.add_callable("Same", fn)
     return Theory((Axiom(parse_formula(formula, sig)),), env)
 
 
@@ -626,6 +616,12 @@ def test_query_rejects_a_p_override_for_an_unknown_quantifier_kind():
         query(th, "truth", "forall x: S(x)", p={"foral": 5})
 
 
+def test_query_rejects_a_p_override_for_a_family_that_takes_no_p():
+    th = load_theory(theory_path("smokers"), seed=0, tags={"forall": "mean"})
+    with pytest.raises(ValueError, match="^mean takes no p$"):
+        query(th, "truth", "forall x: S(x)", p={"forall": 5})
+
+
 def test_query_truth_must_stay_in_unit_interval():
     from reallogic.tensor import DomainError
 
@@ -655,7 +651,7 @@ def slot_theory(value, write=None):
 
     env = GroundingEnv(sig, store)
     env.add_var_data("x", np.zeros(2))
-    env.add_pred_callable("P", p)
+    env.add_callable("P", p)
     return Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
 
 

@@ -65,7 +65,7 @@ def short_train(demo: str, seed: int):
     breakpoint schedule moved to a boundary at epoch 2."""
     train = replace(demos.default_train(demo, seed), epochs=3)
     sched = train.exists_schedule
-    if sched and sched[0] != "linear":
+    if sched:
         train = replace(train, exists_schedule=((0, sched[0][1]),
                                                 (2, sched[-1][1])))
     return train
