@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from reallogic.datasets import DataError, load_csv
-from reallogic.fuzzy import FuzzyConfig
+from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.logic import EvalError, GroundingEnv, where
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.parser import (
@@ -87,6 +87,12 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                 else:
                     env.add_mlp(s.name, MlpSpec(*args))
             elif isinstance(s, Axiom):
+                for kind, p in s.p.items():  # a family without p rejects it
+                    try:
+                        getattr(cfg, CONFIG_KEYS[kind]).with_p(p)
+                    except ValueError as e:
+                        raise TheoryError(f"{where(s.span)}@{kind}(p={p:g}): "
+                                          f"{e}") from None
                 axioms.append(s)
             else:
                 raise TheoryError(f"unknown statement {s!r}")

@@ -16,7 +16,8 @@ from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.nn import ParamStore
 from reallogic.parser import ParseError
 from reallogic.training import (
-    RefutationConfig, TrainConfig, learn, query, reason_refute, write_metrics,
+    RefutationConfig, SettingsError, TrainConfig, learn, query, reason_refute,
+    write_metrics,
 )
 
 # the scalar TrainConfig fields but seed, each with the type that parses
@@ -234,9 +235,9 @@ def main(argv=None) -> int:
     r.set_defaults(fn=cmd_refute)
 
     args = ap.parse_args(argv)
-    try:  # a theory or formula with diagnostics exits with one line
-        return args.fn(args)  # each, led by its file:line:col
-    except (ParseError, TheoryError) as e:
+    try:  # a theory, formula or training setting that cannot run exits
+        return args.fn(args)  # with one line, a theory's led by file:line:col
+    except (ParseError, TheoryError, SettingsError) as e:
         raise SystemExit(str(e)) from None
 
 

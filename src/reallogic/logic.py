@@ -316,14 +316,14 @@ class GroundingEnv:
 
     # -- declaration helpers ------------------------------------------
 
-    def _declared(self, name: str, table: dict):
+    def _declared(self, name: str, table: dict, kind: str):
         if name not in table:
-            raise EvalError(f"symbol {name!r} is not declared")
+            raise EvalError(f"{name!r} is not a declared {kind}")
         return table[name]
 
     def add_const(self, name: str, value=None, trainable: bool = False,
                   lo=None, hi=None) -> None:
-        dim = self.sig.dim(self._declared(name, self.sig.constants))
+        dim = self.sig.dim(self._declared(name, self.sig.constants, "constant"))
         if trainable:
             init = (self.store.rng.random(dim) if value is None
                     else np.asarray(value, dtype=np.float64))
@@ -340,7 +340,7 @@ class GroundingEnv:
     def _rows(self, name: str, data) -> np.ndarray:
         """``data`` as instances of the data variable ``name``: an array
         (n, dim), or (n,) when dim is 1."""
-        dim = self.sig.dim(self._declared(name, self.sig.variables))
+        dim = self.sig.dim(self._declared(name, self.sig.variables, "variable"))
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -382,26 +382,28 @@ class GroundingEnv:
         function's ends in its range's dim, a predicate's in width 1."""
         if name in self.sig.functions:
             din, dout = self.sig.functions[name]
-            dout = self.sig.dim(dout)
+            kind, dout = "mlp", self.sig.dim(dout)
         else:
-            din, dout = self._declared(name, self.sig.predicates), 1
+            din = self._declared(name, self.sig.predicates,
+                                 "function or predicate")
+            kind, dout = "mlp_truth", 1
         self._check_mlp(spec, din, dout)
         init_mlp(self.store, name, spec)
-        self._symbols[name] = ("mlp", spec)
+        self._symbols[name] = (kind, spec)
 
     def add_select(self, name: str, spec: MlpSpec) -> None:
         """Network over all arguments but the last; the last argument's
         features weight the output classes (one-hot picks one). A class
         domain of dim 1 holds integer class indices, so any output width
         passes."""
-        din = self._declared(name, self.sig.predicates)
+        din = self._declared(name, self.sig.predicates, "predicate")
         classes = self.sig.dim(din[-1])
         self._check_mlp(spec, din[:-1], None if classes == 1 else classes)
         init_mlp(self.store, name, spec)
         self._symbols[name] = ("select", spec)
 
     def add_scalar(self, name: str, init=None) -> None:
-        if self._declared(name, self.sig.predicates):
+        if self._declared(name, self.sig.predicates, "predicate"):
             raise EvalError("a scalar predicate takes no arguments")
         val = self.store.rng.random() if init is None else float(init)
         self.store.add(name, val, lo=0.0, hi=1.0)
@@ -410,19 +412,19 @@ class GroundingEnv:
     def add_builtin(self, name: str, fn: Callable) -> None:
         """fn maps broadcast numpy arrays (..., din_i) to (..., dout);
         it is detached, so use it in guards, not in trained terms."""
-        self._declared(name, self.sig.functions)
+        self._declared(name, self.sig.functions, "function")
         self._symbols[name] = ("builtin", fn)
 
     def add_callable(self, name: str, fn: Callable) -> None:
         """fn takes aligned argument tensors, returns a truth Tensor."""
-        self._declared(name, self.sig.predicates)
+        self._declared(name, self.sig.predicates, "predicate")
         self._symbols[name] = ("callable", fn)
 
     def has_dropout(self) -> bool:
         """Whether some network has a dropout rate above 0, so that a
         training scope grounds differently from an evaluation scope."""
-        return any(kind in ("mlp", "select") and max(spec.drops) > 0.0
-                   for kind, spec in self._symbols.values())
+        return any(isinstance(spec, MlpSpec) and max(spec.drops) > 0.0
+                   for _, spec in self._symbols.values())
 
     # -- scopes and instances -----------------------------------------------
 
@@ -550,6 +552,7 @@ def ground_term(env: GroundingEnv, term: Term,
         return env._var_value(term.name, scope)
     if not isinstance(term, App):
         raise EvalError(f"not a term: {term!r}")
+    env._declared(term.func, env.sig.functions, "function")
     return _apply(env, term.func, term.args, scope)
 
 
@@ -590,7 +593,7 @@ def _apply(env: GroundingEnv, name: str, terms: tuple,
         out = _network(env, name, payload, feats, scope)
         return GroundedValue(T.reduce_sum(out * label, axes=(-1,)), order)
     out = _network(env, name, payload, aligned, scope)
-    if name in env.sig.predicates:  # a truth drops its width-1 axis
+    if kind == "mlp_truth":  # a truth drops its width-1 axis
         out = T.reshape(out, out.shape[:-1])
     return GroundedValue(out, order)
 
@@ -659,6 +662,7 @@ def ground_formula(env: GroundingEnv, formula: Formula,
     if scope is None:
         scope = env.scope()
     if isinstance(formula, Atom):
+        env._declared(formula.pred, env.sig.predicates, "predicate")
         return _apply(env, formula.pred, formula.args, scope)
     if isinstance(formula, Eq):
         u = ground_term(env, formula.lhs, scope)

@@ -21,6 +21,10 @@ class DivergenceError(RuntimeError):
     pass
 
 
+class SettingsError(ValueError):
+    """Training settings that the theory's operators cannot take."""
+
+
 @dataclass
 class Theory:
     """A knowledge base: closed axioms over a grounded environment."""
@@ -196,7 +200,8 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     to callables on the theory, evaluated every ``log_every`` epochs on
     the parameters the record describes. Returns (theory, records);
     records[0] is the pre-training state. Raises DivergenceError on a
-    non-finite loss or gradient.
+    non-finite loss or gradient, and SettingsError before the first step
+    when an exists schedule sets p for an exists family that takes none.
 
     When a step grounds the very scope of the record before it, that
     step's forward writes the record, so an epoch costs one Sat forward.
@@ -205,6 +210,12 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     equals the step's. A record at an exists-schedule boundary, and the
     final record, take their own forward.
     """
+    try:
+        for _, p in train.exists_schedule or ():
+            theory.cfg.exists.with_p(p)
+    except ValueError as e:
+        raise SettingsError(
+            f"bad training settings: exists schedule: {e}") from None
     data = data or {}
     metrics = metrics or {}
     for name, arr in data.items():

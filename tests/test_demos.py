@@ -233,7 +233,28 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
          "--formula", "S(x) & F(x, y)"],
         "refuted formula is not closed: free x, y"),
     "train-annotation-below-1": lambda tmp: _annotated_kb(tmp, "0.5"),
+    "demo-annotation-for-a-mean": lambda tmp: _smokers_forall_mean(
+        tmp, "demo", "smokers"),
+    "train-annotation-for-a-mean": lambda tmp: _smokers_forall_mean(
+        tmp, "train", "--kb", str(theory_path("smokers"))),
+    "demo-schedule-for-a-max": lambda tmp: (
+        ["demo", "clustering", "--config", _config(tmp, "exists = max")],
+        "bad training settings: exists schedule: max takes no p"),
 }
+
+
+def _config(tmp, line):
+    cfg = tmp / "run.cfg"
+    cfg.write_text(line + "\n")
+    return str(cfg)
+
+
+def _smokers_forall_mean(tmp, *argv):
+    """``argv`` under ``forall = mean``, which takes no p, on smokers,
+    whose axioms annotate ``@forall(p=6)``."""
+    return ([*argv, "--config", _config(tmp, "forall = mean")],
+            f"{theory_path('smokers').resolve()}:148:1: @forall(p=6): "
+            "mean takes no p")
 
 
 def _missing_kb(tmp, command, *flags):

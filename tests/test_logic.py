@@ -189,10 +189,29 @@ def test_builtins_ground_only_functions_and_callables_only_predicates():
     sig.add_predicate("P", ("pt",))
     sig.add_function("f", ("pt",), "pt")
     env = GroundingEnv(sig, ParamStore(seed=0))
-    with pytest.raises(EvalError, match="symbol 'P' is not declared"):
+    with pytest.raises(EvalError, match="'P' is not a declared function"):
         env.add_builtin("P", euclidean)
-    with pytest.raises(EvalError, match="symbol 'f' is not declared"):
+    with pytest.raises(EvalError, match="'f' is not a declared predicate"):
         env.add_callable("f", lambda t: T.reshape(t, t.shape[:-1]))
+
+
+def test_a_hand_built_term_or_atom_must_name_its_kind():
+    # one table grounds both kinds, so the AST node names which it wants
+    sig = Signature()
+    sig.add_domain("pt", 2)
+    sig.add_variable("x", "pt")
+    sig.add_predicate("P", ("pt",))
+    sig.add_function("f", ("pt",), "pt")
+    env = GroundingEnv(sig, ParamStore(seed=0))
+    env.add_var_data("x", np.zeros((3, 2)))
+    env.add_mlp("P", MlpSpec((2, 1), ("sigmoid",)))
+    env.add_mlp("f", MlpSpec((2, 2), ("elu",)))
+    with pytest.raises(EvalError, match="'P' is not a declared function"):
+        ground_term(env, App("P", (Var("x"),)))
+    with pytest.raises(EvalError, match="'f' is not a declared predicate"):
+        ground_formula(env, Atom("f", (Var("x"),)))
+    assert ground_term(env, App("f", (Var("x"),))).tensor.shape == (3, 2)
+    assert ground_formula(env, Atom("P", (Var("x"),))).tensor.shape == (3,)
 
 
 def test_smooth_equality_value_and_alpha():
