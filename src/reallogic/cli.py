@@ -129,7 +129,8 @@ def cmd_demo(args) -> int:
 def cmd_train(args) -> int:
     train, tags = _resolve_train(
         args, TrainConfig(epochs=TRAIN_EPOCHS, seed=args.seed))
-    th, recs = learn(_load_kb(args, args.seed, tags), train)
+    th = _load_kb(args, args.seed, tags)
+    recs = learn(th, train)
     print(f"Sat = {recs[-1]['sat']:.4f} after {train.epochs} epochs")
     if args.out:
         out = Path(args.out)

@@ -98,9 +98,9 @@ def run_binary(seed: int, train: TrainConfig, tags=None) -> DemoResult:
             return float(((v > 0.5) == (ds.col("label") == 1.0)).mean())
         return f
 
-    _, recs = learn(th, train, data={"x_pos": pos, "x_neg": neg},
-                    metrics={"train_accuracy": acc(train_ds),
-                             "test_accuracy": acc(test_ds)})
+    recs = learn(th, train, batched=("x_pos", "x_neg"),
+                 metrics={"train_accuracy": acc(train_ds),
+                          "test_accuracy": acc(test_ds)})
     g = np.linspace(0.0, 1.0, 50)
     xx, yy = np.meshgrid(g, g)
     grid = np.column_stack([xx.ravel(), yy.ravel()])
@@ -132,10 +132,9 @@ def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
             return float((np.argmax(scores, axis=1) == want).mean())
         return f
 
-    _, recs = learn(th, train,
-                    data={k: v for k, v in binds.items() if k != "x"},
-                    metrics={"train_accuracy": acc(train_ds),
-                             "test_accuracy": acc(test_ds)})
+    recs = learn(th, train, batched=[k for k in binds if k != "x"],
+                 metrics={"train_accuracy": acc(train_ds),
+                          "test_accuracy": acc(test_ds)})
     rows = test_ds.cols(*feature_cols)
     pred = np.argmax(_label_scores(th, rows, atoms), axis=1)
     art_rows = np.column_stack([rows, test_ds.col("species"), pred]).tolist()
@@ -187,9 +186,8 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
         metrics[name] = (lambda t, phi=phi:
                          truth_value(t, phi, p={"forall": 5},
                                      data={"x": test_ds.cols(*feature_cols)}))
-    _, recs = learn(th, train,
-                    data={k: binds[k] for k in binds if k != "x"},
-                    metrics=metrics)
+    recs = learn(th, train, batched=[k for k in binds if k != "x"],
+                 metrics=metrics)
     scores = _label_scores(th, test_ds.cols(*feature_cols), atoms)
     art_rows = np.column_stack([test_ds.cols(*feature_cols),
                                 targets(test_ds), scores]).tolist()
@@ -222,9 +220,9 @@ def _addition_demo(demo, seed, train, operands, sizes, tags=None):
     def acc(ds):
         return lambda t: float((summed(t, ds) == ds.col("n")).mean())
 
-    _, recs = learn(th, train, data=binds,
-                    metrics={"train_accuracy": acc(train_ds),
-                             "test_accuracy": acc(test_ds)})
+    recs = learn(th, train, batched=list(binds),
+                 metrics={"train_accuracy": acc(train_ds),
+                          "test_accuracy": acc(test_ds)})
     pred = summed(th, test_ds)
     cols = test_ds.columns[-len(blocks) - 1:]  # the digits, then n
     rows = np.column_stack([test_ds.cols(*cols), pred]).tolist()
@@ -263,11 +261,9 @@ def run_regression(seed: int, train: TrainConfig, tags=None) -> DemoResult:
             return float(np.sqrt(np.mean((pred - want) ** 2)))
         return f
 
-    _, recs = learn(th, train,
-                    data={"x": train_ds.cols(*feature_cols),
-                          "y": train_ds.col("price")},
-                    metrics={"rmse_train": rmse(train_ds),
-                             "rmse_test": rmse(test_ds)})
+    recs = learn(th, train, batched=("x", "y"),
+                 metrics={"rmse_train": rmse(train_ds),
+                          "rmse_test": rmse(test_ds)})
     pred = query(th, "generalization-value", fx,
                  data={"x": test_ds.cols(*feature_cols)}).values[:, 0]
     rows = np.column_stack([test_ds.col("price"), pred]).tolist()
@@ -283,7 +279,7 @@ def run_clustering(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     xy = pts.cols("x1", "x2")
     th = _load("clustering", seed, {"x": xy, "y": xy}, tags)
     (c_xc,) = _parsed(th, "C(x, c)")
-    _, recs = learn(th, train)  # full batch: variables stay statically bound
+    recs = learn(th, train)  # full batch: variables stay statically bound
     scores = _truths(th, c_xc, x=xy)
     assign = np.argmax(scores, axis=1)
     blob = pts.col("blob").astype(int)
@@ -307,7 +303,7 @@ SMOKERS_QUERIES = {
 def smoker_facts(theory) -> tuple:
     """The smokers theory's people: the constants grounding ``var x``, in
     the axis order of ``S(x)``. perfbench times it as a data maker."""
-    return theory.env.var_consts("x")
+    return theory.env.instances("x")
 
 
 def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
@@ -320,7 +316,7 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
                for name, phi in zip(SMOKERS_QUERIES, phis)}
     metrics["symmetry"] = (
         lambda t: float(axiom_truth(t, by_label["symmetric"]).data))
-    _, recs = learn(th, train, metrics=metrics)
+    recs = learn(th, train, metrics=metrics)
     people = smoker_facts(th)
     s = _truths(th, s_x)
     c = _truths(th, c_x)

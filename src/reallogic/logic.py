@@ -458,12 +458,10 @@ class GroundingEnv:
                      training=self.training if training is None else training,
                      p=p or {})
 
-    def var_consts(self, name: str) -> tuple:
-        """The constants that ground ``name``, in axis order."""
-        kind, payload = self._vars.get(name, (None, None))
-        if kind != "consts":
-            raise EvalError(f"variable {name!r} is not grounded by constants")
-        return payload
+    def instances(self, name: str):
+        """The declared instances of variable ``name``: its rows (n, dim),
+        or the names of the constants that ground it, in axis order."""
+        return self._declared(name, self._vars, "variable")[1]
 
     def var_length(self, name: str, scope: Scope) -> int:
         """Axis length of a variable or diagonal label: the shared axis's

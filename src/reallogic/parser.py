@@ -49,6 +49,13 @@ single arrows, the double-headed arrow, and slanted comparison signs.
 Statements are newline-insensitive; a parse error skips ahead to the
 next statement keyword and is reported in ``TheoryDoc.diagnostics``.
 
+``tokenize`` reads one ordered table of token kinds, ``_LEXEMES``.
+Newlines, blanks and comments make no token; an alias becomes its ASCII
+text, an identifier in ``_KEYWORDS`` a keyword, a number its float, and
+a string its body with ``\\x`` read as ``x``. Every lexeme, whatever its
+kind, moves the line past the newlines it holds, so each span is the
+line and column of its lexeme's first character.
+
 Identifiers must be declared before use; the parser resolves each name
 against the signature built so far, which is how ``P(x)`` becomes an
 atom while ``f(x)`` stays a term. The same pass types each formula:
@@ -80,10 +87,18 @@ _UNICODE_ALIASES = {
     "≥": ">=", "≠": "!=",
 }
 
-_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCT = ("<->", "->", "<=", ">=", "!=", "(", ")", "[", "]", ",", ":", ";",
-          "=", "<", ">", "~", "&", "|", "@", "+", "-", "*")
+_LEXEMES = (
+    ("newline", r"\n"),
+    ("blank", r"[ \t\r]+"),
+    ("comment", r"#[^\n]*"),
+    ("alias", "[" + "".join(_UNICODE_ALIASES) + "]"),
+    ("string", r'"(?:[^"\\]|\\[\s\S])*"'),
+    ("number", r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("punct", r"<->|->|<=|>=|!=|[()\[\],:;=<>~&|@+*-]"),
+)
+_SCANNER = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _LEXEMES))
+
 # the binary connectives, loosest first: (token, Bin op, right-associative)
 _BINARY = (("<->", "iff", False), ("->", "implies", True),
            ("|", "or", False), ("&", "and", False))
@@ -116,63 +131,32 @@ class Token:
 def tokenize(text: str, filename: str = "<theory>") -> list[Token]:
     tokens = []
     line, start = 1, 0  # the current line and the offset it starts at
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            start = i
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = (filename, line, i - start + 1)
-        if c in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[c]
-            kind = "keyword" if alias in QUANTIFIERS else "punct"
-            tokens.append(Token(kind, alias, alias, span))
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
+    pos = 0
+    while pos < len(text):
+        span = (filename, line, pos - start + 1)
+        m = _SCANNER.match(text, pos)
+        if m is None:
+            if text[pos] == '"':
                 raise ParseError("unterminated string", span)
-            tokens.append(Token("string", text[i:j + 1], "".join(out), span))
-            i = j + 1
+            raise ParseError(f"stray character {text[pos]!r}", span)
+        kind, lexeme = m.lastgroup, m.group()
+        if "\n" in lexeme:  # every kind moves the line past its newlines
+            line += lexeme.count("\n")
+            start = pos + lexeme.rindex("\n") + 1
+        pos = m.end()
+        if kind in ("newline", "blank", "comment"):
             continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(0), float(m.group(0)), span))
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, word, span))
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, p, span))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"stray character {c!r}", span)
-    tokens.append(Token("eof", "", None, (filename, line, i - start + 1)))
+        if kind == "alias":
+            kind, lexeme = "punct", _UNICODE_ALIASES[lexeme]
+        value = lexeme
+        if lexeme in _KEYWORDS:
+            kind = "keyword"
+        elif kind == "number":
+            value = float(lexeme)
+        elif kind == "string":
+            value = re.sub(r"\\([\s\S])", r"\1", lexeme[1:-1])
+        tokens.append(Token(kind, lexeme, value, span))
+    tokens.append(Token("eof", "", None, (filename, line, pos - start + 1)))
     return tokens
 
 

@@ -125,9 +125,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def sum(self, axes=None):
-        return reduce_sum(self, axes)
-
 
 def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

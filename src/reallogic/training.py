@@ -186,29 +186,31 @@ def _check_grads(grads: dict, context: str) -> None:
                 f"non-finite gradient in slot {name!r} {context}")
 
 
-def learn(theory: Theory, train: TrainConfig, data: dict = None,
-          metrics: dict = None):
+def learn(theory: Theory, train: TrainConfig, batched=(),
+          metrics: dict = None) -> list:
     """Maximize Sat by minibatch gradient ascent.
 
-    ``data`` maps variable names to full instance arrays; each step
-    grounds the theory in a scope that binds them to a uniformly drawn
-    batch (without replacement, Diag-linked variables share the draw).
-    ``learn`` is the one writer of ``env.training``: it is True while a
-    step grounds Sat, so that root scope enables dropout, and False
-    otherwise. Each epoch's record holds Sat and the loss in a scope
-    that binds the full data with training off. ``metrics`` maps names
-    to callables on the theory, evaluated every ``log_every`` epochs on
-    the parameters the record describes. Returns (theory, records);
-    records[0] is the pre-training state. Raises DivergenceError on a
-    non-finite loss or gradient, and SettingsError before the first step
-    when an exists schedule sets p for an exists family that takes none.
+    ``batched`` names the variables to minibatch; each step grounds the
+    theory in a scope that binds them to a uniformly drawn batch of
+    their declared instances (without replacement, Diag-linked
+    variables share the draw; a constant-backed variable is bound to the
+    drawn indices). ``learn`` is the one writer of ``env.training``: it
+    is True while a step grounds Sat, so that root scope enables
+    dropout, and False otherwise. Each epoch's record holds Sat and the
+    loss over the declared instances with training off. ``metrics`` maps
+    names to callables on the theory, evaluated every ``log_every``
+    epochs on the parameters the record describes. Returns the records;
+    records[0] is the pre-training state. Raises EvalError naming an
+    undeclared variable in ``batched``, DivergenceError on a non-finite
+    loss or gradient, and SettingsError before the first step when an
+    exists schedule sets p for an exists family that takes none.
 
     When a step grounds the very scope of the record before it, that
     step's forward writes the record, so an epoch costs one Sat forward.
-    That holds when ``data`` is empty (one full-batch step per epoch),
-    no network has a dropout rate above 0, and the record's exists p
-    equals the step's. A record at an exists-schedule boundary, and the
-    final record, take their own forward.
+    That holds when ``batched`` is empty (one full-batch step per
+    epoch), no network has a dropout rate above 0, and the record's
+    exists p equals the step's. A record at an exists-schedule boundary,
+    and the final record, take their own forward.
     """
     try:
         for _, p in train.exists_schedule or ():
@@ -216,11 +218,8 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     except ValueError as e:
         raise SettingsError(
             f"bad training settings: exists schedule: {e}") from None
-    data = data or {}
     metrics = metrics or {}
-    for name, arr in data.items():
-        if len(arr) == 0:
-            raise ValueError(f"dataset for {name!r} is empty")
+    data = {name: theory.env.instances(name) for name in batched}
     groups = _diag_partition(theory, data.keys())
     sizes = {}
     for g in groups:
@@ -239,7 +238,7 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
     for epoch in range(1, train.epochs + 1):
         shared = fused and ps[epoch - 1] == ps[epoch]
         if not shared:
-            records.append(_log(theory, train, data, metrics, epoch - 1,
+            records.append(_log(theory, train, metrics, epoch - 1,
                                 ps[epoch - 1]))
         for _ in range(steps):
             binds = {}
@@ -247,15 +246,16 @@ def learn(theory: Theory, train: TrainConfig, data: dict = None,
                 n = sizes[tuple(g)]
                 idx = rng.choice(n, size=min(train.batch, n), replace=False)
                 for v in g:
-                    binds[v] = np.asarray(data[v])[idx]
+                    inst = data[v]
+                    binds[v] = idx if isinstance(inst, tuple) else inst[idx]
             grads, sat, loss = _step(theory, train, binds, ps[epoch], epoch)
             if shared:
                 records.append(_record(theory, train, metrics, epoch - 1,
                                        sat, loss))
             adam_step(theory.store, grads, lr=train.lr)
-    records.append(_log(theory, train, data, metrics, train.epochs,
+    records.append(_log(theory, train, metrics, train.epochs,
                         ps[train.epochs]))
-    return theory, records
+    return records
 
 
 def _step(theory, train, binds, ep, epoch) -> tuple:
@@ -276,9 +276,10 @@ def _step(theory, train, binds, ep, epoch) -> tuple:
     return grads, float(sat.data), float(loss.data)
 
 
-def _log(theory, train, data, metrics, epoch, ep=None) -> dict:
-    """The record of ``epoch`` from its own Sat forward over ``data``."""
-    sat = satisfiability(theory, theory.env.scope(data, training=False,
+def _log(theory, train, metrics, epoch, ep=None) -> dict:
+    """The record of ``epoch`` from its own Sat forward over the declared
+    instances."""
+    sat = satisfiability(theory, theory.env.scope(training=False,
                                                   p={"exists": ep}))
     loss = _loss(theory, train, sat)
     return _record(theory, train, metrics, epoch, float(sat.data),

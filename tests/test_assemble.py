@@ -148,10 +148,10 @@ def test_consts_backed_variable():
            "axiom: forall x: P(x)\n")
     th = build_theory(parse_theory(src), seed=0)
     assert th.env.var_length("x", Scope()) == 2
-    assert th.env.var_consts("x") == ("c1", "c2")
-    for name in ("z", "w"):
-        with pytest.raises(EvalError, match="not grounded by constants"):
-            th.env.var_consts(name)
+    assert th.env.instances("x") == ("c1", "c2")
+    assert np.array_equal(th.env.instances("z"), [[0.0, 0.0]])
+    with pytest.raises(EvalError, match="'w' is not a declared variable"):
+        th.env.instances("w")
     t = truth_value(th, "forall x: P(x)")
     assert 0.0 <= t <= 1.0
 

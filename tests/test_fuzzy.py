@@ -332,7 +332,7 @@ def test_packed_masked_aggregate_matches_dense(spec, case, empty):
     for fn in (aggregate, dense_masked):
         x = Tensor(xs, requires_grad=True)
         out = fn(spec, x, k, mask, empty)
-        runs.append((out.data, T.grad((out * weights).sum(), [x])[0]))
+        runs.append((out.data, T.grad(T.reduce_sum(out * weights), [x])[0]))
     (got, got_grad), (want, want_grad) = runs
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=0, atol=1e-12)
@@ -347,7 +347,7 @@ def test_masked_extreme_tied_with_fill_picks_first_kept_cell(family, fill):
     mask = np.array([[False, True, True], [True, False, True]])
     out = aggregate(AggregatorSpec(family), x, 1, mask=mask)
     assert np.array_equal(out.data, [fill, fill])
-    assert np.array_equal(T.grad(out.sum(), [x])[0],
+    assert np.array_equal(T.grad(T.reduce_sum(out), [x])[0],
                           [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 

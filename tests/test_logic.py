@@ -9,7 +9,7 @@ import pytest
 import reallogic.logic as logic
 import reallogic.tensor as T
 from reallogic.assemble import euclidean
-from reallogic.fuzzy import FuzzyConfig
+from reallogic.fuzzy import _AGGREGATORS, _CONNECTIVES, FuzzyConfig
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
     Quant, Scope, Signature, SignatureError, Var, free_vars, ground_formula,
@@ -721,11 +721,12 @@ def test_guarded_clustering_gradients_match_fd():
         assert_store_grads_match_fd(env, node)
 
 
-def random_formula_env():
-    """``small_sig`` grounded under the default stable-product config:
-    three instances per variable, trainable constants, trainable networks
-    for P, Q, S, f and g, and a trainable truth scalar for R."""
-    env = GroundingEnv(small_sig(), ParamStore(seed=21))
+def random_formula_env(cfg=None):
+    """``small_sig`` grounded under ``cfg`` (default: the stable-product
+    config): three instances per variable, trainable constants,
+    trainable networks for P, Q, S, f and g, and a trainable truth
+    scalar for R."""
+    env = GroundingEnv(small_sig(), ParamStore(seed=21), cfg)
     rng = np.random.default_rng(22)
     for v in "xyzw":
         env.add_var_data(v, rng.random((3, 1)))
@@ -742,18 +743,41 @@ def random_formula_env():
 RANDOM_FORMULAS = 40
 
 
-def test_random_formula_gradients_match_fd():
-    """Random formulas, closed by a forall over their free variables and
-    put under ``R ->`` so that every one reaches a slot (a formula of
-    variable equalities alone reaches none)."""
-    env = random_formula_env()
-    rng = np.random.default_rng(23)
-    for _ in range(RANDOM_FORMULAS):
+def assert_random_formula_grads_match_fd(env, rng, count, op="implies"):
+    """``count`` random formulas, closed by a forall over their free
+    variables and joined to ``R`` by ``op`` so that every one reaches a
+    slot (a formula of variable equalities alone reaches none)."""
+    for _ in range(count):
         f = rand_formula(rng, 4, list("xyzw"))
         loose = free_vars(f)
         if loose:
             f = forall([(v,) for v in loose], f)
-        assert_store_grads_match_fd(env, Bin("implies", Atom("R"), f))
+        assert_store_grads_match_fd(env, Bin(op, Atom("R"), f))
+
+
+def test_random_formula_gradients_match_fd():
+    assert_random_formula_grads_match_fd(
+        random_formula_env(), np.random.default_rng(23), RANDOM_FORMULAS)
+
+
+# one case per family: every binary connective, and every aggregator under
+# both quantifiers, the other operators at their defaults
+FAMILY_CASES = ([(kind, family) for kind, family in _CONNECTIVES
+                 if kind != "not"]
+                + [(kind, family) for kind in ("forall", "exists")
+                   for family in _AGGREGATORS])
+
+
+@pytest.mark.parametrize("case", range(len(FAMILY_CASES)),
+                         ids=[f"{k}:{f}" for k, f in FAMILY_CASES])
+def test_random_formula_gradients_match_fd_under_every_family(case):
+    kind, family = FAMILY_CASES[case]
+    # godel, goguen and luk implications read 1 wherever R <= the formula,
+    # where R -> f would reach no slot
+    assert_random_formula_grads_match_fd(
+        random_formula_env(FuzzyConfig().with_tag(kind, family)),
+        np.random.default_rng([23, case]), 2,
+        "and" if kind == "implies" else "implies")
 
 
 def test_free_vars_order_and_binding():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reallogic import tensor as T
 from reallogic.nn import (
     MlpSpec, ParamStore, adam_step, backward, dense_forward, init_mlp,
 )
@@ -44,7 +45,7 @@ def test_adam_first_step_magnitude_is_lr():
     # with zero moments, step one reduces to lr * g / (|g| + eps)
     s = ParamStore()
     a = s.add("a", [1.0, -3.0])
-    grads = backward((a * Tensor([2.0, -5.0])).sum(), s)
+    grads = backward(T.reduce_sum(a * Tensor([2.0, -5.0])), s)
     adam_step(s, grads, lr=0.001)
     assert np.allclose(a.data, [1.0 - 0.001, -3.0 + 0.001], atol=1e-6)
 
@@ -56,7 +57,7 @@ def test_adam_matches_reference_implementation():
     m = np.zeros(2)
     v = np.zeros(2)
     for t in range(1, 6):
-        grads = backward((a * a * Tensor([1.0, -2.0])).sum(), s)
+        grads = backward(T.reduce_sum(a * a * Tensor([1.0, -2.0])), s)
         g = 2.0 * theta * np.array([1.0, -2.0])
         assert np.allclose(grads["a"], g)
         m = 0.9 * m + 0.1 * g
@@ -207,7 +208,7 @@ def test_dense_forward_grads_match_fd():
 
     def run():
         out = dense_forward(spec, s, "g", Tensor(x), training=False)
-        return (out * weights).sum()
+        return T.reduce_sum(out * weights)
 
     grads = backward(run(), s)
     for name in s.names():
@@ -250,7 +251,7 @@ def test_dropout_mask_gradient_flow():
     init_mlp(s, "d", spec)
     s.get("d/W0").data[:] = np.eye(2)
     out = dense_forward(spec, s, "d", Tensor(np.ones((50, 2))), training=True)
-    grads = backward(out.sum(), s)
+    grads = backward(T.reduce_sum(out), s)
     g = grads["d/W0"]
     # grad wrt W sums x*mask contributions: strictly positive, scaled by 2
     assert np.all(g >= 0.0)

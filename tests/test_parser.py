@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Eq, Guard, Not, Quant, Signature, Var,
 )
 from reallogic.parser import (
-    ConfigDecl, ConstDecl, DomainDecl, ParseError, SymbolDecl, VarDecl,
-    parse_formula, parse_theory, parse_theory_file, tokenize,
+    _UNICODE_ALIASES, ConfigDecl, ConstDecl, DomainDecl, ParseError,
+    SymbolDecl, VarDecl, parse_formula, parse_theory, parse_theory_file,
+    tokenize,
 )
 
 from randformula import rand_formula, small_sig
@@ -43,6 +46,45 @@ def test_tokenizer_rejects_garbage():
         tokenize("axiom: P $ Q")
     with pytest.raises(ParseError, match="unterminated"):
         tokenize('include "half')
+
+
+def test_a_string_holding_a_newline_moves_later_spans_down():
+    text = 'domain d = 1\naxiom "two\nlines": P\nvar x : d = [1]\nfoo'
+    assert [str(d) for d in parse_theory(text).diagnostics] == [
+        "<theory>:3:9: unknown symbol 'P'",
+        "<theory>:5:1: expected a statement, found 'foo'",
+    ]
+
+
+LEXEMES = ["forall", "x", "P", "1.5", "2e-3", '"a"', '"two\nlines"',
+           '"\\"\n"', "#note", "\n", " ", "\t", "\r", "(", "->", "<->",
+           "=", ":", '"', "$"] + list(_UNICODE_ALIASES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXEMES), max_size=20).map("".join))
+def test_every_span_points_at_its_lexeme(text):
+    lines = text.split("\n")
+
+    def source(span):
+        """The text from ``span`` on."""
+        _, line, col = span
+        assert 1 <= line <= len(lines)
+        assert 1 <= col <= len(lines[line - 1]) + 1
+        return text[sum(len(s) + 1 for s in lines[:line - 1]) + col - 1:]
+
+    try:
+        toks = tokenize(text)
+    except ParseError as e:
+        c = source(e.span)[:1]
+        assert e.message == ("unterminated string" if c == '"' else
+                             f"stray character {c!r}")
+        return
+    for t in toks[:-1]:
+        rest = source(t.span)
+        assert rest.startswith(t.text) or \
+            _UNICODE_ALIASES.get(rest[:1]) == t.text, (t, rest)
+    assert source(toks[-1].span) == ""
 
 
 # -- formula grammar -------------------------------------------------------------

@@ -31,26 +31,28 @@ def test_forward_values_match_numpy():
 
 def test_scalar_and_array_mixing():
     a = Tensor([1.0, 2.0], requires_grad=True)
-    out = ((2.0 * a + 1.0) / 2.0 - 0.5).sum()
+    out = T.reduce_sum((2.0 * a + 1.0) / 2.0 - 0.5)
     (ga,) = T.grad(out, [a])
     assert np.allclose(out.data, 3.0)
     assert np.allclose(ga, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("build,shapes", [
-    (lambda a, b: (a * b + a / b).sum(), [(3, 2), (3, 2)]),
-    (lambda a, b: T.power(a - b, 2).sum(), [(4,), (4,)]),
-    (lambda a: (T.exp(a) * (a + 2.0)).sum(), [(5,)]),
-    (lambda a, b: T.maximum(a, b).sum(), [(6,), (6,)]),
-    (lambda a, b: T.minimum(a * 2.0, b).sum(), [(2, 3), (2, 3)]),
-    (lambda x, w, b: T.dense(x, w, b, "sigmoid").sum(),
+    (lambda a, b: T.reduce_sum(a * b + a / b), [(3, 2), (3, 2)]),
+    (lambda a, b: T.reduce_sum(T.power(a - b, 2)), [(4,), (4,)]),
+    (lambda a: T.reduce_sum(T.exp(a) * (a + 2.0)), [(5,)]),
+    (lambda a, b: T.reduce_sum(T.maximum(a, b)), [(6,), (6,)]),
+    (lambda a, b: T.reduce_sum(T.minimum(a * 2.0, b)), [(2, 3), (2, 3)]),
+    (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "sigmoid")),
      [(7, 3), (3, 2), (2,)]),
-    (lambda x, w, b: T.dense(x, w, b, "elu").sum(), [(7, 3), (3, 2), (2,)]),
-    (lambda x, w, b: T.dense(x, w, b, "softmax").sum(axes=None),
+    (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "elu")),
+     [(7, 3), (3, 2), (2,)]),
+    (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "softmax"), axes=None),
      [(3, 4), (4, 4), (4,)]),
-    (lambda x, w, b: (T.dense(x, w, b, "softmax") * np.arange(4.0)).sum(),
+    (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "softmax")
+                                  * np.arange(4.0)),
      [(2, 3, 4), (4, 4), (4,)]),
-    (lambda x, w, b: T.power(T.dense(x, w, b, "linear"), 2).sum(),
+    (lambda x, w, b: T.reduce_sum(T.power(T.dense(x, w, b, "linear"), 2)),
      [(2, 3, 4), (4, 2), (2,)]),
 ])
 def test_grads_match_fd(build, shapes):
@@ -61,12 +63,13 @@ def test_grads_match_fd(build, shapes):
 def test_broadcast_grads():
     a = rng.random((3, 1))
     b = rng.random((1, 4))
-    check_grads(lambda x, y: (x * y).sum(), a, b)
-    check_grads(lambda x, y: T.exp(x + y * 2.0).sum(), a, b)
-    check_grads(lambda x, y: T.power(x - y, 2).sum(), a, b)
-    check_grads(lambda x, y: T.power(x * y, 2).sum(),
+    check_grads(lambda x, y: T.reduce_sum(x * y), a, b)
+    check_grads(lambda x, y: T.reduce_sum(T.exp(x + y * 2.0)), a, b)
+    check_grads(lambda x, y: T.reduce_sum(T.power(x - y, 2)), a, b)
+    check_grads(lambda x, y: T.reduce_sum(T.power(x * y, 2)),
                 rng.random((3, 1, 4)), rng.random((2, 1)))
-    check_grads(lambda x: T.broadcast_to(x, (5, 3, 2)).sum(), rng.random((3, 2)))
+    check_grads(lambda x: T.reduce_sum(T.broadcast_to(x, (5, 3, 2))),
+                rng.random((3, 2)))
 
 
 def test_unbroadcast_sums_added_and_kept_axes():
@@ -109,19 +112,19 @@ def test_product_grad_matches_summing_the_full_product(shapes, seed):
 def test_elementwise_max_tie_goes_to_first_arg():
     a = Tensor([1.0, 2.0, 5.0], requires_grad=True)
     b = Tensor([1.0, 3.0, 4.0], requires_grad=True)
-    ga, gb = T.grad(T.maximum(a, b).sum(), [a, b])
+    ga, gb = T.grad(T.reduce_sum(T.maximum(a, b)), [a, b])
     assert np.allclose(ga, [1.0, 0.0, 1.0])
     assert np.allclose(gb, [0.0, 1.0, 0.0])
-    ga, gb = T.grad(T.minimum(a, b).sum(), [a, b])
+    ga, gb = T.grad(T.reduce_sum(T.minimum(a, b)), [a, b])
     assert np.allclose(ga, [1.0, 1.0, 0.0])
     assert np.allclose(gb, [0.0, 0.0, 1.0])
 
 
 def test_reduce_extreme_tie_goes_to_first_index():
     a = Tensor([[2.0, 2.0, 1.0], [0.5, 0.5, 0.9]], requires_grad=True)
-    (ga,) = T.grad(T.reduce_max(a).sum(), [a])
+    (ga,) = T.grad(T.reduce_sum(T.reduce_max(a)), [a])
     assert np.allclose(ga, [[1, 0, 0], [0, 0, 1]])
-    (ga,) = T.grad(T.reduce_min(a).sum(), [a])
+    (ga,) = T.grad(T.reduce_sum(T.reduce_min(a)), [a])
     assert np.allclose(ga, [[0, 0, 1], [1, 0, 0]])
 
 
@@ -131,10 +134,10 @@ def test_reduce_over_axis_subsets():
         got = T.reduce_sum(Tensor(a), axes).data
         want = a.sum(axis=axes if axes is None or isinstance(axes, tuple) else (axes,))
         assert np.allclose(got, want)
-        check_grads(lambda x, ax=axes: T.reduce_sum(x, ax).sum(), a)
-    check_grads(lambda x: T.reduce_max(x).sum(), a)
-    check_grads(lambda x: T.reduce_min(x).sum(), a)
-    check_grads(lambda x: T.reduce_prod(x).sum(), a)
+        check_grads(lambda x, ax=axes: T.reduce_sum(T.reduce_sum(x, ax)), a)
+    check_grads(lambda x: T.reduce_sum(T.reduce_max(x)), a)
+    check_grads(lambda x: T.reduce_sum(T.reduce_min(x)), a)
+    check_grads(lambda x: T.reduce_sum(T.reduce_prod(x)), a)
 
 
 def test_matmul_values_and_grads():
@@ -144,10 +147,10 @@ def test_matmul_values_and_grads():
     zero = np.zeros(2)
     assert np.allclose(T.dense(Tensor(a), Tensor(w), zero, "linear").data,
                        a @ w)
-    check_grads(lambda x, y: T.dense(x, y, zero, "linear").sum(), a, w)
+    check_grads(lambda x, y: T.reduce_sum(T.dense(x, y, zero, "linear")), a, w)
     batched = rng.standard_normal((2, 4, 3))
-    check_grads(lambda x, y: T.power(T.dense(x, y, zero, "linear"), 2).sum(),
-                batched, w)
+    check_grads(lambda x, y: T.reduce_sum(
+        T.power(T.dense(x, y, zero, "linear"), 2)), batched, w)
     with pytest.raises(ValueError, match="2-D"):
         T.dense(Tensor(a), Tensor(w[0]), zero, "linear")
 
@@ -189,18 +192,20 @@ def test_dense_matches_the_three_rules_exactly(act, shape):
     tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
     out = T.dense(tx, tw, tb, act)
     assert out._parents == (tx, tw, tb)  # one node per layer
-    got = [out.data] + T.grad((out * g).sum(), [tx, tw, tb])
+    got = [out.data] + T.grad(T.reduce_sum(out * g), [tx, tw, tb])
     for k, (a, e) in enumerate(zip(got, want)):
         assert a.shape == e.shape and np.array_equal(a, e), k
 
 
 def test_shape_ops_grads():
     a = rng.random((2, 3, 4))
-    check_grads(lambda x: T.reshape(x, (6, 4)).sum(axes=0).sum(), a)
-    check_grads(lambda x: (T.moveaxis(x, 0, 2) * np.arange(2.0)).sum(), a)
+    check_grads(lambda x: T.reduce_sum(
+        T.reduce_sum(T.reshape(x, (6, 4)), axes=0)), a)
+    check_grads(lambda x: T.reduce_sum(T.moveaxis(x, 0, 2) * np.arange(2.0)),
+                a)
     b, c = rng.random((2, 3)), rng.random((4, 3))
-    check_grads(lambda x, y: T.concat([x, y], axis=0).sum(), b, c)
-    check_grads(lambda x, y: T.power(T.stack([x, y * 2.0]), 2).sum(),
+    check_grads(lambda x, y: T.reduce_sum(T.concat([x, y], axis=0)), b, c)
+    check_grads(lambda x, y: T.reduce_sum(T.power(T.stack([x, y * 2.0]), 2)),
                 rng.random(4), rng.random(4))
 
 
@@ -219,9 +224,9 @@ def test_take_gathers_flat_positions_and_sums_repeated_grads():
     idx = np.array([[5, 0, 5], [2, 2, 2]])  # flat positions, some repeated
     assert np.array_equal(T.take(Tensor(a), idx).data, a.ravel()[idx])
     w = rng.standard_normal(idx.shape)
-    check_grads(lambda x: (T.take(x, idx) * w).sum(), a)
+    check_grads(lambda x: T.reduce_sum(T.take(x, idx) * w), a)
     x = Tensor(a, requires_grad=True)
-    (gx,) = T.grad(T.take(x, idx).sum(), [x])
+    (gx,) = T.grad(T.reduce_sum(T.take(x, idx)), [x])
     assert np.array_equal(gx, [[1.0, 0.0, 3.0], [0.0, 0.0, 2.0]])
 
 
@@ -231,7 +236,7 @@ def test_where_routes_grads_by_mask():
     b = Tensor([9.0, 8.0, 7.0], requires_grad=True)
     out = T.where(cond, a, b)
     assert np.allclose(out.data, [1.0, 8.0, 3.0])
-    ga, gb = T.grad(out.sum(), [a, b])
+    ga, gb = T.grad(T.reduce_sum(out), [a, b])
     assert np.allclose(ga, [1.0, 0.0, 1.0])
     assert np.allclose(gb, [0.0, 1.0, 0.0])
 
@@ -245,7 +250,7 @@ def test_graph_reuse_accumulates():
     # (the product makes that array writable, so it would not raise)
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([5.0, 7.0], requires_grad=True)
-    ga, gb = T.grad((((a + b) + a) * 1.0).sum(), [a, b])
+    ga, gb = T.grad(T.reduce_sum(((a + b) + a) * 1.0), [a, b])
     assert np.array_equal(ga, [2.0, 2.0])
     assert np.array_equal(gb, [1.0, 1.0])
 
@@ -253,7 +258,7 @@ def test_graph_reuse_accumulates():
 def test_diamond_graph_single_visit():
     a = Tensor([2.0], requires_grad=True)
     b = a * 3.0
-    y = (b + b * b).sum()
+    y = T.reduce_sum(b + b * b)
     assert np.allclose(T.grad(y, [a])[0], 3.0 + 2 * 6.0 * 3.0)
 
 
@@ -289,12 +294,13 @@ def test_pmean_limits_approach_extremes():
 
 def test_pmean_grads_match_fd():
     a = rng.random((4, 3)) * 0.8 + 0.1
-    check_grads(lambda x: aggregate(AggregatorSpec("pmean", p=3), x, 1).sum(), a)
+    check_grads(lambda x: T.reduce_sum(
+        aggregate(AggregatorSpec("pmean", p=3), x, 1)), a)
     check_grads(lambda x: aggregate(AggregatorSpec("pmean_error", p=2), x, 2), a)
 
 
 def test_eval_mode_builds_no_graph():
     a = Tensor([1.0, 2.0])  # requires_grad False
-    out = (a * 2.0 + 1.0).sum()
+    out = T.reduce_sum(a * 2.0 + 1.0)
     assert out._parents == ()
     assert out._backward is None

@@ -164,7 +164,7 @@ def test_theory_rejects_open_axioms():
 def test_records_start_at_pretraining_state():
     th = disj_theory(a=0.2, b=0.2)
     before = float(satisfiability(th).data)
-    _, recs = learn(th, TrainConfig(epochs=3))
+    recs = learn(th, TrainConfig(epochs=3))
     assert recs[0]["epoch"] == 0
     assert recs[0]["sat"] == pytest.approx(before, abs=1e-15)
     assert len(recs) == 4
@@ -173,7 +173,7 @@ def test_records_start_at_pretraining_state():
 
 def test_loss_sat_duality_exact():
     th = disj_theory(seed=3)
-    _, recs = learn(th, TrainConfig(epochs=5))
+    recs = learn(th, TrainConfig(epochs=5))
     for rec in recs:
         assert rec["loss"] == 1.0 - rec["sat"]
 
@@ -181,7 +181,7 @@ def test_loss_sat_duality_exact():
 def test_loss_includes_regularizer():
     th = disj_theory(a=0.4, b=0.4)
     lam = 0.01
-    _, recs = learn(th, TrainConfig(epochs=2, reg="l2", lam=lam))
+    recs = learn(th, TrainConfig(epochs=2, reg="l2", lam=lam))
     theta = [float(th.store.get(n).data) for n in th.store.names()]
     want = 1.0 - recs[-1]["sat"] + lam * sum(v * v for v in theta)
     assert recs[-1]["loss"] == pytest.approx(want, abs=1e-12)
@@ -190,17 +190,17 @@ def test_loss_includes_regularizer():
 def test_seed_determinism():
     def run():
         rng = np.random.default_rng(7)
-        data = {"x": rng.random((20, 1))}
         sig = Signature()
         sig.add_domain("u", 1)
         sig.add_variable("x", "u")
         sig.add_predicate("P", ("u",))
         env = GroundingEnv(sig, ParamStore(5))
-        env.add_var_data("x", data["x"])
+        env.add_var_data("x", rng.random((20, 1)))
         from reallogic.nn import MlpSpec
         env.add_mlp("P", MlpSpec((1, 4, 1), ("elu", "sigmoid")))
         th = Theory((Axiom(parse_formula("forall x: P(x)", sig)),), env)
-        _, recs = learn(th, TrainConfig(epochs=4, batch=8, seed=1), data=data)
+        recs = learn(th, TrainConfig(epochs=4, batch=8, seed=1),
+                     batched=("x",))
         return recs, {n: th.store.get(n).data.copy()
                       for n in th.store.names()}
 
@@ -231,7 +231,7 @@ def test_l2_regularizer_shrinks_weights():
 
 def test_frozen_grounding_keeps_sat_constant():
     th = callable_theory([0.3, 0.7, 0.9])
-    _, recs = learn(th, TrainConfig(epochs=3))
+    recs = learn(th, TrainConfig(epochs=3))
     sats = {rec["sat"] for rec in recs}
     assert len(sats) == 1
 
@@ -266,16 +266,15 @@ def test_evaluation_leaves_the_training_flag_as_found():
         th.env.training = flag
         query(th, "truth", "A | B")
         assert th.env.training is flag
-        _log(th, train, {}, {}, 0)
+        _log(th, train, {}, 0)
         assert th.env.training is flag
         reason_refute(lambda _: th, "A", RefutationConfig(epochs=1))
         assert th.env.training is flag
 
 
 def test_empty_dataset_rejected():
-    th = callable_theory([0.5])
-    with pytest.raises(ValueError, match="empty"):
-        learn(th, TrainConfig(epochs=1), data={"x": np.zeros((0, 1))})
+    with pytest.raises(EvalError, match="^variable x has no instances$"):
+        callable_theory(np.zeros((0, 1)))
 
 
 # -- p schedules ---------------------------------------------------------------
@@ -319,11 +318,11 @@ def test_schedule_rejects_p_below_one(schedule):
 # -- one Sat forward per epoch -------------------------------------------------
 
 
-def plain_learn(theory, train, data=None, metrics=None):
+def plain_learn(theory, train, batched=(), metrics=None):
     """The learning loop with a separate Sat forward for every record:
     the oracle for ``learn``, which writes a record from the next step's
     forward when the two ground the same scope."""
-    data = data or {}
+    data = {v: theory.env.instances(v) for v in batched}
     metrics = metrics or {}
     groups = _diag_partition(theory, data.keys())
     sizes = {tuple(g): len(data[g[0]]) for g in groups}
@@ -331,7 +330,7 @@ def plain_learn(theory, train, data=None, metrics=None):
     rng = np.random.default_rng(train.seed)
 
     def log(epoch, ep):
-        sat = satisfiability(theory, theory.env.scope(data, training=False,
+        sat = satisfiability(theory, theory.env.scope(training=False,
                                                       p={"exists": ep}))
         loss = _loss(theory, train, sat)
         rec = {"epoch": epoch, "sat": float(sat.data),
@@ -354,7 +353,8 @@ def plain_learn(theory, train, data=None, metrics=None):
                     idx = rng.choice(n, size=min(train.batch, n),
                                      replace=False)
                     for v in g:
-                        binds[v] = np.asarray(data[v])[idx]
+                        binds[v] = (idx if isinstance(data[v], tuple)
+                                    else data[v][idx])
                 sat = satisfiability(theory,
                                      theory.env.scope(binds, p={"exists": ep}))
                 loss = _loss(theory, train, sat)
@@ -365,7 +365,7 @@ def plain_learn(theory, train, data=None, metrics=None):
         finally:
             theory.env.training = False
         records.append(log(epoch, ep))
-    return theory, records
+    return records
 
 
 def smokers_theory():
@@ -406,7 +406,7 @@ def test_learn_writes_the_records_of_the_plain_loop(case):
     runs = []
     for loop in (learn, plain_learn):
         th, metrics = make()
-        _, recs = loop(th, train, metrics=metrics)
+        recs = loop(th, train, metrics=metrics)
         runs.append((recs, {n: th.store.get(n).data.copy()
                             for n in th.store.names()}))
     (recs, params), (want, want_params) = runs
@@ -451,7 +451,7 @@ def test_learn_grounds_sat_once_per_epoch_when_scopes_match(monkeypatch):
 def test_data_bound_or_dropout_theories_keep_a_record_forward(monkeypatch):
     calls = count_sat_calls(monkeypatch)
     th = callable_theory([0.3, 0.7, 0.9])
-    learn(th, TrainConfig(epochs=3), data={"x": np.array([0.3, 0.7, 0.9])})
+    learn(th, TrainConfig(epochs=3), batched=("x",))
     assert len(calls) == 2 * 3 + 1
 
     del calls[:]
@@ -487,8 +487,7 @@ def test_diag_variables_share_the_draw():
         return Tensor(np.ones(np.shape(a.data)[0]))
 
     th = pair_theory("forall (x, y): Same(x, y)", 10, 10, check)
-    data = {"x": np.arange(10, dtype=float), "y": np.arange(10, dtype=float)}
-    learn(th, TrainConfig(epochs=2, batch=4), data=data)
+    learn(th, TrainConfig(epochs=2, batch=4), batched=("x", "y"))
     # 3 steps per epoch, plus full-size evaluation passes for the records
     assert seen.count(4) == 6
     assert seen.count(10) == 3
@@ -503,16 +502,14 @@ def test_independent_variables_may_differ_in_size():
                      lambda a, b: Tensor(
                          np.full((np.shape(a.data)[0], np.shape(b.data)[0]),
                                  0.5)))
-    data = {"x": np.arange(10, dtype=float), "y": np.arange(7, dtype=float)}
-    learn(th, TrainConfig(epochs=1, batch=5), data=data)
+    learn(th, TrainConfig(epochs=1, batch=5), batched=("x", "y"))
 
 
 def test_diag_unequal_sizes_rejected():
     th = pair_theory("forall (x, y): Same(x, y)", 10, 7,
                      lambda a, b: Tensor(np.ones(np.shape(a.data)[0])))
-    data = {"x": np.arange(10, dtype=float), "y": np.arange(7, dtype=float)}
     with pytest.raises(ValueError, match="unequal"):
-        learn(th, TrainConfig(epochs=1, batch=5), data=data)
+        learn(th, TrainConfig(epochs=1, batch=5), batched=("x", "y"))
 
 
 def test_batch_larger_than_dataset_is_clamped():
@@ -523,9 +520,30 @@ def test_batch_larger_than_dataset_is_clamped():
         return Tensor(np.ones(np.shape(a.data)[0]))
 
     th = pair_theory("forall (x, y): Same(x, y)", 3, 3, check)
-    data = {"x": np.arange(3, dtype=float), "y": np.arange(3, dtype=float)}
-    learn(th, TrainConfig(epochs=2, batch=64), data=data)
+    learn(th, TrainConfig(epochs=2, batch=64), batched=("x", "y"))
     assert seen.count(3) == 2 + 3  # one clamped step per epoch + eval passes
+
+
+def test_a_constant_backed_variable_is_batched_by_index(monkeypatch):
+    binds = []
+
+    def seen(theory, scope=None):
+        binds.append(scope.binds.get("x"))
+        return satisfiability(theory, scope)
+
+    monkeypatch.setattr(training, "satisfiability", seen)
+    th, _ = smokers_theory()
+    people = set(th.env.instances("x"))
+    learn(th, TrainConfig(epochs=1, batch=4), batched=("x",))
+    # ceil(14 / 4) steps of 4 distinct people, between the two records
+    assert binds[0] is None and binds[-1] is None
+    assert [len(set(b) & people) for b in binds[1:-1]] == [4] * 4
+
+
+def test_learn_rejects_an_undeclared_batched_variable():
+    th = callable_theory([0.3])
+    with pytest.raises(EvalError, match="'q' is not a declared variable"):
+        learn(th, TrainConfig(epochs=1), batched=("q",))
 
 
 # -- queries -------------------------------------------------------------------
@@ -756,7 +774,7 @@ def test_refutation_config_validation():
 
 def test_write_metrics_deterministic(tmp_path):
     th = disj_theory(a=0.2, b=0.3)
-    _, recs = learn(th, TrainConfig(epochs=3))
+    recs = learn(th, TrainConfig(epochs=3))
     j1, c1 = tmp_path / "m1.jsonl", tmp_path / "m1.csv"
     j2, c2 = tmp_path / "m2.jsonl", tmp_path / "m2.csv"
     write_metrics(recs, jsonl_path=j1, csv_path=c1)
@@ -772,7 +790,7 @@ def test_write_metrics_deterministic(tmp_path):
 
 def test_metrics_callbacks_logged(tmp_path):
     th = disj_theory(a=0.2, b=0.3)
-    _, recs = learn(th, TrainConfig(epochs=4, log_every=2),
+    recs = learn(th, TrainConfig(epochs=4, log_every=2),
                     metrics={"a_value": lambda t: float(t.store.get("A").data)})
     assert "a_value" in recs[0]
     assert "a_value" in recs[2]
