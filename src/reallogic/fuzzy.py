@@ -1,7 +1,14 @@
 """Fuzzy connectives and aggregators on truth tensors.
 
+Every connective and every aggregator is one graph node, built by
+``tensor.fused`` from a kernel in the style of ``tensor.ACTIVATIONS``:
+the kernel maps the operands' arrays to the result and a derivative
+rule, which runs only in backward, so a query or a record forward pays
+nothing for it. Each table below states each operator once, its value
+and its derivative side by side.
+
 Each connective is a family of one kind. ``_CONNECTIVES`` maps every
-``(kind, family)`` to its truth rule; a family marked * below also has a
+``(kind, family)`` to its kernel; a family marked * below also has a
 stable form, and its entry gives the squeeze of each operand:
 
 - ``not``: ``standard`` (1 - a)
@@ -10,13 +17,23 @@ stable form, and its entry gives the squeeze of each operand:
 - ``implies``: ``kleene_dienes``, ``godel``, ``reichenbach`` * (pi0 on
   the antecedent, pi1 on the consequent), ``goguen``, ``luk``
 
+A connective's derivative rule returns one gradient per operand, of the
+operand's shape: a broadcast operand's is contracted by
+``tensor.unbroadcast_product`` (or summed by ``tensor.unbroadcast``),
+not built at the result's size first; only goguen's partials, which
+depend on both operands, are.
+
 Aggregators generalize them over a whole axis. ``_AGGREGATORS`` maps
-each family to its neutral value (in brackets), its rule and the
+each family to its neutral value (in brackets), its kernel and the
 squeeze of its stable form: ``min`` (1), ``max`` (0), ``prod`` (1),
 ``prob_sum`` (0), ``luk_and`` (0), ``luk_or`` (0), ``mean`` (0), and the
 only families that take p and have a stable form, the p-means ``pmean``
 (0; pi0), which leans toward the largest inputs as p grows, and
 ``pmean_error`` (1; pi1), which penalizes the largest deviations from 1.
+An aggregator kernel reduces the last axis. ``aggregate`` folds the
+squeeze, the neutral fill of masked cells and the patch of rows with no
+kept cell into the same node; a masked aggregate's one other node is
+the gather of its kept cells.
 
 Most of these have gradient pathologies somewhere on [0, 1]: min/max
 propagate through a single input, product families flatline at the
@@ -24,12 +41,19 @@ corners, p-means blow up at them. The "stable" variants squeeze inputs
 away from the corners with the affine maps pi0(x) = (1-eps)x + eps and
 pi1(x) = (1-eps)x, trading exact boundary identities (e.g. and(a, 1) is
 no longer a) for bounded, nonvanishing gradients.
-``tests/test_fuzzy.py`` measures all of this empirically.
+``tests/test_fuzzy.py`` measures all of this empirically, and keeps the
+composite tensor rules that the kernels replaced as their oracle.
 
 Piecewise ops use a fixed subgradient convention: the branch condition is
 evaluated on values and frozen, so e.g. godel/goguen/luk implications
 take the derivative of their "otherwise" branch when a > b and zero when
-a <= b.
+a <= b. Ties are measure-zero during training, but the rule keeps tests
+deterministic: ``and:min``, ``or:max`` and ``implies:kleene_dienes``
+send the gradient to their first operand (the negated antecedent) on
+ties, and the ``min``/``max`` aggregators to the first index along the
+reduced axis. A masked aggregate packs its kept cells, in row-major
+order, ahead of its fill values, so a masked ``min``/``max`` that ties
+with its fill sends the gradient to the first kept cell.
 """
 
 from __future__ import annotations
@@ -91,48 +115,141 @@ class AggregatorSpec:
         return self if p is None else dataclasses.replace(self, p=float(p))
 
 
-def _pi0(t: Tensor, eps: float) -> Tensor:
-    return (1.0 - eps) * t + eps
+# the stable squeezes; both have slope 1 - eps
+def _pi0(x: np.ndarray, eps: float) -> np.ndarray:
+    return (1.0 - eps) * x + eps
 
 
-def _pi1(t: Tensor, eps: float) -> Tensor:
-    return (1.0 - eps) * t
+def _pi1(x: np.ndarray, eps: float) -> np.ndarray:
+    return (1.0 - eps) * x
 
 
-def _checked(t) -> Tensor:
-    """Validate truth values; clamp only float drift within TOL."""
+def _checked(t, kept=None) -> Tensor:
+    """Validate truth values, only the cells ``kept`` marks if given;
+    clamp only float drift within TOL."""
     t = astensor(t)
-    d = t.data
+    d = t.data if kept is None else t.data[kept]
     if d.size:
         lo, hi = d.min(), d.max()
         if lo < -TOL or hi > 1.0 + TOL:
             raise DomainError(f"truth value outside [0, 1]: range [{lo}, {hi}]")
         if lo < 0.0 or hi > 1.0:
-            t = T.minimum(T.maximum(t, 0.0), 1.0)
+            inside = (t.data >= 0.0) & (t.data <= 1.0)
+            t = T.where(inside, t, np.clip(t.data, 0.0, 1.0))
     return t
 
 
-def _goguen(a: Tensor, b: Tensor) -> Tensor:
-    denom = T.where(a.data > b.data, a, 1.0)
-    return T.where(a.data <= b.data, 1.0, b / denom)
+# -- connective kernels ------------------------------------------------------
+#
+# Each maps the operands' arrays to the result and the rule that turns
+# the result's gradient into one gradient per operand (None where the
+# result does not depend on it).
 
 
-# (kind, family) -> (truth rule, squeeze of each operand in the stable
-# form, or None where the family has no stable form)
+def _sum_to(g, x):
+    """``g`` summed down to the shape of ``x``."""
+    return T.unbroadcast(g, x.shape)
+
+
+def _times(g, d, x):
+    """``g * d`` summed down to the shape of ``x``."""
+    return T.unbroadcast_product(g, d, x.shape)
+
+
+def _not(a):
+    return 1.0 - a, lambda g: (-g,)
+
+
+def _min(a, b):
+    def deriv(g):
+        pick = a <= b
+        return _times(g, pick, a), _times(g, ~pick, b)
+    return np.minimum(a, b), deriv
+
+
+def _max(a, b):
+    def deriv(g):
+        pick = a >= b
+        return _times(g, pick, a), _times(g, ~pick, b)
+    return np.maximum(a, b), deriv
+
+
+def _product_and(a, b):
+    return a * b, lambda g: (_times(g, b, a), _times(g, a, b))
+
+
+def _product_or(a, b):
+    return a + b - a * b, lambda g: (_sum_to(g, a) - _times(g, b, a),
+                                     _sum_to(g, b) - _times(g, a, b))
+
+
+def _luk_and(a, b):
+    def deriv(g):
+        pick = a + b - 1.0 >= 0.0
+        return _times(g, pick, a), _times(g, pick, b)
+    return np.maximum(a + b - 1.0, 0.0), deriv
+
+
+def _luk_or(a, b):
+    def deriv(g):
+        pick = a + b <= 1.0
+        return _times(g, pick, a), _times(g, pick, b)
+    return np.minimum(a + b, 1.0), deriv
+
+
+def _kleene_dienes(a, b):
+    def deriv(g):
+        pick = 1.0 - a >= b
+        return -_times(g, pick, a), _times(g, ~pick, b)
+    return np.maximum(1.0 - a, b), deriv
+
+
+def _godel(a, b):
+    return (np.where(a <= b, 1.0, b),
+            lambda g: (None, _times(g, ~(a <= b), b)))
+
+
+def _reichenbach(a, b):
+    return 1.0 - a + a * b, lambda g: (_times(g, b, a) - _sum_to(g, a),
+                                       _times(g, a, b))
+
+
+def _goguen(a, b):
+    le = a <= b
+    denom = np.where(a > b, a, 1.0)  # positive
+    out = np.where(le, 1.0, b / denom)
+
+    def deriv(g):
+        # both partials depend on both operands: no factor has an
+        # operand's shape
+        g = g * ~le
+        with np.errstate(all="ignore"):
+            return _sum_to(-g * b / (denom * denom), a), _sum_to(g / denom, b)
+    return out, deriv
+
+
+def _luk_implies(a, b):
+    def deriv(g):
+        pick = ~(a <= b)
+        return -_times(g, pick, a), _times(g, pick, b)
+    return np.where(a <= b, 1.0, 1.0 - a + b), deriv
+
+
+# (kind, family) -> (kernel, squeeze of each operand in the stable form,
+# or None where the family has no stable form)
 _CONNECTIVES = {
-    ("not", "standard"): (lambda a: 1.0 - a, None),
-    ("and", "min"): (T.minimum, None),
-    ("and", "product"): (lambda a, b: a * b, (_pi0, _pi0)),
-    ("and", "luk"): (lambda a, b: T.maximum(a + b - 1.0, 0.0), None),
-    ("or", "max"): (T.maximum, None),
-    ("or", "product"): (lambda a, b: a + b - a * b, (_pi1, _pi1)),
-    ("or", "luk"): (lambda a, b: T.minimum(a + b, 1.0), None),
-    ("implies", "kleene_dienes"): (lambda a, b: T.maximum(1.0 - a, b), None),
-    ("implies", "godel"): (lambda a, b: T.where(a.data <= b.data, 1.0, b), None),
-    ("implies", "reichenbach"): (lambda a, b: 1.0 - a + a * b, (_pi0, _pi1)),
+    ("not", "standard"): (_not, None),
+    ("and", "min"): (_min, None),
+    ("and", "product"): (_product_and, (_pi0, _pi0)),
+    ("and", "luk"): (_luk_and, None),
+    ("or", "max"): (_max, None),
+    ("or", "product"): (_product_or, (_pi1, _pi1)),
+    ("or", "luk"): (_luk_or, None),
+    ("implies", "kleene_dienes"): (_kleene_dienes, None),
+    ("implies", "godel"): (_godel, None),
+    ("implies", "reichenbach"): (_reichenbach, (_pi0, _pi1)),
     ("implies", "goguen"): (_goguen, None),
-    ("implies", "luk"):
-        (lambda a, b: T.where(a.data <= b.data, 1.0, 1.0 - a + b), None),
+    ("implies", "luk"): (_luk_implies, None),
 }
 _KINDS = {kind for kind, _ in _CONNECTIVES}
 
@@ -141,14 +258,16 @@ def apply_connective(op: ConnectiveOp, a, b=None) -> Tensor:
     if (b is None) != (op.kind == "not"):
         raise ValueError("not is unary" if b is not None
                          else f"{op.kind} needs two operands")
-    rule, squeeze = _CONNECTIVES[op.kind, op.family]
-    a = _checked(a)
-    if b is None:
-        return rule(a)
-    b = _checked(b)
-    if op.stable:
-        a, b = squeeze[0](a, op.eps), squeeze[1](b, op.eps)
-    return rule(a, b)
+    kernel, squeeze = _CONNECTIVES[op.kind, op.family]
+    operands = [_checked(x) for x in ((a,) if b is None else (a, b))]
+    if not op.stable:
+        return T.fused(kernel, *operands)
+
+    def stable(a, b):
+        out, deriv = kernel(squeeze[0](a, op.eps), squeeze[1](b, op.eps))
+        return out, lambda g: [d * (1.0 - op.eps) for d in deriv(g)]
+
+    return T.fused(stable, *operands)
 
 
 def _pack(t: Tensor, m: np.ndarray):
@@ -175,70 +294,155 @@ def _pack(t: Tensor, m: np.ndarray):
             count.reshape(lead))
 
 
-def _pmean(x: Tensor, count, p: float, vacant) -> Tensor:
-    base = T.reduce_sum(T.power(x, p), -1) / np.maximum(count, 1.0)
+# -- aggregator kernels ------------------------------------------------------
+#
+# Each reduces the last axis of ``x``, given the kept count per row, p
+# and the rows a mask keeps no cell of, to the result and the rule that
+# turns the result's gradient into ``x``'s.
+
+
+def _spread(g, x):
+    """The gradient of a sum over the last axis of ``x``."""
+    return np.broadcast_to(g[..., None], x.shape)
+
+
+def _extreme(reduce, first):
+    """``reduce`` over the last axis; the gradient goes to the first
+    index, ``first``, that attains it."""
+    def kernel(x, *_):
+        def deriv(g):
+            gx = np.zeros_like(x)
+            np.put_along_axis(gx, first(x, axis=-1)[..., None], g[..., None],
+                              axis=-1)
+            return gx
+        return reduce(x, axis=-1), deriv
+    return kernel
+
+
+def _prod_partial(x):
+    """Each cell's derivative of its row's product, exact even with zero
+    entries: the product of all the others in its row."""
+    zeros = x == 0.0
+    nzeros = zeros.sum(axis=-1, keepdims=True)
+    safe = np.where(zeros, 1.0, x)
+    prod_nonzero = safe.prod(axis=-1, keepdims=True)
+    return np.where(nzeros == 0, prod_nonzero / safe,
+                    np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
+
+
+def _prod(x, *_):
+    return x.prod(axis=-1), lambda g: _prod_partial(x) * g[..., None]
+
+
+def _prob_sum(x, *_):
+    y = 1.0 - x
+    return 1.0 - y.prod(axis=-1), lambda g: _prod_partial(y) * g[..., None]
+
+
+def _luk_and_agg(x, count, *_):
+    v = x.sum(axis=-1) - count + 1.0
+    return np.maximum(v, 0.0), lambda g: _spread(g * (v >= 0.0), x)
+
+
+def _luk_or_agg(x, *_):
+    s = x.sum(axis=-1)
+    return np.minimum(s, 1.0), lambda g: _spread(g * (s <= 1.0), x)
+
+
+def _mean(x, count, *_):
+    denom = np.maximum(count, 1.0)
+    return x.sum(axis=-1) / denom, lambda g: _spread(g / denom, x)
+
+
+def _pmean(x, count, p, vacant):
+    denom = np.maximum(count, 1.0)
+    # an array even at 0-d: numpy's scalar ** rounds unlike its array **
+    base = np.asarray((x ** p).sum(axis=-1) / denom)
     if vacant is not None:
         # x ** (1/p) has no finite derivative at 0, so a row with no
         # kept cell takes base 1; aggregate patches its value
-        base = T.where(vacant, 1.0, base)
-    return T.power(base, 1.0 / p)
+        base = np.where(vacant, 1.0, base)
+    out = base ** (1.0 / p)
+
+    def deriv(g):
+        with np.errstate(all="ignore"):
+            gb = g * (1.0 / p) * base ** (1.0 / p - 1.0)
+            return (gb / denom * p)[..., None] * x ** (p - 1.0)
+    return out, deriv
+
+
+def _pmean_error(x, *rest):
+    # both negations cancel in the gradient
+    out, deriv = _pmean(1.0 - x, *rest)
+    return 1.0 - out, deriv
 
 
 # family -> (neutral value, which fills the cells a mask leaves out;
-# rule reducing the last axis of x, given the kept count per row, p and
-# the rows a mask keeps no cell of; squeeze in the stable form or None)
+# kernel; squeeze in the stable form or None)
 _AGGREGATORS = {
-    "min": (1.0, lambda x, *_: T.reduce_min(x), None),
-    "max": (0.0, lambda x, *_: T.reduce_max(x), None),
-    "prod": (1.0, lambda x, *_: T.reduce_prod(x), None),
-    "prob_sum": (0.0, lambda x, *_: 1.0 - T.reduce_prod(1.0 - x), None),
-    "luk_and": (0.0, lambda x, count, *_:
-                T.maximum(T.reduce_sum(x, -1) - count + 1.0, 0.0), None),
-    "luk_or": (0.0, lambda x, *_: T.minimum(T.reduce_sum(x, -1), 1.0), None),
-    "mean": (0.0, lambda x, count, *_:
-             T.reduce_sum(x, -1) / np.maximum(count, 1.0), None),
+    "min": (1.0, _extreme(np.min, np.argmin), None),
+    "max": (0.0, _extreme(np.max, np.argmax), None),
+    "prod": (1.0, _prod, None),
+    "prob_sum": (0.0, _prob_sum, None),
+    "luk_and": (0.0, _luk_and_agg, None),
+    "luk_or": (0.0, _luk_or_agg, None),
+    "mean": (0.0, _mean, None),
     "pmean": (0.0, _pmean, _pi0),
-    "pmean_error": (1.0, lambda x, *rest: 1.0 - _pmean(1.0 - x, *rest), _pi1),
+    "pmean_error": (1.0, _pmean_error, _pi1),
 }
 
 
 def aggregate(spec: AggregatorSpec, t, k: int, mask=None, empty=None) -> Tensor:
     """Aggregate truth values over the last ``k`` axes of ``t``.
 
-    Those axes are flattened into one last axis, which the family's rule
-    in ``_AGGREGATORS`` reduces. ``empty`` is the value over no cell (1
-    for vacuous universals, 0 for failed existentials): every result
-    cell takes it when the reduced axes hold no cell. ``mask`` (a
+    Those axes are flattened into one last axis, which the family's
+    kernel in ``_AGGREGATORS`` reduces. ``empty`` is the value over no
+    cell (1 for vacuous universals, 0 for failed existentials): every
+    result cell takes it when the reduced axes hold no cell. ``mask`` (a
     constant boolean array broadcastable to ``t``) restricts the
     aggregation to selected cells. Their cells are packed per result
-    cell (:func:`_pack`), squeezed in the stable form, and the padding
-    is filled with the family's neutral value, so past two passes over
-    the boolean mask the work and its backward scale with the kept
-    cells, not with the grid; masked-out cells get a zero gradient.
-    Result cells whose mask keeps no cell are patched with ``empty``;
-    left as None, their raw value leaks through, an error at use sites.
+    cell (:func:`_pack`) and only they are validated; the padding is
+    filled with the family's neutral value, so past two passes over the
+    boolean mask the work and its backward scale with the kept cells,
+    not with the grid; masked-out cells get a zero gradient. Result
+    cells whose mask keeps no cell are patched with ``empty``; left as
+    None, their raw value leaks through, an error at use sites.
     """
-    t = _checked(t)
+    t = astensor(t)
     lead = t.shape[:t.ndim - k]
     flat = lead + (math.prod(t.shape[t.ndim - k:]),)
     if empty is not None and flat[-1] == 0:
         return Tensor(np.full(lead, float(empty)))
-    neutral, rule, squeeze = _AGGREGATORS[spec.family]
     if mask is None:
-        t, valid, count = T.reshape(t, flat), None, float(flat[-1])
+        t, valid, count = _checked(t), None, float(flat[-1])
     else:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), t.shape).reshape(flat)
-        t, valid, count = _pack(t, m)
-    if spec.stable:
-        t = squeeze(t, spec.eps)
-    vacant = None
-    if valid is not None:
-        t = T.where(valid, t, neutral)
-        vacant = None if count.all() else count == 0
-    out = rule(t, count, spec.p, vacant)
-    if vacant is not None and empty is not None:
-        out = T.where(vacant, float(empty), out)
-    return out
+        packed, valid, count = _pack(t, m)
+        t, flat = _checked(packed, valid), packed.shape
+    neutral, kernel, squeeze = _AGGREGATORS[spec.family]
+    vacant = None if valid is None or count.all() else count == 0
+    shape = t.shape
+
+    def fold(x):
+        x = x.reshape(flat)
+        if spec.stable:
+            x = squeeze(x, spec.eps)
+        if valid is not None:
+            x = np.where(valid, x, neutral)
+        out, deriv = kernel(x, count, spec.p, vacant)
+        if vacant is not None and empty is not None:
+            out = np.where(vacant, float(empty), out)
+
+        def back(g):
+            gx = deriv(g)
+            if valid is not None:  # zero on a vacant row: it keeps no cell
+                gx = gx * valid
+            if spec.stable:
+                gx = gx * (1.0 - spec.eps)
+            return (gx.reshape(shape),)
+        return out, back
+
+    return T.fused(fold, t)
 
 
 # -- configuration ------------------------------------------------------------

@@ -93,7 +93,7 @@ _LEXEMES = (
     ("comment", r"#[^\n]*"),
     ("alias", "[" + "".join(_UNICODE_ALIASES) + "]"),
     ("string", r'"(?:[^"\\]|\\[\s\S])*"'),
-    ("number", r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"),
+    ("number", r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"),
     ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("punct", r"<->|->|<=|>=|!=|[()\[\],:;=<>~&|@+*-]"),
 )

@@ -12,15 +12,10 @@ another returned array: read it, do not write it.
 Conventions that matter downstream:
 
 - float64 everywhere; inputs are coerced on construction.
-- ``reduce_min``/``reduce_max``/``reduce_prod`` reduce the last axis
-  only; ``fuzzy.aggregate`` flattens the axes it reduces into one last
-  axis first. ``reduce_sum`` takes any axes.
-- elementwise ``min``/``max`` send the gradient to the FIRST argument on
-  ties; reduce ``min``/``max`` send it to the first index along the last
-  axis. Ties are measure-zero during training but the rule keeps tests
-  deterministic. A masked ``fuzzy.aggregate`` packs its kept cells, in
-  row-major order, ahead of its fill values, so a masked ``min``/``max``
-  that ties with its fill sends the gradient to the first kept cell.
+- ``reduce_sum`` takes any axes.
+- ``maximum`` sends the gradient to the FIRST argument on ties. The
+  fuzzy min/max connectives and aggregators state their own tie rules,
+  in ``fuzzy``.
 - ``take(a, idx)`` gathers cells by flat position; positions repeated in
   ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
@@ -28,8 +23,12 @@ Conventions that matter downstream:
   Each activation (elu, sigmoid, softmax, linear) is stated once, as an
   ``ACTIVATIONS`` kernel that returns the output and its derivative
   rule; softmax reads the last axis.
-- ``mul``'s gradients contract broadcast axes in one ``np.einsum``, so
-  their summation order can differ from ``ndarray.sum`` in the last bit.
+- ``fused(kernel, *args)`` is one node for a kernel of the same form
+  over several arrays; ``fuzzy`` builds every connective and aggregator
+  with it.
+- ``unbroadcast_product`` (``mul``'s gradients, and the fuzzy kernels')
+  contracts broadcast axes in one ``np.einsum``, so its summation order
+  can differ from ``ndarray.sum`` in the last bit.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
   ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
   and ``training`` raises ``DivergenceError`` on a non-finite loss or
@@ -71,7 +70,7 @@ def _contraction(gshape: tuple, xshape: tuple, shape: tuple) -> tuple:
             len(out) != len(shape))
 
 
-def _unbroadcast_product(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast_product(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
     """``unbroadcast(g * x, shape)``, never building a ``g * x`` to sum."""
     if g.shape == shape:
         return g * x
@@ -200,8 +199,8 @@ def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
 
     def back(g, acc):
-        acc(a, _unbroadcast_product(g, b.data, a.data.shape))
-        acc(b, _unbroadcast_product(g, a.data, b.data.shape))
+        acc(a, unbroadcast_product(g, b.data, a.data.shape))
+        acc(b, unbroadcast_product(g, a.data, b.data.shape))
 
     return _result(a.data * b.data, (a, b), back)
 
@@ -268,17 +267,6 @@ def maximum(a, b) -> Tensor:
     return _result(np.maximum(a.data, b.data), (a, b), back)
 
 
-def minimum(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    pick_a = a.data <= b.data
-
-    def back(g, acc):
-        acc(a, g * pick_a)
-        acc(b, g * ~pick_a)
-
-    return _result(np.minimum(a.data, b.data), (a, b), back)
-
-
 def where(cond, a, b) -> Tensor:
     """Select ``a`` where ``cond`` else ``b``; ``cond`` is a constant mask."""
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
@@ -343,6 +331,22 @@ def dense(x, w, b, act: str) -> Tensor:
         acc(b, gz)  # acc sums the broadcast rows
 
     return _result(out, (x, w, b), back)
+
+
+def fused(kernel, *args) -> Tensor:
+    """One node computing ``kernel`` on the arrays of ``args``. The
+    kernel returns the output and the rule that turns the output's
+    gradient into one gradient per arg, of the arg's shape, or None where
+    none flows; the rule runs only in backward."""
+    args = [astensor(a) for a in args]
+    out, deriv = kernel(*(a.data for a in args))
+
+    def back(g, acc):
+        for a, ga in zip(args, deriv(g)):
+            if ga is not None:
+                acc(a, ga)
+
+    return _result(out, args, back)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -431,44 +435,3 @@ def reduce_sum(a, axes=None) -> Tensor:
         acc(a, np.broadcast_to(gx, shape))
 
     return _result(a.data.sum(axis=axes), (a,), back)
-
-
-def _reduce_extreme(a, biggest: bool) -> Tensor:
-    a = astensor(a)
-    # first hit wins
-    idx = (a.data.argmax(axis=-1) if biggest else a.data.argmin(axis=-1))[..., None]
-
-    def back(g, acc):
-        gx = np.zeros_like(a.data)
-        np.put_along_axis(gx, idx, g[..., None], axis=-1)
-        acc(a, gx)
-
-    return _result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
-
-
-def reduce_max(a) -> Tensor:
-    """Maximum over the last axis."""
-    return _reduce_extreme(a, biggest=True)
-
-
-def reduce_min(a) -> Tensor:
-    """Minimum over the last axis."""
-    return _reduce_extreme(a, biggest=False)
-
-
-def reduce_prod(a) -> Tensor:
-    """Product over the last axis. Gradient is exact even with zero
-    entries: each position gets the product of all the others in its row."""
-    a = astensor(a)
-    x = a.data
-
-    def back(g, acc):
-        zeros = x == 0.0
-        nzeros = zeros.sum(axis=-1, keepdims=True)
-        safe = np.where(zeros, 1.0, x)
-        prod_nonzero = safe.prod(axis=-1, keepdims=True)
-        gx = np.where(nzeros == 0, prod_nonzero / safe,
-                      np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
-        acc(a, gx * g[..., None])
-
-    return _result(x.prod(axis=-1), (a,), back)

@@ -1,5 +1,6 @@
 """Random well-typed formulas over one small signature, shared by the
-parser's round-trip test and the gradient check of grounded formulas."""
+parser's round-trip test, the gradient check of grounded formulas and
+the differential checks of the fuzzy kernels."""
 
 from reallogic.logic import (
     App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var,
@@ -69,3 +70,18 @@ def rand_formula(rng, depth, pool):
     op = ["and", "or", "implies", "iff"][rng.integers(4)]
     return Bin(op, rand_formula(rng, depth - 1, pool),
                rand_formula(rng, depth - 1, pool))
+
+
+def never_fires(name):
+    """A guard that no instance of the variable ``name`` passes."""
+    v = Var(name)
+    return Guard("<", ((1.0, v),), ((1.0, v),))
+
+
+def rand_vacant_quant(rng, kind, depth, pool):
+    """A ``kind`` quantifier over the first one or two names of ``pool``
+    (one group) whose guard never fires, on a random body that may
+    quantify the rest and leave any name free."""
+    names = tuple(pool[:2 if rng.random() < 0.3 else 1])
+    return Quant(kind, (names,), never_fires(names[0]),
+                 rand_formula(rng, depth, pool[len(names):]))

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reallogic.fuzzy import (
-    _AGGREGATORS, AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate,
-    apply_connective, parse_op_tag,
+    _AGGREGATORS, _CONNECTIVES, TOL, AggregatorSpec, ConnectiveOp, FuzzyConfig,
+    _pack, aggregate, apply_connective, parse_op_tag,
 )
 from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor
+
+from test_tensor import broadcast_shapes
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -244,6 +246,264 @@ def test_masked_aggregation_multi_axis_counts():
     assert np.allclose(out.data, [0.5, 1.0])
 
 
+# -- the composite rules: each operator as several small tensor nodes ----------
+#
+# The fuzzy kernels replaced these; they stay here as the oracle. The
+# reductions and the elementwise minimum they need are tensor nodes only
+# these rules use.
+
+
+def minimum(a, b):
+    a, b = T.astensor(a), T.astensor(b)
+    pick_a = a.data <= b.data  # ties go to the first argument
+
+    def back(g, acc):
+        acc(a, g * pick_a)
+        acc(b, g * ~pick_a)
+
+    return T._result(np.minimum(a.data, b.data), (a, b), back)
+
+
+def _reduce_extreme(a, biggest):
+    a = T.astensor(a)
+    idx = (a.data.argmax(axis=-1) if biggest
+           else a.data.argmin(axis=-1))[..., None]  # first hit wins
+
+    def back(g, acc):
+        gx = np.zeros_like(a.data)
+        np.put_along_axis(gx, idx, g[..., None], axis=-1)
+        acc(a, gx)
+
+    return T._result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
+
+
+def reduce_max(a):
+    return _reduce_extreme(a, biggest=True)
+
+
+def reduce_min(a):
+    return _reduce_extreme(a, biggest=False)
+
+
+def reduce_prod(a):
+    """Product over the last axis; each position's gradient is the
+    product of all the others in its row, zeros included."""
+    a = T.astensor(a)
+    x = a.data
+
+    def back(g, acc):
+        zeros = x == 0.0
+        nzeros = zeros.sum(axis=-1, keepdims=True)
+        safe = np.where(zeros, 1.0, x)
+        prod_nonzero = safe.prod(axis=-1, keepdims=True)
+        gx = np.where(nzeros == 0, prod_nonzero / safe,
+                      np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
+        acc(a, gx * g[..., None])
+
+    return T._result(x.prod(axis=-1), (a,), back)
+
+
+def squeeze0(t, eps):
+    return (1.0 - eps) * t + eps
+
+
+def squeeze1(t, eps):
+    return (1.0 - eps) * t
+
+
+def checked(t):
+    """Validate the whole of ``t``; clamp drift within fuzzy.TOL."""
+    t = T.astensor(t)
+    d = t.data
+    if d.size:
+        lo, hi = d.min(), d.max()
+        if lo < -TOL or hi > 1.0 + TOL:
+            raise DomainError(f"truth value outside [0, 1]: range [{lo}, {hi}]")
+        if lo < 0.0 or hi > 1.0:
+            t = minimum(T.maximum(t, 0.0), 1.0)
+    return t
+
+
+def goguen(a, b):
+    denom = T.where(a.data > b.data, a, 1.0)
+    return T.where(a.data <= b.data, 1.0, b / denom)
+
+
+COMPOSITE_CONNECTIVES = {
+    ("not", "standard"): (lambda a: 1.0 - a, None),
+    ("and", "min"): (minimum, None),
+    ("and", "product"): (lambda a, b: a * b, (squeeze0, squeeze0)),
+    ("and", "luk"): (lambda a, b: T.maximum(a + b - 1.0, 0.0), None),
+    ("or", "max"): (T.maximum, None),
+    ("or", "product"): (lambda a, b: a + b - a * b, (squeeze1, squeeze1)),
+    ("or", "luk"): (lambda a, b: minimum(a + b, 1.0), None),
+    ("implies", "kleene_dienes"): (lambda a, b: T.maximum(1.0 - a, b), None),
+    ("implies", "godel"): (lambda a, b: T.where(a.data <= b.data, 1.0, b), None),
+    ("implies", "reichenbach"): (lambda a, b: 1.0 - a + a * b, (squeeze0, squeeze1)),
+    ("implies", "goguen"): (goguen, None),
+    ("implies", "luk"):
+        (lambda a, b: T.where(a.data <= b.data, 1.0, 1.0 - a + b), None),
+}
+
+
+def composite_connective(op, a, b=None):
+    rule, squeeze = COMPOSITE_CONNECTIVES[op.kind, op.family]
+    a = checked(a)
+    if b is None:
+        return rule(a)
+    b = checked(b)
+    if op.stable:
+        a, b = squeeze[0](a, op.eps), squeeze[1](b, op.eps)
+    return rule(a, b)
+
+
+def composite_pmean(x, count, p, vacant):
+    base = T.reduce_sum(T.power(x, p), -1) / np.maximum(count, 1.0)
+    if vacant is not None:
+        base = T.where(vacant, 1.0, base)
+    return T.power(base, 1.0 / p)
+
+
+COMPOSITE_AGGREGATORS = {
+    "min": (1.0, lambda x, *_: reduce_min(x), None),
+    "max": (0.0, lambda x, *_: reduce_max(x), None),
+    "prod": (1.0, lambda x, *_: reduce_prod(x), None),
+    "prob_sum": (0.0, lambda x, *_: 1.0 - reduce_prod(1.0 - x), None),
+    "luk_and": (0.0, lambda x, count, *_:
+                T.maximum(T.reduce_sum(x, -1) - count + 1.0, 0.0), None),
+    "luk_or": (0.0, lambda x, *_: minimum(T.reduce_sum(x, -1), 1.0), None),
+    "mean": (0.0, lambda x, count, *_:
+             T.reduce_sum(x, -1) / np.maximum(count, 1.0), None),
+    "pmean": (0.0, composite_pmean, squeeze0),
+    "pmean_error": (1.0, lambda x, *rest: 1.0 - composite_pmean(1.0 - x, *rest),
+                    squeeze1),
+}
+
+
+def composite_aggregate(spec, t, k, mask=None, empty=None):
+    """The aggregate that validates the whole grid, then reshapes,
+    packs, squeezes, fills, reduces and patches, each as its own nodes."""
+    t = checked(t)
+    lead = t.shape[:t.ndim - k]
+    flat = lead + (int(np.prod(t.shape[t.ndim - k:])),)
+    if empty is not None and flat[-1] == 0:
+        return Tensor(np.full(lead, float(empty)))
+    neutral, rule, squeeze = COMPOSITE_AGGREGATORS[spec.family]
+    if mask is None:
+        t, valid, count = T.reshape(t, flat), None, float(flat[-1])
+    else:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), t.shape).reshape(flat)
+        t, valid, count = _pack(t, m)
+    if spec.stable:
+        t = squeeze(t, spec.eps)
+    vacant = None
+    if valid is not None:
+        t = T.where(valid, t, neutral)
+        vacant = None if count.all() else count == 0
+    out = rule(t, count, spec.p, vacant)
+    if vacant is not None and empty is not None:
+        out = T.where(vacant, float(empty), out)
+    return out
+
+
+def test_the_composite_tables_name_every_family():
+    assert COMPOSITE_CONNECTIVES.keys() == _CONNECTIVES.keys()
+    assert COMPOSITE_AGGREGATORS.keys() == _AGGREGATORS.keys()
+
+
+ALL_CONNECTIVES = [ConnectiveOp(kind, family, stable)
+                   for (kind, family), (_, squeeze) in _CONNECTIVES.items()
+                   for stable in ((False, True) if squeeze else (False,))]
+ALL_AGGREGATORS = [AggregatorSpec(family, p=p, stable=stable)
+                   for family, (_, _, squeeze) in _AGGREGATORS.items()
+                   for p in ((1, 2, 3.5) if squeeze else (None,))
+                   for stable in ((False, True) if squeeze else (False,))]
+
+
+def unit_array(rng, shape):
+    """Truths in [0, 1], with exact 0s, 1s and 0.5s mixed in."""
+    x = rng.random(shape)
+    pick = rng.random(shape)
+    x[pick < 0.15] = 0.0
+    x[pick > 0.85] = 1.0
+    x[(pick > 0.45) & (pick < 0.5)] = 0.5
+    return x
+
+
+def assert_grads_agree(got, want, exact):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        if exact:
+            np.testing.assert_array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ALL_CONNECTIVES, ids=op_id)
+@settings(max_examples=60, deadline=None)
+@given(shapes=broadcast_shapes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_connective_kernel_matches_its_composite_rule(op, shapes, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [unit_array(rng, s) for s in shapes[:1 if op.kind == "not" else 2]]
+    out_shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    weights = rng.standard_normal(out_shape)
+    runs = []
+    for fn in (apply_connective, composite_connective):
+        xs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(op, *xs)
+        runs.append((xs, out, T.grad(T.reduce_sum(out * weights), xs)))
+    (xs, got, got_grads), (_, want, want_grads) = runs
+    assert got._parents == tuple(xs)  # one node, straight onto the operands
+    np.testing.assert_array_equal(got.data, want.data)
+    # a broadcast operand's gradient may sum in another order
+    assert_grads_agree(got_grads, want_grads,
+                       exact=all(a.shape == out_shape for a in arrays))
+
+
+@st.composite
+def aggregate_cases(draw):
+    """A shape, the number of trailing axes to reduce, and a mask (or
+    None) that spans some axes and broadcasts over the rest, dense or
+    sparse enough to leave rows with no kept cell."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
+    k = draw(st.integers(1, len(shape)))
+    if draw(st.booleans()):
+        return shape, k, None
+    spans = draw(st.lists(st.booleans(), min_size=len(shape), max_size=len(shape)))
+    mshape = tuple(n if keep else 1 for n, keep in zip(shape, spans))
+    return shape, k, (mshape, draw(st.sampled_from([0.0, 0.2, 0.6, 1.0])))
+
+
+@pytest.mark.parametrize("spec", ALL_AGGREGATORS, ids=op_id)
+@settings(max_examples=60, deadline=None)
+@given(case=aggregate_cases(), empty=st.sampled_from([None, 0.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_aggregate_kernel_matches_its_composite_rule(spec, case, empty, seed):
+    shape, k, masking = case
+    rng = np.random.default_rng(seed)
+    xs = unit_array(rng, shape)
+    mask = None if masking is None else rng.random(masking[0]) < masking[1]
+    weights = rng.standard_normal(shape[:len(shape) - k])
+    runs = []
+    for fn in (aggregate, composite_aggregate):
+        x = Tensor(xs, requires_grad=True)
+        try:
+            out = fn(spec, x, k, mask, empty)
+        except ValueError as e:  # min/max over no cell, with no empty value
+            runs.append(type(e))
+            continue
+        runs.append((x, out, T.grad(T.reduce_sum(out * weights), [x])))
+    if ValueError in runs:
+        assert runs == [ValueError, ValueError]
+        return
+    (x, got, got_grads), (_, want, want_grads) = runs
+    if got._parents:  # no node where the reduced axes hold no cell
+        gather = () if mask is None else got._parents[0]._parents
+        assert got._parents == (x,) or gather == (x,)
+    np.testing.assert_array_equal(got.data, want.data)
+    assert_grads_agree(got_grads, want_grads, exact=True)
+
+
 # -- masked aggregation against the dense formula -----------------------------
 
 
@@ -271,17 +531,17 @@ def dense_masked(spec, t, k, mask, empty):
 
     f, eps = spec.family, spec.eps
     if f == "min":
-        out = T.reduce_min(fill(t, 1.0))
+        out = reduce_min(fill(t, 1.0))
     elif f == "max":
-        out = T.reduce_max(fill(t, 0.0))
+        out = reduce_max(fill(t, 0.0))
     elif f == "prod":
-        out = T.reduce_prod(fill(t, 1.0))
+        out = reduce_prod(fill(t, 1.0))
     elif f == "prob_sum":
-        out = 1.0 - T.reduce_prod(fill(1.0 - t, 1.0))
+        out = 1.0 - reduce_prod(fill(1.0 - t, 1.0))
     elif f == "luk_and":
         out = T.maximum(msum(t) - count + 1.0, 0.0)
     elif f == "luk_or":
-        out = T.minimum(msum(t), 1.0)
+        out = minimum(msum(t), 1.0)
     elif f == "mean":
         out = msum(t) / denom
     elif f == "pmean":
@@ -361,6 +621,35 @@ def test_input_validation_and_drift_clamp():
     assert float(out.data) == pytest.approx(0.5)
     drifted = Tensor(np.array([-5e-10, 0.5]))
     assert agg(AggregatorSpec("min"), drifted.data) == 0.0
+
+
+def test_a_masked_aggregate_checks_only_its_kept_cells():
+    # row 1 keeps one cell, so its packed row pads with flat cell 0
+    t = np.array([[1.5, 0.3, 0.6], [0.2, 0.4, -2.0]])
+    keep = np.array([[False, True, True], [False, True, False]])
+    for spec in (AggregatorSpec("mean"), AggregatorSpec("pmean", p=2, stable=True)):
+        out = aggregate(spec, Tensor(t), 1, mask=keep, empty=1.0)
+        want = [agg(spec, [0.3, 0.6]), agg(spec, [0.4])]
+        np.testing.assert_array_equal(out.data, want)
+        for cell in ((0, 0), (1, 2)):  # each out-of-range cell, kept
+            kept = keep.copy()
+            kept[cell] = True
+            with pytest.raises(DomainError):
+                aggregate(spec, Tensor(t), 1, mask=kept, empty=1.0)
+
+
+def test_drift_clamp_matches_the_composite_clamp():
+    a = np.array([1.0 + 5e-10, 0.5, -5e-10, 1.0, 0.0])
+    b = np.array([0.3, 1.0 + 1e-10, 0.7, -1e-10, 0.2])
+    runs = []
+    for fn in (apply_connective, composite_connective):
+        xs = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)]
+        out = fn(ConnectiveOp("and", "product", stable=True), *xs)
+        runs.append((out.data, T.grad(T.reduce_sum(out * np.arange(5.0)), xs)))
+    (got, got_grads), (want, want_grads) = runs
+    np.testing.assert_array_equal(got, want)
+    assert_grads_agree(got_grads, want_grads, exact=True)
+    assert got_grads[0][0] == 0.0 and got_grads[1][3] == 0.0  # clamped cells
 
 
 def test_connective_arity_errors():

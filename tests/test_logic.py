@@ -2,6 +2,7 @@
 semantics (plain, diagonal, guarded), and gradient flow through formulas."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from reallogic.parser import parse_formula
 from reallogic.tensor import Tensor
 
 from fdcheck import fd_store_grad
-from randformula import rand_formula, small_sig
+from randformula import rand_formula, rand_vacant_quant, small_sig
+from test_fuzzy import composite_aggregate, composite_connective
 
 RAW = (FuzzyConfig()
        .with_tag("and", "product").with_tag("or", "product")
@@ -778,6 +780,49 @@ def test_random_formula_gradients_match_fd_under_every_family(case):
         random_formula_env(FuzzyConfig().with_tag(kind, family)),
         np.random.default_rng([23, case]), 2,
         "and" if kind == "implies" else "implies")
+
+
+@pytest.mark.parametrize("case", range(len(FAMILY_CASES)),
+                         ids=[f"{k}:{f}" for k, f in FAMILY_CASES])
+def test_random_formulas_ground_as_under_the_composite_rules(case, monkeypatch):
+    kind, family = FAMILY_CASES[case]
+    env = random_formula_env(FuzzyConfig().with_tag(kind, family))
+    rng = np.random.default_rng([24, case])
+    for _ in range(2):
+        f = rand_formula(rng, 4, list("xyzw"))
+        loose = free_vars(f)
+        f = forall([(v,) for v in loose], f) if loose else f
+        runs = []
+        for composite in (False, True):
+            with monkeypatch.context() as m:
+                if composite:
+                    m.setattr(logic, "apply_connective", composite_connective)
+                    m.setattr(logic, "aggregate", composite_aggregate)
+                out = ground_formula(env, f).tensor
+                runs.append((out.data, backward(out, env.store)))
+        (got, got_grads), (want, want_grads) = runs
+        np.testing.assert_array_equal(got, want)
+        for name in env.store.names():
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("family", sorted(_AGGREGATORS))
+def test_a_guard_that_never_fires_reads_its_empty_value_under_every_family(family):
+    unguarded_moved = False
+    for kind, empty in (("forall", 1.0), ("exists", 0.0)):
+        env = random_formula_env(FuzzyConfig().with_tag(kind, family))
+        rng = np.random.default_rng([25, len(family), len(kind)])
+        for _ in range(3):
+            node = rand_vacant_quant(rng, kind, 3, list("xyzw"))
+            out = ground_formula(env, node).tensor
+            assert np.all(out.data == empty), node
+            grads = backward(T.reduce_sum(out), env.store)
+            assert not any(g.any() for g in grads.values()), node
+            out = ground_formula(env, replace(node, guard=None)).tensor
+            grads = backward(T.reduce_sum(out), env.store)
+            unguarded_moved |= any(g.any() for g in grads.values())
+    assert unguarded_moved  # without their guards, the bodies reach slots
 
 
 def test_free_vars_order_and_binding():

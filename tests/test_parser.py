@@ -35,6 +35,14 @@ def test_comments_and_numbers():
     assert [t.value for t in toks[:-1]] == [1.5, 2e-3, 7.0, 0.25]
 
 
+def test_a_number_is_ascii_digits_only():
+    # U+0663, ARABIC-INDIC DIGIT THREE, is a Unicode digit
+    with pytest.raises(ParseError) as err:
+        parse_theory("domain d = ٣\n")
+    assert err.value.message == "stray character '٣'"
+    assert err.value.span == ("<theory>", 1, 12)
+
+
 def test_unicode_aliases_match_ascii():
     uni = tokenize("∀x: P(x) ∧ ¬Q(x) → R ∨ S ↔ T ≤ ≥ ≠ ∃")
     asc = tokenize("forall x: P(x) & ~Q(x) -> R | S <-> T <= >= != exists")

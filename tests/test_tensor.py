@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reallogic.tensor as T
-from reallogic.fuzzy import AggregatorSpec, aggregate
+from reallogic.fuzzy import (
+    AggregatorSpec, ConnectiveOp, aggregate, apply_connective,
+)
 from reallogic.tensor import Tensor
 
 from fdcheck import check_grads
@@ -26,7 +28,6 @@ def test_forward_values_match_numpy():
     assert np.allclose(T.power(Tensor(a), 3).data, a ** 3)
     assert np.allclose(T.exp(Tensor(a)).data, np.exp(a))
     assert np.allclose(T.maximum(Tensor(a), Tensor(b)).data, np.maximum(a, b))
-    assert np.allclose(T.minimum(Tensor(a), Tensor(b)).data, np.minimum(a, b))
 
 
 def test_scalar_and_array_mixing():
@@ -42,7 +43,8 @@ def test_scalar_and_array_mixing():
     (lambda a, b: T.reduce_sum(T.power(a - b, 2)), [(4,), (4,)]),
     (lambda a: T.reduce_sum(T.exp(a) * (a + 2.0)), [(5,)]),
     (lambda a, b: T.reduce_sum(T.maximum(a, b)), [(6,), (6,)]),
-    (lambda a, b: T.reduce_sum(T.minimum(a * 2.0, b)), [(2, 3), (2, 3)]),
+    (lambda a, b: T.reduce_sum(T.where(a.data > b.data, a * 2.0, b)),
+     [(2, 3), (2, 3)]),
     (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "sigmoid")),
      [(7, 3), (3, 2), (2,)]),
     (lambda x, w, b: T.reduce_sum(T.dense(x, w, b, "elu")),
@@ -103,7 +105,7 @@ def test_product_grad_matches_summing_the_full_product(shapes, seed):
     a, b = (np.asarray(r.standard_normal(s)) for s in shapes)
     g = np.asarray(r.standard_normal(np.broadcast_shapes(*shapes)))
     for x, shape in ((b, a.shape), (a, b.shape)):
-        got = T._unbroadcast_product(g, x, shape)
+        got = T.unbroadcast_product(g, x, shape)
         assert got.shape == shape
         np.testing.assert_allclose(got, T.unbroadcast(g * x, shape),
                                    rtol=0, atol=1e-12)
@@ -115,16 +117,25 @@ def test_elementwise_max_tie_goes_to_first_arg():
     ga, gb = T.grad(T.reduce_sum(T.maximum(a, b)), [a, b])
     assert np.allclose(ga, [1.0, 0.0, 1.0])
     assert np.allclose(gb, [0.0, 1.0, 0.0])
-    ga, gb = T.grad(T.reduce_sum(T.minimum(a, b)), [a, b])
+    # the fuzzy min and max connectives keep the rule
+    a = Tensor([0.1, 0.2, 0.5], requires_grad=True)
+    b = Tensor([0.1, 0.3, 0.4], requires_grad=True)
+    ga, gb = T.grad(T.reduce_sum(apply_connective(ConnectiveOp("or", "max"), a, b)),
+                    [a, b])
+    assert np.allclose(ga, [1.0, 0.0, 1.0])
+    assert np.allclose(gb, [0.0, 1.0, 0.0])
+    ga, gb = T.grad(T.reduce_sum(apply_connective(ConnectiveOp("and", "min"), a, b)),
+                    [a, b])
     assert np.allclose(ga, [1.0, 1.0, 0.0])
     assert np.allclose(gb, [0.0, 0.0, 1.0])
 
 
 def test_reduce_extreme_tie_goes_to_first_index():
-    a = Tensor([[2.0, 2.0, 1.0], [0.5, 0.5, 0.9]], requires_grad=True)
-    (ga,) = T.grad(T.reduce_sum(T.reduce_max(a)), [a])
+    # the fuzzy min and max aggregators reduce the last axis
+    a = Tensor([[0.2, 0.2, 0.1], [0.5, 0.5, 0.9]], requires_grad=True)
+    (ga,) = T.grad(T.reduce_sum(aggregate(AggregatorSpec("max"), a, 1)), [a])
     assert np.allclose(ga, [[1, 0, 0], [0, 0, 1]])
-    (ga,) = T.grad(T.reduce_sum(T.reduce_min(a)), [a])
+    (ga,) = T.grad(T.reduce_sum(aggregate(AggregatorSpec("min"), a, 1)), [a])
     assert np.allclose(ga, [[0, 0, 1], [1, 0, 0]])
 
 
@@ -135,9 +146,9 @@ def test_reduce_over_axis_subsets():
         want = a.sum(axis=axes if axes is None or isinstance(axes, tuple) else (axes,))
         assert np.allclose(got, want)
         check_grads(lambda x, ax=axes: T.reduce_sum(T.reduce_sum(x, ax)), a)
-    check_grads(lambda x: T.reduce_sum(T.reduce_max(x)), a)
-    check_grads(lambda x: T.reduce_sum(T.reduce_min(x)), a)
-    check_grads(lambda x: T.reduce_sum(T.reduce_prod(x)), a)
+    for family in ("max", "min", "prod"):  # the fuzzy kernels' last axis
+        check_grads(lambda x, f=family: T.reduce_sum(
+            aggregate(AggregatorSpec(f), x, 1)), a)
 
 
 def test_matmul_values_and_grads():
@@ -276,7 +287,7 @@ def test_backward_needs_scalar_root():
 def test_elementwise_op_values():
     a, b = Tensor([0.2, 0.9]), Tensor([0.5, 0.5])
     assert np.allclose(T.add(a, b).data, [0.7, 1.4])
-    assert np.allclose(T.minimum(a, b).data, [0.2, 0.5])
+    assert np.allclose(T.maximum(a, b).data, [0.5, 0.9])
     assert np.allclose(T.neg(a).data, [-0.2, -0.9])
     assert np.allclose(T.power(a, 2).data, [0.04, 0.81])
 
