@@ -1,11 +1,11 @@
 """Fuzzy connectives and aggregators on truth tensors.
 
-Every connective and every aggregator is one graph node, built by
-``tensor.fused`` from a kernel in the style of ``tensor.ACTIVATIONS``:
-the kernel maps the operands' arrays to the result and a derivative
-rule, which runs only in backward, so a query or a record forward pays
-nothing for it. Each table below states each operator once, its value
-and its derivative side by side.
+Every connective and every aggregator is one graph node of the one node
+form that ``tensor`` states, built by ``tensor.fused``: its kernel maps
+the operands' arrays to the result and a derivative rule, which runs
+only in backward, so a query or a record forward pays nothing for it.
+Each table below states each operator once, its value and its
+derivative side by side.
 
 Each connective is a family of one kind. ``_CONNECTIVES`` maps every
 ``(kind, family)`` to its kernel; a family marked * below also has a
@@ -131,7 +131,7 @@ def _checked(t, kept=None) -> Tensor:
     d = t.data if kept is None else t.data[kept]
     if d.size:
         lo, hi = d.min(), d.max()
-        if lo < -TOL or hi > 1.0 + TOL:
+        if not (lo >= -TOL and hi <= 1.0 + TOL):  # NaN fails both
             raise DomainError(f"truth value outside [0, 1]: range [{lo}, {hi}]")
         if lo < 0.0 or hi > 1.0:
             inside = (t.data >= 0.0) & (t.data <= 1.0)
@@ -284,8 +284,9 @@ def _pack(t: Tensor, m: np.ndarray):
     lead = m.shape[:-1]
     rows = m.reshape(math.prod(lead), m.shape[-1])
     count = np.count_nonzero(rows, axis=1)
-    # a padded column keeps min/max defined where no cell is kept
-    width = max(int(count.max(initial=0)), min(t.data.size, 1))
+    # a padded column keeps min/max defined where a row keeps no cell,
+    # and where there is no row; only an empty reduced axis has none
+    width = max(int(count.max(initial=0)), min(m.shape[-1], 1))
     valid = np.arange(width) < count[:, None]
     idx = np.zeros(valid.shape, dtype=np.intp)
     idx[valid] = np.flatnonzero(rows)  # row-major: each row's kept cells first

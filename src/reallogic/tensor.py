@@ -1,17 +1,23 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 numpy array and holds no gradient. Every op
-builds an implicit graph: the result keeps handles to its parents and a
-rule that hands the output gradient back to them. ``grad(root, wrt)``
-walks that graph once in reverse topological order, so each rule fires
-exactly once no matter how often a node is reused, and returns the
-gradients; they live in a map local to the call and nothing is left on
-the graph. A returned array may be a read-only view, or shared with
-another returned array: read it, do not write it.
+A Tensor wraps a float64 numpy array and holds no gradient. There is one
+way to make a graph node, ``fused(kernel, *args)``, and every op below
+uses it. The kernel maps the args' arrays to the result and a derivative
+rule; the rule turns the result's gradient into one gradient per arg, or
+None where none flows, and runs only in backward. The node keeps its
+args as its parents and the rule. ``grad(root, wrt)`` walks the graph
+once in reverse topological order, so each rule fires exactly once no
+matter how often a node is reused. It sums each parent's gradients down
+to the parent's shape and returns them; they live in a map local to the
+call and nothing is left on the graph. A returned array may be a
+read-only view, or shared with another returned array: read it, do not
+write it.
 
 Conventions that matter downstream:
 
 - float64 everywhere; inputs are coerced on construction.
+- a rule may return a broadcast arg's gradient at the result's shape:
+  ``grad`` sums it down (``unbroadcast``).
 - ``reduce_sum`` takes any axes.
 - ``maximum`` sends the gradient to the FIRST argument on ties. The
   fuzzy min/max connectives and aggregators state their own tie rules,
@@ -19,13 +25,13 @@ Conventions that matter downstream:
 - ``take(a, idx)`` gathers cells by flat position; positions repeated in
   ``idx`` have their gradients summed.
 - ``pow`` takes a Python scalar exponent only.
-- a dense layer ``act(x @ w + b)`` is one node, ``dense(x, w, b, act)``.
-  Each activation (elu, sigmoid, softmax, linear) is stated once, as an
-  ``ACTIVATIONS`` kernel that returns the output and its derivative
-  rule; softmax reads the last axis.
-- ``fused(kernel, *args)`` is one node for a kernel of the same form
-  over several arrays; ``fuzzy`` builds every connective and aggregator
-  with it.
+- a dense layer ``act(x @ w + b)`` is one node, ``dense(x, w, b, act)``,
+  over ``(x, w, b)``. Each activation (elu, sigmoid, softmax, linear) is
+  stated once, as an ``ACTIVATIONS`` kernel that maps the
+  pre-activation to the output and its derivative rule; softmax reads
+  the last axis.
+- ``fuzzy`` builds every connective and aggregator as one node of the
+  same form.
 - ``unbroadcast_product`` (``mul``'s gradients, and the fuzzy kernels')
   contracts broadcast axes in one ``np.einsum``, so its summation order
   can differ from ``ndarray.sum`` in the last bit.
@@ -118,9 +124,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return neg(self)
 
@@ -129,11 +132,18 @@ def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data, parents, backward) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
+def fused(kernel, *args) -> Tensor:
+    """One node computing ``kernel`` on the arrays of ``args``. The
+    kernel returns the output and the rule that turns the output's
+    gradient into one gradient per arg, or None where none flows; the
+    rule runs only in backward."""
+    args = tuple([astensor(a) for a in args])
+    data, deriv = kernel(*[a.data for a in args])
+    out = Tensor(data)
+    if any([a.requires_grad for a in args]):
+        out.requires_grad = True
+        out._parents = args
+        out._backward = deriv
     return out
 
 
@@ -158,125 +168,101 @@ def grad(root: Tensor, wrt) -> list[np.ndarray]:
             if p not in seen:
                 stack.append((p, False))
     grads = {root: np.ones_like(root.data)}
-
-    def acc(t: Tensor, g: np.ndarray) -> None:
-        # ``+``, not ``+=``: a rule may hand one array to several parents
-        g = unbroadcast(g, t.data.shape)
-        old = grads.get(t)
-        grads[t] = g if old is None else old + g
-
     for node in reversed(order):
         g = grads.get(node)
-        if node._backward is not None and g is not None:
-            node._backward(g, acc)
+        if node._backward is None or g is None:
+            continue
+        for p, gp in zip(node._parents, node._backward(g)):
+            if gp is None:
+                continue
+            # ``+``, not ``+=``: a rule may hand one array to several parents
+            gp = unbroadcast(gp, p.data.shape)
+            old = grads.get(p)
+            grads[p] = gp if old is None else old + gp
     return [grads[t] if t in grads else np.zeros_like(t.data) for t in wrt]
 
 
 # -- elementwise ops -----------------------------------------------------
+#
+# Each kernel maps its operands' arrays to the result and the rule that
+# turns the result's gradient into one gradient per operand.
+
+
+def _add(a, b):
+    return a + b, lambda g: (g, g)
+
+
+def _sub(a, b):
+    return a - b, lambda g: (g, -unbroadcast(g, b.shape))
+
+
+def _mul(a, b):
+    return a * b, lambda g: (unbroadcast_product(g, b, a.shape),
+                             unbroadcast_product(g, a, b.shape))
+
+
+def _neg(a):
+    return -a, lambda g: (-g,)
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        out = np.exp(a)
+    return out, lambda g: (g * out,)
+
+
+def _maximum(a, b):
+    pick_a = a >= b  # ties go to the first argument
+    return np.maximum(a, b), lambda g: (g * pick_a, g * ~pick_a)
 
 
 def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-
-    def back(g, acc):
-        acc(a, g)
-        acc(b, g)
-
-    return _result(a.data + b.data, (a, b), back)
+    return fused(_add, a, b)
 
 
 def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-
-    def back(g, acc):
-        acc(a, g)
-        acc(b, -unbroadcast(g, b.data.shape))
-
-    return _result(a.data - b.data, (a, b), back)
+    return fused(_sub, a, b)
 
 
 def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-
-    def back(g, acc):
-        acc(a, unbroadcast_product(g, b.data, a.data.shape))
-        acc(b, unbroadcast_product(g, a.data, b.data.shape))
-
-    return _result(a.data * b.data, (a, b), back)
-
-
-def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    with np.errstate(all="ignore"):
-        out = a.data / b.data
-
-    def back(g, acc):
-        with np.errstate(all="ignore"):
-            acc(a, g / b.data)
-            acc(b, -g * a.data / (b.data * b.data))
-
-    return _result(out, (a, b), back)
+    return fused(_mul, a, b)
 
 
 def neg(a) -> Tensor:
-    a = astensor(a)
+    return fused(_neg, a)
 
-    def back(g, acc):
-        acc(a, -g)
 
-    return _result(-a.data, (a,), back)
+def exp(a) -> Tensor:
+    return fused(_exp, a)
+
+
+def maximum(a, b) -> Tensor:
+    return fused(_maximum, a, b)
 
 
 def power(a, n) -> Tensor:
     """``a ** n`` for a Python scalar ``n``."""
     if isinstance(n, Tensor) or isinstance(n, np.ndarray):
         raise TypeError("pow exponent must be a Python scalar")
-    a = astensor(a)
     n = float(n)
-    with np.errstate(all="ignore"):
-        out = a.data ** n
 
-    def back(g, acc):
-        if n == 0.0:
-            return
+    def kernel(x):
         with np.errstate(all="ignore"):
-            acc(a, g * n * a.data ** (n - 1.0))
+            out = x ** n
 
-    return _result(out, (a,), back)
+        def deriv(g):
+            with np.errstate(all="ignore"):
+                return (None if n == 0.0 else g * n * x ** (n - 1.0),)
+        return out, deriv
 
-
-def exp(a) -> Tensor:
-    a = astensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-
-    def back(g, acc):
-        acc(a, g * out)
-
-    return _result(out, (a,), back)
-
-
-def maximum(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    pick_a = a.data >= b.data  # ties go to the first argument
-
-    def back(g, acc):
-        acc(a, g * pick_a)
-        acc(b, g * ~pick_a)
-
-    return _result(np.maximum(a.data, b.data), (a, b), back)
+    return fused(kernel, a)
 
 
 def where(cond, a, b) -> Tensor:
     """Select ``a`` where ``cond`` else ``b``; ``cond`` is a constant mask."""
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
-    a, b = astensor(a), astensor(b)
-
-    def back(g, acc):
-        acc(a, g * cond)
-        acc(b, g * ~cond)
-
-    return _result(np.where(cond, a.data, b.data), (a, b), back)
+    return fused(lambda x, y: (np.where(cond, x, y),
+                               lambda g: (g * cond, g * ~cond)), a, b)
 
 
 # -- dense layers -----------------------------------------------------------
@@ -318,35 +304,20 @@ def dense(x, w, b, act: str) -> Tensor:
     """``act(x @ w + b)`` as one node: ``x`` is ``(..., m)``, ``w`` is
     ``(m, h)``, ``b`` is ``(h,)`` and ``act`` names an ``ACTIVATIONS``
     kernel."""
-    x, w, b = astensor(x), astensor(w), astensor(b)
-    if w.data.ndim != 2:
-        raise ValueError("dense weights must be 2-D")
-    m, h = w.data.shape
-    out, deriv = ACTIVATIONS[act](x.data @ w.data + b.data)
 
-    def back(g, acc):
-        gz = deriv(g)
-        acc(x, gz @ w.data.T)
-        acc(w, x.data.reshape(-1, m).T @ gz.reshape(-1, h))
-        acc(b, gz)  # acc sums the broadcast rows
+    def kernel(x, w, b):
+        if w.ndim != 2:
+            raise ValueError("dense weights must be 2-D")
+        m, h = w.shape
+        out, deriv = ACTIVATIONS[act](x @ w + b)
 
-    return _result(out, (x, w, b), back)
+        def back(g):
+            gz = deriv(g)
+            # b's gradient keeps the broadcast rows; grad sums them
+            return gz @ w.T, x.reshape(-1, m).T @ gz.reshape(-1, h), gz
+        return out, back
 
-
-def fused(kernel, *args) -> Tensor:
-    """One node computing ``kernel`` on the arrays of ``args``. The
-    kernel returns the output and the rule that turns the output's
-    gradient into one gradient per arg, of the arg's shape, or None where
-    none flows; the rule runs only in backward."""
-    args = [astensor(a) for a in args]
-    out, deriv = kernel(*(a.data for a in args))
-
-    def back(g, acc):
-        for a, ga in zip(args, deriv(g)):
-            if ga is not None:
-                acc(a, ga)
-
-    return _result(out, args, back)
+    return fused(kernel, x, w, b)
 
 
 # -- shape ops -------------------------------------------------------------
@@ -354,72 +325,50 @@ def fused(kernel, *args) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = astensor(a)
-    out = a.data.reshape(shape)
-    if out.shape == a.data.shape:
+    if a.data.reshape(shape).shape == a.data.shape:
         return a
-    old = a.data.shape
-
-    def back(g, acc):
-        acc(a, g.reshape(old))
-
-    return _result(out, (a,), back)
+    return fused(lambda x: (x.reshape(shape), lambda g: (g.reshape(x.shape),)), a)
 
 
 def moveaxis(a, src, dst) -> Tensor:
-    a = astensor(a)
-
-    def back(g, acc):
-        acc(a, np.moveaxis(g, dst, src))
-
-    return _result(np.moveaxis(a.data, src, dst), (a,), back)
+    return fused(lambda x: (np.moveaxis(x, src, dst),
+                            lambda g: (np.moveaxis(g, dst, src),)), a)
 
 
 def broadcast_to(a, shape) -> Tensor:
-    a = astensor(a)
-    shape = tuple(shape)
-
-    def back(g, acc):
-        acc(a, g)  # acc unbroadcasts
-
-    return _result(np.broadcast_to(a.data, shape).copy(), (a,), back)
+    # grad sums the gradient back down to a's shape
+    return fused(lambda x: (np.broadcast_to(x, tuple(shape)).copy(),
+                            lambda g: (g,)), a)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    def kernel(*xs):
+        splits = np.cumsum([x.shape[axis] for x in xs])[:-1]
+        return (np.concatenate(xs, axis=axis),
+                lambda g: np.split(g, splits, axis=axis))
 
-    def back(g, acc):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            acc(t, piece)
-
-    return _result(np.concatenate([t.data for t in tensors], axis=axis),
-                   tensors, back)
+    return fused(kernel, *tensors)
 
 
 def take(a, idx) -> Tensor:
     """Cells of ``a`` at the row-major flat positions ``idx`` (an
     integer array); the result has the shape of ``idx``. Positions taken
     more than once have their gradients summed."""
-    a = astensor(a)
     idx = np.asarray(idx, dtype=np.intp)
 
-    def back(g, acc):
-        acc(a, np.bincount(idx.ravel(), weights=g.ravel(),
-                             minlength=a.data.size).reshape(a.data.shape))
+    def kernel(x):
+        def deriv(g):
+            return (np.bincount(idx.ravel(), weights=g.ravel(),
+                                minlength=x.size).reshape(x.shape),)
+        return x.reshape(-1)[idx], deriv
 
-    return _result(a.data.reshape(-1)[idx], (a,), back)
+    return fused(kernel, a)
 
 
 def stack(tensors) -> Tensor:
     """Stack along a new first axis."""
-    tensors = [astensor(t) for t in tensors]
-
-    def back(g, acc):
-        for t, piece in zip(tensors, g):
-            acc(t, piece)
-
-    return _result(np.stack([t.data for t in tensors]), tensors, back)
+    # iterating the gradient yields one piece per stacked tensor
+    return fused(lambda *xs: (np.stack(xs), lambda g: g), *tensors)
 
 
 # -- reductions --------------------------------------------------------------
@@ -427,11 +376,11 @@ def stack(tensors) -> Tensor:
 
 def reduce_sum(a, axes=None) -> Tensor:
     """Sum over ``axes`` (numpy's ``axis``: None sums everything)."""
-    a = astensor(a)
-    shape = a.data.shape
 
-    def back(g, acc):
-        gx = g if axes is None else np.expand_dims(g, axes)
-        acc(a, np.broadcast_to(gx, shape))
+    def kernel(x):
+        def deriv(g):
+            gx = g if axes is None else np.expand_dims(g, axes)
+            return (np.broadcast_to(gx, x.shape),)
+        return x.sum(axis=axes), deriv
 
-    return _result(a.data.sum(axis=axes), (a,), back)
+    return fused(kernel, a)

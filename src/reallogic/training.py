@@ -337,7 +337,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)
-        if values.size and (values.min() < -TOL or values.max() > 1 + TOL):
+        if not ((values >= -TOL) & (values <= 1 + TOL)).all():  # NaN fails
             raise RuntimeError("truth query outside [0, 1]")
         values = np.clip(values, 0.0, 1.0)
     else:

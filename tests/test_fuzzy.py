@@ -239,6 +239,22 @@ def test_empty_row_gets_its_value_and_zero_gradient(spec, empty):
     assert (gx[0] != 0.0).all()
 
 
+@pytest.mark.parametrize("family", ["min", "max", "mean", "pmean"])
+def test_an_aggregate_with_no_result_cell_is_empty(family):
+    # a leading axis of size 0 leaves no result cell, though the reduced
+    # axis holds three
+    spec = AggregatorSpec(family)
+    x = Tensor(np.zeros((0, 3)), requires_grad=True)
+    for mask in (None, np.ones((0, 3), dtype=bool)):
+        out = aggregate(spec, x, 1, mask=mask, empty=1.0)
+        assert out.shape == (0,)
+        assert T.grad(T.reduce_sum(out), [x])[0].shape == (0, 3)
+    if family in ("min", "max"):  # over no cell, with no empty value
+        for mask in (None, np.ones((2, 0), dtype=bool)):
+            with pytest.raises(ValueError):
+                aggregate(spec, Tensor(np.zeros((2, 0))), 1, mask=mask)
+
+
 def test_masked_aggregation_multi_axis_counts():
     t = Tensor(np.full((2, 3), 0.5))
     mask = np.array([[True, True, False], [False, False, False]])
@@ -249,32 +265,45 @@ def test_masked_aggregation_multi_axis_counts():
 # -- the composite rules: each operator as several small tensor nodes ----------
 #
 # The fuzzy kernels replaced these; they stay here as the oracle. The
-# reductions and the elementwise minimum they need are tensor nodes only
-# these rules use.
+# reductions, the elementwise minimum and the division they need are
+# fused nodes only these rules use.
 
 
 def minimum(a, b):
-    a, b = T.astensor(a), T.astensor(b)
-    pick_a = a.data <= b.data  # ties go to the first argument
+    def kernel(a, b):
+        pick_a = a <= b  # ties go to the first argument
+        return np.minimum(a, b), lambda g: (g * pick_a, g * ~pick_a)
 
-    def back(g, acc):
-        acc(a, g * pick_a)
-        acc(b, g * ~pick_a)
+    return T.fused(kernel, a, b)
 
-    return T._result(np.minimum(a.data, b.data), (a, b), back)
+
+def divide(a, b):
+    def kernel(a, b):
+        with np.errstate(all="ignore"):
+            out = a / b
+
+        def back(g):
+            with np.errstate(all="ignore"):
+                return g / b, -g * a / (b * b)
+
+        return out, back
+
+    return T.fused(kernel, a, b)
 
 
 def _reduce_extreme(a, biggest):
-    a = T.astensor(a)
-    idx = (a.data.argmax(axis=-1) if biggest
-           else a.data.argmin(axis=-1))[..., None]  # first hit wins
+    def kernel(x):
+        idx = (x.argmax(axis=-1) if biggest
+               else x.argmin(axis=-1))[..., None]  # first hit wins
 
-    def back(g, acc):
-        gx = np.zeros_like(a.data)
-        np.put_along_axis(gx, idx, g[..., None], axis=-1)
-        acc(a, gx)
+        def back(g):
+            gx = np.zeros_like(x)
+            np.put_along_axis(gx, idx, g[..., None], axis=-1)
+            return (gx,)
 
-    return T._result(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), back)
+        return np.take_along_axis(x, idx, axis=-1)[..., 0], back
+
+    return T.fused(kernel, a)
 
 
 def reduce_max(a):
@@ -288,19 +317,19 @@ def reduce_min(a):
 def reduce_prod(a):
     """Product over the last axis; each position's gradient is the
     product of all the others in its row, zeros included."""
-    a = T.astensor(a)
-    x = a.data
+    def kernel(x):
+        def back(g):
+            zeros = x == 0.0
+            nzeros = zeros.sum(axis=-1, keepdims=True)
+            safe = np.where(zeros, 1.0, x)
+            prod_nonzero = safe.prod(axis=-1, keepdims=True)
+            gx = np.where(nzeros == 0, prod_nonzero / safe,
+                          np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
+            return (gx * g[..., None],)
 
-    def back(g, acc):
-        zeros = x == 0.0
-        nzeros = zeros.sum(axis=-1, keepdims=True)
-        safe = np.where(zeros, 1.0, x)
-        prod_nonzero = safe.prod(axis=-1, keepdims=True)
-        gx = np.where(nzeros == 0, prod_nonzero / safe,
-                      np.where(zeros & (nzeros == 1), prod_nonzero, 0.0))
-        acc(a, gx * g[..., None])
+        return x.prod(axis=-1), back
 
-    return T._result(x.prod(axis=-1), (a,), back)
+    return T.fused(kernel, a)
 
 
 def squeeze0(t, eps):
@@ -326,7 +355,7 @@ def checked(t):
 
 def goguen(a, b):
     denom = T.where(a.data > b.data, a, 1.0)
-    return T.where(a.data <= b.data, 1.0, b / denom)
+    return T.where(a.data <= b.data, 1.0, divide(b, denom))
 
 
 COMPOSITE_CONNECTIVES = {
@@ -358,7 +387,7 @@ def composite_connective(op, a, b=None):
 
 
 def composite_pmean(x, count, p, vacant):
-    base = T.reduce_sum(T.power(x, p), -1) / np.maximum(count, 1.0)
+    base = divide(T.reduce_sum(T.power(x, p), -1), np.maximum(count, 1.0))
     if vacant is not None:
         base = T.where(vacant, 1.0, base)
     return T.power(base, 1.0 / p)
@@ -373,7 +402,7 @@ COMPOSITE_AGGREGATORS = {
                 T.maximum(T.reduce_sum(x, -1) - count + 1.0, 0.0), None),
     "luk_or": (0.0, lambda x, *_: minimum(T.reduce_sum(x, -1), 1.0), None),
     "mean": (0.0, lambda x, count, *_:
-             T.reduce_sum(x, -1) / np.maximum(count, 1.0), None),
+             divide(T.reduce_sum(x, -1), np.maximum(count, 1.0)), None),
     "pmean": (0.0, composite_pmean, squeeze0),
     "pmean_error": (1.0, lambda x, *rest: 1.0 - composite_pmean(1.0 - x, *rest),
                     squeeze1),
@@ -526,7 +555,7 @@ def dense_masked(spec, t, k, mask, empty):
         return T.reduce_sum(x * mt, -1)
 
     def pmean_base(x):
-        base = msum(T.power(x, spec.p)) / denom
+        base = divide(msum(T.power(x, spec.p)), denom)
         return base if vacant is None else T.where(vacant, 1.0, base)
 
     f, eps = spec.family, spec.eps
@@ -543,7 +572,7 @@ def dense_masked(spec, t, k, mask, empty):
     elif f == "luk_or":
         out = minimum(msum(t), 1.0)
     elif f == "mean":
-        out = msum(t) / denom
+        out = divide(msum(t), denom)
     elif f == "pmean":
         x = (1.0 - eps) * t + eps if spec.stable else t
         out = T.power(pmean_base(x), 1.0 / spec.p)
@@ -621,6 +650,13 @@ def test_input_validation_and_drift_clamp():
     assert float(out.data) == pytest.approx(0.5)
     drifted = Tensor(np.array([-5e-10, 0.5]))
     assert agg(AggregatorSpec("min"), drifted.data) == 0.0
+
+
+def test_nan_truth_is_a_domain_error():
+    with pytest.raises(DomainError, match="nan"):
+        apply_connective(ANDS["min"], Tensor(np.nan), Tensor(0.5))
+    with pytest.raises(DomainError, match="nan"):
+        aggregate(AggregatorSpec("mean"), Tensor([np.nan, 0.5]), 1)
 
 
 def test_a_masked_aggregate_checks_only_its_kept_cells():

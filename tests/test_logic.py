@@ -904,7 +904,7 @@ def sigmoid(a):
 
 
 def t_sigmoid(t):
-    return T.div(1.0, T.add(1.0, T.exp(-t)))
+    return T.power(T.add(1.0, T.exp(-t)), -1)
 
 
 NP_AGGS = {"min": np.min, "max": np.max, "prod": np.prod,

@@ -1,5 +1,9 @@
 """Autodiff engine: forward values, gradients vs finite differences,
-tie-break rules, graph-reuse accumulation, and the p-means' gradients."""
+tie-break rules, graph-reuse accumulation, the p-means' gradients, and
+the one place a graph node is made."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ def test_forward_values_match_numpy():
     assert np.allclose((Tensor(a) + Tensor(b)).data, a + b)
     assert np.allclose((Tensor(a) - Tensor(b)).data, a - b)
     assert np.allclose((Tensor(a) * Tensor(b)).data, a * b)
-    assert np.allclose((Tensor(a) / Tensor(b)).data, a / b)
+    assert np.allclose((Tensor(a) * T.power(Tensor(b), -1)).data, a / b)
     assert np.allclose((-Tensor(a)).data, -a)
     assert np.allclose(T.power(Tensor(a), 3).data, a ** 3)
     assert np.allclose(T.exp(Tensor(a)).data, np.exp(a))
@@ -32,14 +36,14 @@ def test_forward_values_match_numpy():
 
 def test_scalar_and_array_mixing():
     a = Tensor([1.0, 2.0], requires_grad=True)
-    out = T.reduce_sum((2.0 * a + 1.0) / 2.0 - 0.5)
+    out = T.reduce_sum((2.0 * a + 1.0) * 0.5 - 0.5)
     (ga,) = T.grad(out, [a])
     assert np.allclose(out.data, 3.0)
     assert np.allclose(ga, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("build,shapes", [
-    (lambda a, b: T.reduce_sum(a * b + a / b), [(3, 2), (3, 2)]),
+    (lambda a, b: T.reduce_sum(a * b + a * T.power(b, -1)), [(3, 2), (3, 2)]),
     (lambda a, b: T.reduce_sum(T.power(a - b, 2)), [(4,), (4,)]),
     (lambda a: T.reduce_sum(T.exp(a) * (a + 2.0)), [(5,)]),
     (lambda a, b: T.reduce_sum(T.maximum(a, b)), [(6,), (6,)]),
@@ -315,3 +319,44 @@ def test_eval_mode_builds_no_graph():
     out = T.reduce_sum(a * 2.0 + 1.0)
     assert out._parents == ()
     assert out._backward is None
+
+
+NODE_FIELDS = ("_parents", "_backward")
+
+
+def node_field_writers(path):
+    """(enclosing function, field) for every write of a node field in the
+    module at ``path``: an assignment to the attribute, or a call (such
+    as ``setattr``) that names it."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for sub in (n for t in targets for n in ast.walk(t)):
+            if isinstance(sub, ast.Attribute) and sub.attr in NODE_FIELDS:
+                found.add((owner, sub.attr))
+        if isinstance(node, ast.Call):
+            found.update((owner, a.value) for a in node.args
+                         if isinstance(a, ast.Constant) and a.value in NODE_FIELDS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_only_fused_makes_a_graph_node():
+    # every op states its node as a fused kernel; a second node form
+    # would have to write these fields somewhere else
+    writers = {(path.name,) + w for path in Path(T.__file__).parent.glob("*.py")
+               for w in node_field_writers(path)}
+    assert writers == {("tensor.py", owner, field)
+                       for owner in ("Tensor.__init__", "fused")
+                       for field in NODE_FIELDS}

@@ -237,11 +237,18 @@ def test_frozen_grounding_keeps_sat_constant():
 
 
 def test_divergence_raises():
+    from reallogic.tensor import DomainError
+
+    # NaN truths stop at the first operator that reads them
     th = callable_theory(
         [0.5, 0.5],
         fn=lambda v: Tensor(np.full(np.shape(v.data)[0], np.nan)))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="nan"):
         learn(th, TrainConfig(epochs=1))
+    # truths in [0, 1], but the L2 penalty of a huge slot overflows
+    with np.errstate(over="ignore"), \
+            pytest.raises(DivergenceError, match="loss inf"):
+        learn(slot_theory(1e200), TrainConfig(epochs=1, reg="l2", lam=1.0))
 
 
 def test_non_finite_gradient_raises_before_the_update():
@@ -650,6 +657,9 @@ def test_query_truth_must_stay_in_unit_interval():
     # bare atoms that never pass through an operator
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
         query(th, "truth", "forall x: P(x)")
+    with pytest.raises(RuntimeError, match=r"\[0, 1\]"):
+        query(th, "truth", "P(x)")
+    th = callable_theory([0.5], fn=lambda v: Tensor(np.array([np.nan])))
     with pytest.raises(RuntimeError, match=r"\[0, 1\]"):
         query(th, "truth", "P(x)")
 
