@@ -13,6 +13,7 @@ import numpy as np
 from reallogic import demos
 from reallogic.assemble import TheoryError, load_theory
 from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
+from reallogic.logic import EvalError
 from reallogic.nn import ParamStore
 from reallogic.parser import ParseError
 from reallogic.training import (
@@ -20,10 +21,21 @@ from reallogic.training import (
     write_metrics,
 )
 
-# the scalar TrainConfig fields but seed, each with the type that parses
-# it; the seed also builds the theory and the data, so only --seed sets it
-TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)
-              if type(f.default) in (int, float, str) and f.name != "seed"}
+
+def _schedule(text: str):
+    """An exists schedule: ``none``, or ``epoch:p`` pairs split by commas
+    (``0:1, 40:2`` is ``((0, 1.0), (40, 2.0))``)."""
+    if text == "none":
+        return None
+    pairs = [item.split(":") for item in text.split(",")]
+    return tuple((int(epoch), float(p)) for epoch, p in pairs)
+
+
+# the TrainConfig fields but seed, each with the function that parses it;
+# the seed also builds the theory and the data, so only --seed sets it
+TRAIN_KEYS = {**{f.name: type(f.default) for f in fields(TrainConfig)
+                 if type(f.default) in (int, float, str) and f.name != "seed"},
+              "exists_schedule": _schedule}
 
 TRAIN_EPOCHS = 1000  # rl train's epochs when neither flag nor file sets them
 
@@ -31,14 +43,15 @@ TRAIN_EPOCHS = 1000  # rl train's epochs when neither flag nor file sets them
 def read_config(path):
     """Flat ``key = value`` lines; blank lines and # comments are skipped.
 
-    Returns ``(train, tags)``. A key is either a scalar TrainConfig field
-    other than the seed (epochs, batch, lr, reg, lam, log_every), parsed
-    into ``train`` with the field's type, or a ``fuzzy.CONFIG_KEYS``
-    operator key (not, and, or, implies, forall, exists, agg, eq_alpha),
-    kept as text in ``tags`` in the same form the theory files use. Any
-    other key (``seed`` included: only ``--seed`` sets it), a line
-    without ``=`` or a value that does not parse exits with its
-    file:line.
+    Returns ``(train, tags)``. A key is either a TrainConfig field other
+    than the seed (epochs, batch, lr, reg, lam, log_every, and
+    exists_schedule as ``none`` or ``0:1, 40:2``), parsed into ``train``
+    with the field's parser, or a ``fuzzy.CONFIG_KEYS`` operator key
+    (not, and, or, implies, forall, exists, agg, eq_alpha), kept as text
+    in ``tags`` in the same form the theory files use. Any other key
+    (``seed`` included: only ``--seed`` sets it), a line without ``=``,
+    or a value that does not parse or that TrainConfig rejects exits
+    with its file:line.
     """
     train, tags = {}, {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -54,6 +67,11 @@ def read_config(path):
                 train[key] = TRAIN_KEYS[key](val)
             except ValueError:
                 raise SystemExit(f"{path}:{ln}: bad value for {key!r}")
+            try:
+                TrainConfig(**{key: train[key]})
+            except ValueError as e:
+                raise SystemExit(
+                    f"{path}:{ln}: bad value for {key!r}: {e}") from None
         elif key in CONFIG_KEYS:
             try:
                 FuzzyConfig().with_tag(key, val)
@@ -238,7 +256,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:  # a theory, formula or training setting that cannot run exits
         return args.fn(args)  # with one line, a theory's led by file:line:col
-    except (ParseError, TheoryError, SettingsError) as e:
+    except (ParseError, TheoryError, SettingsError, EvalError) as e:
         raise SystemExit(str(e)) from None
 
 

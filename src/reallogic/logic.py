@@ -23,7 +23,14 @@ grid of the atom it sits in. A ``select`` predicate's class argument
 is not a network input: it only picks from the output, so
 ``digit_is(x, d)`` runs its classifier once per x and reads the d-th
 output. Under dropout, one mask is drawn per input row and shared by
-that row's classes.
+that row's classes. Within one evaluation that opens a memo (a
+``satisfiability`` or ``query`` call), a network also runs once per
+distinct argument list: ``P(x, l_blue)`` and ``P(x, l_orange)`` of a
+``select`` predicate, or ``f(x)`` inside two atoms, get one output
+tensor, and the backward pass sums their gradients into it before it
+runs the network's backward once. A network whose dropout is active
+under a training scope is never shared: each occurrence draws its own
+masks.
 
 Quantifiers aggregate named axes away. A quantifier lays out its body
 (and its guard's mask) with the result's variables first and its
@@ -283,12 +290,22 @@ class Scope:
     to None keeps the configured p. Quantifiers and guards derive child
     scopes with ``dataclasses.replace``, so evaluation never writes to
     the env.
+
+    ``memo``, when not None, maps a network's symbol, argument terms and
+    aligned argument shapes to its output, so that every later atom or
+    term with the same key reuses that output. Child scopes carry it, so
+    it spans one evaluation; a guard's ``training=False`` scope reads it
+    too. ``training.satisfiability`` and ``training.query`` each open a
+    fresh one per call, so it never outlives the parameters it was
+    computed from; a scope built by :meth:`GroundingEnv.scope` has none
+    and shares nothing.
     """
     binds: Mapping = field(default_factory=dict)
     alias: Mapping = field(default_factory=dict)
     trunc: Mapping = field(default_factory=dict)
     training: bool = False
     p: Mapping = field(default_factory=dict)
+    memo: dict = field(default=None, compare=False)
 
 
 class GroundingEnv:
@@ -573,8 +590,10 @@ def _apply(env: GroundingEnv, name: str, terms: tuple,
         return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
     if kind == "callable":
         return GroundedValue(payload(*aligned), order)
-    if kind == "select":
-        *feats, label = aligned
+    inputs = aligned
+    if kind == "select":  # the class argument is not a network input
+        *inputs, label = aligned
+        terms = terms[:-1]
         nclass = payload.widths[-1]
         if label.shape[-1] == 1 and nclass > 1:
             # integer class index: expand to a one-hot, detached
@@ -586,11 +605,18 @@ def _apply(env: GroundingEnv, name: str, terms: tuple,
             raise EvalError(
                 f"{name}: class argument has dim {label.shape[-1]}, "
                 f"network has {nclass} outputs")
+    memo = scope.memo
+    if memo is None or (scope.training and any(payload.drops)):
+        out = _network(env, name, payload, inputs, scope)
+    else:  # the shapes tell diagonal truncations and axis layouts apart
+        key = (name, terms, tuple(t.shape for t in inputs))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _network(env, name, payload, inputs, scope)
+    if kind == "select":
         # the output spans only the feature arguments' axes; the product
         # broadcasts it over the axes only the class argument spans
-        out = _network(env, name, payload, feats, scope)
         return GroundedValue(T.reduce_sum(out * label, axes=(-1,)), order)
-    out = _network(env, name, payload, aligned, scope)
     if kind == "mlp_truth":  # a truth drops its width-1 axis
         out = T.reshape(out, out.shape[:-1])
     return GroundedValue(out, order)
@@ -725,8 +751,11 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
     if mask is not None:
         mask = _aligned(mask, mask_vars, order)
 
-    spec = getattr(env.cfg, CONFIG_KEYS[node.kind]).with_p(
-        scope.p.get(node.kind))
+    p = scope.p.get(node.kind)
+    try:
+        spec = getattr(env.cfg, CONFIG_KEYS[node.kind]).with_p(p)
+    except ValueError as e:  # a p override the configured family cannot take
+        raise EvalError(f"{node.kind}(p={p:g}): {e}") from None
     out = aggregate(spec, t, len(labels), mask=mask,
                     empty=float(node.kind == "forall"))
     return GroundedValue(out, keep)

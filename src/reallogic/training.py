@@ -76,8 +76,10 @@ def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
     Each axiom is grounded by :func:`axiom_truth` under ``scope``
-    (default: the env's root scope).
+    (default: the env's root scope), with one memo for the call, so the
+    axioms share each network output (see :class:`Scope`).
     """
+    scope = replace(theory.env.scope() if scope is None else scope, memo={})
     truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
@@ -317,7 +319,8 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     The expression is grounded in a scope with training off, the p
     overrides ``p`` (quantifier kind to p, as in :class:`Scope`), and,
     for the generalization kinds, the given variables bound to unseen
-    data; the env itself is left as it was. Formula
+    data, with one memo for the call (see :class:`Scope`); the env
+    itself is left as it was. Formula
     queries take an AST or source text, parsed on every call; term
     queries take an AST. Raises RuntimeError when any bit of θ changed
     (:meth:`ParamStore.snapshot` before and after).
@@ -333,7 +336,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
             raise ValueError("value queries take a term AST")
         expr = parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
-    scope = theory.env.scope(data, training=False, p=p)
+    scope = replace(theory.env.scope(data, training=False, p=p), memo={})
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)

@@ -1,9 +1,10 @@
 """Random well-typed formulas over one small signature, shared by the
 parser's round-trip test, the gradient check of grounded formulas and
-the differential checks of the fuzzy kernels."""
+the differential checks of the fuzzy kernels and of shared network
+outputs."""
 
 from reallogic.logic import (
-    App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var,
+    App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var, free_vars,
 )
 
 
@@ -85,3 +86,33 @@ def rand_vacant_quant(rng, kind, depth, pool):
     names = tuple(pool[:2 if rng.random() < 0.3 else 1])
     return Quant(kind, (names,), never_fires(names[0]),
                  rand_formula(rng, depth, pool[len(names):]))
+
+
+def rand_repeated(rng, depth, pool):
+    """A formula that grounds one random atom, and the network term
+    ``f(..)`` or ``g(..)`` inside it, several times: the atom beside a
+    second atom on the term, and again in the body of a quantifier over
+    the atom's variables (a diagonal group when it has two, sometimes),
+    whose guard, sometimes, reads the term. The atom's variables stay
+    free outside the quantifier."""
+    def op():
+        return ["and", "or", "implies", "iff"][rng.integers(4)]
+
+    term = (App("f", (rand_term(rng, 1),)) if rng.random() < 0.5
+            else App("g", (rand_term(rng, 1), rand_term(rng, 1))))
+    other = rand_term(rng, 1)
+    atom = [Atom("P", (term,)), Atom("Q", (term,)), Atom("S", (term, other)),
+            Atom("S", (other, term))][rng.integers(4)]
+    names = list(free_vars(atom)) or pool[:1]
+    if len(names) > 1 and rng.random() < 0.5:
+        groups = (tuple(names[:2]),) + tuple((v,) for v in names[2:])
+    else:
+        groups = tuple((v,) for v in names)
+    guard = None
+    if rng.random() < 0.5:
+        guard = Guard("<", ((1.0, term),), ((0.5, None),))
+    rest = [v for v in pool if v not in names]
+    body = Bin(op(), atom, rand_formula(rng, depth - 1, rest))
+    quant = Quant("forall" if rng.random() < 0.5 else "exists", groups,
+                  guard, body)
+    return Bin(op(), Bin(op(), atom, Atom("P", (term,))), quant)

@@ -222,7 +222,7 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
         f"bytes, found 0"),
     "forall-p-below-1": lambda tmp: (
         SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "0.5"],
-        "p must be >= 1"),
+        "forall(p=0.5): p must be >= 1"),
     "forall-p-for-a-mean": lambda tmp: _mean_kb_query(tmp, "--forall-p", "5"),
     "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
     "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
@@ -233,13 +233,28 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
          "--formula", "S(x) & F(x, y)"],
         "refuted formula is not closed: free x, y"),
     "train-annotation-below-1": lambda tmp: _annotated_kb(tmp, "0.5"),
-    "demo-annotation-for-a-mean": lambda tmp: _smokers_forall_mean(
-        tmp, "demo", "smokers"),
-    "train-annotation-for-a-mean": lambda tmp: _smokers_forall_mean(
-        tmp, "train", "--kb", str(theory_path("smokers"))),
+    "demo-annotation-for-a-mean": lambda tmp: _smokers_forall(
+        tmp, "mean", "demo", "smokers"),
+    "demo-annotation-for-a-min": lambda tmp: _smokers_forall(
+        tmp, "min", "demo", "smokers", "--epochs", "2"),
+    "train-annotation-for-a-mean": lambda tmp: _smokers_forall(
+        tmp, "mean", "train", "--kb", str(theory_path("smokers"))),
+    "demo-query-p-for-a-min": lambda tmp: (
+        ["demo", "multilabel", "--epochs", "2",
+         "--config", _config(tmp, "forall = min")],
+        "forall(p=5): min takes no p"),
     "demo-schedule-for-a-max": lambda tmp: (
         ["demo", "clustering", "--config", _config(tmp, "exists = max")],
         "bad training settings: exists schedule: max takes no p"),
+    "demo-schedule-unparsed": lambda tmp: (
+        ["demo", "clustering", "--config",
+         _config(tmp, "exists_schedule = 0:1, 40")],
+        f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule'"),
+    "demo-schedule-rejected": lambda tmp: (
+        ["demo", "clustering", "--config",
+         _config(tmp, "exists_schedule = 40:2, 0:1")],
+        f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule': "
+        "schedule epochs must be strictly increasing"),
 }
 
 
@@ -249,12 +264,12 @@ def _config(tmp, line):
     return str(cfg)
 
 
-def _smokers_forall_mean(tmp, *argv):
-    """``argv`` under ``forall = mean``, which takes no p, on smokers,
+def _smokers_forall(tmp, family, *argv):
+    """``argv`` under ``forall = <family>``, which takes no p, on smokers,
     whose axioms annotate ``@forall(p=6)``."""
-    return ([*argv, "--config", _config(tmp, "forall = mean")],
+    return ([*argv, "--config", _config(tmp, f"forall = {family}")],
             f"{theory_path('smokers').resolve()}:148:1: @forall(p=6): "
-            "mean takes no p")
+            f"{family} takes no p")
 
 
 def _missing_kb(tmp, command, *flags):
@@ -270,7 +285,7 @@ def _mean_kb_query(tmp, *flags):
     kb.write_text("domain d = 1\nconfig forall = mean\nvar x : d = [1, 2]\n"
                   "pred P : d = mlp(1, 1; sigmoid)\naxiom: forall x: P(x)\n")
     return ["query", "--kb", str(kb), "--formula", "forall x: P(x)",
-            *flags], "mean takes no p"
+            *flags], "forall(p=5): mean takes no p"
 
 
 def _annotated_kb(tmp, p):
@@ -329,6 +344,23 @@ def test_cli_config_rejects_unknown_keys(tmp_path):
             f"{cfg}:2: unknown config key 'seed'")):
         cli.main(["train", "--kb", str(theory_path("refute")),
                   "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("text,schedule", [
+    ("none", None),
+    ("0:1, 40:2", ((0, 1.0), (40, 2.0))),
+], ids=["none", "pairs"])
+def test_cli_config_sets_the_exists_schedule(text, schedule, tmp_path):
+    cfg = _config(tmp_path, f"exists_schedule = {text}")
+    assert cli.read_config(cfg) == ({"exists_schedule": schedule}, {})
+
+
+def test_cli_demo_runs_without_its_exists_schedule(tmp_path, capsys):
+    # clustering's built-in schedule sets an exists p, which max lacks
+    cfg = _config(tmp_path, "exists = max\nexists_schedule = none")
+    rc = cli.main(["demo", "clustering", "--epochs", "2", "--config", cfg])
+    assert rc == 0
+    assert "purity: " in capsys.readouterr().out
 
 
 def test_cli_config_rejects_out_of_range_values(tmp_path):

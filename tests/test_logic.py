@@ -21,7 +21,9 @@ from reallogic.parser import parse_formula
 from reallogic.tensor import Tensor
 
 from fdcheck import fd_store_grad
-from randformula import rand_formula, rand_vacant_quant, small_sig
+from randformula import (
+    rand_formula, rand_repeated, rand_vacant_quant, small_sig,
+)
 from test_fuzzy import composite_aggregate, composite_connective
 
 RAW = (FuzzyConfig()
@@ -805,6 +807,31 @@ def test_random_formulas_ground_as_under_the_composite_rules(case, monkeypatch):
         for name in env.store.names():
             np.testing.assert_allclose(got_grads[name], want_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_shared_network_outputs_match_the_unshared_path(training, monkeypatch):
+    # the unshared path is a scope without a memo; the shared one opens
+    # one, as satisfiability and query do
+    env = random_formula_env()
+    calls = record_dense_forward(monkeypatch)
+    rng = np.random.default_rng([26, training])
+    for _ in range(RANDOM_FORMULAS):
+        f = rand_repeated(rng, 3, list("xyzw"))
+        loose = free_vars(f)
+        f = forall([(v,) for v in loose], f) if loose else f
+        runs = []
+        for memo in (None, {}):
+            del calls[:]
+            scope = replace(env.scope(training=training), memo=memo)
+            out = ground_formula(env, f, scope).tensor
+            runs.append((out.data, backward(out, env.store), len(calls)))
+        (want, want_grads, unshared), (got, got_grads, shared) = runs
+        np.testing.assert_array_equal(got, want)
+        for name in env.store.names():
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+        assert shared < unshared, f  # the term runs once for two atoms
 
 
 @pytest.mark.parametrize("family", sorted(_AGGREGATORS))

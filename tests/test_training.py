@@ -2,10 +2,12 @@
 
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from reallogic import logic
 from reallogic import tensor as T
 from reallogic import training
 from reallogic.assemble import build_theory, load_theory
@@ -144,6 +146,96 @@ def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
     want = float(aggregate(th.cfg.forall.with_p(6), some, 1).data)
     assert got == pytest.approx(want, abs=1e-12)
     assert got != pytest.approx(float(axiom_truth(th, ax).data), abs=1e-6)
+
+
+def unshared_sat(theory, scope):
+    """Sat grounded as :func:`satisfiability` grounds it, but under
+    ``scope`` as given: with no memo, every atom runs its network."""
+    truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
+    return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
+
+
+def record_networks(monkeypatch):
+    """Patch dense_forward in logic; the returned Counter gets the
+    symbol of each network run."""
+    runs = Counter()
+    real = logic.dense_forward
+
+    def recorded(spec, store, prefix, x, training):
+        runs[prefix] += 1
+        return real(spec, store, prefix, x, training=training)
+
+    monkeypatch.setattr(logic, "dense_forward", recorded)
+    return runs
+
+
+BUNDLED = sorted(p.stem for p in theory_path("refute").parent.glob("*.rl"))
+# network runs of one Sat forward, (shared, unshared)
+SAT_NETWORK_RUNS = {"addition_multi": (4, 4), "addition_single": (2, 2),
+                    "binary": (2, 2), "clustering": (2, 6),
+                    "multiclass": (3, 3), "multilabel": (5, 8),
+                    "refute": (0, 0), "regression": (1, 1),
+                    "smokers": (119, 124)}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sat_shares_network_outputs_of_the_unshared_path(name, monkeypatch):
+    th = load_theory(theory_path(name), seed=0)
+    runs = record_networks(monkeypatch)
+    sats = []
+    for sat in (satisfiability, unshared_sat):
+        runs.clear()
+        value = sat(th, th.env.scope(training=False))
+        sats.append((value.data, backward(value, th.store),
+                     sum(runs.values())))
+    (got, got_grads, shared), (want, want_grads, unshared) = sats
+    assert got == want
+    for slot in th.store.names():
+        np.testing.assert_allclose(got_grads[slot], want_grads[slot],
+                                   rtol=0, atol=1e-12, err_msg=slot)
+    assert (shared, unshared) == SAT_NETWORK_RUNS[name]
+
+
+DROPOUT_SRC = """domain item = 2
+domain label = 2
+const a : label = [1, 0]
+const b : label = [0, 1]
+var x : item = [[0.1, 0.2], [0.5, 0.9], [0.3, 0.4]]
+pred P : item, label = select mlp(2, 4, 2; elu@0.5, softmax)
+pred Q : item = mlp(2, 3, 1; elu, sigmoid)
+axiom: forall x: P(x, a) | P(x, b)
+axiom: forall x: P(x, a) -> Q(x)
+axiom: forall x: Q(x) | P(x, b)
+"""
+
+
+def test_a_dropout_network_draws_its_masks_per_atom_under_training(
+        monkeypatch):
+    th = build_theory(parse_theory(DROPOUT_SRC), seed=3)
+    runs = record_networks(monkeypatch)
+    start = th.store.rng.bit_generator.state
+    sats = []
+    for sat in (satisfiability, unshared_sat):
+        th.store.rng.bit_generator.state = start
+        runs.clear()
+        value = sat(th, th.env.scope(training=True)).data
+        sats.append((value, th.store.rng.bit_generator.state, dict(runs)))
+    (got, got_state, shared), (want, want_state, unshared) = sats
+    assert got == want
+    assert got_state == want_state != start
+    # P, with dropout, runs once per atom; Q once for its two atoms
+    assert shared == {"P": 4, "Q": 1}
+    assert unshared == {"P": 4, "Q": 2}
+
+
+def test_a_scope_passed_twice_grounds_the_current_parameters():
+    th = load_theory(theory_path("multilabel"), seed=0)
+    scope = th.env.scope(training=False)
+    before = satisfiability(th, scope)
+    adam_step(th.store, backward(1.0 - before, th.store), lr=0.1)
+    after = satisfiability(th, scope).data
+    assert after == unshared_sat(th, th.env.scope(training=False)).data
+    assert after != before.data
 
 
 def test_theory_rejects_open_axioms():
@@ -645,7 +737,7 @@ def test_query_rejects_a_p_override_for_a_family_that_takes_no_p():
     # exists: smokers' axioms annotate only @forall, which the mean would
     # reject as the theory is built
     th = load_theory(theory_path("smokers"), seed=0, tags={"exists": "max"})
-    with pytest.raises(ValueError, match="^max takes no p$"):
+    with pytest.raises(EvalError, match=r"^exists\(p=5\): max takes no p$"):
         query(th, "truth", "exists x: S(x)", p={"exists": 5})
 
 
