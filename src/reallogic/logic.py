@@ -28,9 +28,9 @@ that row's classes. Within one evaluation that opens a memo (a
 distinct argument list: ``P(x, l_blue)`` and ``P(x, l_orange)`` of a
 ``select`` predicate, or ``f(x)`` inside two atoms, get one output
 tensor, and the backward pass sums their gradients into it before it
-runs the network's backward once. A network whose dropout is active
-under a training scope is never shared: each occurrence draws its own
-masks.
+runs the network's backward once. A training scope of an env that has
+a dropout network opens no memo, so there every occurrence draws its
+own masks, a dropout ``f`` inside another network's arguments too.
 
 Quantifiers aggregate named axes away. A quantifier lays out its body
 (and its guard's mask) with the result's variables first and its
@@ -295,10 +295,13 @@ class Scope:
     aligned argument shapes to its output, so that every later atom or
     term with the same key reuses that output. Child scopes carry it, so
     it spans one evaluation; a guard's ``training=False`` scope reads it
-    too. ``training.satisfiability`` and ``training.query`` each open a
+    too, since no network has active dropout where a memo is open.
+    ``training.satisfiability`` and ``training.query`` each open a
     fresh one per call, so it never outlives the parameters it was
-    computed from; a scope built by :meth:`GroundingEnv.scope` has none
-    and shares nothing.
+    computed from; ``satisfiability`` opens none under a training scope
+    when :meth:`GroundingEnv.has_dropout`, as each occurrence of a
+    dropout network draws its own masks. A scope built by
+    :meth:`GroundingEnv.scope` has none and shares nothing.
     """
     binds: Mapping = field(default_factory=dict)
     alias: Mapping = field(default_factory=dict)
@@ -606,7 +609,7 @@ def _apply(env: GroundingEnv, name: str, terms: tuple,
                 f"{name}: class argument has dim {label.shape[-1]}, "
                 f"network has {nclass} outputs")
     memo = scope.memo
-    if memo is None or (scope.training and any(payload.drops)):
+    if memo is None:
         out = _network(env, name, payload, inputs, scope)
     else:  # the shapes tell diagonal truncations and axis layouts apart
         key = (name, terms, tuple(t.shape for t in inputs))

@@ -77,9 +77,13 @@ def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
 
     Each axiom is grounded by :func:`axiom_truth` under ``scope``
     (default: the env's root scope), with one memo for the call, so the
-    axioms share each network output (see :class:`Scope`).
+    axioms share each network output (see :class:`Scope`). A training
+    scope of an env with a dropout network gets no memo: every atom
+    draws its own masks.
     """
-    scope = replace(theory.env.scope() if scope is None else scope, memo={})
+    scope = theory.env.scope() if scope is None else scope
+    scope = replace(scope, memo=None if scope.training
+                    and theory.env.has_dropout() else {})
     truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 

@@ -10,7 +10,7 @@ import pytest
 import reallogic.logic as logic
 import reallogic.tensor as T
 from reallogic.assemble import euclidean
-from reallogic.fuzzy import _AGGREGATORS, _CONNECTIVES, FuzzyConfig
+from reallogic.fuzzy import _AGGREGATORS, _CONNECTIVES, FuzzyConfig, aggregate
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
     Quant, Scope, Signature, SignatureError, Var, free_vars, ground_formula,
@@ -19,6 +19,7 @@ from reallogic.logic import (
 from reallogic.nn import MlpSpec, ParamStore, backward, dense_forward
 from reallogic.parser import parse_formula
 from reallogic.tensor import Tensor
+from reallogic.training import Theory, satisfiability
 
 from fdcheck import fd_store_grad
 from randformula import (
@@ -725,11 +726,12 @@ def test_guarded_clustering_gradients_match_fd():
         assert_store_grads_match_fd(env, node)
 
 
-def random_formula_env(cfg=None):
+def random_formula_env(cfg=None, drop=0.0):
     """``small_sig`` grounded under ``cfg`` (default: the stable-product
     config): three instances per variable, trainable constants,
-    trainable networks for P, Q, S, f and g, and a trainable truth
-    scalar for R."""
+    trainable networks for P, Q, S, f and g (the functions' hidden
+    layer with dropout rate ``drop``), and a trainable truth scalar
+    for R."""
     env = GroundingEnv(small_sig(), ParamStore(seed=21), cfg)
     rng = np.random.default_rng(22)
     for v in "xyzw":
@@ -739,7 +741,8 @@ def random_formula_env(cfg=None):
     for name, din in (("P", 1), ("Q", 1), ("S", 2)):
         env.add_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
     for name, din in (("f", 1), ("g", 2)):
-        env.add_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid")))
+        env.add_mlp(name, MlpSpec((din, 3, 1), ("elu", "sigmoid"),
+                                  (drop, 0.0)))
     env.add_scalar("R", init=0.6)
     return env
 
@@ -809,29 +812,45 @@ def test_random_formulas_ground_as_under_the_composite_rules(case, monkeypatch):
                                        rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
-def test_shared_network_outputs_match_the_unshared_path(training, monkeypatch):
-    # the unshared path is a scope without a memo; the shared one opens
-    # one, as satisfiability and query do
-    env = random_formula_env()
+@pytest.mark.parametrize("training, drop", [(False, 0.5), (True, 0.0),
+                                             (True, 0.5)],
+                         ids=["eval", "train", "train-dropout"])
+def test_shared_network_outputs_match_the_unshared_path(training, drop,
+                                                        monkeypatch):
+    # the shared path is satisfiability, which opens a memo unless the
+    # scope trains a dropout network; the unshared one grounds the axiom
+    # under a scope without a memo
+    env = random_formula_env(drop=drop)
     calls = record_dense_forward(monkeypatch)
     rng = np.random.default_rng([26, training])
+    start = env.store.rng.bit_generator.state
     for _ in range(RANDOM_FORMULAS):
         f = rand_repeated(rng, 3, list("xyzw"))
         loose = free_vars(f)
         f = forall([(v,) for v in loose], f) if loose else f
         runs = []
-        for memo in (None, {}):
+        for shared in (False, True):
             del calls[:]
-            scope = replace(env.scope(training=training), memo=memo)
-            out = ground_formula(env, f, scope).tensor
-            runs.append((out.data, backward(out, env.store), len(calls)))
-        (want, want_grads, unshared), (got, got_grads, shared) = runs
+            env.store.rng.bit_generator.state = start
+            scope = env.scope(training=training)
+            if shared:
+                out = satisfiability(Theory((Axiom(f),), env), scope)
+            else:
+                out = aggregate(env.cfg.sat_agg, T.stack(
+                    [ground_formula(env, f, scope).tensor]), 1)
+            runs.append((out.data, backward(out, env.store), len(calls),
+                         env.store.rng.bit_generator.state))
+        (want, want_grads, unshared, want_rng), \
+            (got, got_grads, shared, got_rng) = runs
         np.testing.assert_array_equal(got, want)
         for name in env.store.names():
             np.testing.assert_allclose(got_grads[name], want_grads[name],
                                        rtol=0, atol=1e-12, err_msg=name)
-        assert shared < unshared, f  # the term runs once for two atoms
+        assert got_rng == want_rng
+        if training and drop:  # every occurrence draws its own masks
+            assert shared == unshared and got_rng != start, f
+        else:  # the term runs once for two atoms
+            assert shared < unshared, f
 
 
 @pytest.mark.parametrize("family", sorted(_AGGREGATORS))

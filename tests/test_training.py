@@ -198,19 +198,31 @@ def test_sat_shares_network_outputs_of_the_unshared_path(name, monkeypatch):
 
 DROPOUT_SRC = """domain item = 2
 domain label = 2
+domain measure = 1
 const a : label = [1, 0]
 const b : label = [0, 1]
 var x : item = [[0.1, 0.2], [0.5, 0.9], [0.3, 0.4]]
 pred P : item, label = select mlp(2, 4, 2; elu@0.5, softmax)
 pred Q : item = mlp(2, 3, 1; elu, sigmoid)
+func f : item -> item = mlp(2, 4, 2; elu@0.5, sigmoid)
+func g : item -> measure = mlp(2, 3, 1; elu, sigmoid)
+pred R : measure = mlp(1, 3, 1; elu, sigmoid)
 axiom: forall x: P(x, a) | P(x, b)
 axiom: forall x: P(x, a) -> Q(x)
 axiom: forall x: Q(x) | P(x, b)
+axiom: forall x: R(g(f(x))) | Q(f(x))
+axiom: forall x [g(f(x)) < 0.6]: R(g(f(x))) -> Q(f(x))
 """
+# network runs of one Sat forward; the unshared path runs each network
+# once per occurrence, in the guard too
+DROPOUT_RUNS = {"P": 4, "Q": 4, "f": 5, "g": 3, "R": 2}
 
 
-def test_a_dropout_network_draws_its_masks_per_atom_under_training(
-        monkeypatch):
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+def test_a_dropout_theory_grounds_as_the_unshared_path(training,
+                                                       monkeypatch):
+    # f's dropout sits inside the arguments of g, Q and R, whose own
+    # networks have none, and the guard reads g(f(x)) with dropout off
     th = build_theory(parse_theory(DROPOUT_SRC), seed=3)
     runs = record_networks(monkeypatch)
     start = th.store.rng.bit_generator.state
@@ -218,14 +230,21 @@ def test_a_dropout_network_draws_its_masks_per_atom_under_training(
     for sat in (satisfiability, unshared_sat):
         th.store.rng.bit_generator.state = start
         runs.clear()
-        value = sat(th, th.env.scope(training=True)).data
-        sats.append((value, th.store.rng.bit_generator.state, dict(runs)))
-    (got, got_state, shared), (want, want_state, unshared) = sats
+        value = sat(th, th.env.scope(training=training))
+        sats.append((value.data, backward(value, th.store),
+                     th.store.rng.bit_generator.state, dict(runs)))
+    (got, got_grads, got_state, shared), \
+        (want, want_grads, want_state, unshared) = sats
     assert got == want
-    assert got_state == want_state != start
-    # P, with dropout, runs once per atom; Q once for its two atoms
-    assert shared == {"P": 4, "Q": 1}
-    assert unshared == {"P": 4, "Q": 2}
+    for slot in th.store.names():
+        np.testing.assert_allclose(got_grads[slot], want_grads[slot],
+                                   rtol=0, atol=1e-12, err_msg=slot)
+    assert got_state == want_state
+    assert (got_state != start) == training
+    assert unshared == DROPOUT_RUNS
+    # a training scope draws every mask, so it shares nothing
+    assert shared == (DROPOUT_RUNS if training else
+                      {"P": 1, "Q": 2, "f": 1, "g": 1, "R": 1})
 
 
 def test_a_scope_passed_twice_grounds_the_current_parameters():
