@@ -21,7 +21,9 @@ A connective's derivative rule returns one gradient per operand, of the
 operand's shape: a broadcast operand's is contracted by
 ``tensor.unbroadcast_product`` (or summed by ``tensor.unbroadcast``),
 not built at the result's size first; only goguen's partials, which
-depend on both operands, are.
+depend on both operands, are. The product families (product and/or,
+reichenbach) form ``a * b`` with ``tensor.broadcast_product``, one
+einsum outer product where both operands are broadcast.
 
 Aggregators generalize them over a whole axis. ``_AGGREGATORS`` maps
 each family to its neutral value (in brackets), its kernel and the
@@ -175,12 +177,14 @@ def _max(a, b):
 
 
 def _product_and(a, b):
-    return a * b, lambda g: (_times(g, b, a), _times(g, a, b))
+    return (T.broadcast_product(a, b),
+            lambda g: (_times(g, b, a), _times(g, a, b)))
 
 
 def _product_or(a, b):
-    return a + b - a * b, lambda g: (_sum_to(g, a) - _times(g, b, a),
-                                     _sum_to(g, b) - _times(g, a, b))
+    return (a + b - T.broadcast_product(a, b),
+            lambda g: (_sum_to(g, a) - _times(g, b, a),
+                       _sum_to(g, b) - _times(g, a, b)))
 
 
 def _luk_and(a, b):
@@ -210,8 +214,8 @@ def _godel(a, b):
 
 
 def _reichenbach(a, b):
-    return 1.0 - a + a * b, lambda g: (_times(g, b, a) - _sum_to(g, a),
-                                       _times(g, a, b))
+    return (1.0 - a + T.broadcast_product(a, b),
+            lambda g: (_times(g, b, a) - _sum_to(g, a), _times(g, a, b)))
 
 
 def _goguen(a, b):
@@ -278,18 +282,20 @@ def _pack(t: Tensor, m: np.ndarray):
     ``(packed, valid, count)``. ``packed`` has ``m``'s leading shape plus
     a last axis as wide as the largest kept count: each row's kept cells
     in order, then padding. ``valid`` marks the kept entries and
-    ``count`` holds the number kept per row. After a count and a nonzero
+    ``count`` holds the number kept per row, found by a binary search of
+    each row's start among the sorted kept positions. After one nonzero
     pass over ``m``, the work scales with the kept cells, not with ``t``.
     """
     lead = m.shape[:-1]
-    rows = m.reshape(math.prod(lead), m.shape[-1])
-    count = np.count_nonzero(rows, axis=1)
+    kept = np.flatnonzero(m)  # row-major: each row's kept cells in order
+    starts = np.arange(math.prod(lead) + 1) * m.shape[-1]
+    count = np.diff(np.searchsorted(kept, starts))
     # a padded column keeps min/max defined where a row keeps no cell,
     # and where there is no row; only an empty reduced axis has none
     width = max(int(count.max(initial=0)), min(m.shape[-1], 1))
     valid = np.arange(width) < count[:, None]
     idx = np.zeros(valid.shape, dtype=np.intp)
-    idx[valid] = np.flatnonzero(rows)  # row-major: each row's kept cells first
+    idx[valid] = kept
     shape = lead + (width,)
     return (T.take(t, idx.reshape(shape)), valid.reshape(shape),
             count.reshape(lead))
@@ -403,7 +409,7 @@ def aggregate(spec: AggregatorSpec, t, k: int, mask=None, empty=None) -> Tensor:
     constant boolean array broadcastable to ``t``) restricts the
     aggregation to selected cells. Their cells are packed per result
     cell (:func:`_pack`) and only they are validated; the padding is
-    filled with the family's neutral value, so past two passes over the
+    filled with the family's neutral value, so past one pass over the
     boolean mask the work and its backward scale with the kept cells,
     not with the grid; masked-out cells get a zero gradient. Result
     cells whose mask keeps no cell are patched with ``empty``; left as

@@ -39,14 +39,17 @@ reduces a trailing block of axes. A quantifier group with several
 variables is evaluated diagonally: the members share one axis, pairing
 instance i with instance i, instead of spanning their product grid;
 members with unequal instance counts are truncated to the shortest,
-with a warning.
+with a warning. A quantifier inside such a group that binds one of its
+members again gives that variable an axis of its own.
 Guards restrict aggregation with a crisp boolean mask computed from
 detached values, so no gradient ever flows through a guard; cells whose
-guard never fires aggregate to 1 under forall and 0 under exists.
-The guarded body is still grounded on the full grid of its variables;
-only the aggregation packs the cells the guard keeps (see
-:func:`reallogic.fuzzy.aggregate`), so its work and its backward scale
-with the kept cells.
+guard never fires aggregate to 1 under forall and 0 under exists. The
+guard's two sides are grounded apart, after the body, and compared in
+the quantifier's layout, so the compare writes the mask contiguous, in
+the order the aggregate reads it. The guarded body is still grounded
+on the full grid of its variables; only the aggregation packs the cells
+the guard keeps (see :func:`reallogic.fuzzy.aggregate`), so its work and
+its backward scale with the kept cells.
 
 Evaluation is pure: :func:`ground_formula` and :func:`ground_term` take
 a frozen :class:`Scope` with everything that varies per call (variable
@@ -657,7 +660,10 @@ def _smooth_eq(cfg: FuzzyConfig, u: Tensor, v: Tensor) -> Tensor:
 
 
 def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
-    """Crisp mask over the guard's variables, from detached values."""
+    """The guard's variables, in order of first occurrence, and its two
+    sides, as detached GroundedValues. :func:`_quant` compares the sides
+    in the layout it aggregates in, so the mask comes out in that
+    layout, contiguous."""
     scope = replace(scope, training=False)  # guards never see dropout noise
 
     def side(terms):
@@ -674,8 +680,17 @@ def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
         order, aligned = align(pieces, feature=False)
         return GroundedValue(sum(aligned), order)
 
-    order, (lv, rv) = align([side(guard.lhs), side(guard.rhs)], feature=False)
-    return COMPARISONS[guard.op](lv, rv), order
+    lhs, rhs = side(guard.lhs), side(guard.rhs)
+    return tuple(dict.fromkeys(lhs.vars + rhs.vars)), (lhs, rhs)
+
+
+def _guard_mask(op: str, sides, order: tuple) -> np.ndarray:
+    """The crisp mask of the guard sides ``sides`` under the comparison
+    ``op``, laid out in ``order``. Each side is aligned to ``order``
+    before the compare, so the compare writes the mask in that layout,
+    contiguous, and no full-grid array is moved afterwards."""
+    lhs, rhs = (_aligned(gv.tensor, gv.vars, order) for gv in sides)
+    return COMPARISONS[op](lhs, rhs)
 
 
 def ground_formula(env: GroundingEnv, formula: Formula,
@@ -717,10 +732,16 @@ def ground_formula(env: GroundingEnv, formula: Formula,
 
 
 def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
+    # a variable this quantifier binds is its own, not an enclosing
+    # diagonal group's shared axis
+    bound = {v for group in node.groups for v in group}
+    if bound & scope.alias.keys():
+        scope = replace(scope, alias={v: label for v, label
+                                      in scope.alias.items() if v not in bound})
     labels = []
     for group in node.groups:
         if len(group) == 1:
-            labels.append(scope.alias.get(group[0], group[0]))
+            labels.append(group[0])
             continue
         label = "&".join(group)
         lens = [env.var_length(v, scope) for v in group]
@@ -732,13 +753,14 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
                         trunc={**scope.trunc, label: min(lens)})
         labels.append(label)
 
-    mask = mask_vars = None
-    if node.guard is not None:
-        mask, mask_vars = _eval_guard(env, node.guard, scope)
-
+    # the guard's sides come after the body, so they live only until the
+    # compare below
     body = ground_formula(env, node.body, scope)
+    guard_vars, sides = (), None
+    if node.guard is not None:
+        guard_vars, sides = _eval_guard(env, node.guard, scope)
     want = list(body.vars)
-    for v in labels + list(mask_vars or ()):
+    for v in labels + list(guard_vars):
         if v not in want:
             want.append(v)
     # the result's variables first, the quantified labels last, each in
@@ -751,8 +773,7 @@ def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
         t = T.broadcast_to(t, tuple(n if v in body.vars
                                     else env.var_length(v, scope)
                                     for v, n in zip(order, t.shape)))
-    if mask is not None:
-        mask = _aligned(mask, mask_vars, order)
+    mask = None if sides is None else _guard_mask(node.guard.op, sides, order)
 
     p = scope.p.get(node.kind)
     try:

@@ -35,6 +35,9 @@ Conventions that matter downstream:
 - ``unbroadcast_product`` (``mul``'s gradients, and the fuzzy kernels')
   contracts broadcast axes in one ``np.einsum``, so its summation order
   can differ from ``ndarray.sum`` in the last bit.
+- ``broadcast_product(a, b)`` (the product-family fuzzy kernels) builds
+  ``a * b`` as one ``np.einsum`` outer product when both operands are
+  broadcast; its cells are ``a * b``'s, but a zero product is ``+0.0``.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
   ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
   and ``training`` raises ``DivergenceError`` on a non-finite loss or
@@ -83,6 +86,37 @@ def unbroadcast_product(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarra
     subscripts, reshape = _contraction(g.shape, x.shape, shape)
     out = np.einsum(subscripts, g, x)
     return out.reshape(shape) if reshape else out
+
+
+@functools.lru_cache(maxsize=None)
+def _outer(ashape: tuple, bshape: tuple):
+    """``np.einsum`` subscripts for ``a * b`` as an outer product over the
+    operands' axes that are not size 1, and the result's shape; None
+    when one operand already has that shape."""
+    shape = np.broadcast_shapes(ashape, bshape)
+    if ashape == shape or bshape == shape:
+        return None
+    letters = string.ascii_letters[:len(shape)]
+
+    def axes(s):  # letters of the axes of s, aligned to the right, not size 1
+        return "".join(c for c, n in zip(letters[len(shape) - len(s):], s)
+                       if n != 1)
+
+    return f"{axes(ashape)},{axes(bshape)}->{axes(shape)}", shape
+
+
+def broadcast_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b``. When each operand is broadcast along some axis of the
+    result, one ``np.einsum`` outer product builds it, faster than the
+    ufunc on large grids (its fixed cost makes it slower on small ones).
+    Each cell is one product and nothing is summed, so each cell has the
+    bits of ``a * b``, but for the sign of a zero: einsum adds each
+    product to a zeroed output, so ``-0.0 * 1.0`` reads ``0.0``."""
+    plan = _outer(a.shape, b.shape)
+    if plan is None:
+        return a * b
+    subscripts, shape = plan
+    return np.einsum(subscripts, np.squeeze(a), np.squeeze(b)).reshape(shape)
 
 
 class Tensor:

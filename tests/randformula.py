@@ -1,10 +1,15 @@
 """Random well-typed formulas over one small signature, shared by the
 parser's round-trip test, the gradient check of grounded formulas and
-the differential checks of the fuzzy kernels and of shared network
-outputs."""
+the differential checks of the fuzzy kernels, of shared network outputs
+and of guard masks. ``rand_*`` draw from a numpy generator; ``formulas``
+and ``guarded_quants`` are hypothesis strategies over the same node
+kinds, so a failing formula shrinks."""
+
+from hypothesis import strategies as st
 
 from reallogic.logic import (
-    App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature, Var, free_vars,
+    COMPARISONS, App, Atom, Bin, Const, Eq, Guard, Not, Quant, Signature,
+    Var, free_vars,
 )
 
 
@@ -116,3 +121,87 @@ def rand_repeated(rng, depth, pool):
     quant = Quant("forall" if rng.random() < 0.5 else "exists", groups,
                   guard, body)
     return Bin(op(), Bin(op(), atom, Atom("P", (term,))), quant)
+
+
+# -- hypothesis strategies ----------------------------------------------------
+#
+# Each draw picks a node kind by index, the simplest kinds first, so a
+# failing formula shrinks toward variables, atoms and shallow trees.
+
+NAMES = ("x", "y", "z", "w")
+
+
+@st.composite
+def terms(draw, depth):
+    """A term over ``small_sig``: a variable, a constant, or ``f``/``g``
+    applied to terms of depth ``depth - 1``."""
+    kinds = ["var", "const"] + (["f", "g"] if depth > 0 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "var":
+        return Var(draw(st.sampled_from(NAMES)))
+    if kind == "const":
+        return Const(draw(st.sampled_from("cd")))
+    if kind == "f":
+        return App("f", (draw(terms(depth - 1)),))
+    return App("g", (draw(terms(depth - 1)), draw(terms(depth - 1))))
+
+
+@st.composite
+def guards(draw, bound):
+    """A guard ``a + k*b <op> c``: ``a`` is a variable of ``bound`` or
+    ``f`` of it, ``b`` (sometimes left out) any variable, bound here, by
+    an enclosing quantifier or free, so that the guard can span a
+    variable that the body lacks."""
+    a = Var(draw(st.sampled_from(sorted(bound))))
+    if draw(st.booleans()):
+        a = App("f", (a,))
+    lhs = ((1.0, a),)
+    if draw(st.booleans()):
+        lhs += ((draw(st.sampled_from([-1.0, 1.0])),
+                 Var(draw(st.sampled_from(NAMES)))),)
+    rhs = ((draw(st.sampled_from([0.5, 0.25, 1.0, 0.0])), None),)
+    return Guard(draw(st.sampled_from(sorted(COMPARISONS))), lhs, rhs)
+
+
+@st.composite
+def guarded_quants(draw, depth, pool, guarded=None):
+    """A quantifier binding one or two names of ``pool``: one group, a
+    diagonal group of two, or two plain groups; its guard is drawn when
+    ``guarded`` is None, always when True. The body quantifies only the
+    rest of ``pool``."""
+    take = draw(st.integers(1, min(2, len(pool))))
+    names = tuple(pool[:take])
+    groups = (names,)
+    if take == 2 and draw(st.booleans()):
+        groups = ((names[0],), (names[1],))
+    if guarded is None:
+        guarded = draw(st.booleans())
+    guard = draw(guards(set(names))) if guarded else None
+    body = draw(formulas(depth - 1, [v for v in pool if v not in names]))
+    return Quant(draw(st.sampled_from(["forall", "exists"])), groups, guard,
+                 body)
+
+
+@st.composite
+def formulas(draw, depth, pool):
+    """A formula over ``small_sig`` of depth at most ``depth``;
+    quantifiers bind names from ``pool``, each at most once on a path."""
+    kinds = ["P", "Q", "S", "R", "eq"]
+    if depth > 0:
+        kinds += ["not", "bin"] + (["quant"] if pool else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("P", "Q"):
+        return Atom(kind, (draw(terms(1)),))
+    if kind == "S":
+        return Atom("S", (draw(terms(1)), draw(terms(1))))
+    if kind == "R":
+        return Atom("R", ())
+    if kind == "eq":
+        return Eq(draw(terms(1)), draw(terms(1)))
+    if kind == "not":
+        return Not(draw(formulas(depth - 1, pool)))
+    if kind == "bin":
+        return Bin(draw(st.sampled_from(["and", "or", "implies", "iff"])),
+                   draw(formulas(depth - 1, pool)),
+                   draw(formulas(depth - 1, pool)))
+    return draw(guarded_quants(depth, pool))

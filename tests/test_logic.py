@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import reallogic.logic as logic
 import reallogic.tensor as T
-from reallogic.assemble import euclidean
+from reallogic.assemble import euclidean, load_theory
+from reallogic.demos import theory_path
 from reallogic.fuzzy import _AGGREGATORS, _CONNECTIVES, FuzzyConfig, aggregate
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
@@ -23,7 +25,7 @@ from reallogic.training import Theory, satisfiability
 
 from fdcheck import fd_store_grad
 from randformula import (
-    rand_formula, rand_repeated, rand_vacant_quant, small_sig,
+    guarded_quants, rand_formula, rand_repeated, rand_vacant_quant, small_sig,
 )
 from test_fuzzy import composite_aggregate, composite_connective
 
@@ -869,6 +871,71 @@ def test_a_guard_that_never_fires_reads_its_empty_value_under_every_family(famil
             grads = backward(T.reduce_sum(out), env.store)
             unguarded_moved |= any(g.any() for g in grads.values())
     assert unguarded_moved  # without their guards, the bodies reach slots
+
+
+def guard_order_mask(op, sides, order):
+    """The guard mask built in the guard's own variable order, then
+    moved into ``order``: a strided view of the same cells."""
+    guard_vars, (lhs, rhs) = logic.align(list(sides), feature=False)
+    return logic._aligned(logic.COMPARISONS[op](lhs, rhs), guard_vars, order)
+
+
+@pytest.mark.parametrize("family", sorted(_AGGREGATORS))
+@settings(max_examples=25, deadline=None)
+@given(node=guarded_quants(3, list("xyzw"), guarded=True))
+def test_guard_masks_in_the_aggregate_layout_match_the_guard_order(family,
+                                                                   node):
+    # guards over variables the body lacks, diagonal groups and nested
+    # guards, under both quantifiers of each aggregator family
+    env = random_formula_env(FuzzyConfig().with_tag("forall", family)
+                             .with_tag("exists", family))
+    loose = free_vars(node)
+    f = forall([(v,) for v in loose], node) if loose else node
+    runs = []
+    for oracle in (False, True):
+        with pytest.MonkeyPatch.context() as m:
+            if oracle:
+                m.setattr(logic, "_guard_mask", guard_order_mask)
+            out = ground_formula(env, f).tensor
+            runs.append((out.data, backward(out, env.store)))
+    (got, got_grads), (want, want_grads) = runs
+    assert got.tobytes() == want.tobytes()
+    for name in env.store.names():
+        np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_addition_guard_mask_has_the_aggregated_layout(monkeypatch):
+    # addition-multi's guard spans the batch and the four digits; its
+    # mask comes out in the body's layout, batch first, contiguous
+    theory = load_theory(theory_path("addition_multi"))
+    rng = np.random.default_rng(0)
+    binds = {v: np.eye(10)[rng.integers(10, size=3)]
+             for v in ("x1", "x2", "y1", "y2")}
+    binds["n"] = np.array([3.0, 120.0, 77.0])
+    seen = []
+
+    def spy(spec, t, k, mask=None, empty=None):
+        seen.append((t.shape, mask))
+        return aggregate(spec, t, k, mask=mask, empty=empty)
+
+    monkeypatch.setattr(logic, "aggregate", spy)
+    env = theory.env
+    ground_formula(env, theory.axioms[0].formula, env.scope(binds))
+    (shape, mask), = [(shape, m) for shape, m in seen if m is not None]
+    assert shape == (3, 10, 10, 10, 10)
+    assert mask.shape == shape and mask.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind", ["forall", "exists"])
+def test_inner_quantifier_binds_its_own_axis_inside_a_diagonal(kind):
+    # the inner x is not the (x, y) group's shared axis: the inner mean
+    # over x reads 0 at y = 0 and 0.5 at y = 1, the outer one 0.25
+    env = num_env(cfg=RAW.with_tag(kind, "mean"), x=[0.0, 1.0], y=[0.0, 1.0])
+    quant = forall if kind == "forall" else exists
+    node = quant([("x", "y")], quant([("x",)], Atom("P2", (Var("x"), Var("y")))))
+    assert parse_formula(f"{kind} (x, y): {kind} x: P2(x, y)", env.sig) == node
+    assert float(ground_formula(env, node).tensor.data) == 0.25
 
 
 def test_free_vars_order_and_binding():

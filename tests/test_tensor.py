@@ -115,6 +115,66 @@ def test_product_grad_matches_summing_the_full_product(shapes, seed):
                                    rtol=0, atol=1e-12)
 
 
+@st.composite
+def outer_shapes(draw):
+    """Two broadcast-compatible shapes where each axis of the result is
+    spanned by a, by b, by both or by neither (size 1 in the operand
+    that does not span it); either may drop leading size-1 axes."""
+    full = draw(st.lists(st.integers(0, 4), max_size=4))
+    spans = draw(st.lists(st.sampled_from(["a", "b", "a", "b", "ab", ""]),
+                          min_size=len(full), max_size=len(full)))
+
+    def operand(name):
+        shape = [n if name in span else 1 for n, span in zip(full, spans)]
+        while shape and shape[0] == 1 and draw(st.booleans()):
+            shape.pop(0)
+        return tuple(shape)
+
+    return operand("a"), operand("b")
+
+
+@st.composite
+def layouts(draw, shape):
+    """Truth-like values of ``shape`` (zeros and ones among them) in a
+    C-ordered, Fortran-ordered or strided array."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = r.random(shape)
+    x[r.random(shape) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided" and shape:
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    return x
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_broadcast_product_has_the_bits_of_the_product(data):
+    # shape pairs with 0-d operands and size-0 and size-1 axes
+    sa, sb = data.draw(outer_shapes())
+    a, b = data.draw(layouts(sa)), data.draw(layouts(sb))
+    got, want = T.broadcast_product(a, b), a * b
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_broadcast_product_takes_einsum_when_both_operands_broadcast():
+    assert T._outer((32, 1000, 1), (32, 1, 10)) == ("ab,ac->abc",
+                                                    (32, 1000, 10))
+    assert T._outer((3, 1, 1), (1, 1, 4)) == ("a,c->ac", (3, 1, 4))
+    assert T._outer((2, 1), (3,)) == ("a,b->ab", (2, 3))
+    assert T._outer((3, 4), (4,)) is None  # b alone is broadcast
+    assert T._outer((), (2, 1)) is None
+    assert T._outer((2, 3), (2, 3)) is None
+    # einsum adds each product to a zeroed cell, so a zero has no sign
+    out = T.broadcast_product(np.array([[-0.0], [1.0]]), np.array([[1.0, 2.0]]))
+    np.testing.assert_array_equal(out, [[0.0, 0.0], [1.0, 2.0]])
+    assert not np.signbit(out).any()
+
+
 def test_elementwise_max_tie_goes_to_first_arg():
     a = Tensor([1.0, 2.0, 5.0], requires_grad=True)
     b = Tensor([1.0, 3.0, 4.0], requires_grad=True)
