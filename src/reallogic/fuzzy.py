@@ -17,13 +17,12 @@ stable form, and its entry gives the squeeze of each operand:
 - ``implies``: ``kleene_dienes``, ``godel``, ``reichenbach`` * (pi0 on
   the antecedent, pi1 on the consequent), ``goguen``, ``luk``
 
-A connective's derivative rule returns one gradient per operand, of the
-operand's shape: a broadcast operand's is contracted by
-``tensor.unbroadcast_product`` (or summed by ``tensor.unbroadcast``),
-not built at the result's size first; only goguen's partials, which
-depend on both operands, are. The product families (product and/or,
-reichenbach) form ``a * b`` with ``tensor.broadcast_product``, one
-einsum outer product where both operands are broadcast.
+Every product over the operands' broadcast grid is ``tensor.product``:
+the value ``a * b`` of the product families (product and/or,
+reichenbach), and each derivative rule's ``g * d`` summed to an
+operand's shape, which is not built at the result's size first. Only
+goguen's partials, which depend on both operands, are built there and
+summed by ``tensor.unbroadcast``.
 
 Aggregators generalize them over a whole axis. ``_AGGREGATORS`` maps
 each family to its neutral value (in brackets), its kernel and the
@@ -70,6 +69,7 @@ from reallogic import tensor as T
 from reallogic.tensor import DomainError, Tensor, astensor
 
 TOL = 1e-9  # forgiveness for float drift outside [0, 1]
+EPS = 1e-4  # the stable squeezes' default eps
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class ConnectiveOp:
     kind: str
     family: str
     stable: bool = False
-    eps: float = 1e-4
+    eps: float = EPS
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -95,7 +95,7 @@ class AggregatorSpec:
     family: str
     p: float = None
     stable: bool = False
-    eps: float = 1e-4
+    eps: float = EPS
 
     def __post_init__(self):
         if self.family not in _AGGREGATORS:
@@ -148,16 +148,6 @@ def _checked(t, kept=None) -> Tensor:
 # result does not depend on it).
 
 
-def _sum_to(g, x):
-    """``g`` summed down to the shape of ``x``."""
-    return T.unbroadcast(g, x.shape)
-
-
-def _times(g, d, x):
-    """``g * d`` summed down to the shape of ``x``."""
-    return T.unbroadcast_product(g, d, x.shape)
-
-
 def _not(a):
     return 1.0 - a, lambda g: (-g,)
 
@@ -165,57 +155,58 @@ def _not(a):
 def _min(a, b):
     def deriv(g):
         pick = a <= b
-        return _times(g, pick, a), _times(g, ~pick, b)
+        return T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
     return np.minimum(a, b), deriv
 
 
 def _max(a, b):
     def deriv(g):
         pick = a >= b
-        return _times(g, pick, a), _times(g, ~pick, b)
+        return T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
     return np.maximum(a, b), deriv
 
 
 def _product_and(a, b):
-    return (T.broadcast_product(a, b),
-            lambda g: (_times(g, b, a), _times(g, a, b)))
+    return (T.product(a, b),
+            lambda g: (T.product(g, b, a.shape), T.product(g, a, b.shape)))
 
 
 def _product_or(a, b):
-    return (a + b - T.broadcast_product(a, b),
-            lambda g: (_sum_to(g, a) - _times(g, b, a),
-                       _sum_to(g, b) - _times(g, a, b)))
+    return (a + b - T.product(a, b),
+            lambda g: (T.unbroadcast(g, a.shape) - T.product(g, b, a.shape),
+                       T.unbroadcast(g, b.shape) - T.product(g, a, b.shape)))
 
 
 def _luk_and(a, b):
     def deriv(g):
         pick = a + b - 1.0 >= 0.0
-        return _times(g, pick, a), _times(g, pick, b)
+        return T.product(g, pick, a.shape), T.product(g, pick, b.shape)
     return np.maximum(a + b - 1.0, 0.0), deriv
 
 
 def _luk_or(a, b):
     def deriv(g):
         pick = a + b <= 1.0
-        return _times(g, pick, a), _times(g, pick, b)
+        return T.product(g, pick, a.shape), T.product(g, pick, b.shape)
     return np.minimum(a + b, 1.0), deriv
 
 
 def _kleene_dienes(a, b):
     def deriv(g):
         pick = 1.0 - a >= b
-        return -_times(g, pick, a), _times(g, ~pick, b)
+        return -T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
     return np.maximum(1.0 - a, b), deriv
 
 
 def _godel(a, b):
     return (np.where(a <= b, 1.0, b),
-            lambda g: (None, _times(g, ~(a <= b), b)))
+            lambda g: (None, T.product(g, ~(a <= b), b.shape)))
 
 
 def _reichenbach(a, b):
-    return (1.0 - a + T.broadcast_product(a, b),
-            lambda g: (_times(g, b, a) - _sum_to(g, a), _times(g, a, b)))
+    return (1.0 - a + T.product(a, b),
+            lambda g: (T.product(g, b, a.shape) - T.unbroadcast(g, a.shape),
+                       T.product(g, a, b.shape)))
 
 
 def _goguen(a, b):
@@ -228,14 +219,15 @@ def _goguen(a, b):
         # operand's shape
         g = g * ~le
         with np.errstate(all="ignore"):
-            return _sum_to(-g * b / (denom * denom), a), _sum_to(g / denom, b)
+            return (T.unbroadcast(-g * b / (denom * denom), a.shape),
+                    T.unbroadcast(g / denom, b.shape))
     return out, deriv
 
 
 def _luk_implies(a, b):
     def deriv(g):
         pick = ~(a <= b)
-        return -_times(g, pick, a), _times(g, pick, b)
+        return -T.product(g, pick, a.shape), T.product(g, pick, b.shape)
     return np.where(a <= b, 1.0, 1.0 - a + b), deriv
 
 
@@ -467,7 +459,7 @@ class FuzzyConfig:
     The defaults are the stable product configuration: stable product
     and/or, stable Reichenbach implication, and stable p-means with
     p = 2 (pmean_error for forall and Sat, pmean for exists), all with
-    eps = 1e-4.
+    eps = EPS.
     """
     neg: ConnectiveOp = ConnectiveOp("not", "standard")
     conj: ConnectiveOp = ConnectiveOp("and", "product", stable=True)
@@ -477,6 +469,11 @@ class FuzzyConfig:
     exists: AggregatorSpec = AggregatorSpec("pmean", p=2, stable=True)
     sat_agg: AggregatorSpec = AggregatorSpec("pmean_error", p=2, stable=True)
     eq_alpha: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.eq_alpha < math.inf:  # NaN fails too
+            raise ValueError(f"eq_alpha must be a positive finite number, "
+                             f"got {self.eq_alpha}")
 
     def with_tag(self, kind: str, tag: str) -> "FuzzyConfig":
         """Replace one operator from its text form, e.g. ("and", "luk"),
@@ -509,7 +506,7 @@ def parse_op_tag(kind: str, text: str):
     if kind in _KINDS:
         if "p" in kwargs:
             raise ValueError(f"{kind} takes no p")
-        return ConnectiveOp(kind, base, stable, kwargs.get("eps", 1e-4))
+        return ConnectiveOp(kind, base, stable, **kwargs)
     if kind in ("forall", "exists", "agg"):
-        return AggregatorSpec(base, kwargs.get("p"), stable, kwargs.get("eps", 1e-4))
+        return AggregatorSpec(base, stable=stable, **kwargs)
     raise ValueError(f"unknown config key {kind!r}")

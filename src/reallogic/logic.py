@@ -389,9 +389,10 @@ class GroundingEnv:
                 raise EvalError(f"constant {c!r} is not in domain {vdom!r}")
         self._vars[name] = ("consts", const_names)
 
-    def _check_mlp(self, spec: MlpSpec, din: tuple, dout) -> None:
+    def _check_mlp(self, spec: MlpSpec, din: tuple, dout, truth: bool) -> None:
         """Raise unless ``spec`` reads the features of the domains ``din``
-        side by side and, when ``dout`` is not None, ends in that width."""
+        side by side, ends in the width ``dout`` when that is not None,
+        and, for a ``truth``, ends in an activation that gives truths."""
         fdim = sum(self.sig.dim(d) for d in din)
         if spec.widths[0] != fdim:
             raise EvalError(f"input width {spec.widths[0]} does not match "
@@ -399,10 +400,14 @@ class GroundingEnv:
         if dout is not None and spec.widths[-1] != dout:
             raise EvalError(f"output width {spec.widths[-1]} does not match "
                             f"dim {dout}")
+        if truth and spec.acts[-1] not in ("sigmoid", "softmax"):
+            raise EvalError(f"a predicate's network must end in sigmoid or "
+                            f"softmax, not {spec.acts[-1]}")
 
     def add_mlp(self, name: str, spec: MlpSpec) -> None:
         """Network over the arguments' features side by side; a
-        function's ends in its range's dim, a predicate's in width 1."""
+        function's ends in its range's dim, a predicate's in width 1 and
+        in sigmoid or softmax."""
         if name in self.sig.functions:
             din, dout = self.sig.functions[name]
             kind, dout = "mlp", self.sig.dim(dout)
@@ -410,7 +415,7 @@ class GroundingEnv:
             din = self._declared(name, self.sig.predicates,
                                  "function or predicate")
             kind, dout = "mlp_truth", 1
-        self._check_mlp(spec, din, dout)
+        self._check_mlp(spec, din, dout, kind == "mlp_truth")
         init_mlp(self.store, name, spec)
         self._symbols[name] = (kind, spec)
 
@@ -421,7 +426,8 @@ class GroundingEnv:
         passes."""
         din = self._declared(name, self.sig.predicates, "predicate")
         classes = self.sig.dim(din[-1])
-        self._check_mlp(spec, din[:-1], None if classes == 1 else classes)
+        self._check_mlp(spec, din[:-1], None if classes == 1 else classes,
+                        truth=True)
         init_mlp(self.store, name, spec)
         self._symbols[name] = ("select", spec)
 

@@ -182,6 +182,9 @@ class MlpSpec:
         if len(drops) != len(self.acts):
             raise ValueError("need one dropout rate per layer")
         object.__setattr__(self, "drops", tuple(float(d) for d in drops))
+        for d in self.drops:
+            if not 0.0 <= d < 1.0:
+                raise ValueError(f"dropout rate must be in [0, 1), got {d:g}")
         for a in self.acts:
             if a not in T.ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")

@@ -32,12 +32,12 @@ Conventions that matter downstream:
   the last axis.
 - ``fuzzy`` builds every connective and aggregator as one node of the
   same form.
-- ``unbroadcast_product`` (``mul``'s gradients, and the fuzzy kernels')
-  contracts broadcast axes in one ``np.einsum``, so its summation order
-  can differ from ``ndarray.sum`` in the last bit.
-- ``broadcast_product(a, b)`` (the product-family fuzzy kernels) builds
-  ``a * b`` as one ``np.einsum`` outer product when both operands are
-  broadcast; its cells are ``a * b``'s, but a zero product is ``+0.0``.
+- ``product(a, b, shape)`` is ``unbroadcast(a * b, shape)``, and the
+  only code that forms a broadcast product or its gradients: ``mul``
+  and the fuzzy kernels use it both ways. It takes the ufunc when an
+  operand has the unsummed result's shape, else one ``np.einsum``: an
+  outer product, whose zero cells are ``+0.0``, or a contraction,
+  whose summation order can differ from ``ndarray.sum`` in the last bit.
 - ops let numpy produce ``inf``/``nan`` silently. Callers check:
   ``fuzzy`` raises :class:`DomainError` on truth values outside [0, 1],
   and ``training`` raises ``DivergenceError`` on a non-finite loss or
@@ -70,53 +70,41 @@ def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction(gshape: tuple, xshape: tuple, shape: tuple) -> tuple:
-    """``np.einsum`` subscripts summing ``g * x`` to ``shape`` less its size-1
-    axes (operands keep theirs and broadcast), and whether to reshape back."""
-    letters = string.ascii_letters[:len(gshape)]
-    out = "".join(c for c, n in zip(letters[::-1], shape[::-1]) if n != 1)[::-1]
-    return (f"{letters},{letters[len(gshape) - len(xshape):]}->{out}",
-            len(out) != len(shape))
-
-
-def unbroadcast_product(g: np.ndarray, x: np.ndarray, shape: tuple) -> np.ndarray:
-    """``unbroadcast(g * x, shape)``, never building a ``g * x`` to sum."""
-    if g.shape == shape:
-        return g * x
-    subscripts, reshape = _contraction(g.shape, x.shape, shape)
-    out = np.einsum(subscripts, g, x)
-    return out.reshape(shape) if reshape else out
-
-
-@functools.lru_cache(maxsize=None)
-def _outer(ashape: tuple, bshape: tuple):
-    """``np.einsum`` subscripts for ``a * b`` as an outer product over the
-    operands' axes that are not size 1, and the result's shape; None
-    when one operand already has that shape."""
-    shape = np.broadcast_shapes(ashape, bshape)
-    if ashape == shape or bshape == shape:
-        return None
-    letters = string.ascii_letters[:len(shape)]
+def _product_plan(ashape: tuple, bshape: tuple, shape) -> tuple:
+    """How :func:`product` forms ``unbroadcast(a * b, shape)``: the
+    ``np.einsum`` subscripts over the axes that are not size 1 (None for
+    the ufunc, when one operand has the unsummed result's shape), and
+    the result's shape, which is the broadcast shape when ``shape`` is
+    None."""
+    full = np.broadcast_shapes(ashape, bshape)
+    shape = full if shape is None else shape
+    if shape == full and full in (ashape, bshape):
+        return None, shape
+    letters = string.ascii_letters[:len(full)]
 
     def axes(s):  # letters of the axes of s, aligned to the right, not size 1
-        return "".join(c for c, n in zip(letters[len(shape) - len(s):], s)
+        return "".join(c for c, n in zip(letters[len(full) - len(s):], s)
                        if n != 1)
 
     return f"{axes(ashape)},{axes(bshape)}->{axes(shape)}", shape
 
 
-def broadcast_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b``. When each operand is broadcast along some axis of the
-    result, one ``np.einsum`` outer product builds it, faster than the
-    ufunc on large grids (its fixed cost makes it slower on small ones).
-    Each cell is one product and nothing is summed, so each cell has the
-    bits of ``a * b``, but for the sign of a zero: einsum adds each
-    product to a zeroed output, so ``-0.0 * 1.0`` reads ``0.0``."""
-    plan = _outer(a.shape, b.shape)
-    if plan is None:
+def product(a: np.ndarray, b: np.ndarray, shape=None) -> np.ndarray:
+    """``unbroadcast(a * b, shape)``, or ``a * b`` when ``shape`` is None,
+    never building a product to sum. When neither operand has the
+    unsummed result's shape, or the result is summed, one ``np.einsum``
+    forms it: an outer product, faster than the ufunc on large grids
+    (slower on small ones), or a contraction. An outer product's cells
+    have the bits of ``a * b`` but for the sign of a zero (einsum adds
+    each product to a zeroed cell, so ``-0.0 * 1.0`` reads ``0.0``); a
+    contraction's summation order can differ from ``ndarray.sum`` in
+    the last bit."""
+    if a.shape == b.shape and shape in (None, a.shape):
         return a * b
-    subscripts, shape = plan
-    return np.einsum(subscripts, np.squeeze(a), np.squeeze(b)).reshape(shape)
+    subscripts, shape = _product_plan(a.shape, b.shape, shape)
+    if subscripts is None:
+        return a * b
+    return np.einsum(subscripts, a.squeeze(), b.squeeze()).reshape(shape)
 
 
 class Tensor:
@@ -231,8 +219,7 @@ def _sub(a, b):
 
 
 def _mul(a, b):
-    return a * b, lambda g: (unbroadcast_product(g, b, a.shape),
-                             unbroadcast_product(g, a, b.shape))
+    return a * b, lambda g: (product(g, b, a.shape), product(g, a, b.shape))
 
 
 def _neg(a):

@@ -255,7 +255,48 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
          _config(tmp, "exists_schedule = 40:2, 0:1")],
         f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule': "
         "schedule epochs must be strictly increasing"),
+    "demo-eq-alpha-negative": lambda tmp: _eq_alpha_config(tmp, "-1", "-1.0"),
+    "demo-eq-alpha-nan": lambda tmp: _eq_alpha_config(tmp, "nan", "nan"),
+    "train-eq-alpha-zero-in-theory": lambda tmp: _item_kb(
+        tmp, "mlp(4, 4, 1; elu, sigmoid)", "config eq_alpha = 0\n",
+        line=2, message="eq_alpha must be a positive finite number, got 0.0"),
+    "train-predicate-ends-linear": lambda tmp: _item_kb(
+        tmp, "mlp(4, 4, 1; elu, linear)", message="P: a predicate's network "
+        "must end in sigmoid or softmax, not linear"),
+    "train-select-ends-elu": lambda tmp: _item_kb(
+        tmp, "select mlp(2, 4, 2; elu, elu)", message="P: a predicate's "
+        "network must end in sigmoid or softmax, not elu"),
+    "train-dropout-1": lambda tmp: _item_kb(
+        tmp, "mlp(4, 4, 1; elu@1, sigmoid)",
+        message="P: dropout rate must be in [0, 1), got 1"),
+    "train-dropout-1.5": lambda tmp: _item_kb(
+        tmp, "mlp(4, 4, 1; elu@1.5, sigmoid)",
+        message="P: dropout rate must be in [0, 1), got 1.5"),
+    "train-dropout-negative": lambda tmp: _item_kb(
+        tmp, "mlp(4, 4, 1; elu@-0.5, sigmoid)",
+        message="P: dropout rate must be in [0, 1), got -0.5"),
 }
+
+
+def _eq_alpha_config(tmp, value, shown):
+    """``rl demo regression`` under ``eq_alpha = <value>``."""
+    return (["demo", "regression", "--epochs", "2",
+             "--config", _config(tmp, f"eq_alpha = {value}")],
+            f"{tmp / 'run.cfg'}:1: bad value for 'eq_alpha': eq_alpha must "
+            f"be a positive finite number, got {shown}")
+
+
+def _item_kb(tmp, network, config="", *, line=3, message):
+    """``rl train`` on a theory whose predicate ``P`` over item pairs is
+    ``network``, with a ``config`` line after the domain; the message is
+    reported at ``line``, by default ``P``'s declaration."""
+    kb = tmp / "item.rl"
+    kb.write_text(f"domain item = 2\n{config}"
+                  "var x : item = [[0, 1], [1, 0]]\n"
+                  f"pred P : item, item = {network}\n"
+                  "axiom: forall x: P(x, x)\n")
+    return (["train", "--kb", str(kb), "--epochs", "1"],
+            f"{kb.resolve()}:{line}:1: {message}")
 
 
 def _config(tmp, line):

@@ -185,6 +185,12 @@ def test_mlp_spec_validation():
         MlpSpec((2, 3), ("warp",))
     with pytest.raises(ValueError):
         MlpSpec((2, 3, 1), ("elu", "linear"), (0.5,))
+    # a rate of 1 keeps nothing and divides by zero; a negative one does
+    # nothing
+    for rate in (1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            MlpSpec((2, 3, 1), ("elu", "sigmoid"), (rate, 0.0))
+    MlpSpec((2, 3, 1), ("elu", "sigmoid"), (0.0, 0.99))
 
 
 def test_dense_forward_matches_manual_chain():

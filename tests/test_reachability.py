@@ -1,7 +1,8 @@
-"""Every public module-level function and class in ``src/reallogic``,
-and every public method of such a class, has a caller outside the
-tests: some code under ``src/``, ``tools/`` or ``perfbench/`` (its tests
-excluded) names it, other than its own definition."""
+"""Every module-level function and class in ``src/reallogic``, public
+or private, and every public method of a public class, has a caller
+outside the tests: some code under ``src/``, ``tools/`` or
+``perfbench/`` (its tests excluded) names it, other than its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -38,7 +39,10 @@ def _names(node) -> set:
     return out
 
 
-def test_every_public_definition_has_a_caller_outside_the_tests():
+def _uncalled(private: bool) -> list:
+    """The module-level functions and classes of ``src/reallogic`` whose
+    names start with ``_`` (``private``) or do not, that no other
+    top-level statement names."""
     defined = []   # (path, top-level node)
     used = []      # (path, top-level node, names it refers to)
     for path in _sources():
@@ -46,14 +50,23 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             used.append((path, node, _names(node)))
             if path.parent == PACKAGE and isinstance(
                     node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
+                    and node.name.startswith("_") == private:
                 defined.append((path, node))
-    unused = [
+    return [
         f"{path.name}:{node.lineno} {node.name}"
         for path, node in defined
         if not any(node.name in names for p, n, names in used
                    if (p, n) != (path, node))
     ]
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    unused = _uncalled(private=False)
+    assert not unused, unused
+
+
+def test_every_private_helper_has_a_caller_outside_the_tests():
+    unused = _uncalled(private=True)
     assert not unused, unused
 
 

@@ -109,8 +109,11 @@ def test_product_grad_matches_summing_the_full_product(shapes, seed):
     a, b = (np.asarray(r.standard_normal(s)) for s in shapes)
     g = np.asarray(r.standard_normal(np.broadcast_shapes(*shapes)))
     for x, shape in ((b, a.shape), (a, b.shape)):
-        got = T.unbroadcast_product(g, x, shape)
+        got = T.product(g, x, shape)
         assert got.shape == shape
+        # the ufunc only where nothing is summed
+        ufunc = T._product_plan(g.shape, x.shape, shape)[0] is None
+        assert ufunc == (g.shape == shape)
         np.testing.assert_allclose(got, T.unbroadcast(g * x, shape),
                                    rtol=0, atol=1e-12)
 
@@ -141,7 +144,7 @@ def layouts(draw, shape):
     x = r.random(shape)
     x[r.random(shape) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
     layout = draw(st.sampled_from(["c", "fortran", "strided"]))
-    if layout == "fortran":
+    if layout == "fortran" and shape:  # numpy makes a 0-d array 1-d
         return np.asfortranarray(x)
     if layout == "strided" and shape:
         wide = np.zeros(shape[:-1] + (2 * shape[-1],))
@@ -156,21 +159,31 @@ def test_broadcast_product_has_the_bits_of_the_product(data):
     # shape pairs with 0-d operands and size-0 and size-1 axes
     sa, sb = data.draw(outer_shapes())
     a, b = data.draw(layouts(sa)), data.draw(layouts(sb))
-    got, want = T.broadcast_product(a, b), a * b
+    got, want = T.product(a, b), a * b
+    # the ufunc only where an operand has the result's shape
+    ufunc = T._product_plan(a.shape, b.shape, None)[0] is None
+    assert ufunc == (want.shape in (a.shape, b.shape))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
 
 
 def test_broadcast_product_takes_einsum_when_both_operands_broadcast():
-    assert T._outer((32, 1000, 1), (32, 1, 10)) == ("ab,ac->abc",
-                                                    (32, 1000, 10))
-    assert T._outer((3, 1, 1), (1, 1, 4)) == ("a,c->ac", (3, 1, 4))
-    assert T._outer((2, 1), (3,)) == ("a,b->ab", (2, 3))
-    assert T._outer((3, 4), (4,)) is None  # b alone is broadcast
-    assert T._outer((), (2, 1)) is None
-    assert T._outer((2, 3), (2, 3)) is None
+    plan = T._product_plan
+    assert plan((32, 1000, 1), (32, 1, 10), None) == ("ab,ac->abc",
+                                                      (32, 1000, 10))
+    assert plan((3, 1, 1), (1, 1, 4), None) == ("a,c->ac", (3, 1, 4))
+    assert plan((2, 1), (3,), None) == ("a,b->ab", (2, 3))
+    assert plan((3, 4), (4,), None) == (None, (3, 4))  # b alone is broadcast
+    assert plan((), (2, 1), None) == (None, (2, 1))
+    assert plan((2, 3), (2, 3), None) == (None, (2, 3))
+    # a summed product is a contraction, even where an operand has the
+    # broadcast shape
+    assert plan((2, 3), (3,), (3,)) == ("ab,b->b", (3,))
+    assert plan((2, 3), (2, 1), (2, 1)) == ("ab,a->a", (2, 1))
+    assert plan((4, 2, 3), (1, 3), (1, 3)) == ("abc,c->c", (1, 3))
+    assert plan((2, 3), (2, 3), (2, 3)) == (None, (2, 3))
     # einsum adds each product to a zeroed cell, so a zero has no sign
-    out = T.broadcast_product(np.array([[-0.0], [1.0]]), np.array([[1.0, 2.0]]))
+    out = T.product(np.array([[-0.0], [1.0]]), np.array([[1.0, 2.0]]))
     np.testing.assert_array_equal(out, [[0.0, 0.0], [1.0, 2.0]])
     assert not np.signbit(out).any()
 
