@@ -16,8 +16,8 @@ from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.logic import EvalError, GroundingEnv, where
 from reallogic.nn import MlpSpec, ParamStore
 from reallogic.parser import (
-    Axiom, ConfigDecl, ConstDecl, DomainDecl, SymbolDecl, TheoryDoc, VarDecl,
-    parse_theory_file,
+    Axiom, ConfigDecl, ConstDecl, DomainDecl, Query, SymbolDecl, TheoryDoc,
+    VarDecl, parse_theory_file,
 )
 from reallogic.training import Theory
 
@@ -35,7 +35,7 @@ BUILTINS = {"euclidean": euclidean}
 
 def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                  tags: dict = None) -> Theory:
-    """Ground every declaration and collect the axioms.
+    """Ground every declaration and collect the axioms and queries.
 
     ``data`` maps variable names to instance arrays, overriding inline
     and file-backed declarations (demos use it to bind train splits).
@@ -55,7 +55,7 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
     store = ParamStore(seed)
     env = GroundingEnv(doc.sig, store, cfg)
 
-    axioms = []
+    axioms, queries = [], []
     for s in doc.statements:
         try:
             if isinstance(s, (DomainDecl, ConfigDecl)):
@@ -86,14 +86,14 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
                     env.add_select(s.name, MlpSpec(*args))
                 else:
                     env.add_mlp(s.name, MlpSpec(*args))
-            elif isinstance(s, Axiom):
+            elif isinstance(s, Axiom):  # a Query too
                 for kind, p in s.p.items():  # a family without p rejects it
                     try:
                         getattr(cfg, CONFIG_KEYS[kind]).with_p(p)
                     except ValueError as e:
                         raise TheoryError(f"{where(s.span)}@{kind}(p={p:g}): "
                                           f"{e}") from None
-                axioms.append(s)
+                (queries if isinstance(s, Query) else axioms).append(s)
             else:
                 raise TheoryError(f"unknown statement {s!r}")
         except (EvalError, ValueError) as e:
@@ -102,7 +102,7 @@ def build_theory(doc: TheoryDoc, seed: int = 0, data: dict = None,
             name = getattr(s, "name", getattr(s, "label", "?"))
             raise TheoryError(f"{where(s.span)}{name}: {e}") from None
     try:
-        return Theory(tuple(axioms), env)
+        return Theory(tuple(axioms), env, tuple(queries))
     except ValueError as e:
         raise TheoryError(str(e)) from None
 

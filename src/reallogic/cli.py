@@ -150,6 +150,8 @@ def cmd_train(args) -> int:
     th = _load_kb(args, args.seed, tags)
     recs = learn(th, train)
     print(f"Sat = {recs[-1]['sat']:.4f} after {train.epochs} epochs")
+    for q in th.queries:
+        print(f"{q.label} = {recs[-1][q.label]:.4f}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

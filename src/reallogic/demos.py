@@ -28,7 +28,7 @@ from reallogic.datasets import (
 from reallogic.logic import App, Var
 from reallogic.training import (
     RefutationConfig, TrainConfig, axiom_truth, learn, query, reason_refute,
-    truth_value, write_metrics,
+    write_metrics,
 )
 
 
@@ -143,13 +143,6 @@ def run_multiclass(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     return DemoResult(recs, _final(recs), art, th)
 
 
-MULTILABEL_QUERIES = {
-    "phi1": "forall x: (P(x, l_blue) -> ~P(x, l_orange))",
-    "phi2": "forall x: (P(x, l_blue) -> P(x, l_orange))",
-    "phi3": "forall x: (P(x, l_blue) -> P(x, l_male))",
-}
-
-
 def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     ds = bundled("crabs_like")
     feature_cols = ("fl", "rw", "cl", "cw", "bd")
@@ -157,17 +150,16 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     rng = np.random.default_rng([seed, 3])
     tr, te = split_stratified(rng, strata, 0.75)
     train_ds, test_ds = ds.take(tr), ds.take(te)
-    feats = train_ds.cols(*feature_cols)
+    feats, test_rows = train_ds.cols(*feature_cols), test_ds.cols(*feature_cols)
     binds = {"x": feats,
              "x_blue": feats[train_ds.col("color") == 0.0],
              "x_orange": feats[train_ds.col("color") == 1.0],
              "x_male": feats[train_ds.col("sex") == 0.0],
-             "x_female": feats[train_ds.col("sex") == 1.0]}
+             "x_female": feats[train_ds.col("sex") == 1.0],
+             "x_test": test_rows}
     th = _load("multilabel", seed, binds, tags)
     labels = ("l_blue", "l_orange", "l_male", "l_female")
     atoms = _parsed(th, *(f"P(x, {l})" for l in labels))
-    phis = dict(zip(MULTILABEL_QUERIES,
-                    _parsed(th, *MULTILABEL_QUERIES.values())))
 
     def targets(d):
         color, sex = d.col("color"), d.col("sex")
@@ -181,16 +173,12 @@ def run_multilabel(seed: int, train: TrainConfig, tags=None) -> DemoResult:
             return float(1.0 - hl)
         return f
 
-    metrics = {"train_accuracy": acc(train_ds), "test_accuracy": acc(test_ds)}
-    for name, phi in phis.items():
-        metrics[name] = (lambda t, phi=phi:
-                         truth_value(t, phi, p={"forall": 5},
-                                     data={"x": test_ds.cols(*feature_cols)}))
-    recs = learn(th, train, batched=[k for k in binds if k != "x"],
-                 metrics=metrics)
-    scores = _label_scores(th, test_ds.cols(*feature_cols), atoms)
-    art_rows = np.column_stack([test_ds.cols(*feature_cols),
-                                targets(test_ds), scores]).tolist()
+    recs = learn(th, train,
+                 batched=("x_blue", "x_orange", "x_male", "x_female"),
+                 metrics={"train_accuracy": acc(train_ds),
+                          "test_accuracy": acc(test_ds)})
+    scores = _label_scores(th, test_rows, atoms)
+    art_rows = np.column_stack([test_rows, targets(test_ds), scores]).tolist()
     cols = feature_cols + ("is_blue", "is_orange", "is_male", "is_female",
                            "s_blue", "s_orange", "s_male", "s_female")
     return DemoResult(recs, _final(recs),
@@ -294,12 +282,6 @@ def run_clustering(seed: int, train: TrainConfig, tags=None) -> DemoResult:
                       art, th)
 
 
-SMOKERS_QUERIES = {
-    "phi1": "forall x: (C(x) -> S(x))",
-    "phi2": "forall x, y: ((C(x) | C(y)) -> F(x, y))",
-}
-
-
 def smoker_facts(theory) -> tuple:
     """The smokers theory's people: the constants grounding ``var x``, in
     the axis order of ``S(x)``. perfbench times it as a data maker."""
@@ -308,15 +290,10 @@ def smoker_facts(theory) -> tuple:
 
 def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     th = _load("smokers", seed, tags=tags)
-    by_label = {ax.label: ax for ax in th.axioms}
-    phis = _parsed(th, *SMOKERS_QUERIES.values())
+    (symmetric,) = [ax for ax in th.axioms if ax.label == "symmetric"]
     s_x, c_x, f_xy = _parsed(th, "S(x)", "C(x)", "F(x, y)")
-
-    metrics = {name: (lambda t, phi=phi: truth_value(t, phi, p={"forall": 5}))
-               for name, phi in zip(SMOKERS_QUERIES, phis)}
-    metrics["symmetry"] = (
-        lambda t: float(axiom_truth(t, by_label["symmetric"]).data))
-    recs = learn(th, train, metrics=metrics)
+    recs = learn(th, train, metrics={
+        "symmetry": lambda t: float(axiom_truth(t, symmetric).data)})
     people = smoker_facts(th)
     s = _truths(th, s_x)
     c = _truths(th, c_x)

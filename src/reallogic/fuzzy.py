@@ -434,8 +434,8 @@ def aggregate(spec: AggregatorSpec, t, k: int, mask=None, empty=None) -> Tensor:
 
         def back(g):
             gx = deriv(g)
-            if valid is not None:  # zero on a vacant row: it keeps no cell
-                gx = gx * valid
+            if valid is not None:  # an exact 0 on padding and vacant rows
+                gx = np.where(valid, gx, 0.0)
             if spec.stable:
                 gx = gx * (1.0 - spec.eps)
             return (gx.reshape(shape),)

@@ -180,6 +180,11 @@ class Axiom:
     span: tuple = field(default=None, compare=False)
 
 
+class Query(Axiom):
+    """A statement read like an axiom, whose truth training records under
+    its label instead of counting it in Sat."""
+
+
 # -- signature -----------------------------------------------------------------
 
 

@@ -1,10 +1,10 @@
-"""Text format for theories: declarations, operator config, and axioms.
+"""Text format for theories: declarations, operator config, axioms, queries.
 
 Grammar (EBNF, ``#`` starts a line comment, whitespace is free-form):
 
     theory      = { statement } ;
     statement   = domain | constdecl | vardecl | funcdecl | preddecl
-                | configdecl | includedecl | axiomdecl ;
+                | configdecl | includedecl | axiomdecl | querydecl ;
 
     domain      = "domain" IDENT "=" NUMBER ;
     constdecl   = "const" IDENT ":" IDENT "=" constinit ;
@@ -22,8 +22,9 @@ Grammar (EBNF, ``#`` starts a line comment, whitespace is free-form):
     act         = IDENT [ "@" NUMBER ]        (* activation, dropout rate *)
     configdecl  = "config" IDENT "=" configval ;
     includedecl = "include" STRING ;
-    axiomdecl   = "axiom" [ STRING ] { "@" IDENT "(" "p" "=" NUMBER ")" }
-                  ":" formula ;
+    axiomdecl   = "axiom" [ STRING ] { annotation } ":" formula ;
+    querydecl   = "query" STRING { annotation } ":" formula ;  (* not in Sat *)
+    annotation  = "@" IDENT "(" "p" "=" NUMBER ")" ;
 
     formula     = iff ;                       (* one level per _BINARY row *)
     iff         = imp { "<->" imp } ;
@@ -72,11 +73,11 @@ from pathlib import Path
 
 from reallogic.logic import (
     COMPARISONS, QUANTIFIERS, App, Atom, Axiom, Bin, Const, Eq, Guard, Not,
-    Quant, Signature, SignatureError, Var, where,
+    Quant, Query, Signature, SignatureError, Var, where,
 )
 
 STATEMENT_KEYWORDS = ("domain", "const", "var", "func", "pred",
-                      "axiom", "config", "include")
+                      "axiom", "query", "config", "include")
 _KEYWORDS = STATEMENT_KEYWORDS + QUANTIFIERS + (
     "in", "train", "consts", "data", "cols", "mlp", "select", "scalar",
     "builtin")
@@ -214,7 +215,7 @@ class TheoryDoc:
 
     @property
     def axioms(self) -> list[Axiom]:
-        return [s for s in self.statements if isinstance(s, Axiom)]
+        return [s for s in self.statements if type(s) is Axiom]  # no Query
 
     @property
     def configs(self) -> list[ConfigDecl]:
@@ -438,10 +439,10 @@ class _Parser:
         sub.run()
 
     def s_axiom(self):
-        span = self.next().span
-        label = None
-        if self.at("string"):
-            label = self.next().value
+        head = self.next()
+        label = self.next().value if self.at("string") else None
+        if label is None and head.text == "query":
+            raise ParseError("a query needs a \"label\"", self.peek().span)
         p = {}
         while self.eat("punct", "@"):
             kw = self.peek()
@@ -463,7 +464,10 @@ class _Parser:
             p[kw.text] = val
         self.expect("punct", ":")
         f = self.formula()
-        self.statements.append(Axiom(f, label, p, span))
+        record = Query if head.text == "query" else Axiom
+        self.statements.append(record(f, label, p, head.span))
+
+    s_query = s_axiom  # a query is read like an axiom but needs a label
 
     # -- shared small pieces ------------------------------------------------
 

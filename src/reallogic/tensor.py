@@ -280,10 +280,11 @@ def power(a, n) -> Tensor:
 
 
 def where(cond, a, b) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a constant mask."""
+    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a constant mask.
+    An unselected cell gets an exact 0 gradient, even from an infinite one."""
     cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=bool)
-    return fused(lambda x, y: (np.where(cond, x, y),
-                               lambda g: (g * cond, g * ~cond)), a, b)
+    return fused(lambda x, y: (np.where(cond, x, y), lambda g: (
+        np.where(cond, g, 0.0), np.where(cond, 0.0, g))), a, b)
 
 
 # -- dense layers -----------------------------------------------------------

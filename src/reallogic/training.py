@@ -27,9 +27,10 @@ class SettingsError(ValueError):
 
 @dataclass
 class Theory:
-    """A knowledge base: closed axioms over a grounded environment."""
+    """Closed axioms over a grounded environment, and labelled queries."""
     axioms: tuple
     env: "GroundingEnv"
+    queries: tuple = ()
 
     def __post_init__(self):
         if not self.axioms:
@@ -37,6 +38,13 @@ class Theory:
         for ax in self.axioms:
             label = f" {ax.label}" if ax.label else ""
             _check_closed(ax.formula, f"{where(ax.span)}axiom{label}")
+        taken = {"epoch", "sat", "loss"}  # the keys every record holds
+        for q in self.queries:
+            if q.label in taken:
+                raise ValueError(f"{where(q.span)}query label {q.label!r} "
+                                 "is already taken")
+            taken.add(q.label)
+            _check_closed(q.formula, f"{where(q.span)}query {q.label}")
 
     @property
     def cfg(self):
@@ -203,13 +211,14 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     drawn indices). ``learn`` is the one writer of ``env.training``: it
     is True while a step grounds Sat, so that root scope enables
     dropout, and False otherwise. Each epoch's record holds Sat and the
-    loss over the declared instances with training off. ``metrics`` maps
-    names to callables on the theory, evaluated every ``log_every``
-    epochs on the parameters the record describes. Returns the records;
-    records[0] is the pre-training state. Raises EvalError naming an
-    undeclared variable in ``batched``, DivergenceError on a non-finite
-    loss or gradient, and SettingsError before the first step when an
-    exists schedule sets p for an exists family that takes none.
+    loss over the declared instances with training off; a record due by
+    ``log_every``, and the last, also holds each declared query's truth
+    and each ``metrics`` callable's value on the theory. Returns the
+    records; records[0] is the pre-training state. Raises EvalError
+    naming an undeclared variable in ``batched``, DivergenceError on a
+    non-finite loss or gradient, and SettingsError before the first step
+    for an exists-schedule p that the exists family cannot take, or for
+    a metric named like a query.
 
     When a step grounds the very scope of the record before it, that
     step's forward writes the record, so an epoch costs one Sat forward.
@@ -225,6 +234,9 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
         raise SettingsError(
             f"bad training settings: exists schedule: {e}") from None
     metrics = metrics or {}
+    if clash := [q.label for q in theory.queries if q.label in metrics]:
+        raise SettingsError(f"bad training settings: metric {clash[0]!r} "
+                            "is named like a declared query")
     data = {name: theory.env.instances(name) for name in batched}
     groups = _diag_partition(theory, data.keys())
     sizes = {}
@@ -293,12 +305,13 @@ def _log(theory, train, metrics, epoch, ep=None) -> dict:
 
 
 def _record(theory, train, metrics, epoch, sat: float, loss: float) -> dict:
-    """An epoch's record; the metrics run when due, with training off."""
+    """An epoch's record; metrics and queries run when due, training off."""
     rec = {"epoch": epoch, "sat": sat, "loss": loss}
-    due = epoch % train.log_every == 0 or epoch == train.epochs
-    if metrics and due:
+    if epoch % train.log_every == 0 or epoch == train.epochs:
         for name, fn in metrics.items():
             rec[name] = float(fn(theory))
+        for q in theory.queries:
+            rec[q.label] = truth_value(theory, q.formula, p=q.p)
     return rec
 
 
@@ -355,13 +368,10 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     return QueryResult(kind, values, gv.vars)
 
 
-def truth_value(theory: Theory, formula, p: dict = None,
-                data: dict = None) -> float:
-    """Scalar shortcut for closed-formula truth queries; ``p`` and
-    ``data`` are as in :func:`query`."""
-    kind = "generalization-truth" if data else "truth"
-    res = query(theory, kind, formula, data=data, p=p)
-    return float(res.values)
+def truth_value(theory: Theory, formula, p: dict = None) -> float:
+    """Scalar shortcut for closed-formula truth queries; ``p`` is as in
+    :func:`query`."""
+    return float(query(theory, "truth", formula, p=p).values)
 
 
 # -- reasoning ----------------------------------------------------------------

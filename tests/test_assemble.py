@@ -1,5 +1,7 @@
 """Tests for turning parsed theories into runnable groundings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,33 @@ def test_open_axiom_rejected():
            "pred P : u = mlp(1, 1; sigmoid)\naxiom: P(x)\n")
     with pytest.raises(TheoryError, match=r"^<theory>:4:1: axiom is not "
                                           r"closed: free x$"):
+        build_theory(parse_theory(src), seed=0)
+
+
+QUERY_SRC = ("domain u = 1\nvar x : u = [0.5]\n"
+             "pred P : u = mlp(1, 1; sigmoid)\naxiom: forall x: P(x)\n")
+
+
+def test_queries_are_kept_apart_from_the_axioms():
+    th = build_theory(parse_theory(QUERY_SRC + 'query "q": forall x: ~P(x)\n'),
+                      seed=0)
+    assert len(th.axioms) == 1
+    assert [q.label for q in th.queries] == ["q"]
+    assert build_theory(parse_theory(QUERY_SRC), seed=0).queries == ()
+
+
+@pytest.mark.parametrize("queries,message", [
+    ('query "q": P(x)\n', "query q is not closed: free x"),
+    ('query "first": forall x: ~P(x)\n',
+     "query label 'first' is already taken"),
+    ('query "sat": forall x: P(x)\n', "query label 'sat' is already taken"),
+    ('query "q" @forall(p=5): forall x: P(x)\n',
+     "@forall(p=5): min takes no p"),
+], ids=["open", "twice", "record-key", "p-for-a-min"])
+def test_a_bad_query_is_reported_at_its_statement(queries, message):
+    src = QUERY_SRC.replace("axiom", "config forall = min\naxiom") + \
+        'query "first": forall x: P(x)\n' + queries
+    with pytest.raises(TheoryError, match=f"^<theory>:7:1: {re.escape(message)}$"):
         build_theory(parse_theory(src), seed=0)
 
 

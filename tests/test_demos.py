@@ -12,8 +12,8 @@ import pytest
 from reallogic import cli, demos
 from reallogic.assemble import load_theory
 from reallogic.demos import (
-    DEMO_IDS, DEMOS, MULTILABEL_QUERIES, default_train, run_demo, run_many,
-    self_check, theory_path,
+    DEMO_IDS, DEMOS, default_train, run_demo, run_many, self_check,
+    theory_path,
 )
 from reallogic.nn import ParamStore
 from reallogic.parser import parse_theory_file
@@ -242,7 +242,8 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "demo-query-p-for-a-min": lambda tmp: (
         ["demo", "multilabel", "--epochs", "2",
          "--config", _config(tmp, "forall = min")],
-        "forall(p=5): min takes no p"),
+        f"{theory_path('multilabel').resolve()}:34:1: @forall(p=5): "
+        "min takes no p"),
     "demo-schedule-for-a-max": lambda tmp: (
         ["demo", "clustering", "--config", _config(tmp, "exists = max")],
         "bad training settings: exists schedule: max takes no p"),
@@ -427,6 +428,20 @@ def test_cli_config_rejects_bad_operator_values(line, error, tmp_path):
                   "--config", str(cfg)])
 
 
+def test_cli_train_reports_the_theorys_declared_queries(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc = cli.main(["train", "--kb", str(theory_path("smokers")),
+                   "--epochs", "2", "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    recs = [json.loads(l) for l in
+            (out / "metrics.jsonl").read_text().splitlines()]
+    assert len(recs) == 3  # log_every is 1, so every epoch is logged
+    assert lines[1:3] == [f"{k} = {recs[-1][k]:.4f}" for k in ("phi1", "phi2")]
+    for rec in recs:
+        assert 0.0 <= rec["phi1"] <= 1.0 and 0.0 <= rec["phi2"] <= 1.0
+
+
 @pytest.mark.parametrize("name", sorted(
     p.stem for p in theory_path("refute").parent.glob("*.rl")))
 def test_cli_trains_every_bundled_theory(name, tmp_path, capsys):
@@ -537,6 +552,5 @@ def test_multilabel_parses_each_formula_once(monkeypatch):
     run_demo("multilabel", 0, replace(default_train("multilabel", 0),
                                       epochs=2, log_every=1))
     labels = ("l_blue", "l_orange", "l_male", "l_female")
-    assert sorted(calls) == sorted(
-        [f"P(x, {l})" for l in labels] + list(MULTILABEL_QUERIES.values()))
+    assert sorted(calls) == sorted(f"P(x, {l})" for l in labels)
     assert set(calls.values()) == {1}

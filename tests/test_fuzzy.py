@@ -659,6 +659,18 @@ def test_nan_truth_is_a_domain_error():
         aggregate(AggregatorSpec("mean"), Tensor([np.nan, 0.5]), 1)
 
 
+def test_padding_passes_no_infinite_gradient_to_the_cell_it_gathers():
+    # row 1 keeps one cell, a 0, so its p-mean has an infinite gradient;
+    # its padding gathers cell (0, 0), which no row keeps
+    x = Tensor(np.array([[0.5, 0.2, 0.9], [0.3, 0.0, 0.8]]),
+               requires_grad=True)
+    mask = np.array([[False, True, True], [False, True, False]])
+    out = aggregate(AggregatorSpec("pmean", p=2), x, 1, mask=mask)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        (gx,) = T.grad(T.reduce_sum(out), [x])
+    assert gx[0, 0] == 0.0 and gx[1, 0] == 0.0 and gx[1, 2] == 0.0
+
+
 def test_a_masked_aggregate_checks_only_its_kept_cells():
     # row 1 keeps one cell, so its packed row pads with flat cell 0
     t = np.array([[1.5, 0.3, 0.6], [0.2, 0.4, -2.0]])

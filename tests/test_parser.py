@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reallogic.logic import (
-    App, Atom, Axiom, Bin, Eq, Guard, Not, Quant, Signature, Var,
+    App, Atom, Axiom, Bin, Eq, Guard, Not, Quant, Query, Signature, Var,
 )
 from reallogic.parser import (
     _UNICODE_ALIASES, ConfigDecl, ConstDecl, DomainDecl, ParseError,
@@ -446,3 +446,28 @@ def test_repeated_axiom_annotation_is_reported_at_its_keyword():
     assert [(d.message, d.span[1:]) for d in doc.diagnostics] == [
         ("repeated @forall annotation", (3, 21))]
     assert [ax.p for ax in doc.axioms] == [{"forall": 2.0, "exists": 3.0}]
+
+
+def test_a_query_is_read_like_an_axiom_but_kept_apart():
+    doc = parse_theory("domain d = 1\nvar x : d = [0.5]\n"
+                       "pred P : d = mlp(1, 1; sigmoid)\n"
+                       "axiom: forall x: P(x)\n"
+                       'query "q" @exists(p=3) @forall(p=2): forall x: ~P(x)\n',
+                       filename="q.rl")
+    assert doc.diagnostics == []
+    assert len(doc.axioms) == 1
+    (q,) = [s for s in doc.statements if isinstance(s, Query)]
+    assert q == Query(parse_formula("forall x: ~P(x)", doc.sig), "q",
+                      {"exists": 3.0, "forall": 2.0})
+    assert q.span == ("q.rl", 5, 1)
+
+
+def test_a_query_without_a_label_is_a_parse_error():
+    doc = parse_theory("domain d = 1\npred A = scalar\n"
+                       "query @forall(p=2): A\nquery: A\n"
+                       'query "kept": A\n')
+    assert [(d.message, d.span[1:]) for d in doc.diagnostics] == [
+        ('a query needs a "label"', (3, 7)),
+        ('a query needs a "label"', (4, 6))]
+    assert [s.label for s in doc.statements if isinstance(s, Query)] == \
+        ["kept"]

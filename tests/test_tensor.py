@@ -329,6 +329,18 @@ def test_where_routes_grads_by_mask():
     assert np.allclose(gb, [0.0, 1.0, 0.0])
 
 
+def test_where_passes_zero_for_an_infinite_gradient_it_does_not_select():
+    cond = np.array([True, False])
+    a = Tensor([0.0, 5.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    # the square root's gradient at the selected 0 is infinite
+    root = T.reduce_sum(T.power(T.where(cond, a, b), 0.5))
+    with np.errstate(all="raise"):
+        ga, gb = T.grad(root, [a, b])
+    assert np.array_equal(ga, [np.inf, 0.0])
+    assert np.array_equal(gb, [0.0, 0.25])
+
+
 def test_graph_reuse_accumulates():
     a = Tensor(3.0, requires_grad=True)
     y = a * a + a  # a used twice in the product, once in the sum

@@ -8,7 +8,7 @@ import pytest
 from reallogic.assemble import load_theory
 from reallogic.demos import smoker_facts
 from reallogic.parser import parse_theory_file
-from reallogic.training import satisfiability
+from reallogic.training import satisfiability, truth_value
 
 THEORY_DIR = Path(__file__).parent.parent / "src" / "reallogic" / "theories"
 THEORIES = sorted(THEORY_DIR.glob("*.rl"))
@@ -24,6 +24,8 @@ AXIOM_COUNTS = {
     "regression": 1,
     "smokers": 119,
 }
+
+QUERY_COUNTS = {"multilabel": 3, "smokers": 2}  # the others declare none
 
 
 def test_corpus_is_complete():
@@ -42,6 +44,9 @@ def test_theory_builds_and_evaluates(path):
     th = load_theory(path, seed=0)
     sat = float(satisfiability(th).data)
     assert 0.0 <= sat <= 1.0
+    assert len(th.queries) == QUERY_COUNTS.get(path.stem, 0)
+    for q in th.queries:
+        assert 0.0 <= truth_value(th, q.formula, p=q.p) <= 1.0
 
 
 def test_smokers_fact_axioms_match_fact_sets():

@@ -24,6 +24,7 @@ from reallogic.training import (
     QUERY_KINDS,
     DivergenceError,
     RefutationConfig,
+    SettingsError,
     Theory,
     TrainConfig,
     axiom_truth,
@@ -439,7 +440,8 @@ def test_schedule_rejects_p_below_one(schedule):
 def plain_learn(theory, train, batched=(), metrics=None):
     """The learning loop with a separate Sat forward for every record:
     the oracle for ``learn``, which writes a record from the next step's
-    forward when the two ground the same scope."""
+    forward when the two ground the same scope. A due record also holds
+    the metrics and the theory's declared queries."""
     data = {v: theory.env.instances(v) for v in batched}
     metrics = metrics or {}
     groups = _diag_partition(theory, data.keys())
@@ -453,10 +455,11 @@ def plain_learn(theory, train, batched=(), metrics=None):
         loss = _loss(theory, train, sat)
         rec = {"epoch": epoch, "sat": float(sat.data),
                "loss": float(loss.data)}
-        if metrics and (epoch % train.log_every == 0
-                        or epoch == train.epochs):
+        if epoch % train.log_every == 0 or epoch == train.epochs:
             for name, fn in metrics.items():
                 rec[name] = float(fn(theory))
+            for q in theory.queries:
+                rec[q.label] = truth_value(theory, q.formula, p=q.p)
         return rec
 
     records = [log(0, schedule_value(train.exists_schedule, 0))]
@@ -487,11 +490,11 @@ def plain_learn(theory, train, batched=(), metrics=None):
 
 
 def smokers_theory():
+    """Smokers, whose declared queries phi1 and phi2 join each record,
+    with its axiom ``symmetric`` as a metric."""
     th = load_theory(theory_path("smokers"), seed=0)
     symmetric = next(ax for ax in th.axioms if ax.label == "symmetric")
-    metrics = {"phi1": lambda t: truth_value(t, "forall x: (C(x) -> S(x))",
-                                             p={"forall": 5}),
-               "symmetry": lambda t: float(axiom_truth(t, symmetric).data)}
+    metrics = {"symmetry": lambda t: float(axiom_truth(t, symmetric).data)}
     return th, metrics
 
 
@@ -917,6 +920,25 @@ def test_metrics_callbacks_logged(tmp_path):
     assert "a_value" in recs[2]
     assert "a_value" not in recs[1]
     assert "a_value" in recs[4]  # final epoch always logs
+
+
+def test_declared_queries_join_the_due_records():
+    th = build_theory(parse_theory(
+        DISJ_SRC + 'query "both" @forall(p=3): A & B\n'), seed=0)
+    recs = learn(th, TrainConfig(epochs=3, log_every=2))
+    assert [("both" in r) for r in recs] == [True, False, True, True]
+    assert recs[-1]["both"] == truth_value(th, th.queries[0].formula)
+
+
+def test_a_metric_named_like_a_query_is_a_settings_error():
+    th = build_theory(parse_theory(DISJ_SRC + 'query "both": A & B\n'),
+                      seed=0)
+    before = th.store.snapshot()
+    with pytest.raises(SettingsError, match="^bad training settings: metric "
+                                            "'both' is named like a "
+                                            "declared query$"):
+        learn(th, TrainConfig(epochs=1), metrics={"both": lambda t: 0.0})
+    assert th.store.snapshot() == before
 
 
 def test_param_store_roundtrip(tmp_path):

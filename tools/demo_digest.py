@@ -12,8 +12,11 @@ per seed, the command line runs in-process: ``rl train --kb smokers.rl
 optimizer key and one operator key, ``rl query --params`` on the
 trained parameters (a closed formula with ``--forall-p`` and an open
 one), and ``rl refute --kb refute.rl --epochs 50``. The config file
-(``train.cfg``) and the stdout of query and refute (``query.txt``,
-``refute.txt``) are saved beside the files ``rl train`` wrote. The
+(``train.cfg``) and the stdout of train, query and refute
+(``train.txt``, with the output directory shown as ``<out>``,
+``query.txt`` and ``refute.txt``) are saved beside the files ``rl
+train`` wrote, so the final Sat and the theory's declared queries that
+``rl train`` prints are pinned too. The
 output is one ``<sha256>  <seed>/<demo or cli>/<file>`` line per file
 (metrics, parameters, artifact CSVs and command output), sorted by
 path. Two checkouts that print the same lines behave the same on these
@@ -48,8 +51,9 @@ def run_cli(seed: int, out: Path) -> None:
     config = out / "train.cfg"
     config.write_text(CLI_CONFIG)
     smokers = demos.theory_path("smokers")
-    _rl("train", "--kb", smokers, "--seed", seed, "--epochs", 3,
-        "--config", config, "--out", out)
+    trained = _rl("train", "--kb", smokers, "--seed", seed, "--epochs", 3,
+                  "--config", config, "--out", out)
+    (out / "train.txt").write_text(trained.replace(str(out), "<out>"))
     query = ["query", "--kb", smokers, "--seed", seed,
              "--params", out / "params.bin", "--formula"]
     (out / "query.txt").write_text(
