@@ -18,7 +18,7 @@ from reallogic.nn import ParamStore
 from reallogic.parser import ParseError
 from reallogic.training import (
     RefutationConfig, SettingsError, TrainConfig, learn, query, reason_refute,
-    write_metrics,
+    truth_value, write_metrics,
 )
 
 
@@ -170,6 +170,12 @@ def cmd_query(args) -> int:
             th.store.copy_from(ParamStore.load(args.params))
         except (OSError, ValueError) as e:
             raise SystemExit(f"--params: {e}") from None
+    if args.formula is None:  # the theory's declared queries, as learn records them
+        if not th.queries:
+            raise SystemExit(f"{args.kb}: no declared query; give --formula")
+        for q in th.queries:
+            print(f"{q.label} = {truth_value(th, q.formula, p=q.p)!r}")
+        return 0
     try:  # a p below 1 fails only when its aggregator is built
         res = query(th, "truth", args.formula,
                     p={"forall": args.forall_p, "exists": args.exists_p})
@@ -234,9 +240,10 @@ def main(argv=None) -> int:
     t.add_argument("--out", help="directory for metrics and params")
     t.set_defaults(fn=cmd_train)
 
-    q = sub.add_parser("query", help="evaluate a closed formula's truth")
+    q = sub.add_parser("query", help="evaluate a closed formula's truth, "
+                       "or else each query the theory declares")
     q.add_argument("--kb", required=True)
-    q.add_argument("--formula", required=True)
+    q.add_argument("--formula")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--params", help="params.bin from an earlier train run")
     q.add_argument("--forall-p", type=float)

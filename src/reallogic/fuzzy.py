@@ -152,18 +152,22 @@ def _not(a):
     return 1.0 - a, lambda g: (-g,)
 
 
+def _picked(g, pick, a, b, both=False, sign=1.0):
+    """``g`` where ``pick`` holds to ``a`` (times ``sign``), and to ``b``
+    where it does not, or where it does when ``both``; each summed to
+    its operand's shape. Every other cell gets an exact 0, even from an
+    infinite ``g``."""
+    ga = np.where(pick, g, 0.0)
+    gb = ga if both else np.where(pick, 0.0, g)
+    return sign * T.unbroadcast(ga, a.shape), T.unbroadcast(gb, b.shape)
+
+
 def _min(a, b):
-    def deriv(g):
-        pick = a <= b
-        return T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
-    return np.minimum(a, b), deriv
+    return np.minimum(a, b), lambda g: _picked(g, a <= b, a, b)
 
 
 def _max(a, b):
-    def deriv(g):
-        pick = a >= b
-        return T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
-    return np.maximum(a, b), deriv
+    return np.maximum(a, b), lambda g: _picked(g, a >= b, a, b)
 
 
 def _product_and(a, b):
@@ -178,29 +182,22 @@ def _product_or(a, b):
 
 
 def _luk_and(a, b):
-    def deriv(g):
-        pick = a + b - 1.0 >= 0.0
-        return T.product(g, pick, a.shape), T.product(g, pick, b.shape)
-    return np.maximum(a + b - 1.0, 0.0), deriv
+    return (np.maximum(a + b - 1.0, 0.0),
+            lambda g: _picked(g, a + b - 1.0 >= 0.0, a, b, both=True))
 
 
 def _luk_or(a, b):
-    def deriv(g):
-        pick = a + b <= 1.0
-        return T.product(g, pick, a.shape), T.product(g, pick, b.shape)
-    return np.minimum(a + b, 1.0), deriv
+    return np.minimum(a + b, 1.0), lambda g: _picked(g, a + b <= 1.0, a, b, both=True)
 
 
 def _kleene_dienes(a, b):
-    def deriv(g):
-        pick = 1.0 - a >= b
-        return -T.product(g, pick, a.shape), T.product(g, ~pick, b.shape)
-    return np.maximum(1.0 - a, b), deriv
+    return (np.maximum(1.0 - a, b),
+            lambda g: _picked(g, 1.0 - a >= b, a, b, sign=-1.0))
 
 
 def _godel(a, b):
     return (np.where(a <= b, 1.0, b),
-            lambda g: (None, T.product(g, ~(a <= b), b.shape)))
+            lambda g: (None, T.unbroadcast(np.where(a <= b, 0.0, g), b.shape)))
 
 
 def _reichenbach(a, b):
@@ -217,7 +214,7 @@ def _goguen(a, b):
     def deriv(g):
         # both partials depend on both operands: no factor has an
         # operand's shape
-        g = g * ~le
+        g = np.where(le, 0.0, g)
         with np.errstate(all="ignore"):
             return (T.unbroadcast(-g * b / (denom * denom), a.shape),
                     T.unbroadcast(g / denom, b.shape))
@@ -225,10 +222,8 @@ def _goguen(a, b):
 
 
 def _luk_implies(a, b):
-    def deriv(g):
-        pick = ~(a <= b)
-        return -T.product(g, pick, a.shape), T.product(g, pick, b.shape)
-    return np.where(a <= b, 1.0, 1.0 - a + b), deriv
+    return (np.where(a <= b, 1.0, 1.0 - a + b),
+            lambda g: _picked(g, a > b, a, b, both=True, sign=-1.0))
 
 
 # (kind, family) -> (kernel, squeeze of each operand in the stable form,
@@ -340,12 +335,12 @@ def _prob_sum(x, *_):
 
 def _luk_and_agg(x, count, *_):
     v = x.sum(axis=-1) - count + 1.0
-    return np.maximum(v, 0.0), lambda g: _spread(g * (v >= 0.0), x)
+    return np.maximum(v, 0.0), lambda g: _spread(np.where(v >= 0.0, g, 0.0), x)
 
 
 def _luk_or_agg(x, *_):
     s = x.sum(axis=-1)
-    return np.minimum(s, 1.0), lambda g: _spread(g * (s <= 1.0), x)
+    return np.minimum(s, 1.0), lambda g: _spread(np.where(s <= 1.0, g, 0.0), x)
 
 
 def _mean(x, count, *_):

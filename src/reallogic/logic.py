@@ -6,63 +6,48 @@ dimensions, constants, variables, functions, predicates). A
 feature vectors (fixed or trainable), variables become stacks of
 instances. Functions and predicates share one table of groundings
 (dense networks, ``select`` networks, builtins, trainable truth
-scalars) and one application rule, :func:`_apply`, which grounds both
+scalars) and one application node, :class:`_App`, which grounds both
 terms ``f(t1, ..., tn)`` and atoms ``P(t1, ..., tn)``; a predicate is a
 function whose value is a truth in [0, 1] and has no feature axis.
 
 Evaluation turns a term into a tensor shaped ``(n_v1, ..., n_vk, feat)``
 and a formula into a truth tensor shaped ``(n_v1, ..., n_vk)``, one axis
-per free variable in order of first syntactic occurrence. Connectives
-align operand axes by name and broadcast, so ``P(x) -> Q(y)`` evaluates
-on the full x-by-y grid while ``P(x) -> Q(x)`` stays elementwise. One
-helper, :func:`align`, lines up the axes of function and predicate
-arguments, connective operands and guard terms.
+per free variable in order of first occurrence; connectives align their
+operands' axes by name and broadcast. It takes two passes, because the
+graph's shape depends only on the formulas, the declarations and each
+variable's axis length under the call's binds: :func:`plan` fixes it,
+then each planned node's ``run`` computes what depends on the
+parameters, the dropout draws and the scope's p. A plan is made per call
+and run once, so nothing outlives the parameters it read.
 
-A network runs once per cell of its arguments' own grid, not of the
-grid of the atom it sits in. A ``select`` predicate's class argument
-is not a network input: it only picks from the output, so
-``digit_is(x, d)`` runs its classifier once per x and reads the d-th
-output. Under dropout, one mask is drawn per input row and shared by
-that row's classes. Within one evaluation that opens a memo (a
-``satisfiability`` or ``query`` call), a network also runs once per
-distinct argument list: ``P(x, l_blue)`` and ``P(x, l_orange)`` of a
-``select`` predicate, or ``f(x)`` inside two atoms, get one output
-tensor, and the backward pass sums their gradients into it before it
-runs the network's backward once. A training scope of an env that has
-a dropout network opens no memo, so there every occurrence draws its
-own masks, a dropout ``f`` inside another network's arguments too.
+A network runs once per cell of its arguments' own grid: a ``select``
+predicate's class argument only picks from the output, so it is not an
+input, and under dropout one mask serves a row's classes. Within one
+plan, applications of a symbol to the same network arguments with the
+same aligned shapes are one run, and the backward pass sums their
+gradients before the network's backward runs once. A training plan of
+an env with a dropout network shares none, as each occurrence draws its
+own masks.
 
-Quantifiers aggregate named axes away. A quantifier lays out its body
-(and its guard's mask) with the result's variables first and its
-quantified variables last, so :func:`reallogic.fuzzy.aggregate` always
-reduces a trailing block of axes. A quantifier group with several
-variables is evaluated diagonally: the members share one axis, pairing
-instance i with instance i, instead of spanning their product grid;
-members with unequal instance counts are truncated to the shortest,
-with a warning. A quantifier inside such a group that binds one of its
-members again gives that variable an axis of its own.
-Guards restrict aggregation with a crisp boolean mask computed from
-detached values, so no gradient ever flows through a guard; cells whose
-guard never fires aggregate to 1 under forall and 0 under exists. The
-guard's two sides are grounded apart, after the body, and compared in
-the quantifier's layout, so the compare writes the mask contiguous, in
-the order the aggregate reads it. The guarded body is still grounded
-on the full grid of its variables; only the aggregation packs the cells
-the guard keeps (see :func:`reallogic.fuzzy.aggregate`), so its work and
-its backward scale with the kept cells.
-
-Evaluation is pure: :func:`ground_formula` and :func:`ground_term` take
-a frozen :class:`Scope` with everything that varies per call (variable
-rebinds, the shared axis of each diagonal group and its length, the
-dropout flag, quantifier p overrides) and pass it down. Quantifiers and
-guards derive child scopes from it; nothing is written to the
-environment, so a sub-formula can be grounded again under other binds.
+Quantifiers aggregate named axes away. The body is laid out with the
+result's variables first, so :func:`reallogic.fuzzy.aggregate` always
+reduces a trailing block. A group of several variables is evaluated
+diagonally: its members share one axis, truncated to the shortest with a
+warning, and an inner quantifier that binds a member again gives it an
+axis of its own. A guard is a crisp mask of detached values, so no
+gradient flows through it; a cell whose guard never fires aggregates to
+1 under forall and 0 under exists. The guard's sides are grounded after
+the body, in the quantifier's layout, so they live only until the
+compare, which writes the mask in the order the aggregate reads it. The
+body is still grounded on its full grid; only the aggregate packs the
+kept cells, so its work and its backward scale with them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -287,36 +272,14 @@ class GroundedValue(NamedTuple):
 
 @dataclass(frozen=True)
 class Scope:
-    """Context of one evaluation, passed down through grounding.
-
-    ``binds`` maps variables to other instances (build it with
-    :meth:`GroundingEnv.scope`, which checks them). ``alias`` maps
-    each diagonally quantified variable to the label of its shared axis,
-    and ``trunc`` maps that label to the axis length. ``training`` turns
-    on dropout. ``p`` maps a quantifier kind (one of ``QUANTIFIERS``)
-    to the p of every quantifier of that kind; a kind left out or mapped
-    to None keeps the configured p. Quantifiers and guards derive child
-    scopes with ``dataclasses.replace``, so evaluation never writes to
-    the env.
-
-    ``memo``, when not None, maps a network's symbol, argument terms and
-    aligned argument shapes to its output, so that every later atom or
-    term with the same key reuses that output. Child scopes carry it, so
-    it spans one evaluation; a guard's ``training=False`` scope reads it
-    too, since no network has active dropout where a memo is open.
-    ``training.satisfiability`` and ``training.query`` each open a
-    fresh one per call, so it never outlives the parameters it was
-    computed from; ``satisfiability`` opens none under a training scope
-    when :meth:`GroundingEnv.has_dropout`, as each occurrence of a
-    dropout network draws its own masks. A scope built by
-    :meth:`GroundingEnv.scope` has none and shares nothing.
-    """
+    """What one evaluation varies: ``binds`` maps variables to other
+    instances (build it with :meth:`GroundingEnv.scope`, which checks
+    them), ``training`` turns on dropout, and ``p`` maps a quantifier
+    kind (one of ``QUANTIFIERS``) to the p of every quantifier of that
+    kind; a kind left out or mapped to None keeps the configured p."""
     binds: Mapping = field(default_factory=dict)
-    alias: Mapping = field(default_factory=dict)
-    trunc: Mapping = field(default_factory=dict)
     training: bool = False
     p: Mapping = field(default_factory=dict)
-    memo: dict = field(default=None, compare=False)
 
 
 class GroundingEnv:
@@ -497,35 +460,6 @@ class GroundingEnv:
         or the names of the constants that ground it, in axis order."""
         return self._declared(name, self._vars, "variable")[1]
 
-    def var_length(self, name: str, scope: Scope) -> int:
-        """Axis length of a variable or diagonal label: the shared axis's
-        truncation when it has one, else the instance count."""
-        label = scope.alias.get(name, name)
-        if label in scope.trunc:
-            return scope.trunc[label]
-        return len(scope.binds.get(name, self._vars[name][1]))
-
-    def _var_value(self, name: str, scope: Scope) -> GroundedValue:
-        if name not in self._vars:
-            raise EvalError(f"variable {name!r} has no grounding")
-        label = scope.alias.get(name, name)
-        n = self.var_length(name, scope)
-        kind, payload = self._vars[name]
-        inst = scope.binds.get(name, payload)[:n]
-        if kind == "data":
-            return GroundedValue(Tensor(inst), (label,))
-        if not inst:  # an empty bind: no constant to stack
-            dim = self.sig.dim(self.sig.variables[name])
-            return GroundedValue(Tensor(np.zeros((0, dim))), (label,))
-        return GroundedValue(T.stack([self._const_value(c) for c in inst]),
-                             (label,))
-
-    def _const_value(self, name: str) -> Tensor:
-        if name not in self._consts:
-            raise EvalError(f"constant {name!r} has no grounding")
-        kind, payload = self._consts[name]
-        return self.store.get(payload) if kind == "slot" else Tensor(payload)
-
 
 def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
     """``idx`` as integers; an EvalError led by ``what`` names the first
@@ -537,260 +471,346 @@ def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
     return idx.astype(int)
 
 
-# -- axis alignment ------------------------------------------------------------
+# -- planning -------------------------------------------------------------------
 
 
-def _aligned(x, vars_: tuple, order, feature: bool = False):
-    """Reorder the var axes of ``x`` (a Tensor, or a detached numpy
-    array) to ``order`` and insert size-1 axes for the vars it lacks."""
-    ops = T if isinstance(x, Tensor) else np
-    perm = [vars_.index(v) for v in order if v in vars_]
-    shape = [x.shape[vars_.index(v)] if v in vars_ else 1 for v in order]
-    if perm != sorted(perm):
-        x = ops.moveaxis(x, perm, list(range(len(perm))))
-    if feature:
-        shape.append(x.shape[-1])
-    return ops.reshape(x, tuple(shape))
+# one evaluation, fixed before any value is computed: a Root per
+# formula, and each diagonal group met, as a tuple of variable names
+Plan = namedtuple("Plan", "roots diagonals")
+# a planned formula or term, and the outputs of its plan's shared network
+# runs, kept as the plan's roots run
+Root = namedtuple("Root", "node outputs")
+# what a quantifier changes for its body: each diagonal member's shared
+# axis label, and dropout (never inside a guard)
+_Ctx = namedtuple("_Ctx", "alias training")
+# what planned nodes read as they run
+_Run = namedtuple("_Run", "store p outputs")
 
 
-def align(values, feature: bool):
-    """Common (order, aligned tensors) for a list of GroundedValues, whose
-    tensors may also be detached numpy arrays. ``order`` lists the
-    variables by first occurrence."""
-    sizes: dict[str, int] = {}
-    for gv in values:
-        for v, n in zip(gv.vars, gv.tensor.shape):
-            if sizes.setdefault(v, n) != n:
-                raise EvalError(
-                    f"variable {v!r} has {sizes[v]} instances on one side "
-                    f"and {n} on another")
-    order = tuple(sizes)
-    return order, [_aligned(gv.tensor, gv.vars, order, feature)
-                   for gv in values]
+def plan(env: GroundingEnv, formulas, scope: Scope) -> Plan:
+    """Plan the formulas under ``scope``'s binds and training flag, with
+    one network run per distinct application across all of them."""
+    planner, outputs = _Planner(env, scope), {}
+    roots = tuple(Root(planner.formula(f, planner.top), outputs)
+                  for f in formulas)
+    return Plan(roots, tuple(planner.diagonals))
 
 
-# -- evaluation -------------------------------------------------------------------
+class _Planner:
+    def __init__(self, env: GroundingEnv, scope: Scope):
+        self.env, self.binds = env, scope.binds
+        self.top = _Ctx({}, scope.training)
+        # the one sharing rule: every plan shares network runs but a
+        # training plan of an env with a dropout network, where each
+        # occurrence draws its own masks
+        self.nets = None if scope.training and env.has_dropout() else {}
+        self.diagonals = []
+        self.sizes = {}  # axis label -> length, which one plan fixes
+
+    def instances(self, name: str):
+        if name not in self.env._vars:
+            raise EvalError(f"variable {name!r} has no grounding")
+        return self.binds.get(name, self.env._vars[name][1])
+
+    def size(self, name: str) -> int:
+        if name not in self.sizes:
+            self.sizes[name] = len(self.instances(name))
+        return self.sizes[name]
+
+    def layout(self, vars_: tuple, order: tuple) -> tuple:
+        """A value over ``vars_`` in the layout ``order``: the permutation
+        of its axes, None when in order, and its shape, 1 where it lacks."""
+        shape = tuple([self.sizes[v] if v in vars_ else 1 for v in order])
+        if vars_ == order:
+            return None, shape
+        perm = [vars_.index(v) for v in order if v in vars_]
+        return (None if perm == sorted(perm) else tuple(perm)), shape
+
+    def align(self, nodes) -> tuple:
+        """The layout of ``nodes``' variables by first occurrence, and
+        each node as a child in it: (node, permutation, shape)."""
+        order = tuple(dict.fromkeys([v for n in nodes for v in n.vars]))
+        return order, tuple((n, *self.layout(n.vars, order)) for n in nodes)
+
+    def term(self, term: Term, ctx: _Ctx):
+        if isinstance(term, Const):
+            if term.name not in self.env._consts:
+                raise EvalError(f"constant {term.name!r} has no grounding")
+            return _Leaf((), *self.env._consts[term.name])
+        if isinstance(term, Var):
+            label = ctx.alias.get(term.name, term.name)
+            inst = self.instances(term.name)[:self.size(label)]
+            if self.env._vars[term.name][0] == "data":
+                return _Leaf((label,), "fixed", inst)
+            if not inst:  # an empty bind: no constant to stack
+                dim = self.env.sig.dim(self.env.sig.variables[term.name])
+                return _Leaf((label,), "fixed", np.zeros((0, dim)))
+            return _Leaf((label,), "stack", [self.env._consts[c] for c in inst])
+        if not isinstance(term, App):
+            raise EvalError(f"not a term: {term!r}")
+        self.env._declared(term.func, self.env.sig.functions, "function")
+        return self.apply(term.func, term.args, ctx)
+
+    def apply(self, name: str, terms: tuple, ctx: _Ctx):
+        if name not in self.env._symbols:
+            raise EvalError(f"symbol {name!r} has no grounding")
+        kind, payload = self.env._symbols[name]
+        if kind == "scalar":
+            if terms:
+                raise EvalError(f"{name} takes no arguments")
+            return _Leaf((), "slot", payload)
+        order, args = self.align([self.term(a, ctx) for a in terms])
+        net = None
+        if isinstance(payload, MlpSpec):
+            # a select's class argument only picks from the output
+            n = len(terms) - (kind == "select")
+            grids = tuple(shape for _, _, shape in args[:n])
+            lead = np.broadcast_shapes(*grids) if n > 1 else None
+            net = _Net(name, payload, n, lead,
+                       None if n == 1 else tuple(g == lead for g in grids),
+                       ctx.training, None if self.nets is None else len(self.nets))
+            if self.nets is not None:
+                # the shapes tell diagonal truncations and layouts apart
+                net = self.nets.setdefault((name, terms[:n], grids), net)
+        return _App(order, kind, payload, args, net)
+
+    def formula(self, formula: Formula, ctx: _Ctx):
+        env, cfg = self.env, self.env.cfg
+        if isinstance(formula, Atom):
+            env._declared(formula.pred, env.sig.predicates, "predicate")
+            return self.apply(formula.pred, formula.args, ctx)
+        if isinstance(formula, Eq):
+            return _Eq(*self.align([self.term(formula.lhs, ctx),
+                                    self.term(formula.rhs, ctx)]), cfg.eq_alpha)
+        if isinstance(formula, Not):
+            return _Conn(*self.align([self.formula(formula.body, ctx)]), cfg.neg)
+        if isinstance(formula, Bin):
+            op = ((cfg.impl, cfg.conj) if formula.op == "iff"
+                  else getattr(cfg, CONFIG_KEYS[formula.op]))
+            return _Conn(*self.align([self.formula(formula.lhs, ctx),
+                                      self.formula(formula.rhs, ctx)]), op)
+        if isinstance(formula, Quant):
+            return self.quant(formula, ctx)
+        raise EvalError(f"not a formula node: {formula!r}")
+
+    def quant(self, node: Quant, ctx: _Ctx):
+        # a variable this quantifier binds is its own, not an enclosing
+        # diagonal group's shared axis
+        bound = {v for group in node.groups for v in group}
+        ctx = ctx._replace(alias={v: label for v, label in ctx.alias.items()
+                                  if v not in bound})
+        labels = []
+        for group in node.groups:
+            labels.append("&".join(group))
+            lens = [self.size(v) for v in group]
+            if len(group) == 1:
+                continue
+            if len(set(lens)) > 1:
+                warnings.warn(f"diagonal over {group} has unequal instance "
+                              f"counts {lens}; truncating to {min(lens)}")
+            self.sizes[labels[-1]] = min(lens)
+            ctx = ctx._replace(alias={**ctx.alias,
+                                      **dict.fromkeys(group, labels[-1])})
+            self.diagonals.append(group)
+        body = self.formula(node.body, ctx)
+        sides = ()
+        if node.guard is not None:  # guards never see dropout noise
+            gctx = ctx._replace(training=False)
+            sides = [[(coef, None if t is None else self.term(t, gctx))
+                      for coef, t in side]
+                     for side in (node.guard.lhs, node.guard.rhs)]
+        # the result's variables first, the quantified labels last, each
+        # in order of first occurrence in the body, the labels and the
+        # guard: aggregate reduces the trailing block
+        want = dict.fromkeys(body.vars + tuple(labels) + tuple(
+            v for side in sides for _, n in side if n for v in n.vars))
+        keep = tuple(v for v in want if v not in labels)
+        order = keep + tuple(v for v in want if v in labels)
+        guard = node.guard and (node.guard.op,) + tuple(
+            tuple((coef, n, *self.layout(n.vars if n else (), order))
+                  for coef, n in side) for side in sides)
+        grid = tuple(self.sizes[v] for v in order)
+        return _Quant(keep, node.kind, (body, *self.layout(body.vars, order)),
+                      grid if len(order) > len(body.vars) else None, guard,
+                      len(labels), getattr(self.env.cfg, CONFIG_KEYS[node.kind]))
+
+
+# -- execution -------------------------------------------------------------------
+#
+# Each planned node kind holds its variables (``vars``) and what the
+# planner fixed; its ``run`` computes its value from its children's. A
+# child is held as (node, permutation or None, shape in its parent's
+# layout), as :func:`_placed` reads it.
+
+
+def _placed(x: Tensor, child) -> Tensor:
+    node, perm, shape = child
+    if perm:
+        x = T.moveaxis(x, perm, tuple(range(len(perm))))
+    if len(shape) > len(node.vars):  # a term keeps its feature axis last
+        x = T.reshape(x, shape + x.shape[len(node.vars):])
+    return x
+
+
+def _fetch(children, ex: _Run) -> list:
+    """The children's values, all computed, then each placed."""
+    values = [node.run(ex) for node, _, _ in children]
+    return [_placed(x, child) for x, child in zip(values, children)]
+
+
+class _Leaf(namedtuple("_Leaf", "vars how payload")):
+    """A ``fixed`` array, wrapped anew on each run, a trainable ``slot``,
+    or the ``stack`` of a constant-backed variable's constants."""
+
+    def run(self, ex: _Run) -> Tensor:
+        if self.how == "stack":  # of each constant's (how, payload)
+            return T.stack([ex.store.get(p) if how == "slot" else Tensor(p)
+                            for how, p in self.payload])
+        return (ex.store.get(self.payload) if self.how == "slot"
+                else Tensor(self.payload))
+
+
+# one network run on the first ``inputs`` arguments of an application,
+# each broadcast to their common leading shape ``lead`` unless ``full``
+# marks it as there (None for one input); ``slot`` keys its output in
+# the plan's outputs, None when the plan shares no runs
+_Net = namedtuple("_Net", "name spec inputs lead full training slot")
+
+
+class _App(namedtuple("_App", "vars kind payload args net")):
+    """A function or predicate on its arguments; ``net`` is the network
+    run of an ``mlp``, ``mlp_truth`` or ``select`` grounding."""
+
+    def run(self, ex: _Run) -> Tensor:
+        out = self.net and ex.outputs.get(self.net.slot)
+        # a shared run's inputs are computed once, a class argument each time
+        args = _fetch(self.args if out is None
+                      else self.args[self.net.inputs:], ex)
+        if self.kind == "builtin":
+            return Tensor(np.asarray(self.payload(*[t.data for t in args]),
+                                     dtype=np.float64))
+        if self.kind == "callable":
+            return self.payload(*args)
+        net = self.net
+        if out is None:
+            x = args[0] if net.full is None else T.concat(
+                [t if full else T.broadcast_to(t, net.lead + t.shape[-1:])
+                 for t, full in zip(args, net.full)], axis=-1)
+            out = dense_forward(net.spec, ex.store, net.name, x,
+                                training=net.training)
+            if net.slot is not None:
+                ex.outputs[net.slot] = out
+        if self.kind == "select":
+            # the output spans only the feature arguments' axes; the
+            # product broadcasts it over the axes only the class spans
+            return T.reduce_sum(out * self.classes(args[-1]), axes=(-1,))
+        if self.kind == "mlp_truth":  # a truth drops its width-1 axis
+            return T.reshape(out, out.shape[:-1])
+        return out
+
+    def classes(self, label: Tensor) -> Tensor:
+        """A select's class argument as weights of the network's outputs:
+        an integer class index becomes a detached one-hot."""
+        nclass, name = self.payload.widths[-1], self.net.name
+        if label.shape[-1] == 1 and nclass > 1:
+            idx = _index(label.data[..., 0], nclass, f"{name}: class index")
+            hot = np.zeros(idx.shape + (nclass,))
+            np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
+            return Tensor(hot)
+        if label.shape[-1] != nclass:
+            raise EvalError(f"{name}: class argument has dim "
+                            f"{label.shape[-1]}, network has {nclass} outputs")
+        return label
+
+
+class _Eq(namedtuple("_Eq", "vars args alpha")):
+    def run(self, ex: _Run) -> Tensor:
+        # exp(-alpha * ||u - v||); the tiny floor keeps the norm
+        # differentiable at exact equality without visibly moving it
+        u, v = _fetch(self.args, ex)
+        d = u - v
+        sq = T.reduce_sum(d * d, axes=(-1,))
+        return T.exp(-self.alpha * T.power(sq + 1e-12, 0.5))
+
+
+class _Conn(namedtuple("_Conn", "vars args op")):
+    """A connective on one or two operands; the ``op`` of an ``iff`` is
+    its (implication, conjunction) pair."""
+
+    def run(self, ex: _Run) -> Tensor:
+        xs = _fetch(self.args, ex)
+        if isinstance(self.op, tuple):
+            (impl, conj), (a, b) = self.op, xs
+            return apply_connective(conj, apply_connective(impl, a, b),
+                                    apply_connective(impl, b, a))
+        return apply_connective(self.op, *xs)
+
+
+class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec")):
+    """A quantifier: ``body`` placed in the aggregate's layout, broadcast
+    to ``grid`` unless that is None, and aggregated over the last ``k``
+    axes. ``guard`` is None, or the comparison and its sides, each a
+    tuple of (coefficient, term node or None for 1, permutation, shape
+    in the layout)."""
+
+    def run(self, ex: _Run) -> Tensor:
+        body = self.body[0].run(ex)
+        # the sides come after the body, so they live only until the compare
+        sides = self.guard and [_side(side, ex) for side in self.guard[1:]]
+        t = _placed(body, self.body)
+        if self.grid is not None:
+            t = T.broadcast_to(t, self.grid)
+        mask = sides and COMPARISONS[self.guard[0]](*sides)
+        p = ex.p.get(self.kind)
+        try:
+            spec = self.spec.with_p(p)
+        except ValueError as e:  # a p override the configured family cannot take
+            raise EvalError(f"{self.kind}(p={p:g}): {e}") from None
+        return aggregate(spec, t, self.k, mask=mask,
+                         empty=float(self.kind == "forall"))
+
+
+def _side(pieces, ex: _Run) -> np.ndarray:
+    """A guard side, detached, in its quantifier's layout."""
+    total = []
+    for coef, node, perm, shape in pieces:
+        x = np.float64(coef)
+        if node is not None:
+            arr = node.run(ex).data
+            if arr.shape[-1] != 1:
+                raise EvalError("guard terms must be scalar-valued")
+            x = coef * arr[..., 0]
+        if perm:
+            x = np.moveaxis(x, perm, tuple(range(len(perm))))
+        total.append(np.reshape(x, shape))
+    return sum(total)
+
+
+def _run(env: GroundingEnv, root: Root, scope: Scope) -> GroundedValue:
+    out = root.node.run(_Run(env.store, scope.p, root.outputs))
+    return GroundedValue(out, root.node.vars)
 
 
 def ground_term(env: GroundingEnv, term: Term,
                 scope: Scope = None) -> GroundedValue:
     """Evaluate a term to a tensor shaped (n_v1, ..., n_vk, feat) under
     ``scope`` (default: ``env.scope()``)."""
-    if scope is None:
-        scope = env.scope()
-    if isinstance(term, Const):
-        return GroundedValue(env._const_value(term.name), ())
-    if isinstance(term, Var):
-        return env._var_value(term.name, scope)
-    if not isinstance(term, App):
-        raise EvalError(f"not a term: {term!r}")
-    env._declared(term.func, env.sig.functions, "function")
-    return _apply(env, term.func, term.args, scope)
+    scope = env.scope() if scope is None else scope
+    planner = _Planner(env, scope)
+    return _run(env, Root(planner.term(term, planner.top), {}), scope)
 
 
-def _apply(env: GroundingEnv, name: str, terms: tuple,
-           scope: Scope) -> GroundedValue:
-    """Ground the function or predicate ``name`` on the terms ``terms``:
-    a function gives features shaped (n_v1, ..., n_vk, feat), a
-    predicate truths shaped (n_v1, ..., n_vk)."""
-    if name not in env._symbols:
-        raise EvalError(f"symbol {name!r} has no grounding")
-    kind, payload = env._symbols[name]
-    if kind == "scalar":
-        if terms:
-            raise EvalError(f"{name} takes no arguments")
-        return GroundedValue(env.store.get(payload), ())
-    args = [ground_term(env, a, scope) for a in terms]
-    order, aligned = align(args, feature=True)
-    if kind == "builtin":
-        out = payload(*[t.data for t in aligned])
-        return GroundedValue(Tensor(np.asarray(out, dtype=np.float64)), order)
-    if kind == "callable":
-        return GroundedValue(payload(*aligned), order)
-    inputs = aligned
-    if kind == "select":  # the class argument is not a network input
-        *inputs, label = aligned
-        terms = terms[:-1]
-        nclass = payload.widths[-1]
-        if label.shape[-1] == 1 and nclass > 1:
-            # integer class index: expand to a one-hot, detached
-            idx = _index(label.data[..., 0], nclass, f"{name}: class index")
-            hot = np.zeros(idx.shape + (nclass,))
-            np.put_along_axis(hot, idx[..., None], 1.0, axis=-1)
-            label = Tensor(hot)
-        elif label.shape[-1] != nclass:
-            raise EvalError(
-                f"{name}: class argument has dim {label.shape[-1]}, "
-                f"network has {nclass} outputs")
-    memo = scope.memo
-    if memo is None:
-        out = _network(env, name, payload, inputs, scope)
-    else:  # the shapes tell diagonal truncations and axis layouts apart
-        key = (name, terms, tuple(t.shape for t in inputs))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _network(env, name, payload, inputs, scope)
-    if kind == "select":
-        # the output spans only the feature arguments' axes; the product
-        # broadcasts it over the axes only the class argument spans
-        return GroundedValue(T.reduce_sum(out * label, axes=(-1,)), order)
-    if kind == "mlp_truth":  # a truth drops its width-1 axis
-        out = T.reshape(out, out.shape[:-1])
-    return GroundedValue(out, order)
-
-
-def _network(env: GroundingEnv, name: str, spec: MlpSpec, args,
-             scope: Scope) -> Tensor:
-    """Run the network of symbol ``name`` once per cell of its aligned
-    arguments' own grid.
-
-    One argument goes in as it is. Several are each broadcast to their
-    common leading shape (one already at it is not copied), and their
-    features are concatenated into the input. A variable that no
-    argument spans keeps a size-1 axis in the output: a ``select``
-    predicate passes only its feature arguments, so its class argument
-    just picks from each row's output, and under dropout one mask is
-    drawn per row and shared by that row's classes.
-    """
-    if len(args) == 1:
-        x = args[0]
-    else:
-        lead = np.broadcast_shapes(*(t.shape[:-1] for t in args))
-        x = T.concat([t if t.shape[:-1] == lead
-                      else T.broadcast_to(t, lead + (t.shape[-1],))
-                      for t in args], axis=-1)
-    return dense_forward(spec, env.store, name, x, training=scope.training)
-
-
-def _smooth_eq(cfg: FuzzyConfig, u: Tensor, v: Tensor) -> Tensor:
-    # exp(-alpha * ||u - v||); the tiny floor keeps the norm differentiable
-    # at exact equality without visibly moving the value.
-    d = u - v
-    sq = T.reduce_sum(d * d, axes=(-1,))
-    return T.exp(-cfg.eq_alpha * T.power(sq + 1e-12, 0.5))
-
-
-def _eval_guard(env: GroundingEnv, guard: Guard, scope: Scope):
-    """The guard's variables, in order of first occurrence, and its two
-    sides, as detached GroundedValues. :func:`_quant` compares the sides
-    in the layout it aggregates in, so the mask comes out in that
-    layout, contiguous."""
-    scope = replace(scope, training=False)  # guards never see dropout noise
-
-    def side(terms):
-        pieces = []
-        for coef, term in terms:
-            if term is None:
-                pieces.append(GroundedValue(np.float64(coef), ()))
-                continue
-            gv = ground_term(env, term, scope)
-            arr = gv.tensor.data
-            if arr.shape[-1] != 1:
-                raise EvalError("guard terms must be scalar-valued")
-            pieces.append(GroundedValue(coef * arr[..., 0], gv.vars))
-        order, aligned = align(pieces, feature=False)
-        return GroundedValue(sum(aligned), order)
-
-    lhs, rhs = side(guard.lhs), side(guard.rhs)
-    return tuple(dict.fromkeys(lhs.vars + rhs.vars)), (lhs, rhs)
-
-
-def _guard_mask(op: str, sides, order: tuple) -> np.ndarray:
-    """The crisp mask of the guard sides ``sides`` under the comparison
-    ``op``, laid out in ``order``. Each side is aligned to ``order``
-    before the compare, so the compare writes the mask in that layout,
-    contiguous, and no full-grid array is moved afterwards."""
-    lhs, rhs = (_aligned(gv.tensor, gv.vars, order) for gv in sides)
-    return COMPARISONS[op](lhs, rhs)
-
-
-def ground_formula(env: GroundingEnv, formula: Formula,
-                   scope: Scope = None) -> GroundedValue:
+def ground_formula(env: GroundingEnv, formula, scope: Scope = None
+                   ) -> GroundedValue:
     """Evaluate a formula to a truth tensor with one axis per free var.
 
     ``scope`` holds the context of the call: variable binds, dropout
     and the quantifier p overrides. It defaults to ``env.scope()``: the
     declared instances, the env's training flag and the configured p.
+    ``formula`` is a formula, planned on its own, or a ``Root`` of a
+    :func:`plan` made under the same binds and dropout flag.
     """
-    if scope is None:
-        scope = env.scope()
-    if isinstance(formula, Atom):
-        env._declared(formula.pred, env.sig.predicates, "predicate")
-        return _apply(env, formula.pred, formula.args, scope)
-    if isinstance(formula, Eq):
-        u = ground_term(env, formula.lhs, scope)
-        v = ground_term(env, formula.rhs, scope)
-        order, (tu, tv) = align([u, v], feature=True)
-        return GroundedValue(_smooth_eq(env.cfg, tu, tv), order)
-    if isinstance(formula, Not):
-        gv = ground_formula(env, formula.body, scope)
-        return GroundedValue(apply_connective(env.cfg.neg, gv.tensor), gv.vars)
-    if isinstance(formula, Bin):
-        lhs = ground_formula(env, formula.lhs, scope)
-        rhs = ground_formula(env, formula.rhs, scope)
-        order, (a, b) = align([lhs, rhs], feature=False)
-        if formula.op == "iff":
-            fwd = apply_connective(env.cfg.impl, a, b)
-            bwd = apply_connective(env.cfg.impl, b, a)
-            out = apply_connective(env.cfg.conj, fwd, bwd)
-        else:
-            op = getattr(env.cfg, CONFIG_KEYS[formula.op])
-            out = apply_connective(op, a, b)
-        return GroundedValue(out, order)
-    if isinstance(formula, Quant):
-        return _quant(env, formula, scope)
-    raise EvalError(f"not a formula node: {formula!r}")
-
-
-def _quant(env: GroundingEnv, node: Quant, scope: Scope) -> GroundedValue:
-    # a variable this quantifier binds is its own, not an enclosing
-    # diagonal group's shared axis
-    bound = {v for group in node.groups for v in group}
-    if bound & scope.alias.keys():
-        scope = replace(scope, alias={v: label for v, label
-                                      in scope.alias.items() if v not in bound})
-    labels = []
-    for group in node.groups:
-        if len(group) == 1:
-            labels.append(group[0])
-            continue
-        label = "&".join(group)
-        lens = [env.var_length(v, scope) for v in group]
-        if len(set(lens)) > 1:
-            warnings.warn(f"diagonal over {group} has unequal instance "
-                          f"counts {lens}; truncating to {min(lens)}")
-        scope = replace(scope,
-                        alias={**scope.alias, **dict.fromkeys(group, label)},
-                        trunc={**scope.trunc, label: min(lens)})
-        labels.append(label)
-
-    # the guard's sides come after the body, so they live only until the
-    # compare below
-    body = ground_formula(env, node.body, scope)
-    guard_vars, sides = (), None
-    if node.guard is not None:
-        guard_vars, sides = _eval_guard(env, node.guard, scope)
-    want = list(body.vars)
-    for v in labels + list(guard_vars):
-        if v not in want:
-            want.append(v)
-    # the result's variables first, the quantified labels last, each in
-    # want's order: aggregate reduces the trailing block
-    keep = tuple(v for v in want if v not in labels)
-    order = keep + tuple(v for v in want if v in labels)
-    t = _aligned(body.tensor, body.vars, order)
-    if len(order) > len(body.vars):
-        # broadcast over axes the body never mentioned
-        t = T.broadcast_to(t, tuple(n if v in body.vars
-                                    else env.var_length(v, scope)
-                                    for v, n in zip(order, t.shape)))
-    mask = None if sides is None else _guard_mask(node.guard.op, sides, order)
-
-    p = scope.p.get(node.kind)
-    try:
-        spec = getattr(env.cfg, CONFIG_KEYS[node.kind]).with_p(p)
-    except ValueError as e:  # a p override the configured family cannot take
-        raise EvalError(f"{node.kind}(p={p:g}): {e}") from None
-    out = aggregate(spec, t, len(labels), mask=mask,
-                    empty=float(node.kind == "forall"))
-    return GroundedValue(out, keep)
+    scope = env.scope() if scope is None else scope
+    if not isinstance(formula, Root):
+        formula = plan(env, (formula,), scope).roots[0]
+    return _run(env, formula, scope)

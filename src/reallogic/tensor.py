@@ -234,7 +234,8 @@ def _exp(a):
 
 def _maximum(a, b):
     pick_a = a >= b  # ties go to the first argument
-    return np.maximum(a, b), lambda g: (g * pick_a, g * ~pick_a)
+    return np.maximum(a, b), lambda g: (np.where(pick_a, g, 0.0),
+                                        np.where(pick_a, 0.0, g))
 
 
 def add(a, b) -> Tensor:

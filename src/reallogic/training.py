@@ -10,7 +10,7 @@ import numpy as np
 
 from reallogic.fuzzy import TOL, aggregate
 from reallogic.logic import (
-    Bin, Not, Quant, Scope, free_vars, ground_formula, ground_term, where,
+    Scope, free_vars, ground_formula, ground_term, plan, where,
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
@@ -75,24 +75,25 @@ def axiom_truth(theory: Theory, axiom, scope: Scope = None) -> Tensor:
     over the scope's p.
     """
     scope = theory.env.scope() if scope is None else scope
-    if axiom.p:
-        scope = replace(scope, p={**scope.p, **axiom.p})
-    return ground_formula(theory.env, axiom.formula, scope).tensor
+    return ground_formula(theory.env, axiom.formula,
+                          _with_p(scope, axiom)).tensor
+
+
+def _with_p(scope: Scope, axiom) -> Scope:
+    return replace(scope, p={**scope.p, **axiom.p}) if axiom.p else scope
 
 
 def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
-    Each axiom is grounded by :func:`axiom_truth` under ``scope``
-    (default: the env's root scope), with one memo for the call, so the
-    axioms share each network output (see :class:`Scope`). A training
-    scope of an env with a dropout network gets no memo: every atom
-    draws its own masks.
+    Each axiom is grounded as :func:`axiom_truth` grounds it, under
+    ``scope`` (default: the env's root scope), from one plan of all the
+    axioms, so they share network runs (see :func:`logic.plan`).
     """
     scope = theory.env.scope() if scope is None else scope
-    scope = replace(scope, memo=None if scope.training
-                    and theory.env.has_dropout() else {})
-    truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
+    roots = plan(theory.env, [ax.formula for ax in theory.axioms], scope).roots
+    truths = [ground_formula(theory.env, root, _with_p(scope, ax)).tensor
+              for root, ax in zip(roots, theory.axioms)]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
 
@@ -154,37 +155,6 @@ def regularizer(store, kind: str) -> Tensor:
     return total
 
 
-def _diag_partition(theory: Theory, names) -> list:
-    """Group data-bound variables that co-occur under one Diag group, so
-    one index draw keeps their tuples aligned."""
-    parent = {n: n for n in names}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ax in theory.axioms:
-        stack = [ax.formula]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Quant):
-                for g in f.groups:
-                    members = [v for v in g if v in parent]
-                    for a, b in zip(members, members[1:]):
-                        parent[find(a)] = find(b)
-                stack.append(f.body)
-            elif isinstance(f, (Not,)):
-                stack.append(f.body)
-            elif isinstance(f, Bin):
-                stack.extend((f.lhs, f.rhs))
-    groups = {}
-    for n in names:
-        groups.setdefault(find(n), []).append(n)
-    return list(groups.values())
-
-
 def _loss(theory: Theory, train: TrainConfig, sat: Tensor) -> Tensor:
     """1 - Sat, plus the weighted regularizer when one is configured."""
     loss = 1.0 - sat
@@ -206,9 +176,9 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
 
     ``batched`` names the variables to minibatch; each step grounds the
     theory in a scope that binds them to a uniformly drawn batch of
-    their declared instances (without replacement, Diag-linked
-    variables share the draw; a constant-backed variable is bound to the
-    drawn indices). ``learn`` is the one writer of ``env.training``: it
+    their declared instances (without replacement; variables that a plan
+    of the axioms puts in one diagonal group share the draw; a
+    constant-backed variable is bound to the drawn indices). ``learn`` is the one writer of ``env.training``: it
     is True while a step grounds Sat, so that root scope enables
     dropout, and False otherwise. Each epoch's record holds Sat and the
     loss over the declared instances with training off; a record due by
@@ -238,7 +208,14 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
         raise SettingsError(f"bad training settings: metric {clash[0]!r} "
                             "is named like a declared query")
     data = {name: theory.env.instances(name) for name in batched}
-    groups = _diag_partition(theory, data.keys())
+    # batched variables that share a diagonal axis share one index draw
+    linked = {v: {v} for v in data}
+    for group in plan(theory.env, [ax.formula for ax in theory.axioms],
+                      theory.env.scope()).diagonals:
+        merged = set().union(*(linked[v] for v in group if v in linked))
+        linked.update(dict.fromkeys(merged, merged))
+    groups = list({id(linked[v]): [u for u in data if u in linked[v]]
+                   for v in data}.values())
     sizes = {}
     for g in groups:
         ns = {len(data[v]) for v in g}
@@ -336,8 +313,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     The expression is grounded in a scope with training off, the p
     overrides ``p`` (quantifier kind to p, as in :class:`Scope`), and,
     for the generalization kinds, the given variables bound to unseen
-    data, with one memo for the call (see :class:`Scope`); the env
-    itself is left as it was. Formula
+    data; the env itself is left as it was. Formula
     queries take an AST or source text, parsed on every call; term
     queries take an AST. Raises RuntimeError when any bit of θ changed
     (:meth:`ParamStore.snapshot` before and after).
@@ -353,7 +329,7 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
             raise ValueError("value queries take a term AST")
         expr = parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
-    scope = replace(theory.env.scope(data, training=False, p=p), memo={})
+    scope = theory.env.scope(data, training=False, p=p)
     if truthy:
         gv = ground_formula(theory.env, expr, scope)
         values = np.asarray(gv.tensor.data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reallogic.assemble import TheoryError, build_theory, euclidean, load_theory
-from reallogic.logic import EvalError, Scope
+from reallogic.logic import EvalError
 from reallogic.parser import parse_theory
 from reallogic.training import satisfiability, truth_value
 
@@ -114,7 +114,7 @@ def test_data_override_replaces_declared_source():
            "pred P : u = mlp(1, 1; sigmoid)\naxiom: forall x: P(x)\n")
     doc = parse_theory(src)
     th = build_theory(doc, seed=0, data={"x": np.zeros((7, 1))})
-    assert th.env.var_length("x", Scope()) == 7
+    assert len(th.env.instances("x")) == 7
 
 
 def test_var_from_csv_relative_to_theory(tmp_path):
@@ -126,7 +126,7 @@ def test_var_from_csv_relative_to_theory(tmp_path):
         "pred P : item = mlp(2, 4, 1; elu, sigmoid)\n"
         "axiom: forall x: P(x)\n")
     th = load_theory(kb, seed=0)
-    assert th.env.var_length("x", Scope()) == 3
+    assert len(th.env.instances("x")) == 3
     assert 0.0 <= float(satisfiability(th).data) <= 1.0
 
 
@@ -148,7 +148,7 @@ def test_csv_var_in_an_included_theory_is_read_beside_it(tmp_path):
     kb.write_text('include "sub/b.rl"\npred P : d = mlp(1, 1; sigmoid)\n'
                   "axiom: forall x: P(x)\n")
     th = load_theory(kb, seed=0)
-    assert th.env.var_length("x", Scope()) == 2
+    assert len(th.env.instances("x")) == 2
 
 
 def test_scalar_predicate_with_arguments_rejected_at_its_declaration():
@@ -176,7 +176,7 @@ def test_consts_backed_variable():
            "pred P : p = mlp(2, 4, 1; elu, sigmoid)\n"
            "axiom: forall x: P(x)\n")
     th = build_theory(parse_theory(src), seed=0)
-    assert th.env.var_length("x", Scope()) == 2
+    assert len(th.env.instances("x")) == 2
     assert th.env.instances("x") == ("c1", "c2")
     assert np.array_equal(th.env.instances("z"), [[0.0, 0.0]])
     with pytest.raises(EvalError, match="'w' is not a declared variable"):

@@ -226,6 +226,9 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "forall-p-for-a-mean": lambda tmp: _mean_kb_query(tmp, "--forall-p", "5"),
     "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
     "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
+    "query-without-declared-queries": lambda tmp: (
+        ["query", "--kb", str(theory_path("refute"))],
+        f"{theory_path('refute')}: no declared query; give --formula"),
     "refute-missing-kb": lambda tmp: _missing_kb(tmp, "refute",
                                                  "--formula", "A"),
     "refute-open-formula": lambda tmp: (
@@ -440,6 +443,22 @@ def test_cli_train_reports_the_theorys_declared_queries(tmp_path, capsys):
     assert lines[1:3] == [f"{k} = {recs[-1][k]:.4f}" for k in ("phi1", "phi2")]
     for rec in recs:
         assert 0.0 <= rec["phi1"] <= 1.0 and 0.0 <= rec["phi2"] <= 1.0
+
+
+def test_cli_query_prints_the_declared_queries_of_the_trained_run(tmp_path,
+                                                                   capsys):
+    out = tmp_path / "d"
+    kb = str(theory_path("smokers"))
+    assert cli.main(["train", "--kb", kb, "--epochs", "2",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    last = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+    assert cli.main(["query", "--kb", kb,
+                     "--params", str(out / "params.bin")]) == 0
+    printed = [line.split(" = ") for line in
+               capsys.readouterr().out.splitlines()]
+    assert [(k, float(v)) for k, v in printed] == \
+        [(k, last[k]) for k in ("phi1", "phi2")]
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -671,6 +671,44 @@ def test_padding_passes_no_infinite_gradient_to_the_cell_it_gathers():
     assert gx[0, 0] == 0.0 and gx[1, 0] == 0.0 and gx[1, 2] == 0.0
 
 
+# a piecewise rule and operands where its value sits at 0 or 1, so the
+# root below sends an infinite gradient into a cell the rule does not
+# pick for one operand
+UNPICKED_CASES = {
+    "and:min": (ANDS["min"], [0.0, 0.6], [0.3, 0.2]),
+    "or:max": (ORS["max"], [1.0, 0.2], [0.5, 0.3]),
+    "and:luk": (ANDS["luk"], [0.0, 0.6], [0.3, 0.2]),
+    "or:luk": (ORS["luk"], [0.6, 0.1], [0.7, 0.2]),
+    "implies:kleene_dienes": (IMPS["kleene_dienes"], [1.0, 0.5], [0.0, 0.2]),
+    "implies:godel": (IMPS["godel"], [0.2, 0.7], [0.5, 0.3]),
+    "implies:goguen": (IMPS["goguen"], [0.2, 0.7], [0.5, 0.3]),
+    "implies:luk": (IMPS["luk"], [0.2, 0.7], [0.5, 0.3]),
+    "agg:luk_and": (AggregatorSpec("luk_and"), [[0.0, 0.0], [0.6, 0.7]], None),
+    "agg:luk_or": (AggregatorSpec("luk_or"), [[0.6, 0.7], [0.1, 0.2]], None),
+    "tensor.maximum": (T.maximum, [-1.0], [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPICKED_CASES))
+def test_an_infinite_gradient_leaves_unpicked_cells_at_zero(case):
+    op, a, b = UNPICKED_CASES[case]
+    args = [Tensor(np.array(x), requires_grad=True) for x in (a, b)
+            if x is not None]
+    if isinstance(op, ConnectiveOp):
+        out = apply_connective(op, *args)
+    elif isinstance(op, AggregatorSpec):
+        out = aggregate(op, *args, 1)
+    else:
+        out = op(*args)
+    # sqrt(v) + sqrt(1 - v): an infinite slope at 0 and at 1
+    assert np.isin(out.data, (0.0, 1.0)).any()
+    root = T.reduce_sum(T.power(out, 0.5) + T.power(1.0 - out, 0.5))
+    with np.errstate(all="ignore"):
+        grads = T.grad(root, args)
+    for g in grads:
+        assert not np.isnan(g).any(), g
+
+
 def test_a_masked_aggregate_checks_only_its_kept_cells():
     # row 1 keeps one cell, so its packed row pads with flat cell 0
     t = np.array([[1.5, 0.3, 0.6], [0.2, 0.4, -2.0]])

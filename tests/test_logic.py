@@ -28,6 +28,7 @@ from randformula import (
     guarded_quants, rand_formula, rand_repeated, rand_vacant_quant, small_sig,
 )
 from test_fuzzy import composite_aggregate, composite_connective
+import walker
 
 RAW = (FuzzyConfig()
        .with_tag("and", "product").with_tag("or", "product")
@@ -527,12 +528,13 @@ def network_env(drops=(0.0, 0.0)):
 
 
 def full_grid_networks(monkeypatch):
-    """Patch in the full-grid network path, the oracle of the per-argument
-    one: each argument is broadcast to the grid of the atom or term that
-    runs the network. That grid comes from the atom's or term's own
-    ``align`` call, the last one before its network runs."""
+    """Patch the tree walker of ``walker.py`` into the full-grid network
+    path, the oracle of the per-argument one: each argument is broadcast
+    to the grid of the atom or term that runs the network. That grid
+    comes from the atom's or term's own ``align`` call, the last one
+    before its network runs."""
     grids = []
-    real_align = logic.align
+    real_align = walker.align
 
     def align(values, feature):
         order, aligned = real_align(values, feature)
@@ -544,14 +546,14 @@ def full_grid_networks(monkeypatch):
         x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
         return dense_forward(spec, env.store, name, x, training=scope.training)
 
-    monkeypatch.setattr(logic, "align", align)
-    monkeypatch.setattr(logic, "_network", network)
+    monkeypatch.setattr(walker, "align", align)
+    monkeypatch.setattr(walker, "_network", network)
 
 
-def value_and_grads(env, node):
-    """Truth of ``node`` and every slot's gradient of a fixed random
-    weighting of its cells."""
-    gv = ground_formula(env, node)
+def value_and_grads(env, node, ground=ground_formula):
+    """Truth of ``node`` by ``ground`` and every slot's gradient of a
+    fixed random weighting of its cells."""
+    gv = ground(env, node)
     weights = np.random.default_rng(1).random(gv.tensor.shape)
     return gv, backward(T.reduce_sum(gv.tensor * Tensor(weights)), env.store)
 
@@ -583,7 +585,7 @@ def test_argument_grid_networks_match_full_grid_oracle(case, monkeypatch):
     got, got_grads = value_and_grads(env, node)
     with monkeypatch.context() as m:
         full_grid_networks(m)
-        want, want_grads = value_and_grads(env, node)
+        want, want_grads = value_and_grads(env, node, walker.ground_formula)
     assert got.vars == want.vars
     np.testing.assert_allclose(got.tensor.data, want.tensor.data,
                                rtol=0, atol=1e-12)
@@ -819,9 +821,9 @@ def test_random_formulas_ground_as_under_the_composite_rules(case, monkeypatch):
                          ids=["eval", "train", "train-dropout"])
 def test_shared_network_outputs_match_the_unshared_path(training, drop,
                                                         monkeypatch):
-    # the shared path is satisfiability, which opens a memo unless the
-    # scope trains a dropout network; the unshared one grounds the axiom
-    # under a scope without a memo
+    # the shared path is satisfiability, whose plan shares network runs
+    # unless the scope trains a dropout network; the unshared one is the
+    # tree walker of walker.py under a scope without a memo
     env = random_formula_env(drop=drop)
     calls = record_dense_forward(monkeypatch)
     rng = np.random.default_rng([26, training])
@@ -839,7 +841,7 @@ def test_shared_network_outputs_match_the_unshared_path(training, drop,
                 out = satisfiability(Theory((Axiom(f),), env), scope)
             else:
                 out = aggregate(env.cfg.sat_agg, T.stack(
-                    [ground_formula(env, f, scope).tensor]), 1)
+                    [walker.ground_formula(env, f, scope).tensor]), 1)
             runs.append((out.data, backward(out, env.store), len(calls),
                          env.store.rng.bit_generator.state))
         (want, want_grads, unshared, want_rng), \
@@ -874,10 +876,11 @@ def test_a_guard_that_never_fires_reads_its_empty_value_under_every_family(famil
 
 
 def guard_order_mask(op, sides, order):
-    """The guard mask built in the guard's own variable order, then
-    moved into ``order``: a strided view of the same cells."""
-    guard_vars, (lhs, rhs) = logic.align(list(sides), feature=False)
-    return logic._aligned(logic.COMPARISONS[op](lhs, rhs), guard_vars, order)
+    """The tree walker's guard mask built in the guard's own variable
+    order, then moved into ``order``: a strided view of the same
+    cells."""
+    guard_vars, (lhs, rhs) = walker.align(list(sides), feature=False)
+    return walker._aligned(logic.COMPARISONS[op](lhs, rhs), guard_vars, order)
 
 
 @pytest.mark.parametrize("family", sorted(_AGGREGATORS))
@@ -894,9 +897,11 @@ def test_guard_masks_in_the_aggregate_layout_match_the_guard_order(family,
     runs = []
     for oracle in (False, True):
         with pytest.MonkeyPatch.context() as m:
+            ground = ground_formula
             if oracle:
-                m.setattr(logic, "_guard_mask", guard_order_mask)
-            out = ground_formula(env, f).tensor
+                m.setattr(walker, "_guard_mask", guard_order_mask)
+                ground = walker.ground_formula
+            out = ground(env, f).tensor
             runs.append((out.data, backward(out, env.store)))
     (got, got_grads), (want, want_grads) = runs
     assert got.tobytes() == want.tobytes()

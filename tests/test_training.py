@@ -3,6 +3,7 @@
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,9 @@ from reallogic.training import (
     truth_value,
     write_metrics,
 )
-from reallogic.training import _check_grads, _diag_partition, _log, _loss
+from reallogic.training import _check_grads, _log, _loss
+
+import walker
 
 DISJ_SRC = "domain u = 1\npred A = scalar\npred B = scalar\naxiom: A | B\n"
 
@@ -150,9 +153,11 @@ def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
 
 
 def unshared_sat(theory, scope):
-    """Sat grounded as :func:`satisfiability` grounds it, but under
-    ``scope`` as given: with no memo, every atom runs its network."""
-    truths = [axiom_truth(theory, ax, scope) for ax in theory.axioms]
+    """Sat grounded by the tree walker of ``walker.py`` under ``scope``
+    with no memo, so every atom runs its network."""
+    truths = [walker.ground_formula(theory.env, ax.formula, walker.root_scope(
+        theory.env, replace(scope, p={**scope.p, **ax.p}))).tensor
+        for ax in theory.axioms]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
 
@@ -437,6 +442,39 @@ def test_schedule_rejects_p_below_one(schedule):
 # -- one Sat forward per epoch -------------------------------------------------
 
 
+def diag_partition(theory, names) -> list:
+    """Group the variables ``names`` that co-occur under one diagonal
+    group of the axioms, each group in ``names`` order, the groups in
+    the order of their first member: the walk over the axioms that
+    ``learn`` did before it read the groups off a plan."""
+    parent = {n: n for n in names}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ax in theory.axioms:
+        stack = [ax.formula]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, logic.Quant):
+                for g in f.groups:
+                    members = [v for v in g if v in parent]
+                    for a, b in zip(members, members[1:]):
+                        parent[find(a)] = find(b)
+                stack.append(f.body)
+            elif isinstance(f, logic.Not):
+                stack.append(f.body)
+            elif isinstance(f, logic.Bin):
+                stack.extend((f.lhs, f.rhs))
+    groups = {}
+    for n in names:
+        groups.setdefault(find(n), []).append(n)
+    return list(groups.values())
+
+
 def plain_learn(theory, train, batched=(), metrics=None):
     """The learning loop with a separate Sat forward for every record:
     the oracle for ``learn``, which writes a record from the next step's
@@ -444,7 +482,7 @@ def plain_learn(theory, train, batched=(), metrics=None):
     the metrics and the theory's declared queries."""
     data = {v: theory.env.instances(v) for v in batched}
     metrics = metrics or {}
-    groups = _diag_partition(theory, data.keys())
+    groups = diag_partition(theory, data.keys())
     sizes = {tuple(g): len(data[g[0]]) for g in groups}
     steps = max((-(-n // train.batch) for n in sizes.values()), default=1)
     rng = np.random.default_rng(train.seed)
