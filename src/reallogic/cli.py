@@ -164,6 +164,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.formula is None and (args.forall_p, args.exists_p) != (None, None):
+        raise SystemExit("--forall-p and --exists-p need --formula; a "
+                         "declared query runs under its own annotations")
     th = _load_kb(args, args.seed)
     if args.params:
         try:

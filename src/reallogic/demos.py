@@ -27,7 +27,7 @@ from reallogic.datasets import (
 )
 from reallogic.logic import App, Var
 from reallogic.training import (
-    RefutationConfig, TrainConfig, axiom_truth, learn, query, reason_refute,
+    RefutationConfig, TrainConfig, learn, query, reason_refute, truth_value,
     write_metrics,
 )
 
@@ -293,7 +293,8 @@ def run_smokers(seed: int, train: TrainConfig, tags=None) -> DemoResult:
     (symmetric,) = [ax for ax in th.axioms if ax.label == "symmetric"]
     s_x, c_x, f_xy = _parsed(th, "S(x)", "C(x)", "F(x, y)")
     recs = learn(th, train, metrics={
-        "symmetry": lambda t: float(axiom_truth(t, symmetric).data)})
+        "symmetry": lambda t: truth_value(t, symmetric.formula,
+                                          p=symmetric.p)})
     people = smoker_facts(th)
     s = _truths(th, s_x)
     c = _truths(th, c_x)

@@ -17,8 +17,12 @@ operands' axes by name and broadcast. It takes two passes, because the
 graph's shape depends only on the formulas, the declarations and each
 variable's axis length under the call's binds: :func:`plan` fixes it,
 then each planned node's ``run`` computes what depends on the
-parameters, the dropout draws and the scope's p. A plan is made per call
-and run once, so nothing outlives the parameters it read.
+parameters, the instances, the dropout draws and the scope's p. A plan
+holds no bound data and no value: a variable is read from the run's
+binds, else its declared instances, and shared network outputs live in
+a dict made for each run. So one plan serves every run whose binds have
+the same lengths (:func:`plan_key` states all it depends on), and its
+owner may keep it; ``training.Theory`` does.
 
 A network runs once per cell of its arguments' own grid: a ``select``
 predicate's class argument only picks from the output, so it is not an
@@ -262,6 +266,19 @@ def free_vars(formula: Formula) -> tuple[str, ...]:
     return tuple(order)
 
 
+def diagonal_groups(formula: Formula) -> list:
+    """Each group of several variables that a quantifier of ``formula``
+    binds diagonally, outermost first."""
+    if isinstance(formula, Not):
+        return diagonal_groups(formula.body)
+    if isinstance(formula, Bin):
+        return diagonal_groups(formula.lhs) + diagonal_groups(formula.rhs)
+    if isinstance(formula, Quant):
+        return ([g for g in formula.groups if len(g) > 1]
+                + diagonal_groups(formula.body))
+    return []
+
+
 # -- groundings -----------------------------------------------------------------
 
 
@@ -474,37 +491,51 @@ def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
 # -- planning -------------------------------------------------------------------
 
 
-# one evaluation, fixed before any value is computed: a Root per
-# formula, and each diagonal group met, as a tuple of variable names
-Plan = namedtuple("Plan", "roots diagonals")
-# a planned formula or term, and the outputs of its plan's shared network
-# runs, kept as the plan's roots run
-Root = namedtuple("Root", "node outputs")
-# what a quantifier changes for its body: each diagonal member's shared
-# axis label, and dropout (never inside a guard)
-_Ctx = namedtuple("_Ctx", "alias training")
-# what planned nodes read as they run
-_Run = namedtuple("_Run", "store p outputs")
+# what a formula's quantifiers read while it is planned: each diagonal
+# member's shared axis label, dropout (never inside a guard), and the p
+# annotations of the formula's axiom, which win over a run's scope p
+_Ctx = namedtuple("_Ctx", "alias training p")
+# what planned nodes read as they run: the env, the scope's binds and p,
+# and the outputs of the shared network runs made so far in this run
+_Run = namedtuple("_Run", "env binds p outputs")
 
 
-def plan(env: GroundingEnv, formulas, scope: Scope) -> Plan:
-    """Plan the formulas under ``scope``'s binds and training flag, with
-    one network run per distinct application across all of them."""
-    planner, outputs = _Planner(env, scope), {}
-    roots = tuple(Root(planner.formula(f, planner.top), outputs)
-                  for f in formulas)
-    return Plan(roots, tuple(planner.diagonals))
+def plan(env: GroundingEnv, exprs, scope: Scope, ps=None) -> tuple:
+    """Plan the formulas or terms ``exprs`` under ``scope``, with one
+    network run per distinct application across all of them: the plan's
+    roots, one per expression, in order. ``ps`` holds each expression's
+    p annotations (quantifier kind to p), which its quantifiers take
+    instead of a run's scope p.
+
+    The plan holds no bound data, so it can run under every scope with
+    the same :func:`plan_key`; its roots are run by :func:`ground_formula`
+    and :func:`ground_term`, sharing one ``outputs`` dict per run.
+    """
+    planner = _Planner(env, scope)
+    return tuple(planner.term(e, planner.top._replace(p=p))
+                 if isinstance(e, Term)
+                 else planner.formula(e, planner.top._replace(p=p))
+                 for e, p in zip(exprs, ps or [{}] * len(exprs)))
+
+
+def plan_key(env: GroundingEnv, scope: Scope) -> tuple:
+    """What a plan made under ``scope`` depends on besides its
+    expressions and the env's symbols: the operators, the training flag
+    when the env has a dropout network, and each variable's axis length
+    under the binds."""
+    return (env.cfg, scope.training and env.has_dropout(),
+            tuple(len(scope.binds.get(name, inst))
+                  for name, (_, inst) in env._vars.items()))
 
 
 class _Planner:
     def __init__(self, env: GroundingEnv, scope: Scope):
         self.env, self.binds = env, scope.binds
-        self.top = _Ctx({}, scope.training)
+        self.top = _Ctx({}, scope.training, {})
         # the one sharing rule: every plan shares network runs but a
         # training plan of an env with a dropout network, where each
         # occurrence draws its own masks
         self.nets = None if scope.training and env.has_dropout() else {}
-        self.diagonals = []
         self.sizes = {}  # axis label -> length, which one plan fixes
 
     def instances(self, name: str):
@@ -536,16 +567,10 @@ class _Planner:
         if isinstance(term, Const):
             if term.name not in self.env._consts:
                 raise EvalError(f"constant {term.name!r} has no grounding")
-            return _Leaf((), *self.env._consts[term.name])
+            return _Leaf((), "const", term.name)
         if isinstance(term, Var):
             label = ctx.alias.get(term.name, term.name)
-            inst = self.instances(term.name)[:self.size(label)]
-            if self.env._vars[term.name][0] == "data":
-                return _Leaf((label,), "fixed", inst)
-            if not inst:  # an empty bind: no constant to stack
-                dim = self.env.sig.dim(self.env.sig.variables[term.name])
-                return _Leaf((label,), "fixed", np.zeros((0, dim)))
-            return _Leaf((label,), "stack", [self.env._consts[c] for c in inst])
+            return _Leaf((label,), "var", term.name, self.size(label))
         if not isinstance(term, App):
             raise EvalError(f"not a term: {term!r}")
         self.env._declared(term.func, self.env.sig.functions, "function")
@@ -558,7 +583,7 @@ class _Planner:
         if kind == "scalar":
             if terms:
                 raise EvalError(f"{name} takes no arguments")
-            return _Leaf((), "slot", payload)
+            return _Leaf((), "slot", name)
         order, args = self.align([self.term(a, ctx) for a in terms])
         net = None
         if isinstance(payload, MlpSpec):
@@ -611,7 +636,6 @@ class _Planner:
             self.sizes[labels[-1]] = min(lens)
             ctx = ctx._replace(alias={**ctx.alias,
                                       **dict.fromkeys(group, labels[-1])})
-            self.diagonals.append(group)
         body = self.formula(node.body, ctx)
         sides = ()
         if node.guard is not None:  # guards never see dropout noise
@@ -630,9 +654,12 @@ class _Planner:
             tuple((coef, n, *self.layout(n.vars if n else (), order))
                   for coef, n in side) for side in sides)
         grid = tuple(self.sizes[v] for v in order)
+        spec = getattr(self.env.cfg, CONFIG_KEYS[node.kind])
+        own = ctx.p.get(node.kind)
         return _Quant(keep, node.kind, (body, *self.layout(body.vars, order)),
                       grid if len(order) > len(body.vars) else None, guard,
-                      len(labels), getattr(self.env.cfg, CONFIG_KEYS[node.kind]))
+                      len(labels), spec if own is None
+                      else _with_p(spec, node.kind, own), own is not None)
 
 
 # -- execution -------------------------------------------------------------------
@@ -658,22 +685,34 @@ def _fetch(children, ex: _Run) -> list:
     return [_placed(x, child) for x, child in zip(values, children)]
 
 
-class _Leaf(namedtuple("_Leaf", "vars how payload")):
-    """A ``fixed`` array, wrapped anew on each run, a trainable ``slot``,
-    or the ``stack`` of a constant-backed variable's constants."""
+class _Leaf(namedtuple("_Leaf", "vars how name n", defaults=(None,))):
+    """A trainable ``slot``, a ``const``, or the first ``n`` instances of
+    a ``var``, read from the run's binds, else the declared instances."""
 
     def run(self, ex: _Run) -> Tensor:
-        if self.how == "stack":  # of each constant's (how, payload)
-            return T.stack([ex.store.get(p) if how == "slot" else Tensor(p)
-                            for how, p in self.payload])
-        return (ex.store.get(self.payload) if self.how == "slot"
-                else Tensor(self.payload))
+        if self.how == "slot":
+            return ex.env.store.get(self.name)
+        if self.how == "const":
+            return _const(ex.env, self.name)
+        kind, declared = ex.env._vars[self.name]
+        inst = ex.binds.get(self.name, declared)[:self.n]
+        if kind == "data":
+            return Tensor(inst)
+        if not inst:  # an empty bind: no constant to stack
+            dim = ex.env.sig.dim(ex.env.sig.variables[self.name])
+            return Tensor(np.zeros((0, dim)))
+        return T.stack([_const(ex.env, c) for c in inst])
+
+
+def _const(env: GroundingEnv, name: str) -> Tensor:
+    how, payload = env._consts[name]
+    return env.store.get(payload) if how == "slot" else Tensor(payload)
 
 
 # one network run on the first ``inputs`` arguments of an application,
 # each broadcast to their common leading shape ``lead`` unless ``full``
 # marks it as there (None for one input); ``slot`` keys its output in
-# the plan's outputs, None when the plan shares no runs
+# the run's outputs, None when the plan shares no runs
 _Net = namedtuple("_Net", "name spec inputs lead full training slot")
 
 
@@ -696,7 +735,7 @@ class _App(namedtuple("_App", "vars kind payload args net")):
             x = args[0] if net.full is None else T.concat(
                 [t if full else T.broadcast_to(t, net.lead + t.shape[-1:])
                  for t, full in zip(args, net.full)], axis=-1)
-            out = dense_forward(net.spec, ex.store, net.name, x,
+            out = dense_forward(net.spec, ex.env.store, net.name, x,
                                 training=net.training)
             if net.slot is not None:
                 ex.outputs[net.slot] = out
@@ -746,12 +785,13 @@ class _Conn(namedtuple("_Conn", "vars args op")):
         return apply_connective(self.op, *xs)
 
 
-class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec")):
+class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec own")):
     """A quantifier: ``body`` placed in the aggregate's layout, broadcast
     to ``grid`` unless that is None, and aggregated over the last ``k``
     axes. ``guard`` is None, or the comparison and its sides, each a
     tuple of (coefficient, term node or None for 1, permutation, shape
-    in the layout)."""
+    in the layout). ``own`` marks a ``spec`` that holds its axiom's p
+    annotation, so a run's scope p does not apply."""
 
     def run(self, ex: _Run) -> Tensor:
         body = self.body[0].run(ex)
@@ -761,13 +801,17 @@ class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec")):
         if self.grid is not None:
             t = T.broadcast_to(t, self.grid)
         mask = sides and COMPARISONS[self.guard[0]](*sides)
-        p = ex.p.get(self.kind)
-        try:
-            spec = self.spec.with_p(p)
-        except ValueError as e:  # a p override the configured family cannot take
-            raise EvalError(f"{self.kind}(p={p:g}): {e}") from None
+        spec = self.spec if self.own else _with_p(self.spec, self.kind,
+                                                   ex.p.get(self.kind))
         return aggregate(spec, t, self.k, mask=mask,
                          empty=float(self.kind == "forall"))
+
+
+def _with_p(spec, kind: str, p):
+    try:
+        return spec.with_p(p)
+    except ValueError as e:  # a p the configured family cannot take
+        raise EvalError(f"{kind}(p={p:g}): {e}") from None
 
 
 def _side(pieces, ex: _Run) -> np.ndarray:
@@ -786,31 +830,40 @@ def _side(pieces, ex: _Run) -> np.ndarray:
     return sum(total)
 
 
-def _run(env: GroundingEnv, root: Root, scope: Scope) -> GroundedValue:
-    out = root.node.run(_Run(env.store, scope.p, root.outputs))
-    return GroundedValue(out, root.node.vars)
+_PLANNED = (_Leaf, _App, _Eq, _Conn, _Quant)  # the node kinds a plan holds
 
 
-def ground_term(env: GroundingEnv, term: Term,
-                scope: Scope = None) -> GroundedValue:
+def _run(env: GroundingEnv, node, scope: Scope, outputs) -> GroundedValue:
+    out = node.run(_Run(env, scope.binds, scope.p, outputs))
+    return GroundedValue(out, node.vars)
+
+
+def ground_term(env: GroundingEnv, term, scope: Scope = None
+                ) -> GroundedValue:
     """Evaluate a term to a tensor shaped (n_v1, ..., n_vk, feat) under
-    ``scope`` (default: ``env.scope()``)."""
+    ``scope`` (default: ``env.scope()``). ``term`` is a term, planned on
+    its own, or a root of a :func:`plan` with the scope's
+    :func:`plan_key`."""
     scope = env.scope() if scope is None else scope
-    planner = _Planner(env, scope)
-    return _run(env, Root(planner.term(term, planner.top), {}), scope)
+    if not isinstance(term, _PLANNED):
+        (term,) = plan(env, (term,), scope)
+    return _run(env, term, scope, {})
 
 
-def ground_formula(env: GroundingEnv, formula, scope: Scope = None
-                   ) -> GroundedValue:
+def ground_formula(env: GroundingEnv, formula, scope: Scope = None,
+                   outputs: dict = None) -> GroundedValue:
     """Evaluate a formula to a truth tensor with one axis per free var.
 
     ``scope`` holds the context of the call: variable binds, dropout
     and the quantifier p overrides. It defaults to ``env.scope()``: the
     declared instances, the env's training flag and the configured p.
-    ``formula`` is a formula, planned on its own, or a ``Root`` of a
-    :func:`plan` made under the same binds and dropout flag.
+    ``formula`` is a formula, planned on its own for this call, or a root
+    of a :func:`plan` with the scope's :func:`plan_key`. ``outputs``
+    holds the shared network runs of one run of a plan: the roots of
+    that run pass the same dict, which starts empty (the default makes
+    one for this call).
     """
     scope = env.scope() if scope is None else scope
-    if not isinstance(formula, Root):
-        formula = plan(env, (formula,), scope).roots[0]
-    return _run(env, formula, scope)
+    if not isinstance(formula, _PLANNED):
+        (formula,) = plan(env, (formula,), scope)
+    return _run(env, formula, scope, {} if outputs is None else outputs)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from reallogic.fuzzy import TOL, aggregate
 from reallogic.logic import (
-    Scope, free_vars, ground_formula, ground_term, plan, where,
+    Scope, diagonal_groups, free_vars, ground_formula, ground_term, plan,
+    plan_key, where,
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
@@ -27,10 +28,16 @@ class SettingsError(ValueError):
 
 @dataclass
 class Theory:
-    """Closed axioms over a grounded environment, and labelled queries."""
+    """Closed axioms over a grounded environment, and labelled queries.
+
+    A theory keeps the plans it grounds by (see :func:`_planned`), so
+    its axioms and its env's symbols stay as built.
+    """
     axioms: tuple
     env: "GroundingEnv"
     queries: tuple = ()
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if not self.axioms:
@@ -67,33 +74,36 @@ def _check_closed(formula, what: str) -> None:
         raise ValueError(f"{what} is not closed: free {', '.join(loose)}")
 
 
-def axiom_truth(theory: Theory, axiom, scope: Scope = None) -> Tensor:
-    """Ground one axiom under ``scope`` (default: the env's root scope).
-
-    The scope carries the binds, the training flag and the quantifier p
-    overrides; the axiom's own ``@forall/@exists(p=..)`` annotations win
-    over the scope's p.
-    """
-    scope = theory.env.scope() if scope is None else scope
-    return ground_formula(theory.env, axiom.formula,
-                          _with_p(scope, axiom)).tensor
-
-
-def _with_p(scope: Scope, axiom) -> Scope:
-    return replace(scope, p={**scope.p, **axiom.p}) if axiom.p else scope
+def _planned(theory: Theory, scope: Scope, expr=None) -> tuple:
+    """The roots of the plan of ``expr``, or of all the axioms when it is
+    None, under ``scope``: made on the first call with the scope's
+    :func:`logic.plan_key` and kept by the theory. An axiom's quantifiers
+    take its ``@forall/@exists(p=..)`` annotations at plan time."""
+    key = (expr, plan_key(theory.env, scope))
+    roots = theory._plans.get(key)
+    if roots is None:
+        if expr is None:
+            roots = plan(theory.env, [ax.formula for ax in theory.axioms],
+                         scope, [ax.p for ax in theory.axioms])
+        else:
+            roots = plan(theory.env, (expr,), scope)
+        theory._plans[key] = roots
+    return roots
 
 
 def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
-    Each axiom is grounded as :func:`axiom_truth` grounds it, under
-    ``scope`` (default: the env's root scope), from one plan of all the
-    axioms, so they share network runs (see :func:`logic.plan`).
+    The axioms are grounded under ``scope`` (default: the env's root
+    scope) from the theory's plan of all of them for the scope's layout
+    (see :func:`_planned`), so one forward shares network runs (see
+    :func:`logic.plan`), and an axiom's own p annotations win over the
+    scope's p.
     """
     scope = theory.env.scope() if scope is None else scope
-    roots = plan(theory.env, [ax.formula for ax in theory.axioms], scope).roots
-    truths = [ground_formula(theory.env, root, _with_p(scope, ax)).tensor
-              for root, ax in zip(roots, theory.axioms)]
+    outputs = {}  # this forward's shared network runs
+    truths = [ground_formula(theory.env, root, scope, outputs).tensor
+              for root in _planned(theory, scope)]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
 
@@ -176,19 +186,24 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
 
     ``batched`` names the variables to minibatch; each step grounds the
     theory in a scope that binds them to a uniformly drawn batch of
-    their declared instances (without replacement; variables that a plan
-    of the axioms puts in one diagonal group share the draw; a
-    constant-backed variable is bound to the drawn indices). ``learn`` is the one writer of ``env.training``: it
-    is True while a step grounds Sat, so that root scope enables
-    dropout, and False otherwise. Each epoch's record holds Sat and the
-    loss over the declared instances with training off; a record due by
-    ``log_every``, and the last, also holds each declared query's truth
-    and each ``metrics`` callable's value on the theory. Returns the
-    records; records[0] is the pre-training state. Raises EvalError
-    naming an undeclared variable in ``batched``, DivergenceError on a
-    non-finite loss or gradient, and SettingsError before the first step
-    for an exists-schedule p that the exists family cannot take, or for
-    a metric named like a query.
+    their declared instances (without replacement; variables that an
+    axiom's quantifier groups diagonally share the draw; a
+    constant-backed variable is bound to the drawn indices). ``learn``
+    is the one writer of ``env.training``: it is True while a step
+    grounds Sat, so that root scope enables dropout, and False
+    otherwise. The theory plans the axioms once per bind layout, and
+    each declared query once, so a diagonal group of unequal lengths
+    warns that it truncates once per plan made, not once per step.
+
+    Each epoch's record holds Sat and the loss over the declared
+    instances with training off; a record due by ``log_every``, and the
+    last, also holds each declared query's truth and each ``metrics``
+    callable's value on the theory. Returns the records; records[0] is
+    the pre-training state. Raises EvalError naming an undeclared
+    variable in ``batched``, DivergenceError on a non-finite loss or
+    gradient, and SettingsError before the first step for an
+    exists-schedule p that the exists family cannot take, or for a
+    metric named like a query.
 
     When a step grounds the very scope of the record before it, that
     step's forward writes the record, so an epoch costs one Sat forward.
@@ -210,8 +225,8 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     data = {name: theory.env.instances(name) for name in batched}
     # batched variables that share a diagonal axis share one index draw
     linked = {v: {v} for v in data}
-    for group in plan(theory.env, [ax.formula for ax in theory.axioms],
-                      theory.env.scope()).diagonals:
+    for group in (g for ax in theory.axioms
+                  for g in diagonal_groups(ax.formula)):
         merged = set().union(*(linked[v] for v in group if v in linked))
         linked.update(dict.fromkeys(merged, merged))
     groups = list({id(linked[v]): [u for u in data if u in linked[v]]
@@ -313,10 +328,11 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     The expression is grounded in a scope with training off, the p
     overrides ``p`` (quantifier kind to p, as in :class:`Scope`), and,
     for the generalization kinds, the given variables bound to unseen
-    data; the env itself is left as it was. Formula
-    queries take an AST or source text, parsed on every call; term
-    queries take an AST. Raises RuntimeError when any bit of θ changed
-    (:meth:`ParamStore.snapshot` before and after).
+    data; the env itself is left as it was. Formula queries take an AST
+    or source text, parsed on every call; term queries take an AST. The
+    theory plans each expression once per bind layout and keeps the
+    plan (see :func:`_planned`). Raises RuntimeError when any bit of θ
+    changed (:meth:`ParamStore.snapshot` before and after).
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -330,14 +346,15 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
         expr = parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
     scope = theory.env.scope(data, training=False, p=p)
+    (root,) = _planned(theory, scope, expr)
     if truthy:
-        gv = ground_formula(theory.env, expr, scope)
+        gv = ground_formula(theory.env, root, scope)
         values = np.asarray(gv.tensor.data)
         if not ((values >= -TOL) & (values <= 1 + TOL)).all():  # NaN fails
             raise RuntimeError("truth query outside [0, 1]")
         values = np.clip(values, 0.0, 1.0)
     else:
-        gv = ground_term(theory.env, expr, scope)
+        gv = ground_term(theory.env, root, scope)
         values = np.asarray(gv.tensor.data)
     if theory.store.snapshot() != before:
         raise RuntimeError("query mutated the parameter store")
@@ -428,9 +445,10 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
             phi_ast = parse_formula(phi, th.sig)
         _check_closed(phi_ast, "refuted formula")
         scope = th.env.scope(training=False)
+        (root,) = _planned(th, scope, phi_ast)
         for _ in range(rcfg.epochs):
             sat = satisfiability(th, scope)
-            gphi = ground_formula(th.env, phi_ast, scope).tensor
+            gphi = ground_formula(th.env, root, scope).tensor
             obj = gphi + soft_penalty(sat, rcfg.q, REFUTE_ALPHA, REFUTE_BETA)
             if not np.isfinite(obj.data):
                 raise DivergenceError("refutation objective diverged")

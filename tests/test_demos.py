@@ -226,6 +226,10 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "forall-p-for-a-mean": lambda tmp: _mean_kb_query(tmp, "--forall-p", "5"),
     "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
     "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
+    "query-p-without-formula": lambda tmp: (
+        ["query", "--kb", str(theory_path("smokers")), "--forall-p", "3"],
+        "--forall-p and --exists-p need --formula; a declared query runs "
+        "under its own annotations"),
     "query-without-declared-queries": lambda tmp: (
         ["query", "--kb", str(theory_path("refute"))],
         f"{theory_path('refute')}: no declared query; give --formula"),

@@ -28,7 +28,6 @@ from reallogic.training import (
     SettingsError,
     Theory,
     TrainConfig,
-    axiom_truth,
     learn,
     query,
     reason_refute,
@@ -95,11 +94,11 @@ def test_single_axiom_sat_matches_truth():
     # raw sat_agg over one axiom is the identity; the stable projection
     # shifts it by at most eps
     raw = disj_theory(a=0.25, b=0.5, raw=True)
-    truth = float(axiom_truth(raw, raw.axioms[0]).data)
+    truth = truth_value(raw, raw.axioms[0].formula)
     assert float(satisfiability(raw).data) == pytest.approx(truth, abs=1e-12)
 
     stable = disj_theory(a=0.25, b=0.5)
-    t2 = float(axiom_truth(stable, stable.axioms[0]).data)
+    t2 = truth_value(stable, stable.axioms[0].formula)
     assert abs(float(satisfiability(stable).data) - t2) < 1e-3
 
 
@@ -114,21 +113,30 @@ def test_sat_agg_combines_axioms():
     assert float(satisfiability(th).data) == pytest.approx(want, abs=1e-12)
 
 
+def one_axiom_sat(th, truth: float) -> float:
+    """Sat of a theory of one axiom whose truth is ``truth``."""
+    return float(aggregate(th.cfg.sat_agg, Tensor(np.array([truth])), 1).data)
+
+
 def test_axiom_annotation_beats_override():
     vals = [0.2, 0.5, 0.9]
     th = callable_theory(vals, p={"forall": 6})
-    got = float(axiom_truth(th, th.axioms[0],
-                            th.env.scope(p={"forall": 2})).data)
+    ax = th.axioms[0]
+    got = truth_value(th, ax.formula, p=ax.p)
     spec = th.cfg.forall.with_p(6)
     want = float(aggregate(spec, Tensor(np.array(vals)), 1).data)
     assert got == pytest.approx(want, abs=1e-12)
+    # Sat grounds the axiom under its annotation, not the scope's p
+    sat = float(satisfiability(th, th.env.scope(p={"forall": 2})).data)
+    assert sat == pytest.approx(one_axiom_sat(th, got), abs=1e-12)
 
     plain = callable_theory(vals)
-    got2 = float(axiom_truth(plain, plain.axioms[0],
-                             plain.env.scope(p={"forall": 4})).data)
+    got2 = truth_value(plain, plain.axioms[0].formula, p={"forall": 4})
     want2 = float(aggregate(th.cfg.forall.with_p(4),
                             Tensor(np.array(vals)), 1).data)
     assert got2 == pytest.approx(want2, abs=1e-12)
+    sat2 = float(satisfiability(plain, plain.env.scope(p={"forall": 4})).data)
+    assert sat2 == pytest.approx(one_axiom_sat(plain, got2), abs=1e-12)
 
 
 def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
@@ -145,11 +153,14 @@ def test_axiom_annotation_keeps_the_scope_override_of_the_other_kind():
     ax = Axiom(parse_formula("forall x: exists y: P(x, y)", sig),
                p={"forall": 6})
     th = Theory((ax,), env)
-    got = float(axiom_truth(th, ax, env.scope(p={"exists": 3})).data)
+    got = truth_value(th, ax.formula, p={"exists": 3, **ax.p})
     some = aggregate(th.cfg.exists.with_p(3), Tensor(vals), 1)
     want = float(aggregate(th.cfg.forall.with_p(6), some, 1).data)
     assert got == pytest.approx(want, abs=1e-12)
-    assert got != pytest.approx(float(axiom_truth(th, ax).data), abs=1e-6)
+    assert got != pytest.approx(truth_value(th, ax.formula, p=ax.p), abs=1e-6)
+    # Sat merges the annotation into the scope's p of the other kind
+    sat = float(satisfiability(th, env.scope(p={"exists": 3})).data)
+    assert sat == pytest.approx(one_axiom_sat(th, got), abs=1e-12)
 
 
 def unshared_sat(theory, scope):
@@ -445,8 +456,9 @@ def test_schedule_rejects_p_below_one(schedule):
 def diag_partition(theory, names) -> list:
     """Group the variables ``names`` that co-occur under one diagonal
     group of the axioms, each group in ``names`` order, the groups in
-    the order of their first member: the walk over the axioms that
-    ``learn`` did before it read the groups off a plan."""
+    the order of their first member: a union-find walk over the axioms,
+    the oracle for the groups ``learn`` reads with
+    ``logic.diagonal_groups``."""
     parent = {n: n for n in names}
 
     def find(a):
@@ -532,7 +544,8 @@ def smokers_theory():
     with its axiom ``symmetric`` as a metric."""
     th = load_theory(theory_path("smokers"), seed=0)
     symmetric = next(ax for ax in th.axioms if ax.label == "symmetric")
-    metrics = {"symmetry": lambda t: float(axiom_truth(t, symmetric).data)}
+    metrics = {"symmetry": lambda t: truth_value(t, symmetric.formula,
+                                                 p=symmetric.p)}
     return th, metrics
 
 
