@@ -18,7 +18,7 @@ from reallogic.nn import ParamStore
 from reallogic.parser import ParseError
 from reallogic.training import (
     RefutationConfig, SettingsError, TrainConfig, learn, query, reason_refute,
-    truth_value, write_metrics,
+    truth_value,
 )
 
 
@@ -153,11 +153,8 @@ def cmd_train(args) -> int:
     for q in th.queries:
         print(f"{q.label} = {recs[-1][q.label]:.4f}")
     if args.out:
+        demos.write_outputs(demos.DemoResult(recs, {}, {}, th), args.out)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_metrics(recs, jsonl_path=out / "metrics.jsonl",
-                      csv_path=out / "metrics.csv")
-        th.store.save(out / "params.bin")
         print(f"wrote {out / 'metrics.jsonl'}, {out / 'metrics.csv'}, "
               f"{out / 'params.bin'}")
     return 0
@@ -266,6 +263,8 @@ def main(argv=None) -> int:
     r.set_defaults(fn=cmd_refute)
 
     args = ap.parse_args(argv)
+    if args.seed < 0:  # every command takes one
+        raise SystemExit(f"--seed must be at least 0, got {args.seed}")
     try:  # a theory, formula or training setting that cannot run exits
         return args.fn(args)  # with one line, a theory's led by file:line:col
     except (ParseError, TheoryError, SettingsError, EvalError) as e:

@@ -308,8 +308,8 @@ class GroundingEnv:
     :meth:`add_builtin` and :meth:`add_callable`.
 
     ``cfg`` defaults to the stable product configuration. ``training``
-    is the dropout flag that root scopes start from; ``training.learn``
-    sets it while an optimizer step grounds Sat.
+    is the dropout flag that root scopes start from; the descent step of
+    ``training.learn`` and ``reason_refute`` sets it while it grounds Sat.
     """
 
     def __init__(self, sig: Signature, store: ParamStore,

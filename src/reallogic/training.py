@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from reallogic import parser
 from reallogic.fuzzy import TOL, aggregate
 from reallogic.logic import (
     Scope, diagonal_groups, free_vars, ground_formula, ground_term, plan,
@@ -188,12 +189,12 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     theory in a scope that binds them to a uniformly drawn batch of
     their declared instances (without replacement; variables that an
     axiom's quantifier groups diagonally share the draw; a
-    constant-backed variable is bound to the drawn indices). ``learn``
-    is the one writer of ``env.training``: it is True while a step
-    grounds Sat, so that root scope enables dropout, and False
-    otherwise. The theory plans the axioms once per bind layout, and
-    each declared query once, so a diagonal group of unequal lengths
-    warns that it truncates once per plan made, not once per step.
+    constant-backed variable is bound to the drawn indices). Each step
+    grounds Sat under a training scope, so dropout is on, in
+    :func:`_descend`, the one writer of ``env.training``. The theory
+    plans the axioms once per bind layout, and each declared query
+    once, so a diagonal group of unequal lengths warns that it
+    truncates once per plan made, not once per step.
 
     Each epoch's record holds Sat and the loss over the declared
     instances with training off; a record due by ``log_every``, and the
@@ -258,7 +259,10 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
                 for v in g:
                     inst = data[v]
                     binds[v] = idx if isinstance(inst, tuple) else inst[idx]
-            grads, sat, loss = _step(theory, train, binds, ps[epoch], epoch)
+            grads, sat, loss = _descend(
+                theory, theory.env.scope(binds, training=True,
+                                         p={"exists": ps[epoch]}),
+                lambda s: _loss(theory, train, s), "loss", f"at epoch {epoch}")
             if shared:
                 records.append(_record(theory, train, metrics, epoch - 1,
                                        sat, loss))
@@ -268,22 +272,23 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     return records
 
 
-def _step(theory, train, binds, ep, epoch) -> tuple:
-    """Ground one step's Sat with ``env.training`` on, then backpropagate.
-    Returns (gradients, Sat, loss) with Sat and the loss as floats, so
-    the graph is freed on return. Nothing is updated."""
-    theory.env.training = True
+def _descend(theory, scope, objective, what: str, context: str) -> tuple:
+    """Ground Sat under ``scope``, with ``env.training`` set to the
+    scope's flag and then restored, and backpropagate ``objective(sat)``
+    without updating. Returns (gradients, Sat, objective), the last two
+    as floats. A non-finite objective (named by ``what`` and its value)
+    or gradient (by its slot) raises DivergenceError ending in ``context``."""
+    found, theory.env.training = theory.env.training, scope.training
     try:
-        sat = satisfiability(theory,
-                             theory.env.scope(binds, p={"exists": ep}))
+        sat = satisfiability(theory, scope)
     finally:
-        theory.env.training = False
-    loss = _loss(theory, train, sat)
-    if not np.isfinite(loss.data):
-        raise DivergenceError(f"loss {loss.data} at epoch {epoch}")
-    grads = backward(loss, theory.store)
-    _check_grads(grads, f"at epoch {epoch}")
-    return grads, float(sat.data), float(loss.data)
+        theory.env.training = found
+    obj = objective(sat)
+    if not np.isfinite(obj.data):
+        raise DivergenceError(f"{what} {obj.data} {context}")
+    grads = backward(obj, theory.store)
+    _check_grads(grads, context)
+    return grads, float(sat.data), float(obj.data)
 
 
 def _log(theory, train, metrics, epoch, ep=None) -> dict:
@@ -340,10 +345,9 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     if kind.startswith("generalization") and not data:
         raise ValueError("generalization queries need unseen data")
     if isinstance(expr, str):
-        from reallogic.parser import parse_formula
         if not truthy:
             raise ValueError("value queries take a term AST")
-        expr = parse_formula(expr, theory.sig)
+        expr = parser.parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
     scope = theory.env.scope(data, training=False, p=p)
     (root,) = _planned(theory, scope, expr)
@@ -372,7 +376,6 @@ def truth_value(theory: Theory, formula, p: dict = None) -> float:
 
 @dataclass(frozen=True)
 class ReasonRun:
-    seed: int
     sat: float
     phi: float
 
@@ -397,13 +400,14 @@ REFUTE_BETA = 10.0
 REFUTE_LR = 0.01
 
 
-def soft_penalty(sat, q: float, alpha: float, beta: float) -> Tensor:
+def soft_penalty(sat, q: float) -> Tensor:
     """Elu-shaped penalty on unsatisfied knowledge: linear in the deficit
     below q, a bounded negative reward above it. Continuous, zero at
     sat == q, non-increasing in sat. ``sat`` is a Tensor or a float."""
     sat = T.astensor(sat)
     d = q - sat
-    return T.where(sat.data <= q, beta * d, alpha * (T.exp(d) - 1.0))
+    return T.where(sat.data <= q, REFUTE_BETA * d,
+                   REFUTE_ALPHA * (T.exp(d) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -427,41 +431,36 @@ class RefuteResult:
 def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
     """Search for a grounding that keeps the knowledge base satisfied
     (Sat >= q) while falsifying phi, by minimizing
-    G(phi) + soft_penalty(Sat) with Adam for ``rcfg.epochs`` steps from
-    each of ``rcfg.restarts`` theories. Finding one refutes entailment.
+    G(phi) + soft_penalty(Sat, q) with Adam for ``rcfg.epochs`` steps
+    from each of ``rcfg.restarts`` theories. Finding one refutes
+    entailment and ends the search. A step is ``learn``'s
+    (:func:`_descend`) under an evaluation scope with this objective.
 
     ``build`` maps a restart index to a fresh Theory; ``phi`` is a
-    closed formula, as an AST or source text: an open one raises
-    ValueError naming its free variables. Quantifiers use the
-    configured p, or an axiom's own annotation.
+    closed formula, as an AST or source text parsed once, on the first
+    theory: an open one raises ValueError naming its free variables.
+    Quantifiers use the configured p, or an axiom's own annotation.
     """
     rcfg = rcfg or RefutationConfig()
     runs = []
     for i in range(rcfg.restarts):
         th = build(i)
-        phi_ast = phi
         if isinstance(phi, str):
-            from reallogic.parser import parse_formula
-            phi_ast = parse_formula(phi, th.sig)
-        _check_closed(phi_ast, "refuted formula")
+            phi = parser.parse_formula(phi, th.sig)
+        _check_closed(phi, "refuted formula")
         scope = th.env.scope(training=False)
-        (root,) = _planned(th, scope, phi_ast)
+        (root,) = _planned(th, scope, phi)
         for _ in range(rcfg.epochs):
-            sat = satisfiability(th, scope)
-            gphi = ground_formula(th.env, root, scope).tensor
-            obj = gphi + soft_penalty(sat, rcfg.q, REFUTE_ALPHA, REFUTE_BETA)
-            if not np.isfinite(obj.data):
-                raise DivergenceError("refutation objective diverged")
-            grads = backward(obj, th.store)
-            _check_grads(grads, "in the refutation search")
+            grads, _, _ = _descend(th, scope, lambda s: ground_formula(
+                th.env, root, scope).tensor + soft_penalty(s, rcfg.q),
+                "objective", "in the refutation search")
             adam_step(th.store, grads, lr=REFUTE_LR)
-        sat = float(satisfiability(th).data)
-        gphi = truth_value(th, phi_ast)
-        runs.append(ReasonRun(i, sat, gphi))
-        if sat >= rcfg.q and gphi < rcfg.q:
+        run = ReasonRun(float(satisfiability(th).data), truth_value(th, phi))
+        runs.append(run)
+        if run.sat >= rcfg.q and run.phi < rcfg.q:
             snapshot = {n: th.store.get(n).data.copy()
                         for n in th.store.names()}
-            return RefuteResult(False, False, sat, gphi, snapshot,
+            return RefuteResult(False, False, run.sat, run.phi, snapshot,
                                 tuple(runs))
     best = max(runs, key=lambda r: r.sat)
     vacuous = best.sat < rcfg.q

@@ -174,7 +174,15 @@ REFUTE_ARGS = ["refute", "--kb", str(theory_path("refute")), "--formula", "A"]
      "bad refutation settings: epochs and restarts must be positive"),
     (REFUTE_ARGS + ["--q", "1.5"],
      "bad refutation settings: q must be in (0.5, 1)"),
-], ids=["runs-0", "runs-negative", "restarts-0", "epochs-0", "q-1.5"])
+    (["demo", "refute", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["train", "--kb", str(theory_path("refute")), "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
+    (["query", "--kb", str(theory_path("refute")), "--formula", "A",
+      "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (REFUTE_ARGS + ["--seed", "-1"], "--seed must be at least 0, got -1"),
+], ids=["runs-0", "runs-negative", "restarts-0", "epochs-0", "q-1.5",
+        "demo-seed-negative", "train-seed-negative", "query-seed-negative",
+        "refute-seed-negative"])
 def test_cli_rejects_bad_numeric_flags(argv, message):
     with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
         cli.main(argv)

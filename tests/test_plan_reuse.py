@@ -14,7 +14,8 @@ from reallogic.demos import theory_path
 from reallogic.logic import Atom, Axiom, Quant, Var, ground_formula
 from reallogic.tensor import Tensor
 from reallogic.training import (
-    Theory, TrainConfig, _planned, learn, query, satisfiability, truth_value,
+    RefutationConfig, Theory, TrainConfig, _planned, learn, query,
+    reason_refute, satisfiability, truth_value,
 )
 
 from randformula import formulas, guarded_quants
@@ -151,3 +152,16 @@ def test_learn_plans_smokers_once_per_layout(epochs, monkeypatch):
     assert not th.env.has_dropout() and len(th.queries) == 2
     assert made["plans"] == 1 + 2 + 1
     assert len(th._plans) == made["plans"]
+
+
+@pytest.mark.parametrize("rcfg", [
+    RefutationConfig(epochs=1), RefutationConfig(epochs=5),
+    RefutationConfig(epochs=5, restarts=3, q=0.99)],
+    ids=["1-epoch", "5-epochs", "3-restarts"])
+def test_refutation_plans_sat_and_phi_once_per_restart(rcfg, monkeypatch):
+    made = count_plans(monkeypatch)
+    rr = reason_refute(lambda s: load_theory(theory_path("refute"), seed=s),
+                       "A", rcfg)
+    # each restart's theory plans Sat and phi once, and the steps, the
+    # final Sat and the final truth of phi reuse those plans
+    assert made["plans"] == 2 * len(rr.runs)

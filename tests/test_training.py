@@ -394,6 +394,19 @@ def test_non_finite_gradient_raises_before_the_update():
     assert th.store.snapshot() == before
 
 
+def test_non_finite_refutation_objective_raises_before_the_update():
+    # phi is a bare atom, so its NaN truth meets no operator and reaches
+    # the objective, while Sat, over B alone, stays finite
+    src = "domain u = 1\npred A = scalar\npred B = scalar\naxiom: B\n"
+    th = build_theory(parse_theory(src), seed=0)
+    th.store.get("A").data[...] = np.nan
+    before = th.store.snapshot()
+    with pytest.raises(DivergenceError,
+                       match="^objective nan in the refutation search$"):
+        reason_refute(lambda _: th, "A", RefutationConfig(epochs=1))
+    assert th.store.snapshot() == before
+
+
 def test_evaluation_leaves_the_training_flag_as_found():
     th = disj_theory(a=0.3, b=0.6)
     train = TrainConfig(epochs=1)
@@ -888,7 +901,7 @@ def test_query_accepts_a_slot_holding_nan():
 
 def test_soft_penalty_shape():
     def pen(sat):
-        return float(soft_penalty(sat, 0.95, 0.05, 10.0).data)
+        return float(soft_penalty(sat, 0.95).data)
 
     assert pen(0.95) == 0.0
     # continuous across the corner and non-increasing in sat
