@@ -176,7 +176,7 @@ def cmd_query(args) -> int:
         for q in th.queries:
             print(f"{q.label} = {truth_value(th, q.formula, p=q.p)!r}")
         return 0
-    try:  # a p below 1 fails only when its aggregator is built
+    try:  # a p the operators cannot take fails when the query is planned
         res = query(th, "truth", args.formula,
                     p={"forall": args.forall_p, "exists": args.exists_p})
     except ValueError as e:

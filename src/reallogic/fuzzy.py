@@ -103,6 +103,8 @@ class AggregatorSpec:
         pmean = _AGGREGATORS[self.family][2] is not None
         if pmean:
             p = 2.0 if self.p is None else float(self.p)
+            if not math.isfinite(p):
+                raise ValueError(f"p must be finite, got {p:g}")
             if p < 1.0:
                 raise ValueError("p must be >= 1")
             object.__setattr__(self, "p", p)

@@ -15,14 +15,15 @@ and a formula into a truth tensor shaped ``(n_v1, ..., n_vk)``, one axis
 per free variable in order of first occurrence; connectives align their
 operands' axes by name and broadcast. It takes two passes, because the
 graph's shape depends only on the formulas, the declarations and each
-variable's axis length under the call's binds: :func:`plan` fixes it,
-then each planned node's ``run`` computes what depends on the
-parameters, the instances, the dropout draws and the scope's p. A plan
-holds no bound data and no value: a variable is read from the run's
-binds, else its declared instances, and shared network outputs live in
-a dict made for each run. So one plan serves every run whose binds have
-the same lengths (:func:`plan_key` states all it depends on), and its
-owner may keep it; ``training.Theory`` does.
+variable's axis length under the call's binds, and its context is the
+call's scope: :func:`plan` fixes the layout, the dropout flag and each
+quantifier's aggregator, with its p, then each planned node's ``run``
+computes what depends on the parameters, the instances and the dropout
+draws. A plan holds no bound data and no value: a variable is read from
+the run's binds, else its declared instances, and shared network
+outputs live in a dict made for each run. So one plan serves every run
+whose scopes have the same :func:`plan_key`, and its owner may keep it;
+``training.Theory`` does.
 
 A network runs once per cell of its arguments' own grid: a ``select``
 predicate's class argument only picks from the output, so it is not an
@@ -289,11 +290,12 @@ class GroundedValue(NamedTuple):
 
 @dataclass(frozen=True)
 class Scope:
-    """What one evaluation varies: ``binds`` maps variables to other
+    """The context of one evaluation: ``binds`` maps variables to other
     instances (build it with :meth:`GroundingEnv.scope`, which checks
     them), ``training`` turns on dropout, and ``p`` maps a quantifier
     kind (one of ``QUANTIFIERS``) to the p of every quantifier of that
-    kind; a kind left out or mapped to None keeps the configured p."""
+    kind, save where the formula's axiom annotates its own; a kind left
+    out keeps the configured p. A plan fixes the flag and the p."""
     binds: Mapping = field(default_factory=dict)
     training: bool = False
     p: Mapping = field(default_factory=dict)
@@ -307,9 +309,10 @@ class GroundingEnv:
     :meth:`add_mlp`, :meth:`add_select`, :meth:`add_scalar`,
     :meth:`add_builtin` and :meth:`add_callable`.
 
-    ``cfg`` defaults to the stable product configuration. ``training``
-    is the dropout flag that root scopes start from; the descent step of
-    ``training.learn`` and ``reason_refute`` sets it while it grounds Sat.
+    ``cfg`` defaults to the stable product configuration. No evaluation
+    reads ``training``: dropout is the scope's. The descent step of
+    ``training.learn`` and ``reason_refute`` sets the flag while it
+    grounds Sat, for the benchmark's tracer, which reads it.
     """
 
     def __init__(self, sig: Signature, store: ParamStore,
@@ -442,7 +445,7 @@ class GroundingEnv:
 
     # -- scopes and instances -----------------------------------------------
 
-    def scope(self, binds=None, training: bool = None, p=None) -> Scope:
+    def scope(self, binds=None, training: bool = False, p=None) -> Scope:
         """Root scope of one evaluation.
 
         ``binds`` rebinds variables to other instances, possibly none:
@@ -450,9 +453,11 @@ class GroundingEnv:
         declarations do; constant-backed variables take an integer index
         array selecting which constants to stack. Each is checked here
         and kept as the instance array or the tuple of constant names.
-        ``training`` defaults to the env's flag. ``p`` maps quantifier
-        kinds to their p override, as :class:`Scope` does; a key that is
-        not one of ``QUANTIFIERS`` is an error.
+        ``training`` turns on dropout. ``p`` maps quantifier kinds to
+        their p override, as :class:`Scope` does; a kind mapped to None
+        is dropped, and a key that is not one of ``QUANTIFIERS`` is an
+        error. A p that the configured family cannot take fails when the
+        scope's plan is made.
         """
         for kind in p or {}:
             if kind not in QUANTIFIERS:
@@ -468,9 +473,8 @@ class GroundingEnv:
                 idx = np.asarray(arr, dtype=np.float64).ravel()
                 checked[name] = tuple(payload[i] for i in _index(
                     idx, len(payload), f"variable {name}: index"))
-        return Scope(checked,
-                     training=self.training if training is None else training,
-                     p=p or {})
+        return Scope(checked, training,
+                     {k: v for k, v in (p or {}).items() if v is not None})
 
     def instances(self, name: str):
         """The declared instances of variable ``name``: its rows (n, dim),
@@ -493,39 +497,43 @@ def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
 
 # what a formula's quantifiers read while it is planned: each diagonal
 # member's shared axis label, dropout (never inside a guard), and the p
-# annotations of the formula's axiom, which win over a run's scope p
+# of each quantifier kind
 _Ctx = namedtuple("_Ctx", "alias training p")
-# what planned nodes read as they run: the env, the scope's binds and p,
-# and the outputs of the shared network runs made so far in this run
-_Run = namedtuple("_Run", "env binds p outputs")
+# what planned nodes read as they run: the env, the scope's binds, and
+# the outputs of the shared network runs made so far in this run
+_Run = namedtuple("_Run", "env binds outputs")
 
 
 def plan(env: GroundingEnv, exprs, scope: Scope, ps=None) -> tuple:
     """Plan the formulas or terms ``exprs`` under ``scope``, with one
     network run per distinct application across all of them: the plan's
     roots, one per expression, in order. ``ps`` holds each expression's
-    p annotations (quantifier kind to p), which its quantifiers take
-    instead of a run's scope p.
+    p annotations (quantifier kind to p), laid over the scope's p: an
+    annotation wins. A p that the configured family cannot take raises
+    EvalError here.
 
     The plan holds no bound data, so it can run under every scope with
-    the same :func:`plan_key`; its roots are run by :func:`ground_formula`
-    and :func:`ground_term`, sharing one ``outputs`` dict per run.
+    the same :func:`plan_key`; its roots are run by :func:`ground_formula`,
+    sharing one ``outputs`` dict per run.
     """
     planner = _Planner(env, scope)
-    return tuple(planner.term(e, planner.top._replace(p=p))
-                 if isinstance(e, Term)
-                 else planner.formula(e, planner.top._replace(p=p))
-                 for e, p in zip(exprs, ps or [{}] * len(exprs)))
+    roots = []
+    for e, p in zip(exprs, ps or [{}] * len(exprs)):
+        ctx = planner.top._replace(p={**scope.p, **p})
+        roots.append(planner.term(e, ctx) if isinstance(e, Term)
+                     else planner.formula(e, ctx))
+    return tuple(roots)
 
 
 def plan_key(env: GroundingEnv, scope: Scope) -> tuple:
     """What a plan made under ``scope`` depends on besides its
     expressions and the env's symbols: the operators, the training flag
-    when the env has a dropout network, and each variable's axis length
-    under the binds."""
+    when the env has a dropout network, each variable's axis length
+    under the binds, and the scope's p."""
     return (env.cfg, scope.training and env.has_dropout(),
             tuple(len(scope.binds.get(name, inst))
-                  for name, (_, inst) in env._vars.items()))
+                  for name, (_, inst) in env._vars.items()),
+            tuple(sorted(scope.p.items())))
 
 
 class _Planner:
@@ -654,12 +662,14 @@ class _Planner:
             tuple((coef, n, *self.layout(n.vars if n else (), order))
                   for coef, n in side) for side in sides)
         grid = tuple(self.sizes[v] for v in order)
-        spec = getattr(self.env.cfg, CONFIG_KEYS[node.kind])
-        own = ctx.p.get(node.kind)
-        return _Quant(keep, node.kind, (body, *self.layout(body.vars, order)),
+        p = ctx.p.get(node.kind)
+        try:
+            spec = getattr(self.env.cfg, CONFIG_KEYS[node.kind]).with_p(p)
+        except ValueError as e:  # a p the configured family cannot take
+            raise EvalError(f"{node.kind}(p={p:g}): {e}") from None
+        return _Quant(keep, (body, *self.layout(body.vars, order)),
                       grid if len(order) > len(body.vars) else None, guard,
-                      len(labels), spec if own is None
-                      else _with_p(spec, node.kind, own), own is not None)
+                      len(labels), spec, float(node.kind == "forall"))
 
 
 # -- execution -------------------------------------------------------------------
@@ -785,13 +795,13 @@ class _Conn(namedtuple("_Conn", "vars args op")):
         return apply_connective(self.op, *xs)
 
 
-class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec own")):
+class _Quant(namedtuple("_Quant", "vars body grid guard k spec empty")):
     """A quantifier: ``body`` placed in the aggregate's layout, broadcast
-    to ``grid`` unless that is None, and aggregated over the last ``k``
-    axes. ``guard`` is None, or the comparison and its sides, each a
-    tuple of (coefficient, term node or None for 1, permutation, shape
-    in the layout). ``own`` marks a ``spec`` that holds its axiom's p
-    annotation, so a run's scope p does not apply."""
+    to ``grid`` unless that is None, and aggregated by ``spec`` over the
+    last ``k`` axes; a cell whose guard never fires is ``empty``.
+    ``guard`` is None, or the comparison and its sides, each a tuple of
+    (coefficient, term node or None for 1, permutation, shape in the
+    layout)."""
 
     def run(self, ex: _Run) -> Tensor:
         body = self.body[0].run(ex)
@@ -801,17 +811,7 @@ class _Quant(namedtuple("_Quant", "vars kind body grid guard k spec own")):
         if self.grid is not None:
             t = T.broadcast_to(t, self.grid)
         mask = sides and COMPARISONS[self.guard[0]](*sides)
-        spec = self.spec if self.own else _with_p(self.spec, self.kind,
-                                                   ex.p.get(self.kind))
-        return aggregate(spec, t, self.k, mask=mask,
-                         empty=float(self.kind == "forall"))
-
-
-def _with_p(spec, kind: str, p):
-    try:
-        return spec.with_p(p)
-    except ValueError as e:  # a p the configured family cannot take
-        raise EvalError(f"{kind}(p={p:g}): {e}") from None
+        return aggregate(self.spec, t, self.k, mask=mask, empty=self.empty)
 
 
 def _side(pieces, ex: _Run) -> np.ndarray:
@@ -833,37 +833,22 @@ def _side(pieces, ex: _Run) -> np.ndarray:
 _PLANNED = (_Leaf, _App, _Eq, _Conn, _Quant)  # the node kinds a plan holds
 
 
-def _run(env: GroundingEnv, node, scope: Scope, outputs) -> GroundedValue:
-    out = node.run(_Run(env, scope.binds, scope.p, outputs))
-    return GroundedValue(out, node.vars)
-
-
-def ground_term(env: GroundingEnv, term, scope: Scope = None
-                ) -> GroundedValue:
-    """Evaluate a term to a tensor shaped (n_v1, ..., n_vk, feat) under
-    ``scope`` (default: ``env.scope()``). ``term`` is a term, planned on
-    its own, or a root of a :func:`plan` with the scope's
-    :func:`plan_key`."""
-    scope = env.scope() if scope is None else scope
-    if not isinstance(term, _PLANNED):
-        (term,) = plan(env, (term,), scope)
-    return _run(env, term, scope, {})
-
-
-def ground_formula(env: GroundingEnv, formula, scope: Scope = None,
+def ground_formula(env: GroundingEnv, expr, scope: Scope = None,
                    outputs: dict = None) -> GroundedValue:
-    """Evaluate a formula to a truth tensor with one axis per free var.
+    """Ground a formula to a truth tensor with one axis per free var, or
+    a term to a tensor shaped (n_v1, ..., n_vk, feat).
 
     ``scope`` holds the context of the call: variable binds, dropout
     and the quantifier p overrides. It defaults to ``env.scope()``: the
-    declared instances, the env's training flag and the configured p.
-    ``formula`` is a formula, planned on its own for this call, or a root
-    of a :func:`plan` with the scope's :func:`plan_key`. ``outputs``
-    holds the shared network runs of one run of a plan: the roots of
-    that run pass the same dict, which starts empty (the default makes
-    one for this call).
+    declared instances, dropout off and the configured p. ``expr`` is a
+    formula or a term, planned on its own for this call, or a root of a
+    :func:`plan` with the scope's :func:`plan_key`. ``outputs`` holds
+    the shared network runs of one run of a plan: the roots of that run
+    pass the same dict, which starts empty (the default makes one for
+    this call).
     """
     scope = env.scope() if scope is None else scope
-    if not isinstance(formula, _PLANNED):
-        (formula,) = plan(env, (formula,), scope)
-    return _run(env, formula, scope, {} if outputs is None else outputs)
+    if not isinstance(expr, _PLANNED):
+        (expr,) = plan(env, (expr,), scope)
+    out = expr.run(_Run(env, scope.binds, {} if outputs is None else outputs))
+    return GroundedValue(out, expr.vars)

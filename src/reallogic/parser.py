@@ -67,6 +67,7 @@ the signature rejects names its statement's first token).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -458,6 +459,8 @@ class _Parser:
             self.expect("punct", "=")
             num = self.peek()
             val = self.signed_number()
+            if not math.isfinite(val):  # 1e400 reads as inf
+                raise ParseError(f"p must be finite, got {val:g}", num.span)
             if val < 1:  # the p-mean rule, checked where it is written
                 raise ParseError(f"p must be >= 1, got {val:g}", num.span)
             self.expect("punct", ")")

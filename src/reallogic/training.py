@@ -11,8 +11,7 @@ import numpy as np
 from reallogic import parser
 from reallogic.fuzzy import TOL, aggregate
 from reallogic.logic import (
-    Scope, diagonal_groups, free_vars, ground_formula, ground_term, plan,
-    plan_key, where,
+    Scope, diagonal_groups, free_vars, ground_formula, plan, plan_key, where,
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
@@ -78,8 +77,8 @@ def _check_closed(formula, what: str) -> None:
 def _planned(theory: Theory, scope: Scope, expr=None) -> tuple:
     """The roots of the plan of ``expr``, or of all the axioms when it is
     None, under ``scope``: made on the first call with the scope's
-    :func:`logic.plan_key` and kept by the theory. An axiom's quantifiers
-    take its ``@forall/@exists(p=..)`` annotations at plan time."""
+    :func:`logic.plan_key` and kept by the theory. An axiom's
+    ``@forall/@exists(p=..)`` annotations are laid over the scope's p."""
     key = (expr, plan_key(theory.env, scope))
     roots = theory._plans.get(key)
     if roots is None:
@@ -96,10 +95,10 @@ def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
     The axioms are grounded under ``scope`` (default: the env's root
-    scope) from the theory's plan of all of them for the scope's layout
-    (see :func:`_planned`), so one forward shares network runs (see
-    :func:`logic.plan`), and an axiom's own p annotations win over the
-    scope's p.
+    scope, with dropout off) from the theory's plan of all of them for
+    the scope's :func:`logic.plan_key` (see :func:`_planned`), so one
+    forward shares network runs (see :func:`logic.plan`), and an axiom's
+    own p annotations win over the scope's p.
     """
     scope = theory.env.scope() if scope is None else scope
     outputs = {}  # this forward's shared network runs
@@ -143,6 +142,9 @@ def _check_schedule(s) -> None:
     if epochs != sorted(set(epochs)):
         raise ValueError("schedule epochs must be strictly increasing")
     ps = [p for _, p in s]
+    bad = [p for p in ps if not math.isfinite(p)]
+    if bad:
+        raise ValueError(f"exists schedule p must be finite, got {bad[0]:g}")
     if min(ps) < 1:  # the p-mean rule, checked before the first epoch
         raise ValueError(f"exists schedule p must be >= 1, got {min(ps):g}")
 
@@ -191,10 +193,10 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     axiom's quantifier groups diagonally share the draw; a
     constant-backed variable is bound to the drawn indices). Each step
     grounds Sat under a training scope, so dropout is on, in
-    :func:`_descend`, the one writer of ``env.training``. The theory
-    plans the axioms once per bind layout, and each declared query
-    once, so a diagonal group of unequal lengths warns that it
-    truncates once per plan made, not once per step.
+    :func:`_descend`. The theory plans the axioms once per bind layout
+    and exists p, and each declared query once, so a diagonal group of
+    unequal lengths warns that it truncates once per plan made, not
+    once per step.
 
     Each epoch's record holds Sat and the loss over the declared
     instances with training off; a record due by ``log_every``, and the
@@ -274,10 +276,11 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
 
 def _descend(theory, scope, objective, what: str, context: str) -> tuple:
     """Ground Sat under ``scope``, with ``env.training`` set to the
-    scope's flag and then restored, and backpropagate ``objective(sat)``
-    without updating. Returns (gradients, Sat, objective), the last two
-    as floats. A non-finite objective (named by ``what`` and its value)
-    or gradient (by its slot) raises DivergenceError ending in ``context``."""
+    scope's flag for the benchmark's tracer and then restored, and
+    backpropagate ``objective(sat)`` without updating. Returns
+    (gradients, Sat, objective), the last two as floats. A non-finite
+    objective (named by ``what`` and its value) or gradient (by its
+    slot) raises DivergenceError ending in ``context``."""
     found, theory.env.training = theory.env.training, scope.training
     try:
         sat = satisfiability(theory, scope)
@@ -294,8 +297,7 @@ def _descend(theory, scope, objective, what: str, context: str) -> tuple:
 def _log(theory, train, metrics, epoch, ep=None) -> dict:
     """The record of ``epoch`` from its own Sat forward over the declared
     instances."""
-    sat = satisfiability(theory, theory.env.scope(training=False,
-                                                  p={"exists": ep}))
+    sat = satisfiability(theory, theory.env.scope(p={"exists": ep}))
     loss = _loss(theory, train, sat)
     return _record(theory, train, metrics, epoch, float(sat.data),
                    float(loss.data))
@@ -330,14 +332,17 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
           p: dict = None) -> QueryResult:
     """Evaluate a formula's truth or a term's value; never mutates θ.
 
-    The expression is grounded in a scope with training off, the p
-    overrides ``p`` (quantifier kind to p, as in :class:`Scope`), and,
-    for the generalization kinds, the given variables bound to unseen
-    data; the env itself is left as it was. Formula queries take an AST
-    or source text, parsed on every call; term queries take an AST. The
-    theory plans each expression once per bind layout and keeps the
-    plan (see :func:`_planned`). Raises RuntimeError when any bit of θ
-    changed (:meth:`ParamStore.snapshot` before and after).
+    The expression is grounded by one :func:`logic.ground_formula`
+    call in a scope with dropout off, the p overrides ``p`` (quantifier
+    kind to p, as in :class:`Scope`), and, for the generalization kinds,
+    the given variables bound to unseen data; the env itself is left as
+    it was. Formula queries take an AST or source text, parsed on every
+    call; term queries take an AST. The theory plans each expression
+    once per bind layout and p and keeps the plan (see
+    :func:`_planned`); a p that the configured family cannot take
+    raises EvalError there. A truth outside [0, 1] raises RuntimeError,
+    as does any bit of θ that changed (:meth:`ParamStore.snapshot`
+    before and after).
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -349,17 +354,14 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
             raise ValueError("value queries take a term AST")
         expr = parser.parse_formula(expr, theory.sig)
     before = theory.store.snapshot()
-    scope = theory.env.scope(data, training=False, p=p)
+    scope = theory.env.scope(data, p=p)
     (root,) = _planned(theory, scope, expr)
+    gv = ground_formula(theory.env, root, scope)
+    values = np.asarray(gv.tensor.data)
     if truthy:
-        gv = ground_formula(theory.env, root, scope)
-        values = np.asarray(gv.tensor.data)
         if not ((values >= -TOL) & (values <= 1 + TOL)).all():  # NaN fails
             raise RuntimeError("truth query outside [0, 1]")
         values = np.clip(values, 0.0, 1.0)
-    else:
-        gv = ground_term(theory.env, root, scope)
-        values = np.asarray(gv.tensor.data)
     if theory.store.snapshot() != before:
         raise RuntimeError("query mutated the parameter store")
     return QueryResult(kind, values, gv.vars)
@@ -448,7 +450,7 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
         if isinstance(phi, str):
             phi = parser.parse_formula(phi, th.sig)
         _check_closed(phi, "refuted formula")
-        scope = th.env.scope(training=False)
+        scope = th.env.scope()
         (root,) = _planned(th, scope, phi)
         for _ in range(rcfg.epochs):
             grads, _, _ = _descend(th, scope, lambda s: ground_formula(

@@ -231,6 +231,12 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
     "forall-p-below-1": lambda tmp: (
         SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "0.5"],
         "forall(p=0.5): p must be >= 1"),
+    "forall-p-nan": lambda tmp: (
+        SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "nan"],
+        "forall(p=nan): p must be finite, got nan"),
+    "forall-p-overflows": lambda tmp: (
+        SMOKERS_QUERY + ["forall x: S(x)", "--forall-p", "1e400"],
+        "forall(p=inf): p must be finite, got inf"),
     "forall-p-for-a-mean": lambda tmp: _mean_kb_query(tmp, "--forall-p", "5"),
     "train-missing-kb": lambda tmp: _missing_kb(tmp, "train", "--epochs", "1"),
     "query-missing-kb": lambda tmp: _missing_kb(tmp, "query", "--formula", "A"),
@@ -248,6 +254,8 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
          "--formula", "S(x) & F(x, y)"],
         "refuted formula is not closed: free x, y"),
     "train-annotation-below-1": lambda tmp: _annotated_kb(tmp, "0.5"),
+    "train-annotation-overflows": lambda tmp: _annotated_kb(
+        tmp, "1e400", "p must be finite, got inf"),
     "demo-annotation-for-a-mean": lambda tmp: _smokers_forall(
         tmp, "mean", "demo", "smokers"),
     "demo-annotation-for-a-min": lambda tmp: _smokers_forall(
@@ -266,6 +274,16 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
         ["demo", "clustering", "--config",
          _config(tmp, "exists_schedule = 0:1, 40")],
         f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule'"),
+    "demo-config-p-nan": lambda tmp: (
+        ["demo", "binary", "--config",
+         _config(tmp, "forall = pmean_error:p=nan")],
+        f"{tmp / 'run.cfg'}:1: bad value for 'forall': p must be finite, "
+        "got nan"),
+    "demo-schedule-p-nan": lambda tmp: (
+        ["demo", "clustering", "--config",
+         _config(tmp, "exists_schedule = 0:nan")],
+        f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule': "
+        "exists schedule p must be finite, got nan"),
     "demo-schedule-rejected": lambda tmp: (
         ["demo", "clustering", "--config",
          _config(tmp, "exists_schedule = 40:2, 0:1")],
@@ -345,12 +363,13 @@ def _mean_kb_query(tmp, *flags):
             *flags], "forall(p=5): mean takes no p"
 
 
-def _annotated_kb(tmp, p):
-    """``rl train`` on a theory whose axiom annotates ``@forall(p=<p>)``."""
+def _annotated_kb(tmp, p, message=None):
+    """``rl train`` on a theory whose axiom annotates ``@forall(p=<p>)``,
+    and the ``message`` (by default, that p is below 1) at the p."""
     kb = tmp / "annotated.rl"
     kb.write_text(f"domain d = 1\npred A = scalar\naxiom @forall(p={p}): A\n")
     return (["train", "--kb", str(kb), "--epochs", "1"],
-            f"{kb.resolve()}:3:17: p must be >= 1, got {p}")
+            f"{kb.resolve()}:3:17: {message or f'p must be >= 1, got {p}'}")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))

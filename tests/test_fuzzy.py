@@ -776,6 +776,13 @@ def test_only_the_p_means_take_p_and_a_stable_form(family):
             AggregatorSpec(family).with_p(4)
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("family", ["pmean", "pmean_error"])
+def test_a_p_mean_names_a_non_finite_p(family, p):
+    with pytest.raises(ValueError, match=f"^p must be finite, got {p:g}$"):
+        AggregatorSpec(family).with_p(p)
+
+
 def test_tag_parsing():
     op = parse_op_tag("and", "product_stable")
     assert op == ConnectiveOp("and", "product", stable=True)

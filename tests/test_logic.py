@@ -16,7 +16,6 @@ from reallogic.fuzzy import _AGGREGATORS, _CONNECTIVES, FuzzyConfig, aggregate
 from reallogic.logic import (
     App, Atom, Axiom, Bin, Const, Eq, EvalError, Guard, GroundingEnv, Not,
     Quant, Scope, Signature, SignatureError, Var, free_vars, ground_formula,
-    ground_term,
 )
 from reallogic.nn import MlpSpec, ParamStore, backward, dense_forward
 from reallogic.parser import parse_formula
@@ -78,7 +77,7 @@ def test_product_function_grid_matches_hand_values():
     env.add_var_data("x", [1.0, 2.0, 3.0])
     env.add_var_data("y", [-1.0, -2.0])
     env.add_builtin("f", lambda a, b: a * b)
-    gv = ground_term(env, App("f", (Var("x"), Var("y"))))
+    gv = ground_formula(env, App("f", (Var("x"), Var("y"))))
     assert gv.vars == ("x", "y")
     assert gv.tensor.shape == (3, 2, 1)
     assert np.allclose(gv.tensor.data[..., 0],
@@ -93,9 +92,9 @@ def test_constant_and_variable_grounding_shapes():
     env = GroundingEnv(sig, ParamStore())
     env.add_const("c", [0.5, -0.5])
     env.add_var_data("x", np.zeros((4, 2)))
-    cv = ground_term(env, Const("c"))
+    cv = ground_formula(env, Const("c"))
     assert cv.vars == () and cv.tensor.shape == (2,)
-    xv = ground_term(env, Var("x"))
+    xv = ground_formula(env, Var("x"))
     assert xv.vars == ("x",) and xv.tensor.shape == (4, 2)
     with pytest.raises(EvalError):
         env.add_const("undeclared", [1.0])
@@ -215,10 +214,10 @@ def test_a_hand_built_term_or_atom_must_name_its_kind():
     env.add_mlp("P", MlpSpec((2, 1), ("sigmoid",)))
     env.add_mlp("f", MlpSpec((2, 2), ("elu",)))
     with pytest.raises(EvalError, match="'P' is not a declared function"):
-        ground_term(env, App("P", (Var("x"),)))
+        ground_formula(env, App("P", (Var("x"),)))
     with pytest.raises(EvalError, match="'f' is not a declared predicate"):
         ground_formula(env, Atom("f", (Var("x"),)))
-    assert ground_term(env, App("f", (Var("x"),))).tensor.shape == (3, 2)
+    assert ground_formula(env, App("f", (Var("x"),))).tensor.shape == (3, 2)
     assert ground_formula(env, Atom("P", (Var("x"),))).tensor.shape == (3,)
 
 

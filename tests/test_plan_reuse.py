@@ -154,6 +154,24 @@ def test_learn_plans_smokers_once_per_layout(epochs, monkeypatch):
     assert len(th._plans) == made["plans"]
 
 
+def test_each_scope_p_makes_its_own_plan(monkeypatch):
+    th = load_theory(theory_path("smokers"), seed=0)
+    (symmetric,) = [ax for ax in th.axioms if ax.label == "symmetric"]
+    made = count_plans(monkeypatch)
+    learn(th, TrainConfig(epochs=4, lr=0.01,
+                          exists_schedule=((0, 1.0), (2, 6.0))),
+          metrics={"symmetry": lambda t: truth_value(t, symmetric.formula,
+                                                     p=symmetric.p)})
+    # a Sat plan for each exists p, then one for each query and the metric
+    assert made["plans"] == 2 + 2 + 1
+    # a query at a p it was planned for reuses that plan
+    del made["plans"]
+    th = load_theory(theory_path("smokers"), seed=0)
+    for p in (3, 3, 4):
+        query(th, "truth", symmetric.formula, p={"forall": p})
+    assert made["plans"] == 2
+
+
 @pytest.mark.parametrize("rcfg", [
     RefutationConfig(epochs=1), RefutationConfig(epochs=5),
     RefutationConfig(epochs=5, restarts=3, q=0.99)],

@@ -17,7 +17,9 @@ from reallogic.demos import theory_path
 from reallogic.fuzzy import (
     _AGGREGATORS, AggregatorSpec, ConnectiveOp, FuzzyConfig, aggregate,
 )
-from reallogic.logic import Axiom, EvalError, GroundingEnv, Signature
+from reallogic.logic import (
+    Axiom, EvalError, GroundingEnv, Signature, ground_formula,
+)
 from reallogic.nn import ParamStore, adam_step, backward
 from reallogic.parser import parse_formula, parse_theory
 from reallogic.tensor import Tensor
@@ -420,6 +422,22 @@ def test_evaluation_leaves_the_training_flag_as_found():
         assert th.env.training is flag
 
 
+def test_no_evaluation_reads_the_env_training_flag():
+    # multiclass's networks have dropout, so a training ground would
+    # differ and would draw masks from the store's RNG
+    th = load_theory(theory_path("multiclass"), seed=0)
+    assert th.env.has_dropout()
+    f = th.axioms[0].formula
+    want_sat = satisfiability(th, th.env.scope(training=False)).data
+    want_f = ground_formula(th.env, f, th.env.scope(training=False))
+    th.env.training = True
+    before = th.store.rng.bit_generator.state
+    assert satisfiability(th).data.tobytes() == want_sat.tobytes()
+    got_f = ground_formula(th.env, f)
+    assert got_f.tensor.data.tobytes() == want_f.tensor.data.tobytes()
+    assert th.store.rng.bit_generator.state == before
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(EvalError, match="^variable x has no instances$"):
         callable_theory(np.zeros((0, 1)))
@@ -452,11 +470,16 @@ def test_schedule_validation():
         TrainConfig(lam=-0.1)
 
 
-@pytest.mark.parametrize("schedule", [((0, 1.0), (4, 0.5))],
-                         ids=["breakpoints"])
-def test_schedule_rejects_p_below_one(schedule):
-    with pytest.raises(ValueError, match=r"^exists schedule p must be >= 1, "
-                                         r"got 0\.5$"):
+@pytest.mark.parametrize("schedule,message", [
+    (((0, 1.0), (4, 0.5)), ">= 1, got 0.5"),
+    # a NaN or infinite p is named wherever it stands
+    (((0, 1.0), (4, float("nan"))), "finite, got nan"),
+    (((0, float("nan")), (4, 0.5)), "finite, got nan"),
+    (((0, 0.5), (4, float("inf"))), "finite, got inf"),
+], ids=["breakpoints", "nan-last", "nan-first", "inf"])
+def test_schedule_rejects_p_below_one(schedule, message):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"exists schedule p must be {message}") + "$"):
         TrainConfig(exists_schedule=schedule)
     for every in (0, -1):
         with pytest.raises(ValueError, match="log_every"):
@@ -528,26 +551,21 @@ def plain_learn(theory, train, batched=(), metrics=None):
     records = [log(0, schedule_value(train.exists_schedule, 0))]
     for epoch in range(1, train.epochs + 1):
         ep = schedule_value(train.exists_schedule, epoch - 1)
-        theory.env.training = True
-        try:
-            for _ in range(steps):
-                binds = {}
-                for g in groups:
-                    n = sizes[tuple(g)]
-                    idx = rng.choice(n, size=min(train.batch, n),
-                                     replace=False)
-                    for v in g:
-                        binds[v] = (idx if isinstance(data[v], tuple)
-                                    else data[v][idx])
-                sat = satisfiability(theory,
-                                     theory.env.scope(binds, p={"exists": ep}))
-                loss = _loss(theory, train, sat)
-                assert np.isfinite(loss.data)
-                grads = backward(loss, theory.store)
-                _check_grads(grads, f"at epoch {epoch}")
-                adam_step(theory.store, grads, lr=train.lr)
-        finally:
-            theory.env.training = False
+        for _ in range(steps):
+            binds = {}
+            for g in groups:
+                n = sizes[tuple(g)]
+                idx = rng.choice(n, size=min(train.batch, n), replace=False)
+                for v in g:
+                    binds[v] = (idx if isinstance(data[v], tuple)
+                                else data[v][idx])
+            sat = satisfiability(theory, theory.env.scope(
+                binds, training=True, p={"exists": ep}))
+            loss = _loss(theory, train, sat)
+            assert np.isfinite(loss.data)
+            grads = backward(loss, theory.store)
+            _check_grads(grads, f"at epoch {epoch}")
+            adam_step(theory.store, grads, lr=train.lr)
         records.append(log(epoch, ep))
     return records
 
@@ -825,6 +843,17 @@ def test_query_rejects_a_p_override_for_a_family_that_takes_no_p():
     th = load_theory(theory_path("smokers"), seed=0, tags={"exists": "max"})
     with pytest.raises(EvalError, match=r"^exists\(p=5\): max takes no p$"):
         query(th, "truth", "exists x: S(x)", p={"exists": 5})
+
+
+def test_a_bad_scope_p_fails_as_it_is_planned():
+    th = load_theory(theory_path("smokers"), seed=0)
+    scope = th.env.scope(p={"forall": 0.5})
+    f = parse_formula("forall x: S(x)", th.sig)
+    with pytest.raises(EvalError, match=r"^forall\(p=0\.5\): p must be >= 1$"):
+        logic.plan(th.env, (f,), scope)
+    # only a quantifier of that kind, without an annotation, reads it
+    logic.plan(th.env, (f, parse_formula("exists x: S(x)", th.sig)), scope,
+               [{"forall": 6}, {}])
 
 
 def test_query_truth_must_stay_in_unit_interval():
