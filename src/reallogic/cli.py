@@ -16,9 +16,10 @@ from reallogic.fuzzy import CONFIG_KEYS, FuzzyConfig
 from reallogic.logic import EvalError
 from reallogic.nn import ParamStore
 from reallogic.parser import ParseError
+from reallogic.tensor import DomainError
 from reallogic.training import (
-    RefutationConfig, SettingsError, TrainConfig, learn, query, reason_refute,
-    truth_value,
+    DivergenceError, RefutationConfig, SettingsError, TrainConfig, learn,
+    query, reason_refute, truth_value,
 )
 
 
@@ -265,9 +266,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.seed < 0:  # every command takes one
         raise SystemExit(f"--seed must be at least 0, got {args.seed}")
-    try:  # a theory, formula or training setting that cannot run exits
-        return args.fn(args)  # with one line, a theory's led by file:line:col
-    except (ParseError, TheoryError, SettingsError, EvalError) as e:
+    # a theory, formula or training setting that cannot run, or a run
+    # that diverges, exits with one line (a theory's led by file:line:col),
+    # which no numpy overflow warning precedes
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except (ParseError, TheoryError, SettingsError, EvalError,
+            DivergenceError, DomainError) as e:
         raise SystemExit(str(e)) from None
 
 

@@ -32,7 +32,11 @@ plan, applications of a symbol to the same network arguments with the
 same aligned shapes are one run, and the backward pass sums their
 gradients before the network's backward runs once. A training plan of
 an env with a dropout network shares none, as each occurrence draws its
-own masks.
+own masks. Across runs, an evaluation that takes no gradient may pass
+a ``stored`` dict that its caller keeps for one state of the
+parameters: a network whose input array (shape, strides and bytes) is
+a key there reads its output as a constant, and a miss stores the
+output it computes.
 
 Quantifiers aggregate named axes away. The body is laid out with the
 result's variables first, so :func:`reallogic.fuzzy.aggregate` always
@@ -499,9 +503,10 @@ def _index(idx: np.ndarray, n: int, what: str) -> np.ndarray:
 # member's shared axis label, dropout (never inside a guard), and the p
 # of each quantifier kind
 _Ctx = namedtuple("_Ctx", "alias training p")
-# what planned nodes read as they run: the env, the scope's binds, and
-# the outputs of the shared network runs made so far in this run
-_Run = namedtuple("_Run", "env binds outputs")
+# what planned nodes read as they run: the env, the scope's binds, the
+# outputs of the shared network runs made so far in this run, and the
+# caller's stored outputs (None for none)
+_Run = namedtuple("_Run", "env binds outputs stored")
 
 
 def plan(env: GroundingEnv, exprs, scope: Scope, ps=None) -> tuple:
@@ -745,8 +750,15 @@ class _App(namedtuple("_App", "vars kind payload args net")):
             x = args[0] if net.full is None else T.concat(
                 [t if full else T.broadcast_to(t, net.lead + t.shape[-1:])
                  for t, full in zip(args, net.full)], axis=-1)
-            out = dense_forward(net.spec, ex.env.store, net.name, x,
-                                training=net.training)
+            key = ex.stored is not None and (
+                net.name, x.shape, x.data.strides, x.data.tobytes())
+            if key and key in ex.stored:  # bytes cache their hash
+                out = Tensor(ex.stored[key])
+            else:
+                out = dense_forward(net.spec, ex.env.store, net.name, x,
+                                    training=net.training)
+                if key:
+                    ex.stored[key] = out.data
             if net.slot is not None:
                 ex.outputs[net.slot] = out
         if self.kind == "select":
@@ -834,7 +846,7 @@ _PLANNED = (_Leaf, _App, _Eq, _Conn, _Quant)  # the node kinds a plan holds
 
 
 def ground_formula(env: GroundingEnv, expr, scope: Scope = None,
-                   outputs: dict = None) -> GroundedValue:
+                   outputs: dict = None, stored: dict = None) -> GroundedValue:
     """Ground a formula to a truth tensor with one axis per free var, or
     a term to a tensor shaped (n_v1, ..., n_vk, feat).
 
@@ -845,10 +857,13 @@ def ground_formula(env: GroundingEnv, expr, scope: Scope = None,
     :func:`plan` with the scope's :func:`plan_key`. ``outputs`` holds
     the shared network runs of one run of a plan: the roots of that run
     pass the same dict, which starts empty (the default makes one for
-    this call).
+    this call). ``stored`` holds a caller's network outputs at the
+    current parameters (see above); pass one only to an evaluation
+    scope whose result takes no gradient.
     """
     scope = env.scope() if scope is None else scope
     if not isinstance(expr, _PLANNED):
         (expr,) = plan(env, (expr,), scope)
-    out = expr.run(_Run(env, scope.binds, {} if outputs is None else outputs))
+    out = expr.run(_Run(env, scope.binds, {} if outputs is None else outputs,
+                        stored))
     return GroundedValue(out, expr.vars)

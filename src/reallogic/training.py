@@ -15,7 +15,7 @@ from reallogic.logic import (
 )
 from reallogic.nn import adam_step, backward
 from reallogic import tensor as T
-from reallogic.tensor import Tensor
+from reallogic.tensor import DomainError, Tensor
 
 
 class DivergenceError(RuntimeError):
@@ -31,13 +31,18 @@ class Theory:
     """Closed axioms over a grounded environment, and labelled queries.
 
     A theory keeps the plans it grounds by (see :func:`_planned`), so
-    its axioms and its env's symbols stay as built.
+    its axioms and its env's symbols stay as built, and the network
+    outputs that :func:`query` and a record's own Sat forward make at
+    the current θ (see :func:`_stored`); the descent step, whose graph
+    is backpropagated, never reads them.
     """
     axioms: tuple
     env: "GroundingEnv"
     queries: tuple = ()
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _outputs: tuple = field(default=(None, None), init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not self.axioms:
@@ -91,18 +96,29 @@ def _planned(theory: Theory, scope: Scope, expr=None) -> tuple:
     return roots
 
 
-def satisfiability(theory: Theory, scope: Scope = None) -> Tensor:
+def _stored(theory: Theory, snapshot: tuple) -> dict:
+    """The theory's network outputs at the parameters ``snapshot``: a new
+    dict whenever that differs from the kept dict's, so an update, a
+    copy, an in-place write or an added slot drops them."""
+    if theory._outputs[0] != snapshot:
+        theory._outputs = (snapshot, {})
+    return theory._outputs[1]
+
+
+def satisfiability(theory: Theory, scope: Scope = None,
+                   stored: dict = None) -> Tensor:
     """Aggregate all axiom truths with the theory's formula aggregator.
 
     The axioms are grounded under ``scope`` (default: the env's root
     scope, with dropout off) from the theory's plan of all of them for
     the scope's :func:`logic.plan_key` (see :func:`_planned`), so one
     forward shares network runs (see :func:`logic.plan`), and an axiom's
-    own p annotations win over the scope's p.
+    own p annotations win over the scope's p. ``stored`` is as in
+    :func:`logic.ground_formula`; the descent step passes none.
     """
     scope = theory.env.scope() if scope is None else scope
     outputs = {}  # this forward's shared network runs
-    truths = [ground_formula(theory.env, root, scope, outputs).tensor
+    truths = [ground_formula(theory.env, root, scope, outputs, stored).tensor
               for root in _planned(theory, scope)]
     return aggregate(theory.cfg.sat_agg, T.stack(truths), 1)
 
@@ -122,12 +138,14 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch < 1 or self.lr <= 0:
-            raise ValueError("epochs, batch, and lr must be positive")
+        if self.epochs < 1 or self.batch < 1:
+            raise ValueError("epochs and batch must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr:g}")
         if self.reg not in ("none", "l1", "l2"):
             raise ValueError(f"unknown regularizer {self.reg!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam:g}")
         if self.log_every < 1:
             raise ValueError("log_every must be positive")
         _check_schedule(self.exists_schedule)
@@ -176,11 +194,22 @@ def _loss(theory: Theory, train: TrainConfig, sat: Tensor) -> Tensor:
     return loss
 
 
-def _check_grads(grads: dict, context: str) -> None:
-    for name in sorted(grads):
-        if not np.isfinite(grads[name]).all():
+def _check_finite(arrays: dict, what: str, context: str) -> None:
+    """DivergenceError naming the first slot whose ``what`` is not finite."""
+    flat = [np.ravel(a) for a in arrays.values()]
+    if not flat or np.isfinite(np.concatenate(flat)).all():
+        return  # one pass over all slots; a slot is named only on failure
+    for name in sorted(arrays):
+        if not np.isfinite(arrays[name]).all():
             raise DivergenceError(
-                f"non-finite gradient in slot {name!r} {context}")
+                f"non-finite {what} in slot {name!r} {context}")
+
+
+def _update(store, grads: dict, lr: float, context: str) -> None:
+    """One Adam step; DivergenceError names a slot it leaves non-finite."""
+    adam_step(store, grads, lr=lr)
+    _check_finite({n: p.tensor.data for n, p in store.slots.items()},
+                  "value", f"after the update {context}")
 
 
 def learn(theory: Theory, train: TrainConfig, batched=(),
@@ -204,16 +233,18 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
     callable's value on the theory. Returns the records; records[0] is
     the pre-training state. Raises EvalError naming an undeclared
     variable in ``batched``, DivergenceError on a non-finite loss or
-    gradient, and SettingsError before the first step for an
-    exists-schedule p that the exists family cannot take, or for a
-    metric named like a query.
+    gradient or an update that leaves a slot non-finite, DomainError
+    naming the epoch on a step's truths outside [0, 1], and
+    SettingsError before the first step for an exists-schedule p that
+    the exists family cannot take, or for a metric named like a query.
 
     When a step grounds the very scope of the record before it, that
     step's forward writes the record, so an epoch costs one Sat forward.
     That holds when ``batched`` is empty (one full-batch step per
     epoch), no network has a dropout rate above 0, and the record's
     exists p equals the step's. A record at an exists-schedule boundary,
-    and the final record, take their own forward.
+    and the final record, take their own forward. When the record runs
+    queries or metrics, they read that forward's stored network outputs.
     """
     try:
         for _, p in train.exists_schedule or ():
@@ -268,7 +299,7 @@ def learn(theory: Theory, train: TrainConfig, batched=(),
             if shared:
                 records.append(_record(theory, train, metrics, epoch - 1,
                                        sat, loss))
-            adam_step(theory.store, grads, lr=train.lr)
+            _update(theory.store, grads, train.lr, f"at epoch {epoch}")
     records.append(_log(theory, train, metrics, train.epochs,
                         ps[train.epochs]))
     return records
@@ -280,33 +311,45 @@ def _descend(theory, scope, objective, what: str, context: str) -> tuple:
     backpropagate ``objective(sat)`` without updating. Returns
     (gradients, Sat, objective), the last two as floats. A non-finite
     objective (named by ``what`` and its value) or gradient (by its
-    slot) raises DivergenceError ending in ``context``."""
+    slot) raises DivergenceError ending in ``context``, and truths
+    outside [0, 1] a DomainError ending in it. No stored output is read."""
     found, theory.env.training = theory.env.training, scope.training
     try:
         sat = satisfiability(theory, scope)
+    except DomainError as e:
+        raise DomainError(f"{e} {context}") from None
     finally:
         theory.env.training = found
     obj = objective(sat)
     if not np.isfinite(obj.data):
         raise DivergenceError(f"{what} {obj.data} {context}")
     grads = backward(obj, theory.store)
-    _check_grads(grads, context)
+    _check_finite(grads, "gradient", context)
     return grads, float(sat.data), float(obj.data)
 
 
 def _log(theory, train, metrics, epoch, ep=None) -> dict:
     """The record of ``epoch`` from its own Sat forward over the declared
-    instances."""
-    sat = satisfiability(theory, theory.env.scope(p={"exists": ep}))
+    instances, which stores its network outputs when queries or metrics
+    follow to read them."""
+    stored = (_stored(theory, theory.store.snapshot())
+              if _due(theory, train, metrics, epoch) else None)
+    sat = satisfiability(theory, theory.env.scope(p={"exists": ep}), stored)
     loss = _loss(theory, train, sat)
     return _record(theory, train, metrics, epoch, float(sat.data),
                    float(loss.data))
 
 
+def _due(theory, train, metrics, epoch) -> bool:
+    """Whether ``epoch``'s record runs queries or metrics."""
+    return bool(metrics or theory.queries) and (
+        epoch % train.log_every == 0 or epoch == train.epochs)
+
+
 def _record(theory, train, metrics, epoch, sat: float, loss: float) -> dict:
     """An epoch's record; metrics and queries run when due, training off."""
     rec = {"epoch": epoch, "sat": sat, "loss": loss}
-    if epoch % train.log_every == 0 or epoch == train.epochs:
+    if _due(theory, train, metrics, epoch):
         for name, fn in metrics.items():
             rec[name] = float(fn(theory))
         for q in theory.queries:
@@ -340,9 +383,10 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     call; term queries take an AST. The theory plans each expression
     once per bind layout and p and keeps the plan (see
     :func:`_planned`); a p that the configured family cannot take
-    raises EvalError there. A truth outside [0, 1] raises RuntimeError,
-    as does any bit of θ that changed (:meth:`ParamStore.snapshot`
-    before and after).
+    raises EvalError there. The grounding shares the theory's stored
+    network outputs (see :func:`_stored`); the values are copies. A
+    truth outside [0, 1] raises RuntimeError, as does any bit of θ that
+    changed (:meth:`ParamStore.snapshot` before and after).
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
@@ -356,8 +400,9 @@ def query(theory: Theory, kind: str, expr, data: dict = None,
     before = theory.store.snapshot()
     scope = theory.env.scope(data, p=p)
     (root,) = _planned(theory, scope, expr)
-    gv = ground_formula(theory.env, root, scope)
-    values = np.asarray(gv.tensor.data)
+    gv = ground_formula(theory.env, root, scope,
+                        stored=_stored(theory, before))
+    values = np.array(gv.tensor.data)  # never a stored output itself
     if truthy:
         if not ((values >= -TOL) & (values <= 1 + TOL)).all():  # NaN fails
             raise RuntimeError("truth query outside [0, 1]")
@@ -452,11 +497,12 @@ def reason_refute(build, phi, rcfg: RefutationConfig = None) -> RefuteResult:
         _check_closed(phi, "refuted formula")
         scope = th.env.scope()
         (root,) = _planned(th, scope, phi)
-        for _ in range(rcfg.epochs):
+        for epoch in range(1, rcfg.epochs + 1):
             grads, _, _ = _descend(th, scope, lambda s: ground_formula(
                 th.env, root, scope).tensor + soft_penalty(s, rcfg.q),
                 "objective", "in the refutation search")
-            adam_step(th.store, grads, lr=REFUTE_LR)
+            _update(th.store, grads, REFUTE_LR,
+                    f"at epoch {epoch} of the refutation search")
         run = ReasonRun(float(satisfiability(th).data), truth_value(th, phi))
         runs.append(run)
         if run.sat >= rcfg.q and run.phi < rcfg.q:

@@ -289,6 +289,19 @@ BAD_INPUT = {  # id: tmp_path -> (argv, the one message it exits with)
          _config(tmp, "exists_schedule = 40:2, 0:1")],
         f"{tmp / 'run.cfg'}:1: bad value for 'exists_schedule': "
         "schedule epochs must be strictly increasing"),
+    "train-lr-nan": lambda tmp: _refute_config(
+        tmp, "lr = nan", "lr must be positive and finite, got nan"),
+    "train-lr-inf": lambda tmp: _refute_config(
+        tmp, "lr = inf", "lr must be positive and finite, got inf"),
+    "train-lam-nan": lambda tmp: _refute_config(
+        tmp, "lam = nan", "lam must be finite and >= 0, got nan"),
+    # no slot is non-finite after the first update (each weight is about
+    # 1e300), but the next step's forward overflows
+    "train-lr-overflows": lambda tmp: (
+        ["train", "--kb", str(theory_path("smokers")), "--epochs", "3",
+         "--config", _config(tmp, "lr = 1e300")],
+        "truth value outside [0, 1]: range [nan, nan] at epoch 2"),
+    "train-gradient-nan": lambda tmp: _sat_at_one_kb(tmp),
     "demo-eq-alpha-negative": lambda tmp: _eq_alpha_config(tmp, "-1", "-1.0"),
     "demo-eq-alpha-nan": lambda tmp: _eq_alpha_config(tmp, "nan", "nan"),
     "train-eq-alpha-zero-in-theory": lambda tmp: _item_kb(
@@ -318,6 +331,25 @@ def _eq_alpha_config(tmp, value, shown):
              "--config", _config(tmp, f"eq_alpha = {value}")],
             f"{tmp / 'run.cfg'}:1: bad value for 'eq_alpha': eq_alpha must "
             f"be a positive finite number, got {shown}")
+
+
+def _refute_config(tmp, line, message):
+    """``rl train --kb refute.rl`` under the config ``line``, which
+    ``TrainConfig`` rejects with ``message``."""
+    return (["train", "--kb", str(theory_path("refute")), "--epochs", "2",
+             "--config", _config(tmp, line)],
+            f"{tmp / 'run.cfg'}:1: bad value for {line.split()[0]!r}: "
+            f"{message}")
+
+
+def _sat_at_one_kb(tmp):
+    """``rl train`` on a theory whose plain p-mean-error Sat starts at
+    truth 1, where its gradient is NaN."""
+    kb = tmp / "one.rl"
+    kb.write_text("domain u = 1\nconfig agg = pmean_error:p=2\n"
+                  "pred A = scalar(1)\naxiom: A\n")
+    return (["train", "--kb", str(kb), "--epochs", "2"],
+            "non-finite gradient in slot 'A' at epoch 1")
 
 
 def _item_kb(tmp, network, config="", *, line=3, message):
@@ -476,10 +508,12 @@ def test_cli_train_reports_the_theorys_declared_queries(tmp_path, capsys):
         assert 0.0 <= rec["phi1"] <= 1.0 and 0.0 <= rec["phi2"] <= 1.0
 
 
-def test_cli_query_prints_the_declared_queries_of_the_trained_run(tmp_path,
-                                                                   capsys):
+@pytest.mark.parametrize("name", ["smokers", "multilabel"])
+def test_cli_query_prints_the_declared_queries_of_the_trained_run(
+        name, tmp_path, capsys):
+    # rl query loads the trained parameters into a fresh theory in place
     out = tmp_path / "d"
-    kb = str(theory_path("smokers"))
+    kb = str(theory_path(name))
     assert cli.main(["train", "--kb", kb, "--epochs", "2",
                      "--out", str(out)]) == 0
     capsys.readouterr()
@@ -488,8 +522,10 @@ def test_cli_query_prints_the_declared_queries_of_the_trained_run(tmp_path,
                      "--params", str(out / "params.bin")]) == 0
     printed = [line.split(" = ") for line in
                capsys.readouterr().out.splitlines()]
+    labels = [q.label for q in load_theory(kb).queries]
+    assert len(labels) >= 2
     assert [(k, float(v)) for k, v in printed] == \
-        [(k, last[k]) for k in ("phi1", "phi2")]
+        [(k, last[k]) for k in labels]
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -39,7 +39,7 @@ from reallogic.training import (
     truth_value,
     write_metrics,
 )
-from reallogic.training import _check_grads, _log, _loss
+from reallogic.training import _check_finite, _log, _loss
 
 import walker
 
@@ -396,6 +396,25 @@ def test_non_finite_gradient_raises_before_the_update():
     assert th.store.snapshot() == before
 
 
+def test_an_update_that_leaves_a_slot_non_finite_raises(monkeypatch):
+    real = training.adam_step
+
+    def overflowing(store, grads, lr):
+        real(store, grads, lr=lr)
+        for name in ("B", "A"):
+            store.get(name).data[...] = np.inf
+
+    monkeypatch.setattr(training, "adam_step", overflowing)
+    with pytest.raises(DivergenceError, match="^non-finite value in slot "
+                       "'A' after the update at epoch 1$"):
+        learn(disj_theory(a=0.3, b=0.6), TrainConfig(epochs=2))
+    with pytest.raises(DivergenceError, match="^non-finite value in slot "
+                       "'A' after the update at epoch 1 of the refutation "
+                       "search$"):
+        reason_refute(lambda _: disj_theory(a=0.3, b=0.6), "A",
+                      RefutationConfig(epochs=2))
+
+
 def test_non_finite_refutation_objective_raises_before_the_update():
     # phi is a bare atom, so its NaN truth meets no operator and reaches
     # the objective, while Sat, over B alone, stays finite
@@ -564,7 +583,7 @@ def plain_learn(theory, train, batched=(), metrics=None):
             loss = _loss(theory, train, sat)
             assert np.isfinite(loss.data)
             grads = backward(loss, theory.store)
-            _check_grads(grads, f"at epoch {epoch}")
+            _check_finite(grads, "gradient", f"at epoch {epoch}")
             adam_step(theory.store, grads, lr=train.lr)
         records.append(log(epoch, ep))
     return records
@@ -624,9 +643,9 @@ def count_sat_calls(monkeypatch):
     training flag at each call."""
     calls = []
 
-    def counted(theory, scope=None):
+    def counted(theory, *args):
         calls.append(theory.env.training)
-        return satisfiability(theory, scope)
+        return satisfiability(theory, *args)
 
     monkeypatch.setattr(training, "satisfiability", counted)
     return calls
@@ -730,9 +749,9 @@ def test_batch_larger_than_dataset_is_clamped():
 def test_a_constant_backed_variable_is_batched_by_index(monkeypatch):
     binds = []
 
-    def seen(theory, scope=None):
+    def seen(theory, scope, *args):
         binds.append(scope.binds.get("x"))
-        return satisfiability(theory, scope)
+        return satisfiability(theory, scope, *args)
 
     monkeypatch.setattr(training, "satisfiability", seen)
     th, _ = smokers_theory()
